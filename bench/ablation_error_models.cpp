@@ -34,7 +34,7 @@ int main() {
                                        seed, 1e-3);
   core::FaultTrainingConfig ft;
   ft.ber_stages = {1e-7, 1e-5, 1e-3};
-  auto improved = core::improve_error_tolerance(baseline, ft, train_inj,
+  auto improved = core::improve_error_tolerance(baseline, ft, {&train_inj},
                                                 train, test, rng);
 
   Table t("ablation_error_models",
@@ -50,9 +50,9 @@ int main() {
     const auto eval_inj = error::ErrorInjector::for_weights(g, profile, spec, place, n_weights,
                                         seed, 1e-3);
     const double acc_base = core::evaluate_corrupted(
-        baseline.net, baseline.labels, eval_inj, 1e-3, test, rng, 2);
+        baseline.net, baseline.labels, {&eval_inj}, 1e-3, test, rng, 2);
     const double acc_impr = core::evaluate_corrupted(
-        improved.improved.net, improved.improved.labels, eval_inj, 1e-3,
+        improved.improved.net, improved.improved.labels, {&eval_inj}, 1e-3,
         test, rng, 2);
     t.add_row({to_string(kind), Table::pct(100.0 * acc_base, 1),
                Table::pct(100.0 * acc_impr, 1)});

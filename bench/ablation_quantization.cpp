@@ -31,7 +31,7 @@ int main() {
 
   const auto cfg = bench::net_config(neurons);
   auto model = snn::train_and_label(cfg, train, test, 2, rng);
-  const auto clean = model.net.weights();
+  const auto clean = model.net.weights(0);
 
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, seed);
@@ -53,11 +53,11 @@ int main() {
   const auto eval_f32 = [&](double ber, float clip) {
     double acc = 0.0;
     for (int i = 0; i < trials; ++i) {
-      model.net.weights_mut() = clean;
-      inj_f32.inject(model.net.weights_mut(), ber, rng, {0.0f, clip});
+      model.net.weights_mut(0) = clean;
+      inj_f32.inject(model.net.weights_mut(0), ber, rng, {0.0f, clip});
       acc += snn::evaluate(model.net, model.labels, test, rng);
     }
-    model.net.weights_mut() = clean;
+    model.net.weights_mut(0) = clean;
     return acc / trials;
   };
   const auto eval_u8 = [&](double ber) {
@@ -65,10 +65,10 @@ int main() {
     for (int i = 0; i < trials; ++i) {
       quant.codes = quant_clean_codes;
       inj_u8.inject_bytes(quant.codes.data(), quant.codes.size(), ber, rng);
-      model.net.weights_mut() = snn::dequantize(quant);
+      model.net.weights_mut(0) = snn::dequantize(quant);
       acc += snn::evaluate(model.net, model.labels, test, rng);
     }
-    model.net.weights_mut() = clean;
+    model.net.weights_mut(0) = clean;
     return acc / trials;
   };
 
@@ -88,12 +88,12 @@ int main() {
              Table::pct(100.0 * model.clean_accuracy, 1)});
   {
     quant.codes = quant_clean_codes;
-    model.net.weights_mut() = snn::dequantize(quant);
+    model.net.weights_mut(0) = snn::dequantize(quant);
     s.add_row({"clean uint8 accuracy (quantization loss only)",
                Table::pct(100.0 * snn::evaluate(model.net, model.labels,
                                                 test, rng),
                           1)});
-    model.net.weights_mut() = clean;
+    model.net.weights_mut(0) = clean;
   }
   s.emit();
   return 0;

@@ -45,7 +45,7 @@ int main() {
     const double clean_before = model.clean_accuracy;
     if (!stages.empty()) {
       auto improved = core::improve_error_tolerance(model, ft_with(stages),
-                                                    injector, train, test,
+                                                    {&injector}, train, test,
                                                     rng);
       model = improved.improved;
     } else {
@@ -58,7 +58,7 @@ int main() {
     out.clean_before = clean_before;
     out.clean_after = snn::evaluate(model.net, model.labels, test, rng);
     out.corrupted = core::evaluate_corrupted(model.net, model.labels,
-                                             injector, 1e-3, test, rng, 3,
+                                             {&injector}, 1e-3, test, rng, 3,
                                              ft.weight_clip);
     return out;
   };

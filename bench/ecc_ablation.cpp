@@ -1,9 +1,8 @@
 // ECC-axis ablation: the full pipeline swept across the registered ECC
 // schemes on one workload cell.
 //
-// Where bench/ablation_ecc compares bare SECDED scrubbing against SparkXD
-// outside the pipeline, this bench drives the integrated third axis: one
-// ScenarioMatrix cell per scheme (off / parity / secded / hsiao / bch /
+// This bench drives the integrated third axis: one ScenarioMatrix cell per
+// scheme (off / parity / secded / hsiao / bch /
 // bch-512B), each lowered through placement escalation, the frozen-injection
 // scrub, and the decode-latency-aware energy model. One row per scheme shows
 // what the code buys (accuracy at the lowest voltage, corrected/detected

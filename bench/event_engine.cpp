@@ -45,8 +45,7 @@ snn::Network make_network(float max_rate, std::uint64_t seed,
   snn::Network net(cfg);
   Rng rng(seed);
   for (int pass = 0; pass < 2; ++pass)
-    (void)net.process(random_image(784, seed + pass, 0.4), /*learn=*/true,
-                      rng);
+    (void)net.train_step(random_image(784, seed + pass, 0.4), rng);
   net.sync_transpose();
   return net;
 }

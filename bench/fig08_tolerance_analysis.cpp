@@ -33,17 +33,18 @@ int main() {
                                       1e-3);
   core::FaultTrainingConfig ft;
   ft.ber_stages = {1e-7, 1e-5, 1e-3};
+  const core::LayerInjectors injectors{&injector};
   auto improved =
-      core::improve_error_tolerance(baseline, ft, injector, train, test, rng);
+      core::improve_error_tolerance(baseline, ft, injectors, train, test, rng);
 
   // §IV-C linear search over the BER grid for both models.
   const double target = baseline.clean_accuracy - ft.accuracy_bound;
-  const auto base_curve =
-      core::analyze_tolerance(baseline.net, baseline.labels, injector,
-                              bench::kPlotBers, target, test, rng, 2);
-  const auto impr_curve = core::analyze_tolerance(
-      improved.improved.net, improved.improved.labels, injector,
-      bench::kPlotBers, target, test, rng, 2);
+  const auto base_curve = core::analyze_layer_tolerance(
+      baseline.net, baseline.labels, injectors, bench::kPlotBers, target, test,
+      rng, 2)[0];
+  const auto impr_curve = core::analyze_layer_tolerance(
+      improved.improved.net, improved.improved.labels, injectors,
+      bench::kPlotBers, target, test, rng, 2)[0];
 
   Table t("fig08_tolerance_analysis",
           {"BER", "baseline + approx DRAM", "improved + approx DRAM",

@@ -42,7 +42,7 @@ void run_dataset(data::Task task, Table& table, Table& summary) {
     // SparkXD improvement (Algorithm 1, BER decades up to 1e-3).
     core::FaultTrainingConfig ft;
     ft.ber_stages = {1e-7, 1e-5, 1e-3};
-    auto improved = core::improve_error_tolerance(baseline, ft, injector,
+    auto improved = core::improve_error_tolerance(baseline, ft, {&injector},
                                                   train, test, rng);
 
     const std::string name = "N" + std::to_string(neurons);
@@ -54,15 +54,15 @@ void run_dataset(data::Task task, Table& table, Table& summary) {
     double worst_gap = -1.0;
     for (const double ber : bench::kPlotBers) {
       const double acc_base_approx =
-          core::evaluate_corrupted(baseline.net, baseline.labels, injector,
-                                   ber, test, rng);
+          core::evaluate_corrupted(baseline.net, baseline.labels,
+                                   {&injector}, ber, test, rng);
       const auto sp = mapping::sparkxd_placement(
           g, profile, ber, std::max(ber, ber_th), n_weights);
       const auto sp_injector = error::ErrorInjector::for_weights(
           g, profile, {}, sp.chunks, n_weights, seed, std::max(ber, 1e-12));
       const double acc_impr_approx = core::evaluate_corrupted(
-          improved.improved.net, improved.improved.labels, sp_injector, ber,
-          test, rng);
+          improved.improved.net, improved.improved.labels, {&sp_injector},
+          ber, test, rng);
       worst_gap = std::max(worst_gap,
                            baseline.clean_accuracy - acc_impr_approx);
       table.add_row({data::to_string(task), name, Table::sci(ber),

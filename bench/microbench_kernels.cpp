@@ -58,11 +58,12 @@ void BM_NetworkInference(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   snn::NetworkConfig cfg;
   cfg.n_neurons = n;
-  snn::Network net(cfg);
+  const snn::Network net(cfg);
+  snn::InferenceState inference(net);
   const auto ds = data::make_dataset(data::Task::kDigits, 1, 1);
   Rng rng(1);
   for (auto _ : state) {
-    auto counts = net.process(ds.images[0], false, rng);
+    auto counts = net.infer(inference, ds.images[0], rng);
     benchmark::DoNotOptimize(counts.data());
   }
 }

@@ -33,7 +33,7 @@ double sweep_once(const snn::TrainedModel& model,
   std::vector<double> acc(voltages.size(), 0.0);
   parallel_for(voltages.size(), [&](std::size_t vi) {
     Rng vrng = sweep_rng.fork(vi);
-    acc[vi] = core::evaluate_corrupted(model.net, model.labels, inj,
+    acc[vi] = core::evaluate_corrupted(model.net, model.labels, {&inj},
                                        std::min(bm.ber(voltages[vi]), 1e-3),
                                        test, vrng, trials);
   });

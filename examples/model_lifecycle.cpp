@@ -46,7 +46,8 @@ int main(int argc, char** argv) {
   core::FaultTrainingConfig ft;
   ft.ber_stages = {1e-7, 1e-5, 1e-3};
   auto hardened =
-      core::improve_error_tolerance(baseline, ft, injector, train, test, rng);
+      core::improve_error_tolerance(baseline, ft, {&injector}, train, test,
+                                    rng);
   std::printf("trained: baseline %.1f%%, hardened BER_th %.0e\n",
               100.0 * baseline.clean_accuracy, hardened.ber_th);
 
@@ -54,17 +55,17 @@ int main(int argc, char** argv) {
   snn::save_model(hardened.improved, path);
   auto shipped = snn::load_model(path);
   std::printf("saved + reloaded '%s' (%zu weights)\n", path.c_str(),
-              shipped.net.weights().size());
+              shipped.net.weights(0).size());
 
   // --- Quantize for the DRAM-resident copy. ---------------------------------
-  auto quant = snn::quantize(shipped.net.weights(), cfg.n_neurons,
+  auto quant = snn::quantize(shipped.net.weights(0), cfg.n_neurons,
                              cfg.n_inputs);
   std::printf("quantized: %zu B (FP32 was %zu B)\n", quant.size_bytes(),
-              shipped.net.weights().size() * sizeof(float));
+              shipped.net.weights(0).size() * sizeof(float));
 
   // --- Verify under corruption at BER 1e-3. ---------------------------------
   const double acc_fp32 = core::evaluate_corrupted(
-      shipped.net, shipped.labels, injector, 1e-3, test, rng, 2,
+      shipped.net, shipped.labels, {&injector}, 1e-3, test, rng, 2,
       ft.weight_clip);
   // The quantized copy is 4x smaller, so it has its own (smaller) payload
   // over the same layout.
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
     quant.codes = clean_codes;
     quant_injector.inject_bytes(quant.codes.data(), quant.codes.size(), 1e-3,
                                 rng);
-    shipped.net.weights_mut() = snn::dequantize(quant);
+    shipped.net.weights_mut(0) = snn::dequantize(quant);
     acc_u8 += snn::evaluate(shipped.net, shipped.labels, test, rng) / 2.0;
   }
   std::printf("reloaded FP32 accuracy @BER 1e-3:  %.1f%%\n",

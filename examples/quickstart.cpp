@@ -49,18 +49,19 @@ int main() {
   const double ber = 1e-3;
   const auto injector = error::ErrorInjector::for_weights(geometry, profile, {}, placement,
                                       n_weights, seed, ber);
+  const core::LayerInjectors injectors{&injector};  // one per network layer
   const double corrupted_acc = core::evaluate_corrupted(
-      baseline.net, baseline.labels, injector, ber, test, rng);
+      baseline.net, baseline.labels, injectors, ber, test, rng);
   std::printf("baseline accuracy @ BER 1e-3:           %.1f%%\n",
               100.0 * corrupted_acc);
 
   // --- SparkXD fault-aware retraining (Algorithm 1). -----------------------
   core::FaultTrainingConfig ft;
   ft.ber_stages = {1e-7, 1e-5, 1e-3};
-  auto improved = core::improve_error_tolerance(baseline, ft, injector,
+  auto improved = core::improve_error_tolerance(baseline, ft, injectors,
                                                 train, test, rng);
   const double improved_acc = core::evaluate_corrupted(
-      improved.improved.net, improved.improved.labels, injector, ber, test,
+      improved.improved.net, improved.improved.labels, injectors, ber, test,
       rng);
   std::printf("improved accuracy @ BER 1e-3 (SparkXD): %.1f%%\n",
               100.0 * improved_acc);

@@ -11,8 +11,7 @@ namespace {
 
 /// Derives the injection Rng for layer `l` of trial substream `inject_seed`
 /// (the documented stream discipline): a single-layer stack consumes the
-/// trial stream directly — bit-identical to the pre-stack code — while a
-/// deep stack forks one substream per layer.
+/// trial stream directly while a deep stack forks one substream per layer.
 Rng layer_inject_rng(std::uint64_t inject_seed, std::size_t l,
                      std::size_t n_layers) {
   return n_layers == 1 ? Rng(inject_seed)
@@ -20,69 +19,6 @@ Rng layer_inject_rng(std::uint64_t inject_seed, std::size_t l,
 }
 
 }  // namespace
-
-double evaluate_corrupted(const snn::Network& net,
-                          const snn::NeuronLabels& labels,
-                          const LayerInjectors& injectors, double ber,
-                          const data::Dataset& test, Rng& rng,
-                          std::size_t trials, float weight_clip) {
-  SPARKXD_REQUIRE(trials >= 1, "need at least one evaluation trial");
-  const std::size_t n_layers = net.n_layers();
-  SPARKXD_REQUIRE(injectors.size() == n_layers,
-                  "need one injector slot per network layer");
-  const error::SanitizeRange sanitize{net.config().stdp.w_min, weight_clip};
-  // One parent draw keys this call's trial substreams: every trial owns an
-  // independent Rng pair and every worker a private corruptible weight
-  // copy, so trials run concurrently and the mean is bit-identical at any
-  // thread count. Injection and evaluation draw from *separate* substreams
-  // (common random numbers): the spike trains are then identical across
-  // BERs for the same parent state, so accuracy differences measure the
-  // injected errors, not resampling noise.
-  const std::uint64_t stream = rng.next_u64();
-  // The flip candidates at this BER are the same for every trial: freeze
-  // them once per corrupted layer and share the tables read-only across
-  // the whole fan-out.
-  std::vector<error::FrozenInjection> frozen(n_layers);
-  for (std::size_t l = 0; l < n_layers; ++l)
-    if (injectors[l] != nullptr) frozen[l] = injectors[l]->freeze(ber);
-  std::vector<double> accs(trials, 0.0);
-  parallel_for_chunks(
-      trials, [&](std::size_t begin, std::size_t end, std::size_t) {
-        // One weight copy per worker (each needs private corruptible
-        // arrays); between trials only the recorded flips are reverted —
-        // delta injection replaces the full per-trial snapshot restore.
-        // The InferenceState (membrane/encoder scratch) is likewise built
-        // once per worker and reused across trials. The copy carries the
-        // configured inference engine (dense/event/event-fx) along, so the
-        // whole Monte-Carlo fan-out runs whichever kernel the
-        // PipelineConfig selected.
-        snn::Network scratch = net;
-        scratch.sync_transpose();
-        snn::InferenceState state(scratch);
-        std::vector<std::vector<error::WeightFlip>> flips(n_layers);
-        for (std::size_t t = begin; t < end; ++t) {
-          const std::uint64_t inject_seed = hash_combine(stream, 2 * t);
-          Rng eval_rng(hash_combine(stream, 2 * t + 1));
-          for (std::size_t l = 0; l < n_layers; ++l) {
-            if (injectors[l] == nullptr) continue;
-            Rng inject_rng = layer_inject_rng(inject_seed, l, n_layers);
-            flips[l].clear();
-            frozen[l].inject(scratch.weights_delta(l), inject_rng, sanitize,
-                             &flips[l]);
-            for (const auto& f : flips[l]) scratch.mirror_weight(l, f.word);
-          }
-          accs[t] = snn::evaluate(scratch, state, labels, test, eval_rng);
-          for (std::size_t l = 0; l < n_layers; ++l) {
-            if (injectors[l] == nullptr) continue;
-            error::revert_flips(scratch.weights_delta(l), flips[l]);
-            for (const auto& f : flips[l]) scratch.mirror_weight(l, f.word);
-          }
-        }
-      });
-  double acc_sum = 0.0;
-  for (const double a : accs) acc_sum += a;
-  return acc_sum / static_cast<double>(trials);
-}
 
 double evaluate_corrupted_ecc(const snn::Network& net,
                               const snn::NeuronLabels& labels,
@@ -99,12 +35,17 @@ double evaluate_corrupted_ecc(const snn::Network& net,
     SPARKXD_REQUIRE(ecc[l].scheme == nullptr || ecc[l].checks != nullptr,
                     "an ecc-protected layer needs its check words");
   const error::SanitizeRange clip{net.config().stdp.w_min, weight_clip};
-  // Same stream discipline as evaluate_corrupted (one parent draw, per-trial
-  // inject/eval substream pair, per-worker scratch network) — see the
-  // comments there. The difference is purely in what happens to a corrupted
-  // word: raw injection, codeword scrub, then the clip only where the code
-  // failed.
+  // One parent draw keys this call's trial substreams: every trial owns an
+  // independent Rng pair and every worker a private corruptible weight
+  // copy, so trials run concurrently and the mean is bit-identical at any
+  // thread count. Injection and evaluation draw from *separate* substreams
+  // (common random numbers): the spike trains are then identical across
+  // BERs for the same parent state, so accuracy differences measure the
+  // injected errors, not resampling noise.
   const std::uint64_t stream = rng.next_u64();
+  // The flip candidates at this BER are the same for every trial: freeze
+  // them once per corrupted layer and share the tables read-only across
+  // the whole fan-out.
   std::vector<error::FrozenInjection> frozen(n_layers);
   for (std::size_t l = 0; l < n_layers; ++l)
     if (injectors[l] != nullptr) frozen[l] = injectors[l]->freeze(ber);
@@ -115,6 +56,14 @@ double evaluate_corrupted_ecc(const snn::Network& net,
       totals != nullptr ? trials * n_layers : 0);
   parallel_for_chunks(
       trials, [&](std::size_t begin, std::size_t end, std::size_t) {
+        // One weight copy per worker (each needs private corruptible
+        // arrays); between trials only the recorded flips are reverted —
+        // delta injection replaces the full per-trial snapshot restore.
+        // The InferenceState (membrane/encoder scratch) is likewise built
+        // once per worker and reused across trials. The copy carries the
+        // configured inference engine (dense/event/event-fx) along, so the
+        // whole Monte-Carlo fan-out runs whichever kernel the
+        // PipelineConfig selected.
         snn::Network scratch = net;
         scratch.sync_transpose();
         snn::InferenceState state(scratch);
@@ -167,15 +116,12 @@ double evaluate_corrupted_ecc(const snn::Network& net,
 
 double evaluate_corrupted(const snn::Network& net,
                           const snn::NeuronLabels& labels,
-                          const error::ErrorInjector& injector, double ber,
+                          const LayerInjectors& injectors, double ber,
                           const data::Dataset& test, Rng& rng,
                           std::size_t trials, float weight_clip) {
-  SPARKXD_REQUIRE(net.n_layers() == 1,
-                  "the single-injector overload addresses THE layer of a "
-                  "single-layer network — deep stacks pass a LayerInjectors "
-                  "list");
-  return evaluate_corrupted(net, labels, LayerInjectors{&injector}, ber, test,
-                            rng, trials, weight_clip);
+  return evaluate_corrupted_ecc(net, labels, injectors,
+                                LayerEcc(net.n_layers()), ber, test, rng,
+                                trials, weight_clip);
 }
 
 FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
@@ -195,8 +141,7 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   const error::SanitizeRange sanitize{baseline.net.config().stdp.w_min,
                                       cfg.weight_clip};
   const auto inject_all = [&](snn::Network& net, double rate, Rng& r) {
-    // Layers draw serially from the caller's generator, input side first —
-    // for a single-layer stack exactly the legacy single inject call.
+    // Layers draw serially from the caller's generator, input side first.
     for (std::size_t l = 0; l < n_layers; ++l)
       if (injectors[l] != nullptr)
         injectors[l]->inject(net.weights_mut(l), rate, r, sanitize);
@@ -247,41 +192,6 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   // (callers check met_target).
   if (!result.met_target) result.improved = model_temp;
   return result;
-}
-
-FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
-                                         const FaultTrainingConfig& cfg,
-                                         const error::ErrorInjector& injector,
-                                         const data::Dataset& train,
-                                         const data::Dataset& test, Rng& rng) {
-  SPARKXD_REQUIRE(baseline.net.n_layers() == 1,
-                  "the single-injector overload addresses THE layer of a "
-                  "single-layer network — deep stacks pass a LayerInjectors "
-                  "list");
-  return improve_error_tolerance(baseline, cfg, LayerInjectors{&injector},
-                                 train, test, rng);
-}
-
-ToleranceAnalysis analyze_tolerance(const snn::Network& net,
-                                    const snn::NeuronLabels& labels,
-                                    const error::ErrorInjector& injector,
-                                    const std::vector<double>& rates,
-                                    double target_accuracy,
-                                    const data::Dataset& test, Rng& rng,
-                                    std::size_t trials) {
-  SPARKXD_REQUIRE(std::is_sorted(rates.begin(), rates.end()),
-                  "linear search expects ascending BER values");
-  ToleranceAnalysis out;
-  for (const double ber : rates) {
-    const double acc =
-        evaluate_corrupted(net, labels, injector, ber, test, rng, trials);
-    out.curve.push_back({ber, acc});
-    if (acc >= target_accuracy) {
-      out.ber_th = ber;
-      out.met_target = true;
-    }
-  }
-  return out;
 }
 
 std::vector<ToleranceAnalysis> analyze_layer_tolerance(

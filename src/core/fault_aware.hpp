@@ -73,45 +73,11 @@ struct FaultAwareResult {
 /// time). Size must equal the network's n_layers().
 using LayerInjectors = std::vector<const error::ErrorInjector*>;
 
-/// Evaluates a model with weights corrupted at `ber` through `injector`.
-/// Averages `trials` fresh error draws; trials run concurrently (see
-/// common/parallel), each with its own Rng substream keyed off one draw
-/// from `rng`, so the result is deterministic in `rng`'s state and
-/// identical at every thread count. The hot path is delta-based: the flip
-/// candidates at `ber` are frozen once (ErrorInjector::freeze) and shared
-/// across all trials, each worker owns one corruptible weight copy plus a
-/// reused snn::InferenceState, and between trials only the recorded flips
-/// are reverted instead of restoring a full snapshot — bit-identical to
-/// the snapshot loop (tests/core_test.cpp proves it against a reference
-/// implementation). `net` is untouched (const — required for the
-/// concurrent per-voltage sweep to share one trained model). `weight_clip`
-/// is the load-time range clip applied to corrupted values.
-[[nodiscard]] double evaluate_corrupted(const snn::Network& net,
-                                        const snn::NeuronLabels& labels,
-                                        const error::ErrorInjector& injector,
-                                        double ber, const data::Dataset& test,
-                                        Rng& rng, std::size_t trials = 1,
-                                        float weight_clip = kDefaultWeightClip);
-
-/// Layer-stack generalization: every non-null entry of `injectors` corrupts
-/// its layer's weights at `ber` each trial. Rng stream discipline: a
-/// single-layer stack consumes the trial's injection stream directly — the
-/// legacy discipline, so the single-injector overload above is bit-identical
-/// to this one with a one-element list — while an L>1 stack forks per-layer
-/// injection substreams (layer l draws from inject_rng.fork(l)), keeping
-/// each layer's error draw independent of which other layers are corrupted
-/// (what lets the per-layer tolerance analysis reuse the same draws).
-[[nodiscard]] double evaluate_corrupted(const snn::Network& net,
-                                        const snn::NeuronLabels& labels,
-                                        const LayerInjectors& injectors,
-                                        double ber, const data::Dataset& test,
-                                        Rng& rng, std::size_t trials = 1,
-                                        float weight_clip = kDefaultWeightClip);
-
 /// Per-layer ECC protection for corrupted evaluation: the scheme plus the
 /// check words computed from that layer's CLEAN weights
-/// (error::ecc_encode_buffer). A null scheme leaves the layer on the legacy
-/// clip-only path. Size must equal the network's n_layers().
+/// (error::ecc_encode_buffer). A null scheme leaves the layer unprotected:
+/// injection then applies the load-time range clip per flip. Size must
+/// equal the network's n_layers().
 struct LayerEccState {
   const error::EccScheme* scheme = nullptr;
   const std::vector<std::uint64_t>* checks = nullptr;
@@ -127,16 +93,34 @@ struct EccScrubTotals {
   std::uint64_t bits_corrected = 0;
 };
 
-/// ECC-protected variant of the layer-stack evaluate_corrupted: each trial
-/// injects RAW bit flips (no load-time clip — the decoder must see exactly
-/// the stored bits), scrubs only the corrupted codewords against the
-/// layer's check words (error::ecc_scrub_codewords), and applies the range
-/// clip solely to words of codewords the code could not restore. Rng
-/// stream discipline is identical to evaluate_corrupted, so with every
-/// scheme null this consumes the same draws (the clip timing differs, so
-/// use the plain overload for unprotected runs). When `totals` is non-null
-/// it is resized to n_layers and filled with per-layer scrub counts summed
-/// over trials, deterministically (trial-ascending reduction).
+/// Evaluates a model whose weights are corrupted at `ber`: every non-null
+/// entry of `injectors` corrupts its layer's weights each trial, and
+/// `ecc[l]` says how layer l's corruption is read back.
+///   * Null scheme: each flipped word goes through the load-time range clip
+///     (`weight_clip`) as it is injected.
+///   * Non-null scheme: injection is RAW (the decoder must see exactly the
+///     stored bits), only the corrupted codewords are scrubbed against the
+///     layer's check words (error::ecc_scrub_codewords), and the clip
+///     applies solely to words of codewords the code could not restore.
+/// Averages `trials` fresh error draws; trials run concurrently (see
+/// common/parallel), each with its own Rng substreams keyed off one draw
+/// from `rng`, so the result is deterministic in `rng`'s state and
+/// identical at every thread count. Rng stream discipline: a single-layer
+/// stack consumes the trial's injection stream directly, while an L>1
+/// stack forks per-layer injection substreams (layer l draws from
+/// inject_rng.fork(l)), keeping each layer's error draw independent of
+/// which other layers are corrupted (what lets the per-layer tolerance
+/// analysis reuse the same draws). The hot path is delta-based: the flip
+/// candidates at `ber` are frozen once (ErrorInjector::freeze) and shared
+/// across all trials, each worker owns one corruptible weight copy plus a
+/// reused snn::InferenceState, and between trials only the recorded flips
+/// are reverted instead of restoring a full snapshot — bit-identical to
+/// the snapshot loop (tests/core_test.cpp proves it against a reference
+/// implementation). `net` is untouched (const — required for the
+/// concurrent per-voltage sweep to share one trained model). When `totals`
+/// is non-null it is resized to n_layers and filled with per-layer scrub
+/// counts summed over trials, deterministically (trial-ascending
+/// reduction).
 [[nodiscard]] double evaluate_corrupted_ecc(
     const snn::Network& net, const snn::NeuronLabels& labels,
     const LayerInjectors& injectors, const LayerEcc& ecc, double ber,
@@ -144,50 +128,47 @@ struct EccScrubTotals {
     float weight_clip = kDefaultWeightClip,
     std::vector<EccScrubTotals>* totals = nullptr);
 
+/// Unprotected corrupted evaluation: evaluate_corrupted_ecc with a null
+/// scheme on every layer.
+[[nodiscard]] double evaluate_corrupted(const snn::Network& net,
+                                        const snn::NeuronLabels& labels,
+                                        const LayerInjectors& injectors,
+                                        double ber, const data::Dataset& test,
+                                        Rng& rng, std::size_t trials = 1,
+                                        float weight_clip = kDefaultWeightClip);
+
 /// Algorithm 1: improves the baseline model's error tolerance and records
 /// the largest stage BER whose accuracy meets
-/// (baseline.clean_accuracy - cfg.accuracy_bound).
-/// `injector` must be built over the training-time (baseline) placement.
-[[nodiscard]] FaultAwareResult improve_error_tolerance(
-    const snn::TrainedModel& baseline, const FaultTrainingConfig& cfg,
-    const error::ErrorInjector& injector, const data::Dataset& train,
-    const data::Dataset& test, Rng& rng);
-
-/// Layer-stack generalization of Algorithm 1: every stage injects each
+/// (baseline.clean_accuracy - cfg.accuracy_bound). Every stage injects each
 /// layer's weights through its own injector (layers in order, all drawing
 /// serially from `rng`) before the retraining epoch, so STDP learns around
-/// the weak cells of EVERY layer's DRAM region. One-element lists reproduce
-/// the single-injector overload bit for bit.
+/// the weak cells of EVERY layer's DRAM region. Each injector must be built
+/// over its layer's training-time (baseline) placement.
 [[nodiscard]] FaultAwareResult improve_error_tolerance(
     const snn::TrainedModel& baseline, const FaultTrainingConfig& cfg,
     const LayerInjectors& injectors, const data::Dataset& train,
     const data::Dataset& test, Rng& rng);
 
-/// §IV-C tolerance analysis on an already-trained model: evaluates the
-/// corrupted accuracy at every BER in `rates` (ascending) and returns the
-/// curve plus the largest rate meeting `target_accuracy`.
+/// §IV-C tolerance analysis of one layer: the corrupted accuracy at every
+/// BER in `rates` (ascending) plus the largest rate meeting the target.
 struct ToleranceAnalysis {
   std::vector<TolerancePoint> curve;
   double ber_th = 0.0;
   bool met_target = false;
 };
 
-[[nodiscard]] ToleranceAnalysis analyze_tolerance(
-    const snn::Network& net, const snn::NeuronLabels& labels,
-    const error::ErrorInjector& injector, const std::vector<double>& rates,
-    double target_accuracy, const data::Dataset& test, Rng& rng,
-    std::size_t trials = 1);
-
 /// PER-LAYER tolerance analysis (the EnforceSNN/EDEN structure): for each
-/// layer of the stack, runs analyze_tolerance with ONLY that layer
-/// corrupted (all other layers clean) and returns one curve + BER_th per
-/// layer, in layer order. Different layers tolerate different BERs — early
-/// layers feed every later computation while the output layer is protected
-/// by the bias-corrected population vote — and the per-layer BER_th vector
-/// is what the error-aware mapping consumes to give each layer its own
-/// placement threshold. `injectors` must be fully populated (one non-null
-/// injector per layer, built over that layer's placement). Layers consume
-/// `rng` serially, so the result is deterministic in its state.
+/// layer of the stack, evaluates the corrupted accuracy at every BER in
+/// `rates` (ascending) with ONLY that layer corrupted (all other layers
+/// clean) and returns one curve + BER_th per layer, in layer order. A
+/// one-layer network yields the single global analysis. Different layers
+/// tolerate different BERs — early layers feed every later computation
+/// while the output layer is protected by the bias-corrected population
+/// vote — and the per-layer BER_th vector is what the error-aware mapping
+/// consumes to give each layer its own placement threshold. `injectors`
+/// must be fully populated (one non-null injector per layer, built over
+/// that layer's placement). Layers consume `rng` serially, so the result
+/// is deterministic in its state.
 [[nodiscard]] std::vector<ToleranceAnalysis> analyze_layer_tolerance(
     const snn::Network& net, const snn::NeuronLabels& labels,
     const LayerInjectors& injectors, const std::vector<double>& rates,

@@ -277,26 +277,21 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
           layer_weights[l], cfg.seed, std::max(row.module_ber, 1e-12)));
     LayerInjectors eval_ptrs;
     for (const auto& inj : eval_injectors) eval_ptrs.push_back(&inj);
-    std::vector<EccScrubTotals> scrub_totals;
-    if (ecc_on) {
-      // The injectors above target the payload words only (check-word
-      // corruption is idealized away — the scrub engine's own storage is
-      // assumed protected); injection is raw and the scrub corrects or
-      // clips per codeword.
-      LayerEcc layer_ecc(n_layers);
+    // With ECC on, the injectors above target the payload words only
+    // (check-word corruption is idealized away — the scrub engine's own
+    // storage is assumed protected); injection is raw and the scrub
+    // corrects or clips per codeword. With ECC off every slot is null and
+    // each flip is clipped as it is injected.
+    LayerEcc layer_ecc(n_layers);
+    if (ecc_on)
       for (std::size_t l = 0; l < n_layers; ++l)
         layer_ecc[l] = {ecc_ladder[scheme_idx[l]].get(),
                         &ecc_checks[scheme_idx[l]][l]};
-      row.accuracy = evaluate_corrupted_ecc(
-          fa.improved.net, fa.improved.labels, eval_ptrs, layer_ecc,
-          row.module_ber, test, vrng, cfg.fault_training.eval_trials,
-          cfg.fault_training.weight_clip, &scrub_totals);
-    } else {
-      row.accuracy = evaluate_corrupted(
-          fa.improved.net, fa.improved.labels, eval_ptrs, row.module_ber,
-          test, vrng, cfg.fault_training.eval_trials,
-          cfg.fault_training.weight_clip);
-    }
+    std::vector<EccScrubTotals> scrub_totals;
+    row.accuracy = evaluate_corrupted_ecc(
+        fa.improved.net, fa.improved.labels, eval_ptrs, layer_ecc,
+        row.module_ber, test, vrng, cfg.fault_training.eval_trials,
+        cfg.fault_training.weight_clip, ecc_on ? &scrub_totals : nullptr);
 
     // Artifact capture: exactly one sweep worker matches, so the write is
     // race-free; freezing re-reads the injectors' candidate tables and

@@ -8,7 +8,6 @@
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
-#include "error/ecc.hpp"
 
 namespace sparkxd::error {
 
@@ -75,12 +74,37 @@ class ParityScheme final : public EccScheme {
   }
 };
 
-// --- Secded: the legacy Hamming(72,64), via delegation ---------------------
+// --- Secded: Hamming(71,64) + overall parity = SECDED(72,64) --------------
 //
-// Encode and the data-side decode result are bit-identical to
-// secded_encode/secded_decode (tests/ecc_scheme_test.cpp diffs them on a
-// randomized corpus); on kCorrected the check byte is re-derived from the
-// corrected data so the stored codeword is valid again.
+// Codeword positions are numbered 1..71; positions that are powers of two
+// (1,2,4,...,64) carry the 7 Hamming parity bits and the remaining 64
+// positions carry the data bits in ascending order. Check bit 7 is the
+// overall parity of all 71 positions (data + Hamming bits). On kCorrected
+// the check byte is re-derived from the corrected data so the stored
+// codeword is valid again.
+
+/// kSecdedDataPos[i] = codeword position (1..71) of data bit i.
+constexpr std::array<std::uint8_t, 64> make_secded_data_positions() {
+  std::array<std::uint8_t, 64> map{};
+  std::size_t i = 0;
+  for (std::uint8_t pos = 1; pos <= 71 && i < 64; ++pos) {
+    if ((pos & (pos - 1)) == 0) continue;  // parity position
+    map[i++] = pos;
+  }
+  return map;
+}
+
+constexpr auto kSecdedDataPos = make_secded_data_positions();
+
+/// kSecdedPosToData[pos] = data bit index + 1, or 0 for a parity position.
+constexpr std::array<std::uint8_t, 72> make_secded_position_map() {
+  std::array<std::uint8_t, 72> map{};
+  for (std::size_t i = 0; i < kSecdedDataPos.size(); ++i)
+    map[kSecdedDataPos[i]] = static_cast<std::uint8_t>(i + 1);
+  return map;
+}
+
+constexpr auto kSecdedPosToData = make_secded_position_map();
 
 class SecdedScheme final : public EccScheme {
  public:
@@ -94,29 +118,57 @@ class SecdedScheme final : public EccScheme {
   [[nodiscard]] unsigned detectable_bits() const noexcept override { return 2; }
 
   void encode(const std::uint64_t* data, std::uint64_t* check) const override {
-    check[0] = secded_encode(data[0]);
+    check[0] = check_byte(data[0]);
   }
 
   EccDecode decode(std::uint64_t* data, std::uint64_t* check) const override {
+    // Syndrome: recomputed Hamming bits vs the stored ones — for a single
+    // flipped data bit this equals that bit's codeword position; for a
+    // single flipped Hamming bit it equals that (power-of-two) position.
+    const auto stored_h = static_cast<unsigned>(check[0] & 0x7F);
+    const unsigned syndrome = hamming_bits(data[0]) ^ stored_h;
+    // Overall parity of the received 72-bit codeword; 1 for any odd number
+    // of flipped bits.
+    const unsigned overall =
+        (std::popcount(data[0]) + std::popcount(stored_h) +
+         static_cast<unsigned>((check[0] >> 7) & 1u)) &
+        1u;
+    if (syndrome == 0 && overall == 0) return {EccStatus::kClean, 0};
+    // Even number of flipped bits with a non-zero syndrome: double error.
+    if (overall == 0) return {EccStatus::kDetected, 0};
+    // Odd number of errors: assume single. If the syndrome names a data
+    // position, flip that data bit back; otherwise the error was in the
+    // check byte itself and the data is fine.
     const std::uint64_t old_data = data[0];
     const std::uint64_t old_check = check[0];
-    const SecdedStatus r =
-        secded_decode(data[0], static_cast<std::uint8_t>(check[0]));
-    switch (r) {
-      case SecdedStatus::kClean:
-        return {EccStatus::kClean, 0};
-      case SecdedStatus::kUncorrectable:
-        data[0] = old_data;
-        return {EccStatus::kDetected, 0};
-      case SecdedStatus::kCorrected: {
-        check[0] = secded_encode(data[0]);
-        const unsigned flipped =
-            static_cast<unsigned>(std::popcount(old_data ^ data[0]) +
-                                  std::popcount(old_check ^ check[0]));
-        return {EccStatus::kCorrected, flipped};
-      }
+    if (syndrome != 0 && syndrome < 72 && kSecdedPosToData[syndrome] != 0)
+      data[0] ^= std::uint64_t{1} << (kSecdedPosToData[syndrome] - 1u);
+    check[0] = check_byte(data[0]);
+    const unsigned flipped =
+        static_cast<unsigned>(std::popcount(old_data ^ data[0]) +
+                              std::popcount(old_check ^ check[0]));
+    return {EccStatus::kCorrected, flipped};
+  }
+
+ private:
+  /// The 7 Hamming parity bits: bit k is the parity of the data bits whose
+  /// codeword position has bit k set.
+  [[nodiscard]] static unsigned hamming_bits(std::uint64_t data) {
+    unsigned parity = 0;
+    for (unsigned k = 0; k < 7; ++k) {
+      std::uint64_t acc = 0;
+      for (unsigned i = 0; i < 64; ++i)
+        if (kSecdedDataPos[i] & (1u << k)) acc ^= (data >> i) & 1u;
+      parity |= static_cast<unsigned>(acc << k);
     }
-    return {EccStatus::kDetected, 0};  // unreachable
+    return parity;
+  }
+
+  /// Hamming bits plus the overall parity across data and Hamming bits.
+  [[nodiscard]] static std::uint64_t check_byte(std::uint64_t data) {
+    const unsigned h = hamming_bits(data);
+    const unsigned overall = (std::popcount(data) + std::popcount(h)) & 1u;
+    return h | (overall << 7);
   }
 };
 

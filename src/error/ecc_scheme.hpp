@@ -4,18 +4,18 @@
 //
 // SparkXD's first two knobs make the DRAM *worse* (lower voltage, relaxed
 // refresh) and teach the network to cope; ECC spends storage and decode
-// effort to make the stored weights *better* again. Generalizing the fixed
-// SECDED utility (error/ecc.hpp) into an EccScheme interface lets the
-// mapping trade code strength against BER_th per layer: a layer whose
-// learned tolerance the operating point exceeds can escalate to a stronger
-// code (ecc_escalation_ladder) instead of relaxing its placement threshold.
+// effort to make the stored weights *better* again. Every code runs through
+// this one EccScheme interface, which lets the mapping trade code strength
+// against BER_th per layer: a layer whose learned tolerance the operating
+// point exceeds can escalate to a stronger code (ecc_escalation_ladder)
+// instead of relaxing its placement threshold.
 //
 // Registered schemes:
-//  * None    — no protection (t=0, d=0); the legacy pipeline behavior.
+//  * None    — no protection (t=0, d=0); the unprotected pipeline.
 //  * Parity  — one parity bit per codeword, detect-only (t=0, d=1).
-//  * Secded  — the existing Hamming(72,64); bit-identical to
-//              secded_encode/secded_decode through this interface
-//              (t=1, d=2; tests/ecc_scheme_test.cpp locks the equivalence).
+//  * Secded  — the classic Hamming(72,64): 7 Hamming bits plus an overall
+//              parity bit per 64-bit word (t=1, d=2; tests/ecc_scheme_test.cpp
+//              pins its encode and decode by digest over a seeded corpus).
 //  * Hsiao   — odd-weight-column SECDED with configurable d/k: every data
 //              column of H has odd weight >= 3, so any double error has an
 //              even, hence non-column, syndrome — 2-bit patterns can NEVER
@@ -61,7 +61,7 @@ struct EccSpec {
   EccKind kind = EccKind::kNone;
   /// Data bits per codeword. Must be a positive multiple of 32 (whole FP32
   /// weights) up to 32768 (the 4 KB large-codeword mode); 64 is the classic
-  /// per-word granularity of the legacy SECDED path.
+  /// per-word granularity of SECDED(72,64).
   std::size_t data_bits = 64;
   /// Check bits; 0 = auto-size for the kind (parity 1, secded 8, hsiao the
   /// smallest feasible column count, bch from the field size). A non-zero

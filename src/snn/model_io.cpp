@@ -191,6 +191,15 @@ TrainedModel load_model(std::istream& is) {
                   "label payload does not match the stored shape");
   std::uint64_t num_classes = 0;
   read_pod(is, num_classes);
+  // Every served request votes into num_classes slots indexed by these
+  // labels: bound both before a crafted file can reach the readout.
+  // Dataset labels are uint8, so labelling never yields more than 256.
+  SPARKXD_REQUIRE(num_classes >= 1 && num_classes <= 256,
+                  "model file declares a class count outside [1, 256]");
+  for (const std::int32_t c : model.labels.label)
+    SPARKXD_REQUIRE(c >= -1 && c < static_cast<std::int32_t>(num_classes),
+                    "model file holds a neuron label outside "
+                    "[-1, num_classes)");
   model.labels.num_classes = static_cast<std::size_t>(num_classes);
   read_pod(is, model.clean_accuracy);
   return model;

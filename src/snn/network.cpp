@@ -121,16 +121,14 @@ void Network::reset_dynamics() {
   }
 }
 
-std::vector<std::uint32_t> Network::process(const std::vector<float>& image,
-                                            bool learn, Rng& rng) {
+std::vector<std::uint32_t> Network::train_step(const std::vector<float>& image,
+                                               Rng& rng) {
   SPARKXD_REQUIRE(image.size() == cfg_.n_inputs,
                   "image size must match n_inputs");
-  if (!learn) sync_transpose();
   // A learning pass adapts thetas on every layer: any InferenceState
   // snapshotted before it is stale from here on.
-  if (learn) ++theta_generation_;
+  ++theta_generation_;
   reset_dynamics();
-  for (Layer& lay : layers_) lay.lif.set_plastic(learn);
   encoder_.set_image(image);
 
   const std::size_t n_layers = layers_.size();
@@ -144,49 +142,33 @@ std::vector<std::uint32_t> Network::process(const std::vector<float>& image,
     const std::vector<std::uint32_t>* spikes = &in_spikes_;
     for (std::size_t l = 0; l < n_layers; ++l) {
       Layer& lay = layers_[l];
-      if (learn) lay.traces.step(*spikes);
+      lay.traces.step(*spikes);
 
       // Synaptic drive: per-neuron sum over this step's spiking inputs.
+      // Training reads the row-major array directly: STDP updates weight
+      // rows mid-sample and the next step's gather must see them.
       std::fill(lay.current.begin(), lay.current.end(), 0.0f);
       if (!spikes->empty()) {
         const std::size_t ni = lay.n_in;
-        const std::size_t nn = lay.n_out;
-        if (learn) {
-          // Training reads the row-major array directly: STDP updates
-          // weight rows mid-sample and the next step's gather must see them.
-          for (std::size_t n = 0; n < nn; ++n) {
-            const float* row = lay.w.data() + n * ni;
-            float acc = 0.0f;
-            for (const auto i : *spikes) acc += row[i];
-            lay.current[n] = acc;
-          }
-        } else {
-          // Inference: spike-outer / neuron-inner over contiguous
-          // transposed columns. Per neuron the additions happen in the same
-          // spike order as the row-major walk, so the sums are bitwise
-          // identical.
-          float* cur = lay.current.data();
-          for (const auto i : *spikes) {
-            const float* col = lay.wt.data() + std::size_t{i} * nn;
-            for (std::size_t n = 0; n < nn; ++n) cur[n] += col[n];
-          }
+        for (std::size_t n = 0; n < lay.n_out; ++n) {
+          const float* row = lay.w.data() + n * ni;
+          float acc = 0.0f;
+          for (const auto i : *spikes) acc += row[i];
+          lay.current[n] = acc;
         }
       }
 
       lay.lif.step(lay.current, lay.out_spikes);
       for (const auto s : lay.out_spikes) {
         if (l + 1 == n_layers) ++counts[s];
-        if (learn)
-          stdp_post_update(lay.w.data() + static_cast<std::size_t>(s) * lay.n_in,
-                           lay.n_in, lay.traces.values(), cfg_.stdp);
+        stdp_post_update(lay.w.data() + static_cast<std::size_t>(s) * lay.n_in,
+                         lay.n_in, lay.traces.values(), cfg_.stdp);
       }
       spikes = &lay.out_spikes;
     }
   }
 
-  if (learn) {
-    normalize_rows();  // also marks the transposes stale
-  }
+  normalize_rows();  // also marks the transposes stale
   return counts;
 }
 

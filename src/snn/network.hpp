@@ -14,14 +14,16 @@
 // breaks the per-neuron serial addition chain of the row-major walk. The
 // per-neuron addition *sequence* is unchanged (same spikes, same order), so
 // inference results are bitwise identical to the row-major kernel — the
-// golden digests lock this down. Training keeps reading the row-major
-// arrays directly (STDP updates rows mid-sample), so the transposes are
-// resynced lazily before the next inference.
+// golden digests lock this down. Training (train_step) keeps reading the
+// row-major arrays directly (STDP updates rows mid-sample), so the
+// transposes are resynced lazily before the next inference. Inference has
+// exactly one entry point, infer(); every API addresses a layer by index
+// (layer 0 = input side), also on a one-layer network.
 //
 // Bit-exactness contract: a NetworkConfig with empty `hidden_neurons` is
-// the legacy single-layer network — same weight-init stream (Rng(seed)),
-// same per-timestep arithmetic, same Rng consumption — so every
-// pre-layer-stack result stays byte-identical.
+// the single-layer network of the paper — the output layer draws its
+// initial weights from Rng(seed) — so flat results do not depend on the
+// layer-stack generalization.
 
 #include <cstdint>
 #include <vector>
@@ -111,7 +113,7 @@ class Network {
   }
 
   /// Hot-path mutable access for DELTA fault injection: unlike
-  /// weights_mut() this does NOT invalidate the transposed copy. The caller
+  /// weights_mut(l) this does NOT invalidate the transposed copy. The caller
   /// must mirror every word it changes via mirror_weight() before the next
   /// inference — error::WeightFlip logs carry exactly those words. Requires
   /// a synced transpose (sync_transpose() first), so the invariant "both
@@ -120,12 +122,12 @@ class Network {
     Layer& lay = layer(l);
     SPARKXD_REQUIRE(lay.wt_synced,
                     "weights_delta needs a synced transpose — call "
-                    "sync_transpose() first (or use weights_mut())");
+                    "sync_transpose() first (or use weights_mut(l))");
     return lay.w;
   }
 
   /// Copies the current value of layer `l`'s flat weight `idx` into the
-  /// transposed layout (companion of weights_delta()).
+  /// transposed layout (companion of weights_delta(l)).
   void mirror_weight(std::size_t l, std::size_t idx) {
     Layer& lay = layer(l);
     const std::size_t n = idx / lay.n_in;
@@ -163,55 +165,29 @@ class Network {
   }
 
   /// Selects the inference engine for infer() (see EngineKind). Training
-  /// (process with learn=true) always runs the dense row-major kernel.
+  /// (train_step) always runs the dense row-major kernel.
   void set_engine(EngineKind engine) noexcept { cfg_.engine = engine; }
   [[nodiscard]] EngineKind engine() const noexcept { return cfg_.engine; }
-
-  // ---- Legacy single-layer aliases. ------------------------------------
-  // The pre-stack API addressed THE layer; these forward to layer 0 and
-  // require a single-layer stack so deep-network callers are forced to name
-  // the layer explicitly instead of silently touching only one of them.
-
-  [[nodiscard]] const std::vector<float>& weights() const {
-    return weights(only_layer());
-  }
-  [[nodiscard]] std::vector<float>& weights_mut() {
-    return weights_mut(only_layer());
-  }
-  [[nodiscard]] std::vector<float>& weights_delta() {
-    return weights_delta(only_layer());
-  }
-  void mirror_weight(std::size_t idx) { mirror_weight(only_layer(), idx); }
-  [[nodiscard]] const std::vector<float>& weights_T() const {
-    return weights_T(only_layer());
-  }
-  [[nodiscard]] const std::vector<float>& thetas() const {
-    return thetas(only_layer());
-  }
-  [[nodiscard]] std::vector<float>& thetas_mut() {
-    return thetas_mut(only_layer());
-  }
 
   /// Rebuilds every stale transposed weight copy from its row-major array.
   void sync_transpose();
   /// True when every layer's transposed copy is in sync.
   [[nodiscard]] bool transpose_synced() const noexcept;
 
-  /// Presents one image for config().timesteps steps and returns the OUTPUT
-  /// layer's per-neuron spike counts. With learn=true, STDP and threshold
-  /// adaptation are active on every layer and all weight rows are
-  /// re-normalized afterwards; with learn=false the network is a pure
-  /// inference engine (weights and thetas untouched). `rng` drives the
-  /// Poisson spike trains (the only stochastic part — hidden layers are
-  /// deterministic given their input spikes).
-  std::vector<std::uint32_t> process(const std::vector<float>& image,
-                                     bool learn, Rng& rng);
+  /// One STDP training pass: presents one image for config().timesteps
+  /// steps with STDP and threshold adaptation active on every layer, then
+  /// re-normalizes all weight rows. Returns the OUTPUT layer's per-neuron
+  /// spike counts. `rng` drives the Poisson spike trains (the only
+  /// stochastic part — hidden layers are deterministic given their input
+  /// spikes).
+  std::vector<std::uint32_t> train_step(const std::vector<float>& image,
+                                        Rng& rng);
 
-  /// Pure inference through a caller-owned InferenceState: identical spike
-  /// counts and Rng consumption as process(image, /*learn=*/false, rng), but
-  /// const on the network and reusing the state's buffers — the per-trial /
-  /// per-worker hot path. Requires synced transposes. Resyncs the state
-  /// first if the network's theta generation moved past its snapshot.
+  /// Pure inference through a caller-owned InferenceState: const on the
+  /// network, reusing the state's buffers — the single inference path
+  /// (labelling, evaluation, Monte-Carlo trials and serving all run it).
+  /// Requires synced transposes. Resyncs the state first if the network's
+  /// theta generation moved past its snapshot. Thresholds are frozen.
   ///
   /// config().engine picks the kernel: kDense is the transposed-gather
   /// reference; kEvent walks per-timestep bitset spike masks and skips
@@ -257,14 +233,6 @@ class Network {
     SPARKXD_REQUIRE(l < layers_.size(), "layer index out of range");
     return layers_[l];
   }
-  /// Index of the only layer; throws for deep stacks (legacy-alias guard).
-  [[nodiscard]] std::size_t only_layer() const {
-    SPARKXD_REQUIRE(layers_.size() == 1,
-                    "this accessor addresses THE layer of a single-layer "
-                    "network — a deep stack needs an explicit layer index");
-    return 0;
-  }
-
   /// The two infer() kernels (common setup/validation lives in infer()).
   void infer_dense(InferenceState& state, Rng& rng,
                    std::vector<std::uint32_t>& counts) const;

@@ -81,7 +81,7 @@ struct LifParams {
   /// inference it *couples* neurons, letting a single corrupted neuron
   /// suppress the whole population, so the default readout lets every
   /// neuron integrate independently and relies on the bias-corrected
-  /// population vote (see snn::predict) for robustness.
+  /// population vote (see snn::vote_spike_counts) for robustness.
   bool compete_at_inference = true;
 };
 

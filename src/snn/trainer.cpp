@@ -12,19 +12,45 @@ void train_epoch(Network& net, const data::Dataset& ds, Rng& rng) {
   SPARKXD_REQUIRE(ds.pixels() == net.config().n_inputs,
                   "dataset pixel count must match the network input width");
   for (std::size_t i = 0; i < ds.size(); ++i)
-    (void)net.process(ds.images[i], /*learn=*/true, rng);
+    (void)net.train_step(ds.images[i], rng);
 }
 
 NeuronLabels label_neurons(Network& net, const data::Dataset& ds, Rng& rng) {
   SPARKXD_REQUIRE(ds.size() > 0, "cannot label neurons on an empty dataset");
+  SPARKXD_REQUIRE(ds.pixels() == net.config().n_inputs,
+                  "dataset pixel count must match the network input width");
+  SPARKXD_REQUIRE(ds.labels.size() == ds.size(),
+                  "dataset needs exactly one label per image");
   const std::size_t n = net.config().n_neurons;
   const std::size_t k = ds.num_classes;
+  for (const std::uint8_t c : ds.labels)
+    SPARKXD_REQUIRE(c < k, "dataset label outside [0, num_classes)");
   // responses[n][c] = summed spikes of neuron n over class-c samples.
   std::vector<double> responses(n * k, 0.0);
   std::vector<std::size_t> class_count(k, 0);
 
+  // Labelling always runs the float dense kernel, whatever engine the
+  // network is configured with: an event-fx network is calibrated on exact
+  // float sums and only evaluated in fixed point. The configured engine is
+  // restored on every exit, including a throw.
+  class DenseForScope {
+   public:
+    explicit DenseForScope(Network& n) : net_(n), saved_(n.engine()) {
+      net_.set_engine(EngineKind::kDense);
+    }
+    DenseForScope(const DenseForScope&) = delete;
+    DenseForScope& operator=(const DenseForScope&) = delete;
+    ~DenseForScope() { net_.set_engine(saved_); }
+
+   private:
+    Network& net_;
+    EngineKind saved_;
+  } dense_for_scope(net);
+  net.sync_transpose();
+  // One state serves every sample, drawing serially from the caller's rng.
+  InferenceState state(net);
   for (std::size_t i = 0; i < ds.size(); ++i) {
-    const auto counts = net.process(ds.images[i], /*learn=*/false, rng);
+    const auto counts = net.infer(state, ds.images[i], rng);
     const auto c = ds.labels[i];
     ++class_count[c];
     for (std::size_t j = 0; j < n; ++j) responses[j * k + c] += counts[j];
@@ -82,13 +108,6 @@ std::int32_t vote_spike_counts(const std::vector<std::uint32_t>& counts,
     }
   }
   return best_c;
-}
-
-std::int32_t predict(Network& net, const NeuronLabels& labels,
-                     const std::vector<float>& image, Rng& rng) {
-  SPARKXD_REQUIRE(labels.label.size() == net.config().n_neurons,
-                  "label table must match the network size");
-  return vote_spike_counts(net.process(image, /*learn=*/false, rng), labels);
 }
 
 namespace {

@@ -35,18 +35,18 @@ struct NeuronLabels {
 void train_epoch(Network& net, const data::Dataset& ds, Rng& rng);
 
 /// Assigns each neuron the class for which its average spike count (over the
-/// labelled set, inference mode) is highest.
+/// labelled set, inference mode) is highest. Samples run serially through
+/// Network::infer on the dense float kernel, drawing from `rng` in order;
+/// the network's configured engine is restored afterwards. Syncs the
+/// transposed inference copy. Rejects a dataset whose pixel width differs
+/// from the network's input or whose labels fall outside
+/// [0, ds.num_classes).
 [[nodiscard]] NeuronLabels label_neurons(Network& net,
                                          const data::Dataset& ds, Rng& rng);
 
-/// Predicts one image: class with the highest average spike count among its
-/// labelled neurons. Returns -1 when no neuron fires at all.
-[[nodiscard]] std::int32_t predict(Network& net, const NeuronLabels& labels,
-                                   const std::vector<float>& image, Rng& rng);
-
-/// The bias-corrected population vote over one sample's spike counts (the
-/// readout predict() and evaluate() share). Returns -1 when no labelled
-/// neuron exists.
+/// The bias-corrected population vote over one sample's spike counts: the
+/// class with the highest mean (count - bias) among its labelled neurons.
+/// Returns -1 when no labelled neuron exists.
 [[nodiscard]] std::int32_t vote_spike_counts(
     const std::vector<std::uint32_t>& counts, const NeuronLabels& labels);
 

@@ -38,6 +38,7 @@ class FaultAwareFixture : public ::testing::Test {
     state->injector = std::make_unique<error::ErrorInjector>(
         state->geometry, *state->profile, error::ErrorModelSpec{},
         state->placement, n_weights, 42, 1e-3);
+    state->injectors = {state->injector.get()};
   }
   static void TearDownTestSuite() {
     delete state;
@@ -51,6 +52,7 @@ class FaultAwareFixture : public ::testing::Test {
     std::unique_ptr<error::SubarrayProfile> profile;
     error::ChunkPlacement placement;
     std::unique_ptr<error::ErrorInjector> injector;
+    LayerInjectors injectors;  ///< {injector}: the one-layer stack's list
   };
   static State* state;
 };
@@ -59,10 +61,10 @@ FaultAwareFixture::State* FaultAwareFixture::state = nullptr;
 
 TEST_F(FaultAwareFixture, EvaluateCorruptedRestoresWeights) {
   Rng rng(1);
-  const auto before = state->baseline->net.weights();
+  const auto before = state->baseline->net.weights(0);
   (void)evaluate_corrupted(state->baseline->net, state->baseline->labels,
-                           *state->injector, 1e-3, state->test, rng);
-  EXPECT_EQ(state->baseline->net.weights(), before);
+                           state->injectors, 1e-3, state->test, rng);
+  EXPECT_EQ(state->baseline->net.weights(0), before);
 }
 
 TEST_F(FaultAwareFixture, EvaluateCorruptedZeroBerEqualsClean) {
@@ -76,10 +78,10 @@ TEST_F(FaultAwareFixture, EvaluateCorruptedZeroBerEqualsClean) {
                     state->test, a);
   const double corrupted =
       evaluate_corrupted(state->baseline->net, state->baseline->labels,
-                         *state->injector, 0.0, state->test, b);
+                         state->injectors, 0.0, state->test, b);
   const double again =
       evaluate_corrupted(state->baseline->net, state->baseline->labels,
-                         *state->injector, 0.0, state->test, c);
+                         state->injectors, 0.0, state->test, c);
   EXPECT_DOUBLE_EQ(corrupted, again);
   EXPECT_NEAR(clean, corrupted, 0.05);
 }
@@ -92,10 +94,10 @@ TEST_F(FaultAwareFixture, HighBerDegradesBaseline) {
   Rng zero_rng(3), high_rng(3);
   const double uncorrupted =
       evaluate_corrupted(state->baseline->net, state->baseline->labels,
-                         *state->injector, 0.0, state->test, zero_rng, 2);
+                         state->injectors, 0.0, state->test, zero_rng, 2);
   const double corrupted =
       evaluate_corrupted(state->baseline->net, state->baseline->labels,
-                         *state->injector, 1e-3, state->test, high_rng, 2);
+                         state->injectors, 1e-3, state->test, high_rng, 2);
   EXPECT_LT(corrupted, uncorrupted + 0.02);
 }
 
@@ -111,19 +113,19 @@ TEST_F(FaultAwareFixture, HotPathMatchesLegacySnapshotLoopBitwise) {
   Rng fast_rng(21), ref_rng(21);
   const double fast =
       evaluate_corrupted(state->baseline->net, state->baseline->labels,
-                         *state->injector, ber, state->test, fast_rng,
+                         state->injectors, ber, state->test, fast_rng,
                          trials);
   const error::SanitizeRange sanitize{
       state->baseline->net.config().stdp.w_min, kDefaultWeightClip};
   const std::uint64_t stream = ref_rng.next_u64();
   snn::Network scratch = state->baseline->net;
-  const std::vector<float> snapshot = state->baseline->net.weights();
+  const std::vector<float> snapshot = state->baseline->net.weights(0);
   double sum = 0.0;
   for (std::size_t t = 0; t < trials; ++t) {
     Rng inject_rng(hash_combine(stream, 2 * t));
     Rng eval_rng(hash_combine(stream, 2 * t + 1));
-    if (t != 0) scratch.weights_mut() = snapshot;
-    state->injector->inject(scratch.weights_mut(), ber, inject_rng,
+    if (t != 0) scratch.weights_mut(0) = snapshot;
+    state->injector->inject(scratch.weights_mut(0), ber, inject_rng,
                             sanitize);
     sum += snn::evaluate(scratch, state->baseline->labels, state->test,
                          eval_rng);
@@ -136,7 +138,7 @@ TEST_F(FaultAwareFixture, RejectsZeroTrials) {
   Rng rng(4);
   EXPECT_THROW(
       (void)evaluate_corrupted(state->baseline->net,
-                               state->baseline->labels, *state->injector,
+                               state->baseline->labels, state->injectors,
                                1e-3, state->test, rng, 0),
       ContractViolation);
 }
@@ -146,7 +148,7 @@ TEST_F(FaultAwareFixture, Algorithm1ImprovesCorruptedAccuracy) {
   cfg.ber_stages = {1e-7, 1e-5, 1e-3};
   Rng rng(5);
   const auto result = improve_error_tolerance(
-      *state->baseline, cfg, *state->injector, state->train, state->test,
+      *state->baseline, cfg, state->injectors, state->train, state->test,
       rng);
   ASSERT_TRUE(result.met_target);
   EXPECT_EQ(result.stage_curve.size(), 3u);
@@ -154,7 +156,7 @@ TEST_F(FaultAwareFixture, Algorithm1ImprovesCorruptedAccuracy) {
   Rng eval_rng(6);
   auto improved = result.improved;
   const double acc = evaluate_corrupted(improved.net, improved.labels,
-                                        *state->injector, result.ber_th,
+                                        state->injectors, result.ber_th,
                                         state->test, eval_rng, 2);
   EXPECT_GE(acc,
             state->baseline->clean_accuracy - cfg.accuracy_bound - 0.03);
@@ -165,7 +167,7 @@ TEST_F(FaultAwareFixture, Algorithm1BerThIsAStageValue) {
   cfg.ber_stages = {1e-7, 1e-5, 1e-3};
   Rng rng(7);
   const auto result = improve_error_tolerance(
-      *state->baseline, cfg, *state->injector, state->train, state->test,
+      *state->baseline, cfg, state->injectors, state->train, state->test,
       rng);
   if (result.met_target) {
     bool found = false;
@@ -179,18 +181,18 @@ TEST_F(FaultAwareFixture, Algorithm1RejectsBadSchedules) {
   cfg.ber_stages = {};
   Rng rng(8);
   EXPECT_THROW((void)improve_error_tolerance(*state->baseline, cfg,
-                                             *state->injector, state->train,
+                                             state->injectors, state->train,
                                              state->test, rng),
                ContractViolation);
   cfg.ber_stages = {1e-3, 1e-5};  // descending
   EXPECT_THROW((void)improve_error_tolerance(*state->baseline, cfg,
-                                             *state->injector, state->train,
+                                             state->injectors, state->train,
                                              state->test, rng),
                ContractViolation);
   cfg.ber_stages = {1e-5};
   cfg.epochs_per_stage = 0;
   EXPECT_THROW((void)improve_error_tolerance(*state->baseline, cfg,
-                                             *state->injector, state->train,
+                                             state->injectors, state->train,
                                              state->test, rng),
                ContractViolation);
 }
@@ -200,8 +202,8 @@ TEST_F(FaultAwareFixture, ToleranceCurveIsRecordedAscending) {
   auto model = *state->baseline;  // copy
   const std::vector<double> rates{1e-7, 1e-5, 1e-3};
   const auto analysis =
-      analyze_tolerance(model.net, model.labels, *state->injector, rates,
-                        0.0, state->test, rng);
+      analyze_layer_tolerance(model.net, model.labels, state->injectors,
+                              rates, 0.0, state->test, rng)[0];
   ASSERT_EQ(analysis.curve.size(), 3u);
   for (std::size_t i = 0; i < rates.size(); ++i)
     EXPECT_EQ(analysis.curve[i].ber, rates[i]);
@@ -214,8 +216,8 @@ TEST_F(FaultAwareFixture, ToleranceUnreachableTarget) {
   Rng rng(10);
   auto model = *state->baseline;
   const auto analysis =
-      analyze_tolerance(model.net, model.labels, *state->injector,
-                        {1e-5, 1e-3}, 1.01, state->test, rng);
+      analyze_layer_tolerance(model.net, model.labels, state->injectors,
+                              {1e-5, 1e-3}, 1.01, state->test, rng)[0];
   EXPECT_FALSE(analysis.met_target);
   EXPECT_EQ(analysis.ber_th, 0.0);
 }
@@ -224,8 +226,9 @@ TEST_F(FaultAwareFixture, ToleranceRejectsDescendingRates) {
   Rng rng(11);
   auto model = *state->baseline;
   EXPECT_THROW(
-      (void)analyze_tolerance(model.net, model.labels, *state->injector,
-                              {1e-3, 1e-5}, 0.5, state->test, rng),
+      (void)analyze_layer_tolerance(model.net, model.labels,
+                                    state->injectors, {1e-3, 1e-5}, 0.5,
+                                    state->test, rng),
       ContractViolation);
 }
 
@@ -335,19 +338,6 @@ TEST(PipelineConfig_, ValidateRejectsEmptyData) {
   PipelineConfig no_test;
   no_test.test_samples = 0;
   EXPECT_THROW(no_test.validate(), ContractViolation);
-}
-
-TEST_F(FaultAwareFixture, SingleInjectorOverloadEqualsOneElementLayerList) {
-  // The legacy single-injector API is defined as the one-element
-  // LayerInjectors case (the stream discipline makes them bit-identical).
-  Rng a(31), b(31);
-  const double legacy =
-      evaluate_corrupted(state->baseline->net, state->baseline->labels,
-                         *state->injector, 1e-3, state->test, a, 2);
-  const double multi = evaluate_corrupted(
-      state->baseline->net, state->baseline->labels,
-      LayerInjectors{state->injector.get()}, 1e-3, state->test, b, 2);
-  EXPECT_EQ(legacy, multi);
 }
 
 TEST_F(FaultAwareFixture, LayerInjectorsSizeMustMatchDepth) {

@@ -60,8 +60,8 @@ std::vector<float> random_image(std::size_t n, std::uint64_t seed,
 void warm_up(Network& net, std::uint64_t seed) {
   Rng rng(seed);
   for (int pass = 0; pass < 2; ++pass)
-    (void)net.process(random_image(net.config().n_inputs, seed + pass, 0.4),
-                      /*learn=*/true, rng);
+    (void)net.train_step(random_image(net.config().n_inputs, seed + pass, 0.4),
+                         rng);
   net.sync_transpose();
 }
 
@@ -145,20 +145,6 @@ TEST(EventEngine, MatchesDenseOnDeepStacks) {
   expect_engines_bitwise_equal(net, std::vector<float>(784, 0.0f), 8);
   expect_engines_bitwise_equal(net, random_image(784, 41, 0.02), 9);
   expect_engines_bitwise_equal(net, random_image(784, 42, 0.5), 10);
-}
-
-TEST(EventEngine, MatchesProcessLearnFalse) {
-  // The three-way agreement: process(learn=false) == dense infer == event
-  // infer, same counts, same stream.
-  Network net(base_config());
-  warm_up(net, 17);
-  const auto img = random_image(784, 50, 0.3);
-  Rng a(60), b(60);
-  Network event = net;
-  event.set_engine(EngineKind::kEvent);
-  InferenceState state(event);
-  EXPECT_EQ(net.process(img, /*learn=*/false, a), event.infer(state, img, b));
-  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(EventEngine, FixedPointModeIsDeterministicAndSane) {

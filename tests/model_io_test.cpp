@@ -21,6 +21,29 @@ std::vector<char> file_bytes(const std::string& path) {
   return bytes;
 }
 
+/// The first ten test samples get the same vote from both models, drawing
+/// the same spike trains.
+void expect_same_votes(TrainedModel& a, TrainedModel& b,
+                       const data::Dataset& test) {
+  a.net.sync_transpose();
+  b.net.sync_transpose();
+  InferenceState state_a(a.net), state_b(b.net);
+  Rng rng_a(9), rng_b(9);
+  for (std::size_t i = 0; i < 10; ++i)
+    EXPECT_EQ(vote_spike_counts(a.net.infer(state_a, test.images[i], rng_a),
+                                a.labels),
+              vote_spike_counts(b.net.infer(state_b, test.images[i], rng_b),
+                                b.labels));
+}
+
+/// Writes `value`'s bytes at `offset` of the file at `path`.
+template <typename T>
+void patch_file(const std::string& path, std::streamoff offset, T value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
 class ModelIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -46,8 +69,8 @@ class ModelIoTest : public ::testing::Test {
 TEST_F(ModelIoTest, RoundTripPreservesEverything) {
   save_model(*model_, path_);
   const auto loaded = load_model(path_);
-  EXPECT_EQ(loaded.net.weights(), model_->net.weights());
-  EXPECT_EQ(loaded.net.thetas(), model_->net.thetas());
+  EXPECT_EQ(loaded.net.weights(0), model_->net.weights(0));
+  EXPECT_EQ(loaded.net.thetas(0), model_->net.thetas(0));
   EXPECT_EQ(loaded.labels.label, model_->labels.label);
   EXPECT_EQ(loaded.labels.bias, model_->labels.bias);
   EXPECT_EQ(loaded.labels.num_classes, model_->labels.num_classes);
@@ -64,10 +87,7 @@ TEST_F(ModelIoTest, RoundTripPreservesEverything) {
 TEST_F(ModelIoTest, LoadedModelPredictsIdentically) {
   save_model(*model_, path_);
   auto loaded = load_model(path_);
-  Rng a(9), b(9);
-  for (std::size_t i = 0; i < 10; ++i)
-    EXPECT_EQ(predict(loaded.net, loaded.labels, test_.images[i], a),
-              predict(model_->net, model_->labels, test_.images[i], b));
+  expect_same_votes(loaded, *model_, test_);
 }
 
 TEST_F(ModelIoTest, RejectsMissingFile) {
@@ -170,10 +190,7 @@ TEST_F(ModelIoDeepTest, RoundTripPreservesEveryLayer) {
 TEST_F(ModelIoDeepTest, LoadedModelPredictsIdentically) {
   save_model(*model_, path_);
   auto loaded = load_model(path_);
-  Rng a(9), b(9);
-  for (std::size_t i = 0; i < 10; ++i)
-    EXPECT_EQ(predict(loaded.net, loaded.labels, test_.images[i], a),
-              predict(model_->net, model_->labels, test_.images[i], b));
+  expect_same_votes(loaded, *model_, test_);
 }
 
 TEST_F(ModelIoDeepTest, SaveLoadSaveIsByteIdentical) {
@@ -193,6 +210,36 @@ TEST_F(ModelIoDeepTest, RejectsTruncatedFile) {
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 64));
   os.close();
   EXPECT_THROW((void)load_model(path_), ContractViolation);
+}
+
+// The readout payload sits at the end of the file: label vector (u64 count
+// + int32 per neuron), bias vector (u64 count + f64 per neuron),
+// num_classes (u64), clean accuracy (f64). A label outside
+// [-1, num_classes) would make every vote index past its class table.
+TEST_F(ModelIoTest, RejectsOutOfRangeLabel) {
+  save_model(*model_, path_);
+  const auto n = static_cast<std::streamoff>(model_->labels.label.size());
+  const auto size = static_cast<std::streamoff>(file_bytes(path_).size());
+  const std::streamoff first_label = size - 8 - 8 - (8 + 8 * n) - 4 * n;
+  patch_file(path_, first_label + 4 * 3, std::int32_t{50});
+  EXPECT_THROW((void)load_model(path_), ContractViolation);
+  patch_file(path_, first_label + 4 * 3, std::int32_t{-2});
+  EXPECT_THROW((void)load_model(path_), ContractViolation);
+  patch_file(path_, first_label + 4 * 3, std::int32_t{-1});  // "never fired"
+  EXPECT_NO_THROW((void)load_model(path_));
+}
+
+TEST_F(ModelIoTest, RejectsAbsurdClassCount) {
+  // Every request allocates num_classes votes; Dataset labels are uint8, so
+  // more than 256 classes can never come from labelling.
+  save_model(*model_, path_);
+  const auto size = static_cast<std::streamoff>(file_bytes(path_).size());
+  patch_file(path_, size - 16, std::uint64_t{1} << 40);
+  EXPECT_THROW((void)load_model(path_), ContractViolation);
+  patch_file(path_, size - 16, std::uint64_t{0});
+  EXPECT_THROW((void)load_model(path_), ContractViolation);
+  patch_file(path_, size - 16, std::uint64_t{256});  // labels all < 10
+  EXPECT_NO_THROW((void)load_model(path_));
 }
 
 TEST_F(ModelIoTest, RejectsCorruptShape) {

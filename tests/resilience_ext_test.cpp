@@ -1,6 +1,6 @@
-// Tests for the resilience extensions: uint8 weight quantization, SECDED
-// ECC, and raw-byte error injection (the paths bench/ablation_quantization
-// and bench/ablation_ecc exercise).
+// Tests for the resilience extensions: uint8 weight quantization and
+// raw-byte error injection (the paths bench/ablation_quantization
+// exercises). ECC is covered by ecc_scheme_test and ecc_exhaustive_test.
 
 #include <gtest/gtest.h>
 
@@ -8,9 +8,7 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/bits.hpp"
 #include "common/contracts.hpp"
-#include "error/ecc.hpp"
 #include "error/injector.hpp"
 #include "mapping/mapping.hpp"
 #include "snn/quant.hpp"
@@ -140,113 +138,6 @@ TEST(ByteInjection, SameWeakCellsAsFloatPath) {
     if (wf[i] != clean) ++flipped_weights;
   EXPECT_GT(flipped_weights, 0u);
   EXPECT_LE(flipped_weights, inj.candidate_count());
-}
-
-// ----------------------------------------------------------------------- ECC
-
-TEST(Secded, CleanWordDecodesClean) {
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    std::uint64_t data = rng.next_u64();
-    const auto check = error::secded_encode(data);
-    std::uint64_t received = data;
-    EXPECT_EQ(error::secded_decode(received, check),
-              error::SecdedStatus::kClean);
-    EXPECT_EQ(received, data);
-  }
-}
-
-TEST(Secded, CorrectsEverySingleDataBit) {
-  Rng rng(6);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::uint64_t data = rng.next_u64();
-    const auto check = error::secded_encode(data);
-    for (unsigned bit = 0; bit < 64; ++bit) {
-      std::uint64_t received = data ^ (std::uint64_t{1} << bit);
-      EXPECT_EQ(error::secded_decode(received, check),
-                error::SecdedStatus::kCorrected);
-      EXPECT_EQ(received, data) << "bit " << bit << " not corrected";
-    }
-  }
-}
-
-TEST(Secded, ToleratesSingleCheckBitError) {
-  Rng rng(7);
-  const std::uint64_t data = rng.next_u64();
-  const auto check = error::secded_encode(data);
-  for (unsigned bit = 0; bit < 8; ++bit) {
-    std::uint64_t received = data;
-    const auto bad_check = static_cast<std::uint8_t>(check ^ (1u << bit));
-    EXPECT_EQ(error::secded_decode(received, bad_check),
-              error::SecdedStatus::kCorrected);
-    EXPECT_EQ(received, data);
-  }
-}
-
-TEST(Secded, DetectsDoubleDataBitErrors) {
-  Rng rng(8);
-  const std::uint64_t data = rng.next_u64();
-  const auto check = error::secded_encode(data);
-  std::size_t detected = 0, total = 0;
-  for (unsigned a = 0; a < 64; a += 7)
-    for (unsigned b = a + 1; b < 64; b += 5) {
-      std::uint64_t received =
-          data ^ (std::uint64_t{1} << a) ^ (std::uint64_t{1} << b);
-      if (error::secded_decode(received, check) ==
-          error::SecdedStatus::kUncorrectable)
-        ++detected;
-      ++total;
-    }
-  EXPECT_EQ(detected, total) << "SECDED must flag all double data errors";
-}
-
-TEST(Secded, EncodeIsDeterministic) {
-  EXPECT_EQ(error::secded_encode(0xDEADBEEFCAFEF00DULL),
-            error::secded_encode(0xDEADBEEFCAFEF00DULL));
-  EXPECT_NE(error::secded_encode(0), error::secded_encode(1));
-}
-
-TEST(EccWeights, ScrubRepairsSingleErrors) {
-  Rng rng(9);
-  std::vector<float> w(1000);
-  for (auto& x : w) x = static_cast<float>(rng.uniform(0.0, 0.4));
-  const auto checks = error::ecc_encode_weights(w);
-  auto corrupted = w;
-  // Flip one bit in 50 distinct 64-bit words.
-  for (std::size_t word = 0; word < 50; ++word) {
-    const std::size_t weight = word * 10;  // two weights per word: word*10/2
-    corrupted[weight] =
-        flip_float_bit(corrupted[weight], (word * 7) % 32);
-  }
-  const auto stats = error::ecc_scrub_weights(corrupted, checks);
-  EXPECT_EQ(stats.corrected, 50u);
-  EXPECT_EQ(stats.uncorrectable, 0u);
-  EXPECT_EQ(corrupted, w);
-}
-
-TEST(EccWeights, DoubleErrorInWordIsFlaggedNotMiscorrected) {
-  std::vector<float> w(10, 0.25f);
-  const auto checks = error::ecc_encode_weights(w);
-  auto corrupted = w;
-  corrupted[0] = flip_float_bit(corrupted[0], 3);
-  corrupted[1] = flip_float_bit(corrupted[1], 17);  // same 64-bit word
-  const auto stats = error::ecc_scrub_weights(corrupted, checks);
-  EXPECT_EQ(stats.uncorrectable, 1u);
-  EXPECT_EQ(stats.corrected, 0u);
-}
-
-TEST(EccWeights, RejectsOddWeightCountAndMismatchedChecks) {
-  std::vector<float> odd(3, 0.1f);
-  EXPECT_THROW((void)error::ecc_encode_weights(odd), ContractViolation);
-  std::vector<float> w(4, 0.1f);
-  std::vector<std::uint8_t> wrong(3);
-  EXPECT_THROW((void)error::ecc_scrub_weights(w, wrong), ContractViolation);
-}
-
-TEST(EccWeights, OverheadConstant) {
-  EXPECT_DOUBLE_EQ(error::kEccStorageOverhead, 0.125);
-  std::vector<float> w(512, 0.1f);
-  EXPECT_EQ(error::ecc_encode_weights(w).size(), 256u);  // 1 B per 8 B
 }
 
 }  // namespace
