@@ -56,11 +56,11 @@ void print_usage(std::FILE* to) {
       "                     scenario: off, parity, secded, hsiao, or bch,\n"
       "                     optionally with a codeword payload size like\n"
       "                     bch:4096 (renames them with a -ecc-* suffix)\n"
-      "  --engine SPEC      override the inference engine of every selected\n"
-      "                     scenario: dense (bit-exact reference), event\n"
-      "                     (bitwise-identical, skips silent work), or\n"
-      "                     event-fx (fixed-point drive; renames them with\n"
-      "                     a -eng-* suffix)\n"
+      "  --engine SPEC      override the inference accumulator of every\n"
+      "                     selected scenario: dense or event (the same\n"
+      "                     float mode, bit-exact reference), or event-fx\n"
+      "                     (fixed-point drive); renames them with a\n"
+      "                     -eng-* suffix\n"
       "  --layer-knobs      run the per-layer (voltage x refresh x ECC)\n"
       "                     operating-point search on every selected\n"
       "                     scenario (renames them with a -knobs suffix)\n"

@@ -70,8 +70,8 @@ void write_config(json::Writer& w, const Scenario& s) {
   w.end_array();
   w.field("seed", s.seed);
   // Emitted only for non-default engines so every pre-event report keeps
-  // its byte layout (and the float event engine, which is bitwise-identical
-  // to dense, is still visible in the report when selected).
+  // its byte layout (and `event`, the same float mode as dense, is still
+  // visible in the report when selected).
   if (s.engine != snn::EngineKind::kDense)
     w.field("engine", snn::to_string(s.engine));
   // Same gating for the knob search: absent unless the scenario runs it.
@@ -254,7 +254,7 @@ std::string digest(const ScenarioResult& result) {
   const bool deep = !result.scenario.hidden_neurons.empty();
   const bool ecc_on = result.scenario.ecc.enabled();
   // The engine header line follows the same gating: absent for the default
-  // dense engine, so pre-event digests stay byte-identical.
+  // dense spelling, so pre-event digests stay byte-identical.
   const bool engine_on = result.scenario.engine != snn::EngineKind::kDense;
   // Knob-search lines (K<n>) only for scenarios that ran the search.
   const bool knobs_on =

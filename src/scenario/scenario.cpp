@@ -162,11 +162,11 @@ Scenario smoke_digits_ecc() {
   return s;
 }
 
-/// Golden-locked fixed-point event-engine smoke run: the kEventFx kernel
-/// (bitset-mask gather + Q47.16 integer accumulation) over the same tiny
-/// digits workload. The float event engine is bitwise-identical to dense on
-/// every golden and needs no digest of its own; the fixed-point drive is
-/// numerically different, so this scenario pins it.
+/// Golden-locked fixed-point smoke run: the inference kernel with kEventFx
+/// (Q47.16 integer accumulation over the spike list) on the same tiny digits
+/// workload. `event` selects the same float mode as dense and needs no
+/// digest of its own; the fixed-point drive is numerically different, so
+/// this scenario pins it.
 Scenario smoke_digits_event_fx() {
   Scenario s = smoke_digits_m0();
   s.name = "smoke-digits-event-fx";

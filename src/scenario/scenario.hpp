@@ -60,10 +60,11 @@ struct Scenario {
   /// Strictly descending supply-voltage grid (paper: 1.325 .. 1.025 V).
   std::vector<double> voltages = {1.325, 1.250, 1.175, 1.100, 1.025};
   std::uint64_t seed = 42;
-  /// Inference engine for every evaluation pass (training is always dense).
-  /// kDense is the bit-exact reference every pre-event golden was produced
-  /// by; kEvent is bitwise-identical to it; kEventFx is numerically
-  /// different (fixed-point drive) and golden-locked separately.
+  /// Inference accumulator for every evaluation pass (training always runs
+  /// the row-major kernel). kDense and kEvent are the same float mode, the
+  /// bit-exact reference every golden but one was produced by; kEventFx is
+  /// numerically different (fixed-point drive) and golden-locked
+  /// separately.
   snn::EngineKind engine = snn::EngineKind::kDense;
   /// Per-layer (voltage x refresh x ECC) operating-point search
   /// (core::assign_layer_knobs). Off by default; when on, the report gains
@@ -85,8 +86,8 @@ struct Scenario {
 /// the refresh/retention axis (nominal cadence and 32x relaxed refresh);
 /// `smoke-digits-ecc` locks down the ECC axis (secded + escalation + scrub
 /// stats in the digest); `smoke-digits-event-fx` locks down the fixed-point
-/// event engine (the float event engine needs no golden of its own — it is
-/// bitwise-identical to dense on all of these).
+/// accumulator (`event` needs no golden of its own — it selects the same
+/// float mode as dense).
 inline constexpr std::string_view kGoldenScenarios[] = {
     "smoke-digits-m0",
     "smoke-fashion-salp-m1",

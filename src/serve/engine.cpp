@@ -13,9 +13,9 @@ Engine::Engine(const ServingArtifact& artifact)
       flips_(artifact.model.net.n_layers()) {
   artifact.validate();
   scratch_.sync_transpose();
-  // Serving always runs the event engine: bitwise-identical replies to the
-  // dense reference (replay digests unchanged) while real traffic — sparse
-  // rate-coded images — skips the silent waves.
+  // Serving always runs the float mode, whatever engine the model was
+  // built with: replay digests are pinned to float inference, and the
+  // kernel skips the silent waves of sparse rate-coded traffic either way.
   scratch_.set_engine(snn::EngineKind::kEvent);
 }
 

@@ -30,7 +30,7 @@ class PoissonEncoder {
   [[nodiscard]] double expected_spikes_per_step() const noexcept;
 
   /// Number of pixels that can spike for the current image. Zero means
-  /// step() never draws from the Rng, which lets the event engine
+  /// step() never draws from the Rng, which lets Network::infer
   /// short-circuit an all-zero sample without desynchronizing the stream.
   [[nodiscard]] std::size_t active_pixels() const noexcept {
     return active_idx_.size();

@@ -39,14 +39,6 @@ bool LifLayer::silent_at_rest() const noexcept {
   return true;
 }
 
-bool LifLayer::at_exact_rest() const noexcept {
-  for (const float v : v_)
-    if (v != p_.v_rest) return false;
-  for (const auto r : refractory_)
-    if (r != 0) return false;
-  return true;
-}
-
 void LifLayer::step(const std::vector<float>& input_current,
                     std::vector<std::uint32_t>& spikes_out) {
   SPARKXD_REQUIRE(input_current.size() == v_.size(),

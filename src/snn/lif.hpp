@@ -41,15 +41,9 @@ class LifLayer {
   /// True when a zero-input step is provably the identity for any at-rest
   /// state: plasticity frozen (theta neither decays nor grows) and every
   /// threshold strictly above the resting potential, so a neuron sitting at
-  /// v_rest with no drive can never cross. The event engine checks this once
-  /// per infer call before it is allowed to skip empty timesteps.
+  /// v_rest with no drive can never cross. Network::infer checks this once
+  /// per sample before it is allowed to skip empty timesteps.
   [[nodiscard]] bool silent_at_rest() const noexcept;
-  /// True when the layer currently sits exactly at rest: every membrane
-  /// potential bit-equal to v_rest and no refractory counter running.
-  /// Diagnostic/test predicate — the event engine arms skipping from the
-  /// per-sample reset_dynamics() state only (float decay cannot return to
-  /// exact rest within a sample, so a per-step re-arm check never pays).
-  [[nodiscard]] bool at_exact_rest() const noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
   [[nodiscard]] const std::vector<float>& potentials() const noexcept {

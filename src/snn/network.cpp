@@ -1,7 +1,6 @@
 #include "snn/network.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -14,10 +13,6 @@ namespace {
 /// 1e-5 of a unit threshold while 47 integer bits can absorb any realistic
 /// fan-in without overflow.
 constexpr float kFxScale = 65536.0f;
-
-[[nodiscard]] std::size_t mask_words(std::size_t bits) noexcept {
-  return (bits + 63) / 64;
-}
 }  // namespace
 
 InferenceState::InferenceState(const Network& net)
@@ -31,11 +26,8 @@ void InferenceState::resync(const Network& net) {
   for (const auto& lay : net.layers_) {
     // Inference freezes the adaptive thresholds (standard for this
     // architecture): the copied thetas stay at the network's trained values.
-    LayerSlice slice{lay.lif,
-                     std::vector<float>(lay.n_out, 0.0f),
-                     {},
-                     std::vector<std::uint64_t>(mask_words(lay.n_in), 0),
-                     std::vector<std::int64_t>(lay.n_out, 0)};
+    LayerSlice slice{lay.lif, lay.n_in, std::vector<float>(lay.n_out, 0.0f),
+                     {}, std::vector<std::int64_t>(lay.n_out, 0)};
     slice.lif.set_plastic(false);
     layers_.push_back(std::move(slice));
   }
@@ -179,40 +171,64 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
                   "image size must match n_inputs");
   SPARKXD_REQUIRE(transpose_synced(),
                   "infer needs synced transposes — call sync_transpose()");
+  const std::size_t n_layers = layers_.size();
+  SPARKXD_REQUIRE(state.layers_.size() == n_layers,
+                  "InferenceState was built for a different network depth");
+  for (std::size_t l = 0; l < n_layers; ++l)
+    SPARKXD_REQUIRE(state.layers_[l].n_in == layers_[l].n_in &&
+                        state.layers_[l].current.size() == layers_[l].n_out,
+                    "InferenceState was built for a different network shape");
   // Stale-state guard: a state snapshotted before a training pass (or a
   // thetas_mut touch) would infer with old thresholds. Resync is cheap —
   // O(neurons) — so just do it.
   if (state.generation_ != theta_generation_) state.resync(*this);
-  SPARKXD_REQUIRE(state.layers_.size() == layers_.size(),
-                  "InferenceState was built for a different network depth");
-  const std::size_t n_layers = layers_.size();
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    SPARKXD_REQUIRE(state.layers_[l].current.size() == layers_[l].n_out,
-                    "InferenceState was built for a different network size");
-    state.layers_[l].lif.reset_dynamics();
+
+  bool all_skip_ok = true;
+  for (auto& slice : state.layers_) {
+    slice.lif.reset_dynamics();
+    slice.skip_ok = slice.lif.silent_at_rest();
+    slice.at_rest = true;
+    all_skip_ok &= slice.skip_ok;
   }
   state.encoder_.set_image(image);
-
   std::vector<std::uint32_t> counts(layers_.back().n_out, 0);
-  if (cfg_.engine == EngineKind::kDense)
-    infer_dense(state, rng, counts);
-  else
-    infer_event(state, rng, counts);
-  return counts;
-}
+  // Whole-sample short-circuit: no active pixels means zero Rng draws per
+  // step, so skipping all timesteps consumes the exact same stream.
+  if (state.encoder_.active_pixels() == 0 && all_skip_ok) return counts;
 
-void Network::infer_dense(InferenceState& state, Rng& rng,
-                          std::vector<std::uint32_t>& counts) const {
-  const std::size_t n_layers = layers_.size();
+  const bool fx = cfg_.engine == EngineKind::kEventFx;
   for (std::size_t t = 0; t < cfg_.timesteps; ++t) {
     state.encoder_.step(rng, state.in_spikes_);
     const std::vector<std::uint32_t>* spikes = &state.in_spikes_;
     for (std::size_t l = 0; l < n_layers; ++l) {
       const Layer& lay = layers_[l];
       auto& slice = state.layers_[l];
-      std::fill(slice.current.begin(), slice.current.end(), 0.0f);
-      if (!spikes->empty()) {
-        const std::size_t nn = lay.n_out;
+      // An empty wave into a layer still exactly at rest (with thresholds
+      // strictly above rest) is the identity step: skip it outright.
+      if (spikes->empty() && slice.skip_ok && slice.at_rest) {
+        slice.out_spikes.clear();
+        spikes = &slice.out_spikes;
+        continue;
+      }
+
+      // Synaptic drive: transposed-column gather over the spike list. The
+      // float sums keep the per-neuron addition order of the row-major walk;
+      // kEventFx quantizes each weight to Q47.16 at read time and sums in
+      // int64, which is independent of addition order.
+      const std::size_t nn = lay.n_out;
+      if (fx) {
+        auto& acc = slice.acc;
+        std::fill(acc.begin(), acc.end(), std::int64_t{0});
+        for (const auto i : *spikes) {
+          const float* col = lay.wt.data() + std::size_t{i} * nn;
+          for (std::size_t n = 0; n < nn; ++n)
+            acc[n] += static_cast<std::int64_t>(
+                std::llrintf(col[n] * kFxScale));
+        }
+        for (std::size_t n = 0; n < nn; ++n)
+          slice.current[n] = static_cast<float>(acc[n]) / kFxScale;
+      } else {
+        std::fill(slice.current.begin(), slice.current.end(), 0.0f);
         float* cur = slice.current.data();
         for (const auto i : *spikes) {
           const float* col = lay.wt.data() + std::size_t{i} * nn;
@@ -220,118 +236,14 @@ void Network::infer_dense(InferenceState& state, Rng& rng,
         }
       }
       slice.lif.step(slice.current, slice.out_spikes);
-      if (l + 1 == n_layers)
-        for (const auto s : slice.out_spikes) ++counts[s];
-      spikes = &slice.out_spikes;
-    }
-  }
-}
-
-// Event-driven kernel. Same spike waves, same per-neuron addition order —
-// only *provably identity* work is skipped:
-//   - a layer whose input wave is empty while its LIF state sits exactly at
-//     rest (and whose frozen thresholds sit strictly above rest) is skipped
-//     without touching its membrane state. at_rest holds from the per-sample
-//     reset until the layer's first non-empty wave; there is no mid-sample
-//     re-arm because the float decay cannot return v to exact v_rest within
-//     realistic timestep counts (it only gets there by underflow, thousands
-//     of steps out) — checking every step would cost more than it ever
-//     recovers;
-//   - an all-zero image short-circuits the whole sample: the encoder has no
-//     active pixels, so it would draw nothing from the Rng and every layer
-//     would skip every step;
-//   - consecutive pure-decay steps reuse the already-zero current buffer
-//     instead of re-clearing it.
-// The float gather walks the (sorted) event list directly — the identical
-// per-neuron addition order as the dense kernel, so the sums are bitwise
-// identical, and the contiguous column loop stays vectorizable. The bitset
-// spike mask backs the fixed-point gather (kEventFx): there the Q47.16
-// int64 accumulation is order-independent, so the word-wise set-bit walk is
-// the natural event-set traversal. Weights are quantized at read time —
-// no second (stale-prone) quantized copy, delta fault injection keeps
-// working unchanged.
-void Network::infer_event(InferenceState& state, Rng& rng,
-                          std::vector<std::uint32_t>& counts) const {
-  const bool fx = cfg_.engine == EngineKind::kEventFx;
-  const std::size_t n_layers = layers_.size();
-
-  bool all_skip_ok = true;
-  for (auto& slice : state.layers_) {
-    slice.skip_ok = slice.lif.silent_at_rest();
-    slice.at_rest = true;  // reset_dynamics just put the LIF at exact rest
-    std::fill(slice.current.begin(), slice.current.end(), 0.0f);
-    slice.current_zero = true;
-    all_skip_ok &= slice.skip_ok;
-  }
-  // Whole-sample short-circuit: no active pixels means zero Rng draws per
-  // step, so skipping all timesteps consumes the exact same stream.
-  if (state.encoder_.active_pixels() == 0 && all_skip_ok) return;
-
-  for (std::size_t t = 0; t < cfg_.timesteps; ++t) {
-    state.encoder_.step(rng, state.in_spikes_);
-    const std::vector<std::uint32_t>* spikes = &state.in_spikes_;
-    for (std::size_t l = 0; l < n_layers; ++l) {
-      const Layer& lay = layers_[l];
-      auto& slice = state.layers_[l];
-
-      if (spikes->empty()) {
-        if (slice.skip_ok && slice.at_rest) {
-          // Empty wave into an at-rest layer: the step is the identity.
-          slice.out_spikes.clear();
-          spikes = &slice.out_spikes;
-          continue;
-        }
-        // Pure-decay step (no drive, state not at rest — still decaying
-        // after earlier input, refractory counters running, or WTA-held
-        // above-threshold potentials, which CAN still spike).
-        if (!slice.current_zero) {
-          std::fill(slice.current.begin(), slice.current.end(), 0.0f);
-          slice.current_zero = true;
-        }
-        slice.lif.step(slice.current, slice.out_spikes);
-      } else {
-        const std::size_t nn = lay.n_out;
-        if (fx) {
-          // Build the bitset spike mask for this wave and gather over its
-          // set bits, word by word.
-          auto& mask = slice.in_mask;
-          std::fill(mask.begin(), mask.end(), 0);
-          for (const auto i : *spikes)
-            mask[i >> 6] |= std::uint64_t{1} << (i & 63);
-          auto& acc = slice.acc;
-          std::fill(acc.begin(), acc.end(), std::int64_t{0});
-          for (std::size_t w = 0; w < mask.size(); ++w) {
-            std::uint64_t bits = mask[w];
-            while (bits != 0) {
-              const std::size_t i =
-                  (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-              bits &= bits - 1;
-              const float* col = lay.wt.data() + i * nn;
-              for (std::size_t n = 0; n < nn; ++n)
-                acc[n] += static_cast<std::int64_t>(
-                    std::llrintf(col[n] * kFxScale));
-            }
-          }
-          for (std::size_t n = 0; n < nn; ++n)
-            slice.current[n] = static_cast<float>(acc[n]) / kFxScale;
-        } else {
-          std::fill(slice.current.begin(), slice.current.end(), 0.0f);
-          float* cur = slice.current.data();
-          for (const auto i : *spikes) {
-            const float* col = lay.wt.data() + std::size_t{i} * nn;
-            for (std::size_t n = 0; n < nn; ++n) cur[n] += col[n];
-          }
-        }
-        slice.current_zero = false;
-        slice.lif.step(slice.current, slice.out_spikes);
-        slice.at_rest = false;
-      }
+      slice.at_rest = false;
 
       if (l + 1 == n_layers)
         for (const auto s : slice.out_spikes) ++counts[s];
       spikes = &slice.out_spikes;
     }
   }
+  return counts;
 }
 
 }  // namespace sparkxd::snn

@@ -17,8 +17,8 @@
 // golden digests lock this down. Training (train_step) keeps reading the
 // row-major arrays directly (STDP updates rows mid-sample), so the
 // transposes are resynced lazily before the next inference. Inference has
-// exactly one entry point, infer(); every API addresses a layer by index
-// (layer 0 = input side), also on a one-layer network.
+// exactly one entry point and one kernel, infer(); every API addresses a
+// layer by index (layer 0 = input side), also on a one-layer network.
 //
 // Bit-exactness contract: a NetworkConfig with empty `hidden_neurons` is
 // the single-layer network of the paper — the output layer draws its
@@ -68,17 +68,15 @@ class InferenceState {
   /// One slice per layer of the stack (index matches Network layers).
   struct LayerSlice {
     LifLayer lif;
+    std::size_t n_in = 0;  ///< fan-in of the layer the slice was built for
     std::vector<float> current;
     std::vector<std::uint32_t> out_spikes;
-    // ---- Event-engine scratch (sized by resync; dense path ignores). ----
-    std::vector<std::uint64_t> in_mask;  ///< bitset over the layer's inputs
-    std::vector<std::int64_t> acc;       ///< Q47.16 accumulator (fx mode)
+    std::vector<std::int64_t> acc;  ///< Q47.16 accumulator (kEventFx)
     bool skip_ok = false;  ///< zero-input step provably identity at rest
     /// LIF state exactly at rest: true from the per-sample reset until the
-    /// layer's first non-empty input wave (no mid-sample re-arm — float
-    /// decay cannot reach exact rest within a sample).
+    /// layer's first integration step (no mid-sample re-arm — float decay
+    /// cannot reach exact rest within a sample).
     bool at_rest = true;
-    bool current_zero = false;  ///< `current` known all-zero (decay steps)
   };
   std::vector<LayerSlice> layers_;
   PoissonEncoder encoder_;
@@ -189,12 +187,15 @@ class Network {
   /// Requires synced transposes. Resyncs the state first if the network's
   /// theta generation moved past its snapshot. Thresholds are frozen.
   ///
-  /// config().engine picks the kernel: kDense is the transposed-gather
-  /// reference; kEvent walks per-timestep bitset spike masks and skips
-  /// empty waves against at-rest layers outright (bitwise-identical counts
-  /// and Rng consumption to kDense); kEventFx additionally accumulates the
-  /// synaptic drive in Q47.16 fixed point (order-independent, numerically
-  /// different from the float paths).
+  /// One kernel: a transposed-column gather over each timestep's spike
+  /// list. An all-zero image short-circuits the whole sample, and an empty
+  /// wave into a layer still at rest is skipped — both only where the step
+  /// is provably the identity, so counts and Rng consumption equal a run
+  /// that integrates every layer every step. config().engine picks the
+  /// accumulator: kDense and kEvent sum in float (the per-neuron addition
+  /// order of the row-major walk); kEventFx sums Q47.16 fixed point
+  /// (order-independent, numerically different from float). Throws
+  /// ContractViolation for a state built for a differently shaped network.
   std::vector<std::uint32_t> infer(InferenceState& state,
                                    const std::vector<float>& image,
                                    Rng& rng) const;
@@ -233,12 +234,6 @@ class Network {
     SPARKXD_REQUIRE(l < layers_.size(), "layer index out of range");
     return layers_[l];
   }
-  /// The two infer() kernels (common setup/validation lives in infer()).
-  void infer_dense(InferenceState& state, Rng& rng,
-                   std::vector<std::uint32_t>& counts) const;
-  void infer_event(InferenceState& state, Rng& rng,
-                   std::vector<std::uint32_t>& counts) const;
-
   NetworkConfig cfg_;
   std::vector<Layer> layers_;  ///< [0] = input side, back() = output layer
   PoissonEncoder encoder_;

@@ -17,25 +17,24 @@
 
 namespace sparkxd::snn {
 
-/// Inference-engine selector for Network::infer (training always runs the
-/// row-major kernel — STDP rewrites weight rows mid-sample).
+/// Accumulator selector for Network::infer (training always runs the
+/// row-major kernel — STDP rewrites weight rows mid-sample). Every value runs
+/// the same kernel: a transposed-column gather over each timestep's spike
+/// list that skips a layer whose input wave is empty while its membrane
+/// state sits exactly at rest, and short-circuits an all-zero sample — only
+/// where the step is provably the identity.
 ///
-///   kDense    the transposed-gather reference: every timestep integrates
-///             every layer. Bit-exact baseline; every pre-event golden
-///             digest was produced by this path.
-///   kEvent    event-driven: per-timestep spike waves carry a bitset mask
-///             next to the event list, the synaptic gather walks only the
-///             mask's set words, and a layer whose input wave is empty
-///             while its membrane state sits exactly at rest is skipped
-///             outright (no LIF integration). Bitwise-identical spike
-///             counts to kDense — skipping is only applied where a step is
-///             provably the identity, and the per-neuron float addition
-///             order is unchanged.
-///   kEventFx  the event engine with fixed-point synaptic accumulation:
-///             the gather quantizes weights to Q47.16 on the fly and sums
-///             in int64, making the per-neuron drive independent of
-///             addition order. Numerically different from the float path
-///             (locked by its own golden, smoke-digits-event-fx).
+///   kDense    float accumulation in spike order (the per-neuron addition
+///             order of the row-major walk). Bit-exact baseline; every
+///             golden digest but smoke-digits-event-fx was produced by it.
+///   kEvent    the same float mode under its own label: bitwise-identical
+///             counts and Rng consumption to kDense; scenarios that select
+///             it only add the gated "engine=event" report/digest line.
+///   kEventFx  fixed-point accumulation: the gather quantizes weights to
+///             Q47.16 on the fly and sums in int64, making the per-neuron
+///             drive independent of addition order. Numerically different
+///             from the float mode (locked by its own golden,
+///             smoke-digits-event-fx).
 enum class EngineKind : std::uint8_t {
   kDense = 0,
   kEvent = 1,
@@ -133,10 +132,10 @@ struct NetworkConfig {
   /// constant while STDP redistributes weight mass).
   float norm_target = 11.0f;
   std::uint64_t seed = 1;  ///< weight-init / spike-train seed
-  /// Inference kernel for Network::infer (see EngineKind). Not part of the
-  /// serialized model (model_io writes config fields individually): the
+  /// Inference accumulator for Network::infer (see EngineKind). Not part of
+  /// the serialized model (model_io writes config fields individually): the
   /// engine is a runtime execution choice, not model identity — kDense and
-  /// kEvent produce bitwise-identical results from the same weights.
+  /// kEvent are the same float mode.
   EngineKind engine = EngineKind::kDense;
   LifParams lif;
   StdpParams stdp;

@@ -209,9 +209,10 @@ TEST_F(ServeChaosTest, DigestSurvivesEveryFaultMode) {
     EXPECT_EQ(stats.digest, expected)
         << c.spec << " (crc " << c.crc << "): " << stats.chaos.total()
         << " faults, " << stats.reconnects << " reconnects";
-    if (options.chaos.any())
+    if (options.chaos.any()) {
       EXPECT_GT(stats.chaos.total(), 0u)
           << c.spec << " injected nothing — raise the probability";
+    }
 
     server.request_stop();
     server.wait();
@@ -325,7 +326,9 @@ TEST_F(ServeChaosTest, DrainUnderChaosAnswersEveryAdmittedRequest) {
 
   // Slots either finished or reported themselves incomplete — never hung.
   EXPECT_LE(stats.incomplete_conns, 2u);
-  if (stats.replies < kRequests) EXPECT_GE(stats.incomplete_conns, 1u);
+  if (stats.replies < kRequests) {
+    EXPECT_GE(stats.incomplete_conns, 1u);
+  }
 }
 
 TEST_F(ServeChaosTest, EvictionWithPendingReplyStillAnswersAdmittedJob) {

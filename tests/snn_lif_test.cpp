@@ -253,16 +253,6 @@ TEST(Lif, RestPredicatesGateEventSkipping) {
   LifLayer hair_trigger(1, degenerate, 1.0f);
   hair_trigger.set_plastic(false);
   EXPECT_FALSE(hair_trigger.silent_at_rest());
-
-  // at_exact_rest: construction and reset_dynamics are at rest; any drive
-  // (or the refractory tail after a spike) is not.
-  EXPECT_TRUE(layer.at_exact_rest());
-  std::vector<float> current{2.0f, 0.1f};
-  std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
-  EXPECT_FALSE(layer.at_exact_rest());
-  layer.reset_dynamics();
-  EXPECT_TRUE(layer.at_exact_rest());
 }
 
 TEST(Lif, RejectsMismatchedCurrentWidth) {
