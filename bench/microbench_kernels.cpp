@@ -84,19 +84,31 @@ void BM_ControllerStreaming(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerStreaming);
 
+// Arg 0-3: Models 0-3; Arg 4: Model-0 plus retention failures at an 8x
+// refresh interval.
 void BM_InjectorBuild(benchmark::State& state) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, 1);
   const std::size_t n_weights = 784 * 400;
   const auto place = mapping::baseline_placement(g, n_weights);
+  error::ErrorModelSpec spec;
+  if (state.range(0) < 4) {
+    spec.kind = static_cast<error::ErrorModelKind>(state.range(0));
+  } else {
+    spec.retention.enabled = true;
+    spec.retention.interval_multiplier = 8.0;
+  }
   for (auto _ : state) {
-    auto inj = error::ErrorInjector::for_weights(g, profile, {}, place, n_weights, 1, 1e-3);
+    auto inj = error::ErrorInjector::for_weights(g, profile, spec, place,
+                                                 n_weights, 1, 1e-3);
     benchmark::DoNotOptimize(&inj);
   }
+  state.SetLabel(spec.retention.enabled ? "Model-0 + retention"
+                                        : error::to_string(spec.kind));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(n_weights) * 32);
 }
-BENCHMARK(BM_InjectorBuild);
+BENCHMARK(BM_InjectorBuild)->DenseRange(0, 4);
 
 void BM_InjectorInject(benchmark::State& state) {
   const auto g = dram::Geometry::lpddr3_4gb();

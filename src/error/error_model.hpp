@@ -11,8 +11,11 @@
 //            value (a "true" cell flips with p1, a "false" cell with p0)
 //
 // The paper (and EDEN) use Model-0 for training because it approximates the
-// others well and injects fastest; we implement all four so the choice can
-// be ablated (bench/ablation_error_models).
+// others well and injects fastest. Here injection costs the same under all
+// four (one pass over a frozen candidate list); Model-0 is only cheapest to
+// enumerate, with Model-1 paying one lognormal draw per distinct bitline.
+// We implement all four so the choice can be ablated
+// (bench/ablation_error_models).
 
 #include <cstdint>
 

@@ -49,6 +49,8 @@ ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
     : max_ber_(max_ber), n_payload_bytes_(n_payload_bytes), spec_(spec) {
   SPARKXD_REQUIRE(max_ber >= 0.0 && max_ber <= 0.5,
                   "max BER outside the modelled range");
+  SPARKXD_REQUIRE(std::uint64_t{n_payload_bytes} <= std::uint64_t{1} << 32,
+                  "payload over 4 GiB: candidate byte indices are 32-bit");
   const std::size_t chunk_bytes = geometry.burst_bytes();
   SPARKXD_REQUIRE(placement.size() * chunk_bytes >= n_payload_bytes,
                   "placement does not cover the payload");
@@ -59,11 +61,11 @@ ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
   const bool retention_on = spec.retention.enabled;
   if (n_payload_bytes == 0 || (max_ber == 0.0 && !retention_on)) return;
 
-  // Stripe multipliers (Model-1 / Model-2) are recomputed on demand from a
-  // deterministic per-stripe hash: the flat stripe id is the same index a
-  // full `n_banks x bitlines` / `n_banks x rows` table would use, so the
-  // values are identical to an eager table without the millions of
-  // lognormal draws for stripes the payload never touches.
+  // Stripe multipliers (Model-1 / Model-2) come from a deterministic hash of
+  // the flat stripe id (the index a full `n_banks x bitlines` /
+  // `n_banks x rows` table would use), so only stripes the payload touches
+  // are drawn: one wordline per chunk, and each bitline once per distinct
+  // bitline run (below).
   const std::uint64_t bitline_count =
       std::uint64_t{geometry.columns_per_row} * geometry.column_bytes * 8;
   const std::uint64_t bitline_seed = hash_combine(seed, 0xB17ULL);
@@ -74,12 +76,41 @@ ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
   const double threshold = 2.0 * max_ber;
   const std::uint32_t column_bits = geometry.column_bytes * 8;
 
+  const std::size_t n_chunks = std::min(
+      placement.size(), (n_payload_bytes + chunk_bytes - 1) / chunk_bytes);
+
+  // Model-1 bitline memo. A chunk's bitlines are one contiguous run of
+  // chunk_bytes*8 ids starting at its column's first bitline, and chunks in
+  // different rows of a bank reuse the same runs; drawing each distinct
+  // run's lognormals once replaces one draw per payload bit.
+  const std::size_t run_bits = chunk_bytes * 8;
+  std::vector<std::uint64_t> chunk_run;
+  std::vector<double> run_mult;
+  if (spec.kind == ErrorModelKind::kModel1Bitline) {
+    chunk_run.resize(n_chunks);
+    for (std::size_t c = 0; c < n_chunks; ++c)
+      chunk_run[c] = bank_id(geometry, placement[c]) * bitline_count +
+                     std::uint64_t{placement[c].column} * column_bits;
+    std::vector<std::uint64_t> runs = chunk_run;
+    std::sort(runs.begin(), runs.end());
+    runs.erase(std::unique(runs.begin(), runs.end()), runs.end());
+    for (auto& r : chunk_run)
+      r = static_cast<std::uint64_t>(
+          std::lower_bound(runs.begin(), runs.end(), r) - runs.begin());
+    run_mult.resize(runs.size() * run_bits);
+    parallel_for_chunks(runs.size(), [&](std::size_t begin, std::size_t end,
+                                         std::size_t) {
+      for (std::size_t r = begin; r < end; ++r)
+        for (std::size_t k = 0; k < run_bits; ++k)
+          run_mult[r * run_bits + k] = stripe_multiplier(
+              bitline_seed, runs[r] + k, spec.stripe_sigma);
+    });
+  }
+
   // Candidate enumeration is pure per chunk (stateless hashes, no shared
   // Rng), so chunks are scanned concurrently into per-range buffers;
   // concatenating the buffers in range order restores ascending chunk order
   // regardless of the thread count.
-  const std::size_t n_chunks = std::min(
-      placement.size(), (n_payload_bytes + chunk_bytes - 1) / chunk_bytes);
   const std::size_t n_parts = parallel_chunk_count(n_chunks);
   std::vector<std::vector<Candidate>> parts(n_parts);
   const auto enumerate = [&](std::size_t chunk_begin,
@@ -89,8 +120,19 @@ ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
       const std::size_t first_byte = c * chunk_bytes;
       const std::size_t last_byte =
           std::min(first_byte + chunk_bytes, n_payload_bytes);
-      dram::Address addr = placement[c];
+      const dram::Address& addr = placement[c];
       const std::uint64_t sub_id = subarray_id(geometry, addr);
+      // Cell coordinates advance linearly from the chunk's first cell, so
+      // one check of the last column the payload reaches rejects a chunk
+      // that overruns its row.
+      dram::Address last_column = addr;
+      last_column.column += static_cast<std::uint32_t>(
+          (last_byte - first_byte - 1) / geometry.column_bytes);
+      dram::check_address(geometry, last_column);
+      const std::uint64_t first_cell = encode_linear(geometry, addr) * 8;
+      const double* bitline_mult =
+          run_mult.empty() ? nullptr
+                           : run_mult.data() + chunk_run[c] * run_bits;
       const double sub_weak = profile.weakness(sub_id);
       // A chunk lives in one subarray, so its retention-failure probability
       // is a single per-chunk constant.
@@ -108,14 +150,10 @@ ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
               : 1.0;
 
       for (std::size_t b = first_byte; b < last_byte; ++b) {
-        const auto offset = static_cast<std::uint32_t>(b - first_byte);
-        addr.column = placement[c].column + offset / geometry.column_bytes;
-        const std::uint32_t byte_in_column =
-            (offset % geometry.column_bytes) * 8;
         for (std::uint32_t bit = 0; bit < 8; ++bit) {
-          const std::uint32_t bit_in_column = byte_in_column + bit;
-          const std::uint64_t cell =
-              cell_bit_index(geometry, addr, bit_in_column);
+          // Bit k of the chunk: cell first_cell + k, bitline run entry k.
+          const std::size_t k = (b - first_byte) * 8 + bit;
+          const std::uint64_t cell = first_cell + k;
           // Retention failure takes precedence: a cell that leaks past the
           // effective refresh window is weak regardless of voltage, and
           // must not also appear as a voltage candidate (a duplicate would
@@ -133,12 +171,7 @@ ErrorInjector::ErrorInjector(const dram::Geometry& geometry,
             case ErrorModelKind::kModel3DataDependent:
               break;  // uniform within the subarray
             case ErrorModelKind::kModel1Bitline:
-              m *= stripe_multiplier(
-                  bitline_seed,
-                  bank * bitline_count +
-                      std::uint64_t{addr.column} * column_bits +
-                      bit_in_column,
-                  spec.stripe_sigma);
+              m *= bitline_mult[k];
               break;
             case ErrorModelKind::kModel2Wordline:
               m *= wordline_mult;

@@ -36,10 +36,13 @@
 // placement with the SAME seed — the module has one weak-cell reality,
 // hashed per physical cell, so per-layer injectors corrupt exactly the
 // cells a whole-module injector would. core::evaluate_corrupted's
-// LayerInjectors overload documents the per-layer Rng stream discipline. For performance, candidates are pre-enumerated
-// once per placement up to a maximum BER (concurrently across chunks — the
-// enumeration is stateless hashing, see common/parallel); injecting at any
-// lower BER is a linear pass over that (small) candidate list.
+// LayerInjectors overload documents the per-layer Rng stream discipline.
+//
+// For performance, candidates are pre-enumerated once per placement up to a
+// maximum BER (concurrently across chunks — the enumeration is stateless
+// hashing, see common/parallel); injecting at any lower BER is a linear pass
+// over that (small) candidate list. Model-1 draws each bitline multiplier
+// once per distinct bitline run of the placement, not once per bit.
 
 #include <cstdint>
 #include <vector>

@@ -8,11 +8,14 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "error/injector.hpp"
 #include "mapping/mapping.hpp"
+#include "test_env_util.hpp"
 
 namespace sparkxd::error {
 namespace {
@@ -231,6 +234,30 @@ TEST(Injector, RejectsUndersizedPlacement) {
   EXPECT_THROW(ErrorInjector::for_weights(f.g, f.profile, {}, tiny,
                                           f.n_weights, 42, 1e-3),
                ContractViolation);
+}
+
+TEST(Injector, RejectsPayloadsPastTheUint32ByteIndex) {
+  // Candidate byte indices and frozen word indices are 32-bit: a payload
+  // over 4 GiB must be refused up front rather than wrap. The check runs
+  // before the coverage check, so a one-chunk placement suffices.
+  InjectorFixture f;
+  const ChunkPlacement one(f.placement.begin(), f.placement.begin() + 1);
+  const std::size_t four_gib = std::size_t{1} << 32;
+  try {
+    (void)ErrorInjector(f.g, f.profile, {}, one, four_gib + 1, 42, 1e-3);
+    ADD_FAILURE() << "a payload over 4 GiB was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("4 GiB"), std::string::npos)
+        << e.what();
+  }
+  // Exactly 4 GiB still indexes in 32 bits; it fails only on coverage.
+  try {
+    (void)ErrorInjector(f.g, f.profile, {}, one, four_gib, 42, 1e-3);
+    ADD_FAILURE() << "a one-chunk placement covered 4 GiB";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("cover"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Injector, FlipProbabilityIsHalfForWeakCells) {
@@ -606,6 +633,149 @@ TEST(Retention, RetentionCellsFlipAtAnyInjectionBer) {
   auto w = f.weights;
   const auto flips = inj.inject_all_weak(w, 0.0);
   EXPECT_EQ(flips, inj.retention_candidate_count());
+}
+
+// -------------------------------------------------------- enumeration pins
+// The digests below were recorded from the per-bit enumeration (one
+// cell_bit_index and one stripe_multiplier per bit). Any change to which
+// cells are weak, to their score order or to the retention split moves one.
+
+/// FNV-1a 64 over the little-endian bytes of `v`, folded into `h`.
+void fnv_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+/// Folds an injector's candidate counts and its table frozen at `ber`.
+void fold_injector(std::uint64_t& h, const ErrorInjector& inj, double ber) {
+  fnv_fold(h, inj.candidate_count());
+  fnv_fold(h, inj.retention_candidate_count());
+  const FrozenInjection frozen = inj.freeze(ber);
+  for (const auto& e : frozen.entries())
+    fnv_fold(h, (std::uint64_t{e.word} << 8) | e.bit);
+}
+
+/// Models 0-3 plus Model-1 with retention failures on top.
+std::vector<ErrorModelSpec> pinned_specs() {
+  std::vector<ErrorModelSpec> specs;
+  for (const auto kind :
+       {ErrorModelKind::kModel0Uniform, ErrorModelKind::kModel1Bitline,
+        ErrorModelKind::kModel2Wordline,
+        ErrorModelKind::kModel3DataDependent}) {
+    ErrorModelSpec spec;
+    spec.kind = kind;
+    specs.push_back(spec);
+  }
+  ErrorModelSpec m1_retention = spec_with_retention(32.0);
+  m1_retention.kind = ErrorModelKind::kModel1Bitline;
+  specs.push_back(m1_retention);
+  return specs;
+}
+
+/// Digest over seeds x {baseline, Algorithm 2} x specs x max BERs.
+std::uint64_t enumeration_digest(std::size_t n_weights) {
+  const auto g = geom();
+  std::uint64_t h = kFnvBasis;
+  for (const std::uint64_t seed : {1u, 42u}) {
+    const SubarrayProfile profile(g, seed);
+    const ChunkPlacement layouts[] = {
+        mapping::baseline_placement(g, n_weights),
+        mapping::sparkxd_placement(g, profile, 1e-3, 1e-3, n_weights).chunks};
+    for (const auto& place : layouts)
+      for (const auto& spec : pinned_specs())
+        for (const double ber : {1e-6, 1e-5, 1e-4, 1e-3})
+          fold_injector(h,
+                        ErrorInjector::for_weights(g, profile, spec, place,
+                                                   n_weights, seed, ber),
+                        ber);
+  }
+  return h;
+}
+
+TEST(InjectorEnumeration, DigestIsPinnedAtOneAndFourThreads) {
+  // 1003 weights end in a partly used chunk; 12000 span several rows.
+  for (const char* threads : {"1", "4"}) {
+    const testutil::ThreadsOverride knob(threads);
+    EXPECT_EQ(enumeration_digest(1003), 0x317C117FF9C96D0DULL) << threads << " threads";
+    EXPECT_EQ(enumeration_digest(12000), 0x0549E8FACB0D4A2DULL) << threads << " threads";
+  }
+}
+
+/// Digest of one Model-1 enumeration over a hand-made placement.
+std::uint64_t model1_digest(const dram::Geometry& g,
+                            const ChunkPlacement& place,
+                            std::size_t n_payload_bytes) {
+  const SubarrayProfile profile(g, 5);
+  ErrorModelSpec spec;
+  spec.kind = ErrorModelKind::kModel1Bitline;
+  const double ber = 0.05;
+  const ErrorInjector inj(g, profile, spec, place, n_payload_bytes, 5, ber);
+  EXPECT_GT(inj.candidate_count(), 0u);
+  std::uint64_t h = kFnvBasis;
+  fold_injector(h, inj, ber);
+  return h;
+}
+
+dram::Address at(std::uint32_t bank, std::uint32_t row,
+                 std::uint32_t column) {
+  dram::Address a;
+  a.bank = bank;
+  a.row = row;
+  a.column = column;
+  return a;
+}
+
+TEST(InjectorEnumeration, ChunksInDifferentRowsShareTheirBitlines) {
+  // Rows 0, 1 and 3 of bank 0 put chunks on the same 256 bitlines; row 2
+  // uses the next burst, and bank 1 repeats column 0 on its own bitlines.
+  const ChunkPlacement place = {at(0, 0, 0), at(0, 1, 0), at(0, 2, 8),
+                                at(0, 3, 0), at(1, 0, 0)};
+  EXPECT_EQ(model1_digest(geom(), place, 5 * 32), 0x57AE380233B20D69ULL);
+}
+
+TEST(InjectorEnumeration, UnalignedStartColumnsArePinned) {
+  // Starts off the burst grid, overlapping bitline runs (3 and 5), the
+  // last start that fits a row (504), and a partly used final chunk.
+  const ChunkPlacement place = {at(0, 0, 3), at(0, 1, 5), at(2, 7, 504),
+                                at(0, 2, 3)};
+  EXPECT_EQ(model1_digest(geom(), place, 3 * 32 + 13), 0xEB39039094377E80ULL);
+}
+
+TEST(InjectorEnumeration, WideColumnGeometryIsPinned) {
+  // 8-byte columns and 4-column bursts move the column/bit split of every
+  // bitline id and cell coordinate.
+  auto g = geom();
+  g.column_bytes = 8;
+  g.burst_columns = 4;
+  g.columns_per_row = 256;
+  const std::size_t n_weights = 3000;
+  EXPECT_EQ(model1_digest(g, mapping::baseline_placement(g, n_weights),
+                          n_weights * sizeof(float)),
+            0x5DDF236FD3AC631DULL);
+}
+
+TEST(InjectorEnumeration, ChunkOverrunningItsRowThrows) {
+  const auto g = geom();
+  const SubarrayProfile profile(g, 5);
+  const std::uint32_t last = g.columns_per_row - 1;
+  for (const auto kind :
+       {ErrorModelKind::kModel0Uniform, ErrorModelKind::kModel1Bitline}) {
+    ErrorModelSpec spec;
+    spec.kind = kind;
+    const auto build = [&](std::size_t n_payload_bytes) {
+      return ErrorInjector(g, profile, spec, {at(0, 0, 0), at(0, 1, last)},
+                           n_payload_bytes, 5, 1e-3);
+    };
+    EXPECT_THROW((void)build(2 * 32), ContractViolation);
+    // Five bytes of the last chunk reach the column past the row's end.
+    EXPECT_THROW((void)build(32 + 5), ContractViolation);
+    // Four bytes stay inside column `last`: nothing overruns.
+    EXPECT_NO_THROW((void)build(32 + 4));
+  }
 }
 
 }  // namespace
