@@ -41,18 +41,21 @@ void BM_StdpUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_StdpUpdate);
 
+// One 784-pixel digit at max_rate = range(0) / 100: the spike density
+// sweeps from sparse (0.02) through the pipeline default (0.3) to 1.0.
 void BM_PoissonEncodeStep(benchmark::State& state) {
   const auto ds = data::make_dataset(data::Task::kDigits, 1, 1);
-  snn::PoissonEncoder enc(0.3f);
+  snn::PoissonEncoder enc(static_cast<float>(state.range(0)) / 100.0f);
   enc.set_image(ds.images[0]);
   Rng rng(1);
   std::vector<std::uint32_t> spikes;
   for (auto _ : state) {
     enc.step(rng, spikes);
     benchmark::DoNotOptimize(spikes.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_PoissonEncodeStep);
+BENCHMARK(BM_PoissonEncodeStep)->Arg(2)->Arg(30)->Arg(100);
 
 void BM_NetworkInference(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -11,7 +11,7 @@ PoissonEncoder::PoissonEncoder(float max_rate) : max_rate_(max_rate) {
 
 void PoissonEncoder::set_image(const std::vector<float>& image) {
   active_idx_.clear();
-  active_p_.clear();
+  active_thr_.clear();
   for (std::size_t i = 0; i < image.size(); ++i) {
     // Validate BEFORE the activity filter: a negative or NaN pixel fails
     // `> 0.0f` and used to slip through silently as "inactive".
@@ -19,21 +19,32 @@ void PoissonEncoder::set_image(const std::vector<float>& image) {
                     "pixel intensities must be in [0,1]");
     if (image[i] > 0.0f) {
       active_idx_.push_back(static_cast<std::uint32_t>(i));
-      active_p_.push_back(image[i] * max_rate_);
+      active_thr_.push_back(spike_threshold(image[i] * max_rate_));
     }
   }
 }
 
 void PoissonEncoder::step(Rng& rng,
                           std::vector<std::uint32_t>& spikes_out) const {
-  spikes_out.clear();
-  for (std::size_t k = 0; k < active_idx_.size(); ++k)
-    if (rng.uniform() < active_p_[k]) spikes_out.push_back(active_idx_[k]);
+  // Branchless append: write every index, advance the count on a spike.
+  // The local Rng copy keeps the generator state in registers.
+  const std::size_t n_active = active_idx_.size();
+  spikes_out.resize(n_active);
+  std::uint32_t* out = spikes_out.data();
+  Rng local = rng;
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < n_active; ++k) {
+    out[n] = active_idx_[k];
+    n += spike_fires(local.next_u64(), active_thr_[k]);
+  }
+  rng = local;
+  spikes_out.resize(n);
 }
 
 double PoissonEncoder::expected_spikes_per_step() const noexcept {
   double e = 0.0;
-  for (const float p : active_p_) e += p;
+  for (const std::uint64_t thr : active_thr_)
+    e += static_cast<double>(thr) * 0x1.0p-53;
   return e;
 }
 

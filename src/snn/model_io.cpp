@@ -1,5 +1,6 @@
 #include "snn/model_io.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -53,6 +54,13 @@ void read_vec(std::istream& is, std::vector<T>& v,
 
 void write_bool(std::ostream& os, bool b) {
   write_pod(os, static_cast<std::uint8_t>(b ? 1 : 0));
+}
+
+/// Rejects NaN and +-inf: weights and thetas reach the Q47.16 llrintf of
+/// the event-fx kernel and the LIF threshold, label biases the vote.
+template <typename T>
+void require_finite(const std::vector<T>& v, const char* msg) {
+  for (const T x : v) SPARKXD_REQUIRE(std::isfinite(x), msg);
 }
 
 void read_bool(std::istream& is, bool& b) {
@@ -180,6 +188,8 @@ TrainedModel load_model(std::istream& is) {
                     "weight payload does not match the stored shape");
     SPARKXD_REQUIRE(thetas.size() == cfg.layer_neurons(l),
                     "theta payload does not match the stored shape");
+    require_finite(weights, "model file holds a non-finite weight");
+    require_finite(thetas, "model file holds a non-finite theta");
     model.net.weights_mut(l) = std::move(weights);
     model.net.thetas_mut(l) = std::move(thetas);
   }
@@ -189,6 +199,8 @@ TrainedModel load_model(std::istream& is) {
   SPARKXD_REQUIRE(model.labels.label.size() == cfg.n_neurons &&
                       model.labels.bias.size() == cfg.n_neurons,
                   "label payload does not match the stored shape");
+  require_finite(model.labels.bias,
+                 "model file holds a non-finite label bias");
   std::uint64_t num_classes = 0;
   read_pod(is, num_classes);
   // Every served request votes into num_classes slots indexed by these

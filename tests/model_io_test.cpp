@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "data/dataset.hpp"
@@ -239,6 +241,49 @@ TEST_F(ModelIoTest, RejectsAbsurdClassCount) {
   patch_file(path_, size - 16, std::uint64_t{0});
   EXPECT_THROW((void)load_model(path_), ContractViolation);
   patch_file(path_, size - 16, std::uint64_t{256});  // labels all < 10
+  EXPECT_NO_THROW((void)load_model(path_));
+}
+
+// Payload offsets of a flat model: the header ends with the LIF and STDP
+// parameters; the weight blob (u64 count + f32 each) follows, then the
+// theta blob (u64 count + f32 each), then the readout above.
+TEST_F(ModelIoTest, RejectsNonFiniteWeightsThetasAndBiases) {
+  save_model(*model_, path_);
+  const auto pristine = file_bytes(path_);
+  const auto size = static_cast<std::streamoff>(pristine.size());
+  const auto n = static_cast<std::streamoff>(model_->labels.label.size());
+  const auto n_w = static_cast<std::streamoff>(model_->net.weights(0).size());
+  const std::streamoff first_bias = size - 8 - 8 - 8 * n;
+  const std::streamoff first_theta = first_bias - 8 - 4 * n - 8 - 4 * n;
+  const std::streamoff first_weight = first_theta - 8 - 4 * n_w;
+  // The offsets land on the stored values.
+  float w = 0.0f, th = 0.0f;
+  double b = 0.0;
+  std::memcpy(&w, pristine.data() + first_weight + 4 * 7, sizeof(w));
+  std::memcpy(&th, pristine.data() + first_theta + 4 * 2, sizeof(th));
+  std::memcpy(&b, pristine.data() + first_bias + 8 * 4, sizeof(b));
+  ASSERT_EQ(w, model_->net.weights(0)[7]);
+  ASSERT_EQ(th, model_->net.thetas(0)[2]);
+  ASSERT_EQ(b, model_->labels.bias[4]);
+
+  const auto restore = [&] {
+    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+    os.write(pristine.data(), static_cast<std::streamsize>(pristine.size()));
+  };
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    patch_file(path_, first_weight + 4 * 7, bad);
+    EXPECT_THROW((void)load_model(path_), ContractViolation)
+        << "weight " << bad;
+    restore();
+    patch_file(path_, first_theta + 4 * 2, bad);
+    EXPECT_THROW((void)load_model(path_), ContractViolation) << "theta " << bad;
+    restore();
+    patch_file(path_, first_bias + 8 * 4, static_cast<double>(bad));
+    EXPECT_THROW((void)load_model(path_), ContractViolation) << "bias " << bad;
+    restore();
+  }
   EXPECT_NO_THROW((void)load_model(path_));
 }
 

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "data/dataset.hpp"
 #include "snn/encoding.hpp"
 
 namespace sparkxd::snn {
@@ -139,6 +141,118 @@ TEST(PoissonEncoder, ActivePixelsCountsNonZeroIntensities) {
   EXPECT_EQ(enc.active_pixels(), 2u);
   enc.set_image(std::vector<float>(8, 0.0f));
   EXPECT_EQ(enc.active_pixels(), 0u);
+}
+
+// ------------------------------------------------------ threshold boundary
+// A random stream misses an off-by-one in the threshold (floor for ceil, or
+// `<=` for `<`) with probability 2^-53 per draw, so the boundary is checked
+// exhaustively over float exponents instead.
+
+/// Every float exponent (subnormals included) with a few mantissas each,
+/// plus 1.0 and random floats in (0, 1).
+std::vector<float> threshold_sweep() {
+  constexpr float kMinNormal = std::numeric_limits<float>::min();
+  std::vector<float> ps{1.0f, std::numeric_limits<float>::denorm_min(),
+                        kMinNormal, std::nextafter(kMinNormal, 0.0f)};
+  for (int e = -149; e < 0; ++e)
+    for (const float m : {1.0f, 1.25f, 1.5f, 1.9999999f}) {
+      const float p = std::ldexp(m, e);
+      if (p > 0.0f && p < 1.0f) ps.push_back(p);
+    }
+  Rng rng(31);
+  for (int i = 0; i < 1000; ++i) {
+    const float p = static_cast<float>(rng.uniform()) * 0.3f;
+    if (p > 0.0f) ps.push_back(p);
+  }
+  return ps;
+}
+
+TEST(PoissonEncoderThreshold, SplitsDrawsExactlyAtP) {
+  constexpr std::uint64_t kOne = std::uint64_t{1} << 53;
+  const auto scaled = [](std::uint64_t x) {
+    return static_cast<double>(x) * 0x1.0p-53;  // uniform() of draw x << 11
+  };
+  for (const float p : threshold_sweep()) {
+    const double pd = p;
+    const std::uint64_t thr = spike_threshold(p);
+    ASSERT_GE(thr, 1u) << "p=" << pd;
+    ASSERT_LE(thr, kOne) << "p=" << pd;
+    // thr - 1 is the largest draw below p; thr is the smallest at or above.
+    EXPECT_LT(scaled(thr - 1), pd) << "p=" << pd;
+    EXPECT_TRUE(scaled(thr) >= pd || thr == kOne) << "p=" << pd;
+    // spike_fires agrees with uniform() < p on both sides of the boundary,
+    // whatever the 11 discarded low bits hold.
+    for (const std::uint64_t x : {std::uint64_t{0}, thr - 1, thr, kOne - 1}) {
+      if (x >= kOne) continue;
+      for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{0x7FF}}) {
+        const std::uint64_t u = (x << 11) | low;
+        EXPECT_EQ(spike_fires(u, thr), scaled(x) < pd)
+            << "p=" << pd << " x=" << x;
+      }
+    }
+  }
+  EXPECT_EQ(spike_threshold(0.0f), 0u);  // never fires
+  EXPECT_EQ(spike_threshold(1.0f), kOne);
+  EXPECT_TRUE(spike_fires(~std::uint64_t{0}, kOne));  // always fires
+}
+
+// ------------------------------------------------------------ stream pin
+// The digest below was recorded from the float-compare encoder
+// (`rng.uniform() < p` per active pixel, push_back on a hit). Any change to
+// which pixels spike, to the draw count or to the draw order moves it.
+
+/// FNV-1a 64 over the little-endian bytes of `v`, folded into `h`.
+void fnv_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+/// Folds every step's spike list, then the Rng's next draw after the last
+/// step (which pins the number of draws the encoder made).
+void fold_stream(std::uint64_t& h, const std::vector<float>& image,
+                 float max_rate, std::uint64_t seed) {
+  PoissonEncoder enc(max_rate);
+  enc.set_image(image);
+  Rng rng(seed);
+  std::vector<std::uint32_t> spikes;
+  for (std::size_t t = 0; t < 64; ++t) {
+    enc.step(rng, spikes);
+    fnv_fold(h, spikes.size());
+    for (const auto i : spikes) fnv_fold(h, i);
+  }
+  fnv_fold(h, rng.next_u64());
+}
+
+/// Intensities whose p * 2^53 is an integer (1, 0.5, 0.25), the smallest
+/// positive subnormal (its product with max_rate < 1 underflows to 0, yet
+/// the pixel is active and draws), zeros, and random floats.
+std::vector<float> crafted_image() {
+  std::vector<float> image{1.0f, 0.5f, 0.0f, 0.25f,
+                           std::numeric_limits<float>::denorm_min(), 0.0f};
+  Rng rng(2024);
+  for (int i = 0; i < 58; ++i)
+    image.push_back(static_cast<float>(rng.uniform()));
+  return image;
+}
+
+std::uint64_t encoder_stream_digest() {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::vector<std::vector<float>> images{crafted_image()};
+  for (const auto task : {data::Task::kDigits, data::Task::kFashion}) {
+    const auto ds = data::make_dataset(task, 3, 11);
+    images.insert(images.end(), ds.images.begin(), ds.images.end());
+  }
+  for (const auto& image : images)
+    for (const float max_rate : {0.02f, 0.3f, 1.0f})
+      for (const std::uint64_t seed : {1u, 77u})
+        fold_stream(h, image, max_rate, seed);
+  return h;
+}
+
+TEST(PoissonEncoderStream, DigestIsPinned) {
+  EXPECT_EQ(encoder_stream_digest(), 0x3F848EBB78A88AD3ULL);
 }
 
 }  // namespace
