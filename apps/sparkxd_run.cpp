@@ -15,7 +15,8 @@
 //
 // --export-artifact additionally captures the serving artifact (trained
 // model + operating point + frozen per-layer injection tables + placement)
-// for sparkxd_serve; it requires exactly one selected scenario.
+// for sparkxd_serve; it requires exactly one selected scenario, with ECC
+// off (an artifact carries no check words).
 //
 // Exit codes: 0 success, 2 bad usage / unknown scenario.
 
@@ -69,7 +70,7 @@ void print_usage(std::FILE* to) {
       "  --export-artifact FILE\n"
       "                     also save the serving artifact (for\n"
       "                     sparkxd_serve) to FILE; needs exactly one\n"
-      "                     selected scenario\n"
+      "                     selected scenario, with ECC off\n"
       "  --artifact-voltage V\n"
       "                     capture the artifact at supply voltage V (must\n"
       "                     be on the scenario's grid; default: the lowest)\n"
@@ -460,6 +461,14 @@ int main(int argc, char** argv) {
     // run_scenarios path.
     const auto& s = selected.front();
     const auto cfg = s.pipeline_config();
+    if (cfg.ecc.enabled()) {
+      std::fprintf(stderr,
+                   "sparkxd_run: scenario '%s' enables ECC; a serving "
+                   "artifact carries no check words, so it cannot be "
+                   "exported\n",
+                   s.name.c_str());
+      return 2;
+    }
     core::ArtifactState state;
     if (have_artifact_voltage) {
       for (std::size_t vi = 0; vi < cfg.voltages.size(); ++vi)

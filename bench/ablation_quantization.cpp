@@ -51,20 +51,22 @@ int main() {
   const int trials = 3;
 
   const auto eval_f32 = [&](double ber, float clip) {
+    const auto frozen = inj_f32.freeze(ber);
     double acc = 0.0;
     for (int i = 0; i < trials; ++i) {
       model.net.weights_mut(0) = clean;
-      inj_f32.inject(model.net.weights_mut(0), ber, rng, {0.0f, clip});
+      frozen.inject(model.net.weights_mut(0), rng, {0.0f, clip});
       acc += snn::evaluate(model.net, model.labels, test, rng);
     }
     model.net.weights_mut(0) = clean;
     return acc / trials;
   };
   const auto eval_u8 = [&](double ber) {
+    const auto frozen = inj_u8.freeze(ber);
     double acc = 0.0;
     for (int i = 0; i < trials; ++i) {
       quant.codes = quant_clean_codes;
-      inj_u8.inject_bytes(quant.codes.data(), quant.codes.size(), ber, rng);
+      frozen.inject_bytes(quant.codes.data(), quant.codes.size(), rng);
       model.net.weights_mut(0) = snn::dequantize(quant);
       acc += snn::evaluate(model.net, model.labels, test, rng);
     }

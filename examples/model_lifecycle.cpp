@@ -69,14 +69,15 @@ int main(int argc, char** argv) {
       ft.weight_clip);
   // The quantized copy is 4x smaller, so it has its own (smaller) payload
   // over the same layout.
-  const error::ErrorInjector quant_injector(
-      geometry, profile, {}, placement, quant.size_bytes(), seed, 1e-3);
+  const auto quant_frozen =
+      error::ErrorInjector(geometry, profile, {}, placement,
+                           quant.size_bytes(), seed, 1e-3)
+          .freeze(1e-3);
   const auto clean_codes = quant.codes;
   double acc_u8 = 0.0;
   for (int t = 0; t < 2; ++t) {
     quant.codes = clean_codes;
-    quant_injector.inject_bytes(quant.codes.data(), quant.codes.size(), 1e-3,
-                                rng);
+    quant_frozen.inject_bytes(quant.codes.data(), quant.codes.size(), rng);
     shipped.net.weights_mut(0) = snn::dequantize(quant);
     acc_u8 += snn::evaluate(shipped.net, shipped.labels, test, rng) / 2.0;
   }

@@ -1,39 +1,75 @@
 #include "core/fault_aware.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 
 namespace sparkxd::core {
 
-namespace {
-
-/// Derives the injection Rng for layer `l` of trial substream `inject_seed`
-/// (the documented stream discipline): a single-layer stack consumes the
-/// trial stream directly while a deep stack forks one substream per layer.
-Rng layer_inject_rng(std::uint64_t inject_seed, std::size_t l,
-                     std::size_t n_layers) {
-  return n_layers == 1 ? Rng(inject_seed)
-                       : Rng(inject_seed).fork(static_cast<std::uint64_t>(l));
+CorruptionScratch::CorruptionScratch(snn::Network net)
+    : net_(std::move(net)), state_(net_), flips_(net_.n_layers()) {
+  net_.sync_transpose();
 }
 
-}  // namespace
+std::size_t CorruptionScratch::corrupt(const LayerTables& tables,
+                                       const LayerEcc& ecc,
+                                       std::uint64_t inject_seed,
+                                       const error::SanitizeRange& clip,
+                                       error::EccScrubStats* stats) {
+  const std::size_t n_layers = net_.n_layers();
+  SPARKXD_REQUIRE(tables.size() == n_layers && ecc.size() == n_layers,
+                  "need one table and one ecc slot per network layer");
+  std::size_t n_injected = 0;
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    if (tables[l] == nullptr) continue;
+    Rng inject_rng = n_layers == 1
+                         ? Rng(inject_seed)
+                         : Rng(inject_seed).fork(static_cast<std::uint64_t>(l));
+    auto& flips = flips_[l];
+    SPARKXD_REQUIRE(flips.empty(), "corrupt() needs a restored copy");
+    std::vector<float>& w = net_.weights_delta(l);
+    const bool protect = ecc[l].scheme != nullptr;
+    SPARKXD_REQUIRE(!protect || ecc[l].checks != nullptr,
+                    "an ecc-protected layer needs its check words");
+    // A protected layer injects raw: the decoder must see the stored bits.
+    const std::size_t n = tables[l]->inject(
+        w, inject_rng, protect ? error::SanitizeRange::raw() : clip, &flips);
+    n_injected += n;
+    if (protect) {
+      const error::EccScrubStats st = error::ecc_scrub_codewords(
+          *ecc[l].scheme, w, *ecc[l].checks, flips, n, clip);
+      if (stats != nullptr) stats[l] = st;
+    }
+    for (const auto& f : flips) net_.mirror_weight(l, f.word);
+  }
+  return n_injected;
+}
 
-double evaluate_corrupted_ecc(const snn::Network& net,
-                              const snn::NeuronLabels& labels,
-                              const LayerInjectors& injectors,
-                              const LayerEcc& ecc, double ber,
-                              const data::Dataset& test, Rng& rng,
-                              std::size_t trials, float weight_clip,
-                              std::vector<EccScrubTotals>* totals) {
+void CorruptionScratch::restore() {
+  for (std::size_t l = 0; l < flips_.size(); ++l) {
+    auto& flips = flips_[l];
+    if (flips.empty()) continue;
+    error::revert_flips(net_.weights_delta(l), flips);
+    for (const auto& f : flips) net_.mirror_weight(l, f.word);
+    flips.clear();
+  }
+}
+
+namespace {
+
+/// evaluate_corrupted_ecc over tables the caller already froze.
+double evaluate_frozen(const snn::Network& net,
+                       const snn::NeuronLabels& labels,
+                       const LayerTables& tables, const LayerEcc& ecc,
+                       const data::Dataset& test, Rng& rng,
+                       std::size_t trials, float weight_clip,
+                       std::vector<EccScrubTotals>* totals) {
   SPARKXD_REQUIRE(trials >= 1, "need at least one evaluation trial");
   const std::size_t n_layers = net.n_layers();
-  SPARKXD_REQUIRE(injectors.size() == n_layers && ecc.size() == n_layers,
+  SPARKXD_REQUIRE(tables.size() == n_layers && ecc.size() == n_layers,
                   "need one injector and one ecc slot per network layer");
-  for (std::size_t l = 0; l < n_layers; ++l)
-    SPARKXD_REQUIRE(ecc[l].scheme == nullptr || ecc[l].checks != nullptr,
-                    "an ecc-protected layer needs its check words");
   const error::SanitizeRange clip{net.config().stdp.w_min, weight_clip};
   // One parent draw keys this call's trial substreams: every trial owns an
   // independent Rng pair and every worker a private corruptible weight
@@ -43,12 +79,6 @@ double evaluate_corrupted_ecc(const snn::Network& net,
   // BERs for the same parent state, so accuracy differences measure the
   // injected errors, not resampling noise.
   const std::uint64_t stream = rng.next_u64();
-  // The flip candidates at this BER are the same for every trial: freeze
-  // them once per corrupted layer and share the tables read-only across
-  // the whole fan-out.
-  std::vector<error::FrozenInjection> frozen(n_layers);
-  for (std::size_t l = 0; l < n_layers; ++l)
-    if (injectors[l] != nullptr) frozen[l] = injectors[l]->freeze(ber);
   std::vector<double> accs(trials, 0.0);
   // Per-(trial, layer) scrub slots keep the reduction order deterministic
   // regardless of which worker ran which trial.
@@ -56,45 +86,19 @@ double evaluate_corrupted_ecc(const snn::Network& net,
       totals != nullptr ? trials * n_layers : 0);
   parallel_for_chunks(
       trials, [&](std::size_t begin, std::size_t end, std::size_t) {
-        // One weight copy per worker (each needs private corruptible
-        // arrays); between trials only the recorded flips are reverted —
-        // delta injection replaces the full per-trial snapshot restore.
-        // The InferenceState (membrane/encoder scratch) is likewise built
-        // once per worker and reused across trials. The copy carries the
-        // configured inference engine (dense/event/event-fx) along, so the
-        // whole Monte-Carlo fan-out runs whichever kernel the
-        // PipelineConfig selected.
-        snn::Network scratch = net;
-        scratch.sync_transpose();
-        snn::InferenceState state(scratch);
-        std::vector<std::vector<error::WeightFlip>> flips(n_layers);
+        // One corruptible copy per worker; between trials only the recorded
+        // flips are reverted. The copy carries the configured inference
+        // engine (dense/event/event-fx) along, so the whole Monte-Carlo
+        // fan-out runs whichever kernel the PipelineConfig selected.
+        CorruptionScratch scratch(net);
         for (std::size_t t = begin; t < end; ++t) {
-          const std::uint64_t inject_seed = hash_combine(stream, 2 * t);
           Rng eval_rng(hash_combine(stream, 2 * t + 1));
-          for (std::size_t l = 0; l < n_layers; ++l) {
-            if (injectors[l] == nullptr) continue;
-            Rng inject_rng = layer_inject_rng(inject_seed, l, n_layers);
-            flips[l].clear();
-            if (ecc[l].scheme != nullptr) {
-              frozen[l].inject(scratch.weights_delta(l), inject_rng,
-                               error::SanitizeRange::raw(), &flips[l]);
-              const std::size_t n_injected = flips[l].size();
-              const error::EccScrubStats st = error::ecc_scrub_codewords(
-                  *ecc[l].scheme, scratch.weights_delta(l), *ecc[l].checks,
-                  flips[l], n_injected, clip);
-              if (totals != nullptr) trial_stats[t * n_layers + l] = st;
-            } else {
-              frozen[l].inject(scratch.weights_delta(l), inject_rng, clip,
-                               &flips[l]);
-            }
-            for (const auto& f : flips[l]) scratch.mirror_weight(l, f.word);
-          }
-          accs[t] = snn::evaluate(scratch, state, labels, test, eval_rng);
-          for (std::size_t l = 0; l < n_layers; ++l) {
-            if (injectors[l] == nullptr) continue;
-            error::revert_flips(scratch.weights_delta(l), flips[l]);
-            for (const auto& f : flips[l]) scratch.mirror_weight(l, f.word);
-          }
+          scratch.corrupt(tables, ecc, hash_combine(stream, 2 * t), clip,
+                          totals != nullptr ? &trial_stats[t * n_layers]
+                                            : nullptr);
+          accs[t] = snn::evaluate(scratch.net(), scratch.state(), labels,
+                                  test, eval_rng);
+          scratch.restore();
         }
       });
   double acc_sum = 0.0;
@@ -112,6 +116,39 @@ double evaluate_corrupted_ecc(const snn::Network& net,
     }
   }
   return acc_sum / static_cast<double>(trials);
+}
+
+/// Freezes every non-null injector at `ber`; `tables` receives pointers
+/// into `frozen`.
+void freeze_layers(const LayerInjectors& injectors, double ber,
+                   std::vector<error::FrozenInjection>& frozen,
+                   LayerTables& tables) {
+  frozen.assign(injectors.size(), {});
+  tables.assign(injectors.size(), nullptr);
+  for (std::size_t l = 0; l < injectors.size(); ++l) {
+    if (injectors[l] == nullptr) continue;
+    frozen[l] = injectors[l]->freeze(ber);
+    tables[l] = &frozen[l];
+  }
+}
+
+}  // namespace
+
+double evaluate_corrupted_ecc(const snn::Network& net,
+                              const snn::NeuronLabels& labels,
+                              const LayerInjectors& injectors,
+                              const LayerEcc& ecc, double ber,
+                              const data::Dataset& test, Rng& rng,
+                              std::size_t trials, float weight_clip,
+                              std::vector<EccScrubTotals>* totals) {
+  // The flip candidates at this BER are the same for every trial: freeze
+  // them once per corrupted layer and share the tables read-only across
+  // the whole fan-out.
+  std::vector<error::FrozenInjection> frozen;
+  LayerTables tables;
+  freeze_layers(injectors, ber, frozen, tables);
+  return evaluate_frozen(net, labels, tables, ecc, test, rng, trials,
+                         weight_clip, totals);
 }
 
 double evaluate_corrupted(const snn::Network& net,
@@ -140,11 +177,15 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   const double target = baseline.clean_accuracy - cfg.accuracy_bound;
   const error::SanitizeRange sanitize{baseline.net.config().stdp.w_min,
                                       cfg.weight_clip};
-  const auto inject_all = [&](snn::Network& net, double rate, Rng& r) {
+  std::vector<error::FrozenInjection> frozen;
+  LayerTables tables;
+  std::vector<std::vector<error::WeightFlip>> calibration_flips(n_layers);
+  const auto inject_all = [&](snn::Network& net, bool log) {
     // Layers draw serially from the caller's generator, input side first.
     for (std::size_t l = 0; l < n_layers; ++l)
-      if (injectors[l] != nullptr)
-        injectors[l]->inject(net.weights_mut(l), rate, r, sanitize);
+      if (tables[l] != nullptr)
+        tables[l]->inject(net.weights_mut(l), rng, sanitize,
+                          log ? &calibration_flips[l] : nullptr);
   };
 
   // model_temp starts as a copy of the baseline (Algorithm 1 line 1).
@@ -152,33 +193,38 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   FaultAwareResult result{baseline, 0.0, false, {}};
 
   for (const double rate : cfg.ber_stages) {
+    // The weak cells at this stage's rate are fixed: one table per layer
+    // serves every injection of the stage.
+    freeze_layers(injectors, rate, frozen, tables);
     for (std::size_t e = 0; e < cfg.epochs_per_stage; ++e) {
       // Error generation + injection into the stored weights (lines 3-4):
       // the training epoch then runs on the corrupted weights, and STDP
       // re-routes weight mass away from unreliable cells — in every layer.
-      inject_all(model_temp.net, rate, rng);
+      inject_all(model_temp.net, false);
       snn::train_epoch(model_temp.net, train, rng);
     }
     // Re-label (receptive fields move during retraining). When configured,
     // the calibration pass itself runs on corrupted weights, as it would on
     // the deployed approximate DRAM — neurons inflated by their weak cells
     // then carry a high bias and are discounted by the vote at inference.
+    // Labelling leaves the weights alone, so reverting the flip log
+    // restores them exactly.
     if (cfg.calibrate_under_errors) {
-      std::vector<std::vector<float>> snapshots(n_layers);
-      for (std::size_t l = 0; l < n_layers; ++l)
-        if (injectors[l] != nullptr) snapshots[l] = model_temp.net.weights(l);
-      inject_all(model_temp.net, rate, rng);
+      inject_all(model_temp.net, true);
       model_temp.labels = snn::label_neurons(model_temp.net, train, rng);
-      for (std::size_t l = 0; l < n_layers; ++l)
-        if (injectors[l] != nullptr)
-          model_temp.net.weights_mut(l) = std::move(snapshots[l]);
+      for (std::size_t l = 0; l < n_layers; ++l) {
+        if (tables[l] == nullptr) continue;
+        error::revert_flips(model_temp.net.weights_mut(l),
+                            calibration_flips[l]);
+        calibration_flips[l].clear();
+      }
     } else {
       model_temp.labels = snn::label_neurons(model_temp.net, train, rng);
     }
     // Test under corruption at this stage's rate (lines 8-9).
-    const double acc = evaluate_corrupted(model_temp.net, model_temp.labels,
-                                          injectors, rate, test, rng,
-                                          cfg.eval_trials, cfg.weight_clip);
+    const double acc = evaluate_frozen(
+        model_temp.net, model_temp.labels, tables, LayerEcc(n_layers), test,
+        rng, cfg.eval_trials, cfg.weight_clip, nullptr);
     result.stage_curve.push_back({rate, acc});
     // Lines 10-13: accept this stage if it still meets the target.
     if (acc >= target) {

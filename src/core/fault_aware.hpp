@@ -84,6 +84,55 @@ struct LayerEccState {
 };
 using LayerEcc = std::vector<LayerEccState>;
 
+/// Per-layer frozen injection tables: entry `l` corrupts layer `l`; a null
+/// entry leaves that layer clean. Size must equal the network's n_layers().
+using LayerTables = std::vector<const error::FrozenInjection*>;
+
+/// A private corruptible copy of a network for repeated corrupted reads —
+/// the one owner of the delta-injection protocol. corrupt() injects every
+/// table into the row-major weights with a flip log, scrubs ECC layers and
+/// mirrors each logged word into the transposed inference layout; restore()
+/// reverts the logs and mirrors back, leaving both layouts bit-identical to
+/// the source network. Between the two, net()/state() run inference on the
+/// corrupted weights. The copy (O(total weights)) and the InferenceState
+/// are paid once; the flip logs keep their capacity, so a corrupt/restore
+/// cycle allocates nothing after warm-up (ECC scrubbing aside).
+///
+/// Rng stream discipline: layer l draws from Rng(inject_seed) on a
+/// single-layer stack and from Rng(inject_seed).fork(l) on a deeper one,
+/// so each layer's error draw is independent of which other layers are
+/// corrupted. core::evaluate_corrupted_ecc keys inject_seed by trial,
+/// serve::Engine by request.
+class CorruptionScratch {
+ public:
+  /// Takes the network by value (the private copy) and syncs its
+  /// transposes.
+  explicit CorruptionScratch(snn::Network net);
+
+  /// Corrupts the copy for one read. Layers with a non-null `ecc[l].scheme`
+  /// inject raw and are scrubbed against their check words (clip applied to
+  /// words the code could not restore; stats[l] receives the scrub counts
+  /// when `stats` is non-null); the others clip each flip as it is
+  /// injected. Returns the number of injected bit flips, before any scrub.
+  /// Requires a restored copy.
+  std::size_t corrupt(const LayerTables& tables, const LayerEcc& ecc,
+                      std::uint64_t inject_seed,
+                      const error::SanitizeRange& clip,
+                      error::EccScrubStats* stats = nullptr);
+
+  /// Reverts the last corrupt(): both weight layouts return bit for bit to
+  /// the source network's values.
+  void restore();
+
+  [[nodiscard]] const snn::Network& net() const noexcept { return net_; }
+  [[nodiscard]] snn::InferenceState& state() noexcept { return state_; }
+
+ private:
+  snn::Network net_;
+  snn::InferenceState state_;
+  std::vector<std::vector<error::WeightFlip>> flips_;  ///< per-layer deltas
+};
+
 /// Scrub statistics accumulated over all Monte-Carlo trials of one
 /// evaluate_corrupted_ecc call, per layer.
 struct EccScrubTotals {
@@ -95,32 +144,23 @@ struct EccScrubTotals {
 
 /// Evaluates a model whose weights are corrupted at `ber`: every non-null
 /// entry of `injectors` corrupts its layer's weights each trial, and
-/// `ecc[l]` says how layer l's corruption is read back.
-///   * Null scheme: each flipped word goes through the load-time range clip
-///     (`weight_clip`) as it is injected.
-///   * Non-null scheme: injection is RAW (the decoder must see exactly the
-///     stored bits), only the corrupted codewords are scrubbed against the
-///     layer's check words (error::ecc_scrub_codewords), and the clip
-///     applies solely to words of codewords the code could not restore.
+/// `ecc[l]` says how layer l's corruption is read back (see
+/// CorruptionScratch::corrupt; `weight_clip` is the clip's upper bound).
 /// Averages `trials` fresh error draws; trials run concurrently (see
-/// common/parallel), each with its own Rng substreams keyed off one draw
-/// from `rng`, so the result is deterministic in `rng`'s state and
-/// identical at every thread count. Rng stream discipline: a single-layer
-/// stack consumes the trial's injection stream directly, while an L>1
-/// stack forks per-layer injection substreams (layer l draws from
-/// inject_rng.fork(l)), keeping each layer's error draw independent of
-/// which other layers are corrupted (what lets the per-layer tolerance
-/// analysis reuse the same draws). The hot path is delta-based: the flip
-/// candidates at `ber` are frozen once (ErrorInjector::freeze) and shared
-/// across all trials, each worker owns one corruptible weight copy plus a
-/// reused snn::InferenceState, and between trials only the recorded flips
-/// are reverted instead of restoring a full snapshot — bit-identical to
-/// the snapshot loop (tests/core_test.cpp proves it against a reference
-/// implementation). `net` is untouched (const — required for the
-/// concurrent per-voltage sweep to share one trained model). When `totals`
-/// is non-null it is resized to n_layers and filled with per-layer scrub
-/// counts summed over trials, deterministically (trial-ascending
-/// reduction).
+/// common/parallel), trial t injecting from hash_combine(s, 2t) and
+/// encoding from hash_combine(s, 2t+1) with s one draw from `rng`, so the
+/// result is deterministic in `rng`'s state and identical at every thread
+/// count. The per-layer injection streams do not depend on which other
+/// layers are corrupted, which lets the per-layer tolerance analysis reuse
+/// the same draws. The flip candidates at `ber` are frozen once
+/// (ErrorInjector::freeze) and shared across all trials; each worker owns
+/// one CorruptionScratch and reverts only the recorded flips between
+/// trials — bit-identical to a snapshot-restore loop (tests/core_test.cpp
+/// proves it against a reference implementation). `net` is untouched
+/// (const — required for the concurrent per-voltage sweep to share one
+/// trained model). When `totals` is non-null it is resized to n_layers and
+/// filled with per-layer scrub counts summed over trials, deterministically
+/// (trial-ascending reduction).
 [[nodiscard]] double evaluate_corrupted_ecc(
     const snn::Network& net, const snn::NeuronLabels& labels,
     const LayerInjectors& injectors, const LayerEcc& ecc, double ber,
@@ -139,11 +179,13 @@ struct EccScrubTotals {
 
 /// Algorithm 1: improves the baseline model's error tolerance and records
 /// the largest stage BER whose accuracy meets
-/// (baseline.clean_accuracy - cfg.accuracy_bound). Every stage injects each
-/// layer's weights through its own injector (layers in order, all drawing
-/// serially from `rng`) before the retraining epoch, so STDP learns around
-/// the weak cells of EVERY layer's DRAM region. Each injector must be built
-/// over its layer's training-time (baseline) placement.
+/// (baseline.clean_accuracy - cfg.accuracy_bound). Each stage freezes every
+/// layer's table once and injects through it before each retraining epoch
+/// (layers in order, all drawing serially from `rng`), so STDP learns
+/// around the weak cells of EVERY layer's DRAM region; the calibration
+/// injection reuses the tables and is reverted through its flip log. Each
+/// injector must be built over its layer's training-time (baseline)
+/// placement.
 [[nodiscard]] FaultAwareResult improve_error_tolerance(
     const snn::TrainedModel& baseline, const FaultTrainingConfig& cfg,
     const LayerInjectors& injectors, const data::Dataset& train,

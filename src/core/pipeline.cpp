@@ -83,9 +83,16 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
       : artifact->voltage_index == ArtifactState::npos
           ? cfg.voltages.size() - 1
           : artifact->voltage_index;
-  if (artifact != nullptr)
+  if (artifact != nullptr) {
     SPARKXD_REQUIRE(capture_vi < cfg.voltages.size(),
                     "artifact voltage index is outside the voltage grid");
+    // A serving artifact carries no check words and the server injects
+    // with the range clip only, so an ECC operating point cannot be served
+    // as the report measured it.
+    SPARKXD_REQUIRE(!cfg.ecc.enabled(),
+                    "an ECC-protected scenario cannot be exported as a "
+                    "serving artifact");
+  }
   Rng rng(cfg.seed);
   PipelineReport report;
   // Phase wall clocks (informational; see PhaseTimings).

@@ -202,6 +202,8 @@ struct ArtifactState {
 };
 
 /// run_pipeline with an optional artifact capture (nullptr = plain run).
+/// Throws ContractViolation when capturing from a config with ECC enabled:
+/// an artifact carries no check words.
 [[nodiscard]] PipelineReport run_pipeline(const PipelineConfig& cfg,
                                           ArtifactState* artifact);
 

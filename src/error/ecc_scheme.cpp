@@ -711,37 +711,6 @@ std::vector<std::uint64_t> ecc_encode_buffer(const EccScheme& scheme,
   return checks;
 }
 
-EccScrubStats ecc_scrub_buffer(const EccScheme& scheme,
-                               std::vector<float>& weights,
-                               const std::vector<std::uint64_t>& checks) {
-  const std::size_t floats_per_cw = scheme.data_bits() / 32;
-  const std::size_t n_cw = ecc_codeword_count(scheme, weights.size());
-  const std::size_t cww = scheme.check_words();
-  SPARKXD_REQUIRE(checks.size() == n_cw * cww,
-                  "check buffer does not match the weight buffer");
-  EccScrubStats stats;
-  std::vector<std::uint64_t> dbuf(scheme.data_words());
-  std::vector<std::uint64_t> cbuf(cww);
-  for (std::size_t cw = 0; cw < n_cw; ++cw) {
-    gather_codeword(weights, cw, floats_per_cw, dbuf.data(),
-                    scheme.data_words());
-    std::copy_n(checks.begin() + cw * cww, cww, cbuf.begin());
-    const EccDecode d = scheme.decode(dbuf.data(), cbuf.data());
-    ++stats.codewords;
-    stats.bits_corrected += d.bits_corrected;
-    if (d.status == EccStatus::kCorrected) {
-      ++stats.corrected;
-      const std::size_t base = cw * floats_per_cw;
-      const std::size_t count =
-          std::min(floats_per_cw, weights.size() - base);
-      std::memcpy(weights.data() + base, dbuf.data(), count * sizeof(float));
-    } else if (d.status == EccStatus::kDetected) {
-      ++stats.detected;
-    }
-  }
-  return stats;
-}
-
 EccScrubStats ecc_scrub_codewords(const EccScheme& scheme,
                                   std::vector<float>& weights,
                                   const std::vector<std::uint64_t>& checks,

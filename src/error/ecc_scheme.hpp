@@ -208,13 +208,6 @@ struct EccScrubStats {
 [[nodiscard]] std::vector<std::uint64_t> ecc_encode_buffer(
     const EccScheme& scheme, const std::vector<float>& weights);
 
-/// Decodes/corrects every codeword of a (possibly corrupted) buffer in
-/// place against check words computed from the clean weights. Detected
-/// codewords are left as-is.
-EccScrubStats ecc_scrub_buffer(const EccScheme& scheme,
-                               std::vector<float>& weights,
-                               const std::vector<std::uint64_t>& checks);
-
 /// Monte-Carlo hot-path scrub: decodes ONLY the codewords containing a word
 /// recorded in flips[0..n_injected) — clean codewords decode clean by
 /// construction, so the pass is O(corrupted codewords), not O(buffer).

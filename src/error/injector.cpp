@@ -234,55 +234,6 @@ void revert_flips(std::vector<float>& weights,
     weights[it->word] = it->before;
 }
 
-template <typename FlipDecision>
-std::size_t ErrorInjector::inject_floats(std::vector<float>& weights,
-                                         double ber,
-                                         const SanitizeRange& sanitize,
-                                         FlipDecision&& decide,
-                                         std::vector<WeightFlip>* flips) const {
-  SPARKXD_REQUIRE(ber <= max_ber_ + 1e-15,
-                  "injection BER exceeds the enumerated maximum");
-  SPARKXD_REQUIRE(weights.size() * sizeof(float) >= n_payload_bytes_,
-                  "weight array smaller than the mapped payload");
-  const double threshold = 2.0 * ber;
-  std::size_t n_flips = 0;
-  for (const auto& c : candidates_) {
-    if (c.score >= threshold) break;  // sorted: all further are not weak
-    const std::size_t w_idx = c.byte_index / sizeof(float);
-    // Little-endian byte order: byte k of the float holds u32 bits 8k..8k+7.
-    const unsigned bit32 =
-        (c.byte_index % sizeof(float)) * 8 + c.bit;
-    float& w = weights[w_idx];
-    if (!decide(test_bit(float_to_bits(w), bit32))) continue;
-    if (flips != nullptr)
-      flips->push_back({static_cast<std::uint32_t>(w_idx), w});
-    w = flip_float_bit(w, bit32);
-    sanitize_weight(w, sanitize);
-    ++n_flips;
-  }
-  return n_flips;
-}
-
-std::size_t ErrorInjector::inject(std::vector<float>& weights, double ber,
-                                  Rng& rng, const SanitizeRange& sanitize,
-                                  std::vector<WeightFlip>* flips) const {
-  return inject_floats(
-      weights, ber, sanitize,
-      [&](bool bit_value) {
-        double p = kWeakCellFailProb;
-        if (spec_.kind == ErrorModelKind::kModel3DataDependent)
-          p = bit_value ? spec_.p1 : spec_.p0;
-        return rng.bernoulli(p);
-      },
-      flips);
-}
-
-std::size_t ErrorInjector::inject_all_weak(
-    std::vector<float>& weights, double ber,
-    const SanitizeRange& sanitize) const {
-  return inject_floats(weights, ber, sanitize, [](bool) { return true; });
-}
-
 FrozenInjection ErrorInjector::freeze(double ber) const {
   SPARKXD_REQUIRE(ber <= max_ber_ + 1e-15,
                   "frozen BER exceeds the enumerated maximum");
@@ -294,7 +245,7 @@ FrozenInjection ErrorInjector::freeze(double ber) const {
   f.n_payload_bytes_ = n_payload_bytes_;
   const double threshold = 2.0 * ber;
   for (const auto& c : candidates_) {
-    if (c.score >= threshold) break;  // sorted prefix, same as inject()
+    if (c.score >= threshold) break;  // sorted: all further are not weak
     f.entries_.push_back(
         {static_cast<std::uint32_t>(c.byte_index / sizeof(float)),
          static_cast<std::uint8_t>((c.byte_index % sizeof(float)) * 8 +
@@ -348,26 +299,23 @@ std::size_t FrozenInjection::inject(std::vector<float>& weights, Rng& rng,
   return n_flips;
 }
 
-std::size_t ErrorInjector::inject_bytes(std::uint8_t* data,
-                                        std::size_t n_bytes, double ber,
-                                        Rng& rng) const {
-  SPARKXD_REQUIRE(ber <= max_ber_ + 1e-15,
-                  "injection BER exceeds the enumerated maximum");
+std::size_t FrozenInjection::inject_bytes(std::uint8_t* data,
+                                          std::size_t n_bytes,
+                                          Rng& rng) const {
   SPARKXD_REQUIRE(n_bytes >= n_payload_bytes_,
                   "byte array smaller than the mapped payload");
-  const double threshold = 2.0 * ber;
-  std::size_t flips = 0;
-  for (const auto& c : candidates_) {
-    if (c.score >= threshold) break;
-    std::uint8_t& byte = data[c.byte_index];
+  std::size_t n_flips = 0;
+  for (const auto& e : entries_) {
+    // Little-endian: bit k of word w lives in byte 4w + k/8, bit k%8.
+    std::uint8_t& byte = data[std::size_t{e.word} * sizeof(float) + e.bit / 8];
+    const unsigned bit = e.bit % 8u;
     double p = kWeakCellFailProb;
-    if (spec_.kind == ErrorModelKind::kModel3DataDependent)
-      p = ((byte >> c.bit) & 1u) ? spec_.p1 : spec_.p0;
+    if (data_dependent_) p = ((byte >> bit) & 1u) ? p1_ : p0_;
     if (!rng.bernoulli(p)) continue;
-    byte = static_cast<std::uint8_t>(byte ^ (1u << c.bit));
-    ++flips;
+    byte = static_cast<std::uint8_t>(byte ^ (1u << bit));
+    ++n_flips;
   }
-  return flips;
+  return n_flips;
 }
 
 double ErrorInjector::expected_flips(double ber) const {

@@ -4,7 +4,8 @@
 //
 // Given a *placement* (the DRAM column of every 32 B burst chunk, as
 // produced by a mapping policy) the injector decides which stored bits are
-// "weak cells" and flips them probabilistically on every injection.
+// "weak cells"; a frozen table of them flips each one probabilistically on
+// every read.
 //
 // Weak cells are deterministic per (seed, physical cell): each cell has a
 // fixed weakness score in [0, 1) derived by hashing its physical coordinate;
@@ -28,21 +29,26 @@
 // true-/anti-cell layouts — the same 0.5 flip probability the voltage weak
 // cells use, so both axes share one injection path.
 //
-// The injector is representation-agnostic: weak cells are enumerated at
-// byte granularity, so the same machinery corrupts FP32 weights
-// (inject / inject_all_weak) and quantized int8 weights or any other byte
-// payload (inject_bytes). It is also layer-agnostic: a deep SNN stack
-// builds ONE injector per layer, each over that layer's (disjoint)
-// placement with the SAME seed — the module has one weak-cell reality,
-// hashed per physical cell, so per-layer injectors corrupt exactly the
-// cells a whole-module injector would. core::evaluate_corrupted's
-// LayerInjectors overload documents the per-layer Rng stream discipline.
+// The module has two halves. ErrorInjector decides WHICH cells are weak:
+// it enumerates the candidates once per placement up to a maximum BER
+// (concurrently across chunks — the enumeration is stateless hashing, see
+// common/parallel; Model-1 draws each bitline multiplier once per distinct
+// bitline run of the placement, not once per bit) and freezes the prefix
+// weak at one BER into a FrozenInjection. FrozenInjection decides which
+// weak cells FLIP on one read: it is the only flip loop, one Bernoulli draw
+// per entry in table order. EDEN-style, an operating point is a fixed set
+// of weak cells, so every caller freezes once per BER and injects through
+// the table as often as it reads.
 //
-// For performance, candidates are pre-enumerated once per placement up to a
-// maximum BER (concurrently across chunks — the enumeration is stateless
-// hashing, see common/parallel); injecting at any lower BER is a linear pass
-// over that (small) candidate list. Model-1 draws each bitline multiplier
-// once per distinct bitline run of the placement, not once per bit.
+// The flip loop is representation-agnostic: weak cells are enumerated at
+// byte granularity, so the same table corrupts FP32 weights (inject) and
+// quantized int8 weights or any other byte payload (inject_bytes). It is
+// also layer-agnostic: a deep SNN stack builds ONE injector per layer, each
+// over that layer's (disjoint) placement with the SAME seed — the module
+// has one weak-cell reality, hashed per physical cell, so per-layer
+// injectors corrupt exactly the cells a whole-module injector would.
+// core::CorruptionScratch owns the per-layer Rng stream discipline and the
+// delta protocol (inject with a flip log, mirror, revert).
 
 #include <cstdint>
 #include <vector>
@@ -102,11 +108,9 @@ void revert_flips(std::vector<float>& weights,
 /// of the injector's score-sorted candidate list that is weak at the frozen
 /// BER, with each candidate's FP32 word index and bit-within-word
 /// precomputed. Build it once (ErrorInjector::freeze) and share it const
-/// across all Monte-Carlo trials and sweep workers — injection through the
-/// table skips the per-call threshold comparisons and byte->word arithmetic
-/// of ErrorInjector::inject while consuming the SAME Rng stream and flipping
-/// the SAME bits, so results are bit-identical by construction
-/// (tests/error_test.cpp locks this down).
+/// across all Monte-Carlo trials, training epochs and sweep workers. Every
+/// read draws one Bernoulli per entry, in entry order, so a table replays
+/// the same flips for the same Rng state.
 class FrozenInjection {
  public:
   struct Entry {
@@ -116,14 +120,22 @@ class FrozenInjection {
     friend bool operator==(const Entry&, const Entry&) = default;
   };
 
-  /// One corrupted "read" of `weights` at the frozen BER. Identical flip
-  /// decisions and Rng consumption as ErrorInjector::inject(weights,
-  /// ber(), rng, sanitize). When `flips` is non-null every flip is appended
-  /// (the vector is NOT cleared) so the caller can revert the delta via
-  /// revert_flips. Returns the number of flipped bits.
+  /// One corrupted "read" of FP32 `weights` at the frozen BER. Each weak
+  /// cell fails independently with probability 0.5 (Model-3: p1/p0 by
+  /// stored value), and each flipped word goes through `sanitize`. When
+  /// `flips` is non-null every flip is appended (the vector is NOT cleared)
+  /// so the caller can revert the delta via revert_flips. Returns the
+  /// number of flipped bits.
   std::size_t inject(std::vector<float>& weights, Rng& rng,
                      const SanitizeRange& sanitize = {},
                      std::vector<WeightFlip>* flips = nullptr) const;
+
+  /// Raw-byte read (e.g. quantized int8 weights): flips weak bits of
+  /// `data[0..n_bytes)` with the same entries, order and draws as inject.
+  /// No sanitization — every byte pattern is a valid quantized value, which
+  /// is precisely int8's robustness advantage.
+  std::size_t inject_bytes(std::uint8_t* data, std::size_t n_bytes,
+                           Rng& rng) const;
 
   /// Number of weak-cell candidates in the frozen table.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
@@ -185,29 +197,9 @@ class ErrorInjector {
                                    std::size_t n_weights, std::uint64_t seed,
                                    double max_ber);
 
-  /// Flips weak bits of FP32 `weights` for one "read" at module BER `ber`
-  /// (<= max_ber). Each weak cell fails independently with probability 0.5
-  /// (Model-3: p1/p0 by stored value). When `flips` is non-null every flip
-  /// is appended to it (see WeightFlip / revert_flips). Returns the number
-  /// of flipped bits.
-  std::size_t inject(std::vector<float>& weights, double ber, Rng& rng,
-                     const SanitizeRange& sanitize = {},
-                     std::vector<WeightFlip>* flips = nullptr) const;
-
   /// Freezes the candidate-list prefix weak at `ber` (<= max_ber) into a
   /// shareable read-only injection plan; see FrozenInjection.
   [[nodiscard]] FrozenInjection freeze(double ber) const;
-
-  /// Deterministic FP32 variant: flips *every* weak cell at `ber` (used by
-  /// tests to reason about worst-case corruption).
-  std::size_t inject_all_weak(std::vector<float>& weights, double ber,
-                              const SanitizeRange& sanitize = {}) const;
-
-  /// Raw-byte injection (e.g. quantized int8 weights): flips weak bits of
-  /// `data[0..n_bytes)`. No sanitization — every byte pattern is a valid
-  /// quantized value, which is precisely int8's robustness advantage.
-  std::size_t inject_bytes(std::uint8_t* data, std::size_t n_bytes,
-                           double ber, Rng& rng) const;
 
   /// Number of weak-cell candidates enumerated (at max_ber), including
   /// retention failures.
@@ -242,13 +234,6 @@ class ErrorInjector {
   /// threshold, so they are weak at any injection BER (they sort to the
   /// front of the candidate list).
   static constexpr double kRetentionScore = -1.0;
-
-  /// Shared core of the FP32 paths.
-  template <typename FlipDecision>
-  std::size_t inject_floats(std::vector<float>& weights, double ber,
-                            const SanitizeRange& sanitize,
-                            FlipDecision&& decide,
-                            std::vector<WeightFlip>* flips = nullptr) const;
 
   std::vector<Candidate> candidates_;  ///< sorted ascending by score
   std::size_t retention_candidates_ = 0;

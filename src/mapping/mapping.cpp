@@ -48,28 +48,33 @@ error::ChunkPlacement baseline_placement(const dram::Geometry& g,
   return out;
 }
 
-SparkXdPlacement sparkxd_placement(const dram::Geometry& g,
-                                   const error::SubarrayProfile& profile,
-                                   double module_ber, double ber_threshold,
-                                   std::size_t n_weights) {
-  g.validate();
-  SPARKXD_REQUIRE(ber_threshold >= 0.0, "BER_th must be non-negative");
-  const std::size_t needed = chunks_for_weights(g, n_weights);
+namespace {
+
+/// Algorithm 2's walk at threshold `ber_th`: counts the safe/unsafe
+/// subarrays, then fills `out` with up to `needed` chunks through the loop
+/// nest ch -> ra -> cp -> ro -> su -> ba -> safe? -> co. For a fixed row
+/// offset, all columns of that row are filled (row-buffer hits, Step-1) and
+/// the walk rotates across banks (multi-bank overlap, Step-2) before moving
+/// to the next subarray and only then the next row. When `used` is non-null
+/// (one flag per subarray row) rows already holding earlier layers are
+/// skipped and, if the walk fills `needed` chunks, the rows it consumed are
+/// marked (row granularity: partially filled rows are retired whole).
+/// Returns whether `needed` chunks were placed; a failed walk leaves `used`
+/// untouched.
+bool algorithm2_walk(const dram::Geometry& g,
+                     const error::SubarrayProfile& profile, double module_ber,
+                     double ber_th, std::size_t needed,
+                     error::ChunkPlacement& out, std::size_t& safe,
+                     std::size_t& unsafe, std::vector<std::uint8_t>* used) {
   const std::size_t bursts_per_row = g.columns_per_row / g.burst_columns;
-
-  SparkXdPlacement result;
-  result.chunks.reserve(needed);
-
-  // Count safe/unsafe once for diagnostics.
+  out.clear();
+  out.reserve(needed);
+  safe = 0;
+  unsafe = 0;
   for (std::uint64_t s = 0; s < profile.size(); ++s)
-    (profile.rate(s, module_ber) <= ber_threshold ? result.safe_subarrays
-                                                  : result.unsafe_subarrays)++;
+    (profile.rate(s, module_ber) <= ber_th ? safe : unsafe)++;
 
-  // Algorithm 2's loop nest: ch -> ra -> cp -> ro -> su -> ba -> safe? -> co.
-  // For a fixed row offset, all columns of that row are filled (row-buffer
-  // hits, Step-1) and the walk rotates across banks (multi-bank overlap,
-  // Step-2) before moving to the next subarray and only then the next row.
-  auto& out = result.chunks;
+  std::vector<std::uint64_t> rows;  // row keys consumed by this walk
   for (std::uint32_t ch = 0; ch < g.channels && out.size() < needed; ++ch)
     for (std::uint32_t ra = 0; ra < g.ranks_per_channel && out.size() < needed;
          ++ra)
@@ -83,8 +88,13 @@ SparkXdPlacement sparkxd_placement(const dram::Geometry& g,
                  ba < g.banks_per_chip && out.size() < needed; ++ba) {
               const dram::Address probe{ch, ra, cp, ba, su, ro, 0};
               const auto sid = dram::subarray_id(g, probe);
-              if (profile.rate(sid, module_ber) > ber_threshold)
+              if (profile.rate(sid, module_ber) > ber_th)
                 continue;  // unsafe subarray: do not store weights here
+              if (used != nullptr) {
+                const std::uint64_t row_key = sid * g.rows_per_subarray + ro;
+                if ((*used)[row_key]) continue;  // row holds an earlier layer
+                rows.push_back(row_key);
+              }
               for (std::size_t b = 0; b < bursts_per_row && out.size() < needed;
                    ++b)
                 out.push_back(dram::Address{
@@ -92,7 +102,25 @@ SparkXdPlacement sparkxd_placement(const dram::Geometry& g,
                     static_cast<std::uint32_t>(b * g.burst_columns)});
             }
 
-  SPARKXD_REQUIRE(out.size() == needed,
+  if (out.size() < needed) return false;
+  if (used != nullptr)
+    for (const auto key : rows) (*used)[key] = 1;
+  return true;
+}
+
+}  // namespace
+
+SparkXdPlacement sparkxd_placement(const dram::Geometry& g,
+                                   const error::SubarrayProfile& profile,
+                                   double module_ber, double ber_threshold,
+                                   std::size_t n_weights) {
+  g.validate();
+  SPARKXD_REQUIRE(ber_threshold >= 0.0, "BER_th must be non-negative");
+  SparkXdPlacement result;
+  const bool fits = algorithm2_walk(
+      g, profile, module_ber, ber_threshold, chunks_for_weights(g, n_weights),
+      result.chunks, result.safe_subarrays, result.unsafe_subarrays, nullptr);
+  SPARKXD_REQUIRE(fits,
                   "safe subarrays cannot hold the weight data at this BER_th");
   return result;
 }
@@ -120,60 +148,6 @@ std::vector<error::ChunkPlacement> baseline_placement_layers(
   return out;
 }
 
-namespace {
-
-/// One attempt at placing a layer with Algorithm 2's loop nest, skipping
-/// rows already holding earlier layers. Fills `lp.chunks` and the occupancy
-/// diagnostics; returns false (leaving `used` untouched) when the safe
-/// subarrays cannot hold the layer. On success the consumed rows are marked
-/// in `used` (row granularity: partially filled rows are retired whole).
-bool try_place_layer(const dram::Geometry& g,
-                     const error::SubarrayProfile& profile, double module_ber,
-                     std::size_t needed, mapping::LayerPlacement& lp,
-                     std::vector<std::uint8_t>& used) {
-  const std::size_t bursts_per_row = g.columns_per_row / g.burst_columns;
-  lp.chunks.clear();
-  lp.chunks.reserve(needed);
-  lp.safe_subarrays = 0;
-  lp.unsafe_subarrays = 0;
-  for (std::uint64_t s = 0; s < profile.size(); ++s)
-    (profile.rate(s, module_ber) <= lp.ber_th ? lp.safe_subarrays
-                                              : lp.unsafe_subarrays)++;
-
-  auto& out = lp.chunks;
-  std::vector<std::uint64_t> rows;  // row keys consumed by this attempt
-  for (std::uint32_t ch = 0; ch < g.channels && out.size() < needed; ++ch)
-    for (std::uint32_t ra = 0; ra < g.ranks_per_channel && out.size() < needed;
-         ++ra)
-      for (std::uint32_t cp = 0; cp < g.chips_per_rank && out.size() < needed;
-           ++cp)
-        for (std::uint32_t ro = 0;
-             ro < g.rows_per_subarray && out.size() < needed; ++ro)
-          for (std::uint32_t su = 0;
-               su < g.subarrays_per_bank && out.size() < needed; ++su)
-            for (std::uint32_t ba = 0;
-                 ba < g.banks_per_chip && out.size() < needed; ++ba) {
-              const dram::Address probe{ch, ra, cp, ba, su, ro, 0};
-              const auto sid = dram::subarray_id(g, probe);
-              if (profile.rate(sid, module_ber) > lp.ber_th)
-                continue;  // unsafe subarray at this layer's BER_th
-              const std::uint64_t row_key = sid * g.rows_per_subarray + ro;
-              if (used[row_key]) continue;  // row holds an earlier layer
-              rows.push_back(row_key);
-              for (std::size_t b = 0; b < bursts_per_row && out.size() < needed;
-                   ++b)
-                out.push_back(dram::Address{
-                    ch, ra, cp, ba, su, ro,
-                    static_cast<std::uint32_t>(b * g.burst_columns)});
-            }
-
-  if (out.size() < needed) return false;
-  for (const auto key : rows) used[key] = 1;
-  return true;
-}
-
-}  // namespace
-
 std::vector<LayerPlacement> sparkxd_placement_layers(
     const dram::Geometry& g, const error::SubarrayProfile& profile,
     double module_ber, const std::vector<double>& thresholds,
@@ -194,7 +168,9 @@ std::vector<LayerPlacement> sparkxd_placement_layers(
     // The pipeline's capacity-relax loop, per layer: when the learned
     // threshold is too strict to fit this layer at the operating BER, relax
     // it to the smallest feasible threshold and report that honestly.
-    while (!try_place_layer(g, profile, module_ber, needed, lp, used)) {
+    while (!algorithm2_walk(g, profile, module_ber, lp.ber_th, needed,
+                            lp.chunks, lp.safe_subarrays, lp.unsafe_subarrays,
+                            &used)) {
       SPARKXD_REQUIRE(lp.safe_subarrays < profile.size(),
                       "DRAM module cannot hold the layer stack even with "
                       "every subarray safe");

@@ -5,31 +5,31 @@
 // `seed` FULLY determines its reply. The engine derives two streams from
 // it —
 //
-//   inject stream  hash_combine(seed, 0): drives the weak-cell flip
-//                  decisions through the artifact's frozen tables, with the
-//                  same per-layer discipline as core::evaluate_corrupted
-//                  (single layer consumes the stream directly, a deep stack
-//                  forks substream l for layer l);
+//   inject stream  hash_combine(seed, 0): the inject_seed of
+//                  core::CorruptionScratch::corrupt, which drives the
+//                  weak-cell flip decisions through the artifact's frozen
+//                  tables with the same per-layer stream discipline as
+//                  core::evaluate_corrupted's trials;
 //   spike stream   hash_combine(seed, 1): drives the Poisson encoding of
 //                  the request's image.
 //
-// Nothing else is stochastic, and the scratch weights are restored bit for
-// bit after every request (delta injection + revert), so replies are
-// replayable regardless of batching, worker assignment, or the order
-// requests reach a worker. That is what lets the server batch freely and
-// lets a replay client verify a deployment byte for byte.
+// Nothing else is stochastic, and CorruptionScratch::restore returns the
+// scratch weights bit for bit to the artifact's after every request, so
+// replies are replayable regardless of batching, worker assignment, or the
+// order requests reach a worker. That is what lets the server batch freely
+// and lets a replay client verify a deployment byte for byte.
 //
-// An Engine is the per-worker mutable half: one corruptible weight copy
-// (O(total weights), paid once per worker, not per request) plus one
-// snn::InferenceState. The artifact itself is shared read-only across any
-// number of engines on any number of threads.
+// An Engine is the per-worker mutable half: one core::CorruptionScratch
+// (a corruptible weight copy, O(total weights), plus an
+// snn::InferenceState, both paid once per worker; a request allocates
+// nothing once the flip logs have grown). The artifact itself is shared
+// read-only across any number of engines on any number of threads.
 
 #include <cstdint>
 #include <vector>
 
-#include "error/injector.hpp"
+#include "core/fault_aware.hpp"
 #include "serve/artifact.hpp"
-#include "snn/network.hpp"
 
 namespace sparkxd::serve {
 
@@ -54,7 +54,7 @@ struct ClassifyReply {
 class Engine {
  public:
   /// Copies the artifact's network once (the per-worker corruptible copy)
-  /// and keeps a pointer to the artifact, which must outlive the engine.
+  /// and keeps pointers into the artifact, which must outlive the engine.
   explicit Engine(const ServingArtifact& artifact);
 
   /// Classifies one request; deterministic in (artifact, request), no
@@ -68,9 +68,9 @@ class Engine {
 
  private:
   const ServingArtifact* artifact_;
-  snn::Network scratch_;       ///< private corruptible weight copy
-  snn::InferenceState state_;  ///< reused membrane/encoder scratch
-  std::vector<std::vector<error::WeightFlip>> flips_;  ///< per-layer deltas
+  core::CorruptionScratch scratch_;  ///< private corruptible copy + state
+  core::LayerTables tables_;         ///< the artifact's per-layer tables
+  core::LayerEcc ecc_;               ///< all unprotected: no check words
 };
 
 }  // namespace sparkxd::serve

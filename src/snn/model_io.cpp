@@ -190,6 +190,14 @@ TrainedModel load_model(std::istream& is) {
                     "theta payload does not match the stored shape");
     require_finite(weights, "model file holds a non-finite weight");
     require_finite(thetas, "model file holds a non-finite theta");
+    // The event-fx kernel sums each weight's Q47.16 image (|w| * 2^16) over
+    // the layer's fan-in in an int64: bound the sum below 2^62.
+    const double fx_bound =
+        0x1p62 / (0x1p16 * static_cast<double>(cfg.layer_inputs(l)));
+    for (const float w : weights)
+      SPARKXD_REQUIRE(std::fabs(static_cast<double>(w)) < fx_bound,
+                      "model file holds a weight that could overflow the "
+                      "Q47.16 accumulator");
     model.net.weights_mut(l) = std::move(weights);
     model.net.thetas_mut(l) = std::move(thetas);
   }

@@ -99,7 +99,7 @@ class Network {
   /// Layer `l`'s synaptic weight matrix, row-major
   /// [layer_neurons(l)][layer_inputs(l)]. Mutable access exists so the
   /// error injector can corrupt the stored bits and the fault-aware trainer
-  /// can restore snapshots; it invalidates that layer's transposed
+  /// can revert them; it invalidates that layer's transposed
   /// inference copy, which is rebuilt before the next inference.
   [[nodiscard]] const std::vector<float>& weights(std::size_t l) const {
     return layer(l).w;
@@ -125,9 +125,12 @@ class Network {
   }
 
   /// Copies the current value of layer `l`'s flat weight `idx` into the
-  /// transposed layout (companion of weights_delta(l)).
+  /// transposed layout (companion of weights_delta(l)). Throws
+  /// ContractViolation when `idx` lies past the layer's weight array.
   void mirror_weight(std::size_t l, std::size_t idx) {
     Layer& lay = layer(l);
+    SPARKXD_REQUIRE(idx < lay.w.size(),
+                    "mirror_weight index past the layer's weights");
     const std::size_t n = idx / lay.n_in;
     const std::size_t i = idx % lay.n_in;
     lay.wt[i * lay.n_out + n] = lay.w[idx];

@@ -111,6 +111,22 @@ TEST(CliTest, ExportArtifactNeedsExactlyOneScenario) {
       << r.output;
 }
 
+TEST(CliTest, ExportArtifactRejectsEccScenario) {
+  // An artifact carries no check words, so an ECC operating point would be
+  // served unprotected: refused before the pipeline runs, nothing written.
+  const std::string path = "/tmp/cli_test_ecc_never_written.sxda";
+  std::remove(path.c_str());
+  for (const char* selection :
+       {"--scenario smoke-digits-ecc",
+        "--scenario smoke-digits-m0 --ecc secded"}) {
+    const auto r = run_cli(std::string(selection) + " --export-artifact " +
+                           path);
+    EXPECT_EQ(r.exit_code, 2) << selection;
+    EXPECT_NE(r.output.find("enables ECC"), std::string::npos) << r.output;
+    EXPECT_NE(::access(path.c_str(), F_OK), 0) << selection;
+  }
+}
+
 TEST(CliTest, BadArtifactVoltageExitsTwo) {
   const auto r = run_cli(
       "--scenario smoke-digits-m0 --export-artifact "

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <memory>
 
+#include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "core/fault_aware.hpp"
 #include "core/pipeline.hpp"
@@ -102,12 +104,13 @@ TEST_F(FaultAwareFixture, HighBerDegradesBaseline) {
 }
 
 TEST_F(FaultAwareFixture, HotPathMatchesLegacySnapshotLoopBitwise) {
-  // The optimized Monte-Carlo path (frozen candidate table + delta-revert +
-  // reused inference scratch) against the pre-optimization reference loop:
-  // full snapshot restore per trial + per-call candidate scan + a fresh
-  // evaluation each time. Stream derivation is the documented contract
-  // (stream = rng.next_u64(); trial t draws hash_combine(stream, 2t) /
-  // (2t+1)), so the means must agree bit for bit.
+  // The optimized Monte-Carlo path (CorruptionScratch: frozen table +
+  // delta-revert + reused inference scratch) against an independent
+  // reference loop: full snapshot restore per trial + a test-local flip
+  // loop over the table entries + a fresh evaluation each time. Stream
+  // derivation is the documented contract (stream = rng.next_u64(); trial
+  // t draws hash_combine(stream, 2t) / (2t+1)), so the means must agree
+  // bit for bit.
   const std::size_t trials = 3;
   const double ber = 1e-3;
   Rng fast_rng(21), ref_rng(21);
@@ -120,18 +123,118 @@ TEST_F(FaultAwareFixture, HotPathMatchesLegacySnapshotLoopBitwise) {
   const std::uint64_t stream = ref_rng.next_u64();
   snn::Network scratch = state->baseline->net;
   const std::vector<float> snapshot = state->baseline->net.weights(0);
+  const auto entries = state->injector->freeze(ber).entries();
   double sum = 0.0;
   for (std::size_t t = 0; t < trials; ++t) {
     Rng inject_rng(hash_combine(stream, 2 * t));
     Rng eval_rng(hash_combine(stream, 2 * t + 1));
     if (t != 0) scratch.weights_mut(0) = snapshot;
-    state->injector->inject(scratch.weights_mut(0), ber, inject_rng,
-                            sanitize);
+    // Test-local flip loop: Model-0 weak cells fail with probability 0.5,
+    // one draw per table entry, each flipped word range-clipped.
+    std::vector<float>& w = scratch.weights_mut(0);
+    for (const auto& e : entries) {
+      if (!inject_rng.bernoulli(error::kWeakCellFailProb)) continue;
+      w[e.word] = flip_float_bit(w[e.word], e.bit);
+      error::sanitize_weight(w[e.word], sanitize);
+    }
     sum += snn::evaluate(scratch, state->baseline->labels, state->test,
                          eval_rng);
   }
   const double reference = sum / static_cast<double>(trials);
   EXPECT_EQ(fast, reference);  // bitwise, not approximately
+}
+
+// ------------------------------------------------------ CorruptionScratch
+
+/// Bitwise equality (tells -0.0 from 0.0, compares NaN payloads).
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// corrupt() then restore() on a fresh network of the given depth, with
+/// SECDED on the output layer when `with_ecc`: while corrupted the
+/// transposed copy must mirror the row-major weights, and after restore
+/// both layouts of every layer must be bitwise the source network's.
+void expect_round_trip(const std::vector<std::size_t>& hidden,
+                       bool with_ecc) {
+  snn::NetworkConfig cfg;
+  cfg.n_inputs = 64;
+  cfg.n_neurons = 10;
+  cfg.hidden_neurons = hidden;
+  cfg.seed = 7;
+  snn::Network source(cfg);
+  source.sync_transpose();
+  const std::size_t n_layers = source.n_layers();
+
+  const auto g = dram::Geometry::lpddr3_4gb();
+  const error::SubarrayProfile profile(g, 42);
+  std::vector<std::size_t> layer_weights;
+  for (std::size_t l = 0; l < n_layers; ++l)
+    layer_weights.push_back(cfg.layer_weight_count(l));
+  const auto placements = mapping::baseline_placement_layers(g, layer_weights);
+  const double ber = 1e-2;
+  std::vector<error::FrozenInjection> frozen;
+  for (std::size_t l = 0; l < n_layers; ++l)
+    frozen.push_back(error::ErrorInjector::for_weights(
+                         g, profile, {}, placements[l], layer_weights[l], 42,
+                         ber)
+                         .freeze(ber));
+  LayerTables tables;
+  for (const auto& f : frozen) tables.push_back(&f);
+
+  error::EccSpec spec;
+  spec.kind = error::EccKind::kSecded;
+  const auto scheme = error::make_ecc_scheme(spec);
+  const std::vector<std::uint64_t> checks =
+      error::ecc_encode_buffer(*scheme, source.weights(n_layers - 1));
+  LayerEcc ecc(n_layers);
+  if (with_ecc) ecc.back() = {scheme.get(), &checks};
+
+  const error::SanitizeRange clip{cfg.stdp.w_min, kDefaultWeightClip};
+  CorruptionScratch scratch(source);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    std::vector<error::EccScrubStats> stats(n_layers);
+    EXPECT_GT(scratch.corrupt(tables, ecc, seed, clip, stats.data()), 0u);
+    snn::Network resynced = scratch.net();
+    for (std::size_t l = 0; l < n_layers; ++l) (void)resynced.weights_mut(l);
+    resynced.sync_transpose();
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      EXPECT_FALSE(same_bits(scratch.net().weights(l), source.weights(l)))
+          << "layer " << l << " was not corrupted";
+      EXPECT_TRUE(same_bits(scratch.net().weights_T(l),
+                            resynced.weights_T(l)))
+          << "layer " << l << " transpose does not mirror the corruption";
+    }
+    if (with_ecc) {
+      EXPECT_GT(stats.back().corrected, 0u);
+    }
+    scratch.restore();
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      EXPECT_TRUE(same_bits(scratch.net().weights(l), source.weights(l)))
+          << "layer " << l << " seed " << seed;
+      EXPECT_TRUE(same_bits(scratch.net().weights_T(l), source.weights_T(l)))
+          << "layer " << l << " seed " << seed;
+    }
+  }
+  // A second corrupt() before restore() would double-log: refused.
+  (void)scratch.corrupt(tables, ecc, 9, clip);
+  EXPECT_THROW((void)scratch.corrupt(tables, ecc, 9, clip),
+               ContractViolation);
+}
+
+TEST(CorruptionScratch_, RoundTripOneLayer) { expect_round_trip({}, false); }
+
+TEST(CorruptionScratch_, RoundTripOneLayerWithEcc) {
+  expect_round_trip({}, true);
+}
+
+TEST(CorruptionScratch_, RoundTripThreeLayers) {
+  expect_round_trip({24, 16}, false);
+}
+
+TEST(CorruptionScratch_, RoundTripThreeLayersWithEcc) {
+  expect_round_trip({24, 16}, true);
 }
 
 TEST_F(FaultAwareFixture, RejectsZeroTrials) {
@@ -303,6 +406,23 @@ TEST(Pipeline, RejectsEmptyVoltageList) {
   PipelineConfig cfg;
   cfg.voltages.clear();
   EXPECT_THROW((void)run_pipeline(cfg), ContractViolation);
+}
+
+TEST(Pipeline, RefusesArtifactCaptureWithEcc) {
+  // A serving artifact carries no check words and the server injects with
+  // the range clip only, so an ECC operating point cannot be exported.
+  PipelineConfig cfg;
+  cfg.network.n_neurons = 25;
+  cfg.network.seed = 42;
+  cfg.train_samples = 100;
+  cfg.test_samples = 50;
+  cfg.baseline_epochs = 1;
+  cfg.fault_training.ber_stages = {1e-5, 1e-3};
+  cfg.voltages = {1.250, 1.025};
+  cfg.ecc.kind = error::EccKind::kSecded;
+  ArtifactState artifact;
+  EXPECT_THROW((void)run_pipeline(cfg, &artifact), ContractViolation);
+  EXPECT_FALSE(artifact.model.has_value());
 }
 
 TEST(PipelineConfig_, ValidateRejectsBadVoltageGrids) {

@@ -14,6 +14,7 @@
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "error/injector.hpp"
+#include "inject_test_util.hpp"
 #include "mapping/mapping.hpp"
 #include "test_env_util.hpp"
 
@@ -116,7 +117,7 @@ TEST(Injector, ExpectedFlipRateMatchesBer) {
   const int trials = 5;
   for (int t = 0; t < trials; ++t) {
     auto w = f.weights;
-    total += static_cast<double>(inj.inject(w, ber, rng));
+    total += static_cast<double>(inj.freeze(ber).inject(w, rng));
   }
   const double measured = total / trials;
   EXPECT_NEAR(measured / expected, 1.0, 0.1);
@@ -135,7 +136,7 @@ TEST(Injector, WeakSetsAreNestedAcrossBer) {
   std::size_t prev = 0;
   for (const double ber : {1e-6, 1e-5, 1e-4, 1e-3}) {
     auto w = f.weights;
-    const auto flips = inj.inject_all_weak(w, ber);
+    const auto flips = testutil::inject_all_weak(inj, w, ber);
     EXPECT_GE(flips, prev);
     prev = flips;
   }
@@ -153,7 +154,7 @@ TEST(Injector, FlippedCellsAtLowerBerAreSubsetOfHigherBer) {
   const SanitizeRange wide{-3.4e38f, 3.4e38f};
   const auto mask_at = [&](double ber) {
     std::vector<float> w(f.n_weights, 0.0f);
-    inj.inject_all_weak(w, ber, wide);
+    testutil::inject_all_weak(inj, w, ber, wide);
     std::vector<std::uint32_t> bits(f.n_weights);
     for (std::size_t i = 0; i < f.n_weights; ++i)
       bits[i] = float_to_bits(w[i]);
@@ -178,8 +179,8 @@ TEST(Injector, SameSeedSameWeakCells) {
   const auto b = ErrorInjector::for_weights(f.g, f.profile, {}, f.placement, f.n_weights, 42,
                         1e-3);
   auto wa = f.weights, wb = f.weights;
-  (void)a.inject_all_weak(wa, 1e-3);
-  (void)b.inject_all_weak(wb, 1e-3);
+  (void)testutil::inject_all_weak(a, wa, 1e-3);
+  (void)testutil::inject_all_weak(b, wb, 1e-3);
   EXPECT_EQ(wa, wb);
 }
 
@@ -190,8 +191,8 @@ TEST(Injector, DifferentSeedDifferentWeakCells) {
   const auto b = ErrorInjector::for_weights(f.g, f.profile, {}, f.placement, f.n_weights, 43,
                         1e-3);
   auto wa = f.weights, wb = f.weights;
-  (void)a.inject_all_weak(wa, 1e-3);
-  (void)b.inject_all_weak(wb, 1e-3);
+  (void)testutil::inject_all_weak(a, wa, 1e-3);
+  (void)testutil::inject_all_weak(b, wb, 1e-3);
   EXPECT_NE(wa, wb);
 }
 
@@ -201,7 +202,7 @@ TEST(Injector, ZeroBerNeverFlips) {
                           1e-3);
   Rng rng(1);
   auto w = f.weights;
-  EXPECT_EQ(inj.inject(w, 0.0, rng), 0u);
+  EXPECT_EQ(inj.freeze(0.0).inject(w, rng), 0u);
   EXPECT_EQ(w, f.weights);
 }
 
@@ -211,7 +212,7 @@ TEST(Injector, SanitizeClampsCorruptedValues) {
                           1e-3);
   Rng rng(1);
   auto w = f.weights;
-  (void)inj.inject(w, 1e-3, rng, {0.0f, 0.4f});
+  (void)inj.freeze(1e-3).inject(w, rng, {0.0f, 0.4f});
   for (const float v : w) {
     EXPECT_GE(v, 0.0f);
     EXPECT_LE(v, 0.4f);
@@ -223,9 +224,7 @@ TEST(Injector, RejectsBerAboveMax) {
   InjectorFixture f;
   const auto inj = ErrorInjector::for_weights(f.g, f.profile, {}, f.placement, f.n_weights, 42,
                           1e-5);
-  Rng rng(1);
-  auto w = f.weights;
-  EXPECT_THROW((void)inj.inject(w, 1e-3, rng), ContractViolation);
+  EXPECT_THROW((void)inj.freeze(1e-3), ContractViolation);
 }
 
 TEST(Injector, RejectsUndersizedPlacement) {
@@ -265,12 +264,12 @@ TEST(Injector, FlipProbabilityIsHalfForWeakCells) {
   const auto inj = ErrorInjector::for_weights(f.g, f.profile, {}, f.placement, f.n_weights, 42,
                           1e-3);
   auto w_all = f.weights;
-  const auto all = inj.inject_all_weak(w_all, 1e-3);
+  const auto all = testutil::inject_all_weak(inj, w_all, 1e-3);
   Rng rng(2);
   double sum = 0.0;
   for (int t = 0; t < 10; ++t) {
     auto w = f.weights;
-    sum += static_cast<double>(inj.inject(w, 1e-3, rng));
+    sum += static_cast<double>(inj.freeze(1e-3).inject(w, rng));
   }
   EXPECT_NEAR(sum / 10.0 / static_cast<double>(all), kWeakCellFailProb, 0.05);
 }
@@ -288,7 +287,7 @@ TEST_P(ModelKinds, AllModelsProduceExpectedOrderOfFlips) {
                           ber);
   Rng rng(3);
   auto w = f.weights;
-  const auto flips = inj.inject(w, ber, rng);
+  const auto flips = inj.freeze(ber).inject(w, rng);
   const auto bits = static_cast<double>(f.n_weights) * 32.0;
   EXPECT_GT(flips, bits * ber * 0.05);
   EXPECT_LT(flips, bits * ber * 20.0);
@@ -329,7 +328,7 @@ TEST(ErrorModels, Model1ConcentratesOnBitlines) {
     const auto inj = ErrorInjector::for_weights(f.g, f.profile, spec, f.placement, f.n_weights,
                             42, 1e-3);
     auto w = f.weights;
-    (void)inj.inject_all_weak(w, 1e-3);
+    (void)testutil::inject_all_weak(inj, w, 1e-3);
     std::vector<char> hit(bitlines, 0);
     const std::uint32_t clean = float_to_bits(0.1f);
     for (std::size_t i = 0; i < w.size(); ++i) {
@@ -364,8 +363,8 @@ TEST(ErrorModels, Model3PrefersSetBits) {
   // No sanitization (lo=-inf style range wide enough): use a huge range so
   // flips are counted, not clamped away.
   const SanitizeRange wide{-3.4e38f, 3.4e38f};
-  const auto flips_ones = inj.inject(ones, 1e-3, rng, wide);
-  const auto flips_zeros = inj.inject(zeros, 1e-3, rng, wide);
+  const auto flips_ones = inj.freeze(1e-3).inject(ones, rng, wide);
+  const auto flips_zeros = inj.freeze(1e-3).inject(zeros, rng, wide);
   EXPECT_GT(flips_ones, flips_zeros * 5);
 }
 
@@ -378,65 +377,12 @@ TEST(DeltaInjection, RevertRestoresWeightsBitwise) {
   Rng rng(11);
   auto w = f.weights;
   std::vector<WeightFlip> log;
-  const auto flips = inj.inject(w, 1e-3, rng, {0.0f, 0.4f}, &log);
+  const auto flips = inj.freeze(1e-3).inject(w, rng, {0.0f, 0.4f}, &log);
   ASSERT_GT(flips, 0u);
   EXPECT_EQ(flips, log.size());
   EXPECT_NE(w, f.weights);
   revert_flips(w, log);
   EXPECT_EQ(w, f.weights);  // exact pre-injection bit patterns
-}
-
-TEST(DeltaInjection, LoggingDoesNotChangeTheInjection) {
-  InjectorFixture f;
-  const auto inj = ErrorInjector::for_weights(f.g, f.profile, {}, f.placement,
-                                              f.n_weights, 42, 1e-3);
-  Rng a(12), b(12);
-  auto wa = f.weights, wb = f.weights;
-  std::vector<WeightFlip> log;
-  const auto na = inj.inject(wa, 1e-3, a);
-  const auto nb = inj.inject(wb, 1e-3, b, {}, &log);
-  EXPECT_EQ(na, nb);
-  EXPECT_EQ(wa, wb);
-}
-
-TEST(FrozenInjection_, MatchesLegacyInjectBitwise) {
-  // The frozen table must replay the exact legacy behaviour at its BER:
-  // same flips, same resulting weights, same Rng consumption (the streams
-  // must stay aligned for bit-identical Monte-Carlo trials).
-  InjectorFixture f;
-  const auto inj = ErrorInjector::for_weights(f.g, f.profile, {}, f.placement,
-                                              f.n_weights, 42, 1e-3);
-  for (const double ber : {1e-5, 1e-4, 1e-3}) {
-    const auto frozen = inj.freeze(ber);
-    Rng a(13), b(13);
-    auto wa = f.weights, wb = f.weights;
-    const auto na = inj.inject(wa, ber, a, {0.0f, 0.4f});
-    const auto nb = frozen.inject(wb, b, {0.0f, 0.4f});
-    EXPECT_EQ(na, nb) << "ber " << ber;
-    EXPECT_EQ(wa, wb) << "ber " << ber;
-    EXPECT_EQ(a.next_u64(), b.next_u64()) << "Rng streams diverged";
-  }
-}
-
-TEST(FrozenInjection_, Model3MatchesLegacyInjectBitwise) {
-  // Model-3 decides per stored bit value, so the frozen path must read the
-  // same current bits in the same order.
-  InjectorFixture f;
-  ErrorModelSpec spec;
-  spec.kind = ErrorModelKind::kModel3DataDependent;
-  spec.p1 = 0.9;
-  spec.p0 = 0.1;
-  const auto inj = ErrorInjector::for_weights(f.g, f.profile, spec,
-                                              f.placement, f.n_weights, 42,
-                                              1e-3);
-  const auto frozen = inj.freeze(1e-3);
-  Rng a(14), b(14);
-  auto wa = f.weights, wb = f.weights;
-  const auto na = inj.inject(wa, 1e-3, a, {0.0f, 0.4f});
-  const auto nb = frozen.inject(wb, b, {0.0f, 0.4f});
-  EXPECT_EQ(na, nb);
-  EXPECT_EQ(wa, wb);
-  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 TEST(FrozenInjection_, TablesAreNestedAcrossBer) {
@@ -475,7 +421,7 @@ TEST(FrozenInjection_, DeltaRoundTripThroughTheTable) {
 
 TEST(FrozenInjection_, CarriesRetentionCandidatesAtAnyBer) {
   // Retention-weak cells are below every BER threshold, so a table frozen
-  // at BER 0 still injects them — same composition rule as inject().
+  // at BER 0 still injects them.
   InjectorFixture f;
   ErrorModelSpec spec;
   spec.retention.enabled = true;
@@ -486,10 +432,10 @@ TEST(FrozenInjection_, CarriesRetentionCandidatesAtAnyBer) {
   const auto frozen = inj.freeze(0.0);
   EXPECT_EQ(frozen.size(), inj.retention_candidate_count());
   EXPECT_GT(frozen.size(), 0u);
-  Rng a(16), b(16);
-  auto wa = f.weights, wb = f.weights;
-  EXPECT_EQ(inj.inject(wa, 0.0, a), frozen.inject(wb, b));
-  EXPECT_EQ(wa, wb);
+  Rng rng(16);
+  auto w = f.weights;
+  EXPECT_GT(frozen.inject(w, rng), 0u);
+  EXPECT_NE(w, f.weights);
 }
 
 // ----------------------------------------------------------------- retention
@@ -581,7 +527,7 @@ TEST(Retention, WeakSetsAreNestedAcrossMultipliers) {
         f.g, f.profile, spec_with_retention(multiplier), f.placement,
         f.n_weights, 42, 1e-12);
     auto w = f.weights;
-    (void)inj.inject_all_weak(w, 1e-12);
+    (void)testutil::inject_all_weak(inj, w, 1e-12);
     std::vector<std::size_t> idx;
     for (std::size_t i = 0; i < w.size(); ++i)
       if (w[i] != f.weights[i]) idx.push_back(i);
@@ -611,8 +557,8 @@ TEST(Retention, ComposesWithVoltageWeakCellsWithoutDuplicates) {
   // cancel pairwise and undercount). The full-float range keeps the
   // sanitizer from clamping extra bits away.
   auto w = f.weights;
-  const auto flips = composed.inject_all_weak(
-      w, 1e-3,
+  const auto flips = testutil::inject_all_weak(
+      composed, w, 1e-3,
       {-std::numeric_limits<float>::max(), std::numeric_limits<float>::max()});
   std::size_t changed_bits = 0;
   for (std::size_t i = 0; i < w.size(); ++i)
@@ -631,7 +577,7 @@ TEST(Retention, RetentionCellsFlipAtAnyInjectionBer) {
       42, 0.0);
   EXPECT_GT(inj.retention_candidate_count(), 0u);
   auto w = f.weights;
-  const auto flips = inj.inject_all_weak(w, 0.0);
+  const auto flips = testutil::inject_all_weak(inj, w, 0.0);
   EXPECT_EQ(flips, inj.retention_candidate_count());
 }
 

@@ -11,6 +11,7 @@
 #include "energy/power_model.hpp"
 #include "energy/voltage_model.hpp"
 #include "error/injector.hpp"
+#include "inject_test_util.hpp"
 #include "mapping/mapping.hpp"
 
 namespace sparkxd {
@@ -66,7 +67,7 @@ TEST(Integration, BerModelVoltagesMatchInjectionSeverity) {
     const double ber = bm.ber(v);
     const auto inj = error::ErrorInjector::for_weights(g, profile, {}, place, n_weights, 9, ber);
     auto w = weights;
-    const auto flips = inj.inject_all_weak(w, ber);
+    const auto flips = testutil::inject_all_weak(inj, w, ber);
     EXPECT_GT(flips, prev);
     prev = flips;
   }

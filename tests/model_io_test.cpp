@@ -287,6 +287,36 @@ TEST_F(ModelIoTest, RejectsNonFiniteWeightsThetasAndBiases) {
   EXPECT_NO_THROW((void)load_model(path_));
 }
 
+TEST_F(ModelIoTest, RejectsWeightsThatCouldOverflowTheFxAccumulator) {
+  // The event-fx kernel sums |w| * 2^16 over a layer's fan-in in an int64;
+  // a finite weight with |w| * 2^16 * fan_in >= 2^62 is refused at load.
+  save_model(*model_, path_);
+  const auto pristine = file_bytes(path_);
+  const auto size = static_cast<std::streamoff>(pristine.size());
+  const auto n = static_cast<std::streamoff>(model_->labels.label.size());
+  const auto n_w = static_cast<std::streamoff>(model_->net.weights(0).size());
+  const std::streamoff first_bias = size - 8 - 8 - 8 * n;
+  const std::streamoff first_theta = first_bias - 8 - 4 * n - 8 - 4 * n;
+  const std::streamoff first_weight = first_theta - 8 - 4 * n_w;
+  const double fan_in =
+      static_cast<double>(model_->net.config().layer_inputs(0));
+  const float limit = static_cast<float>(0x1p62 / (0x1p16 * fan_in));
+  const auto restore = [&] {
+    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+    os.write(pristine.data(), static_cast<std::streamsize>(pristine.size()));
+  };
+  for (const float bad : {limit * 1.01f, -limit * 1.01f, 1e30f,
+                          std::numeric_limits<float>::max()}) {
+    patch_file(path_, first_weight + 4 * 7, bad);
+    EXPECT_THROW((void)load_model(path_), ContractViolation) << bad;
+    restore();
+  }
+  // Just under the bound still loads.
+  patch_file(path_, first_weight + 4 * 7, limit * 0.99f);
+  EXPECT_NO_THROW((void)load_model(path_));
+  restore();
+}
+
 TEST_F(ModelIoTest, RejectsCorruptShape) {
   save_model(*model_, path_);
   // Corrupt the stored n_neurons field (offset: magic 4 + version 4 +

@@ -16,6 +16,7 @@
 #include "common/parallel.hpp"
 #include "core/pipeline.hpp"
 #include "error/injector.hpp"
+#include "inject_test_util.hpp"
 #include "mapping/mapping.hpp"
 #include "test_env_util.hpp"
 
@@ -193,7 +194,7 @@ TEST(ParallelDeterminism, InjectorEnumerationIsThreadCountInvariant) {
     const auto inj = error::ErrorInjector::for_weights(g, profile, {}, place,
                                                        n_weights, 42, 1e-3);
     std::vector<float> w(n_weights, 0.0f);
-    inj.inject_all_weak(w, 1e-3, {-1e30f, 1e30f});
+    testutil::inject_all_weak(inj, w, 1e-3, {-1e30f, 1e30f});
     std::vector<std::uint32_t> bits(n_weights);
     for (std::size_t i = 0; i < n_weights; ++i) bits[i] = float_to_bits(w[i]);
     return std::pair{inj.candidate_count(), bits};

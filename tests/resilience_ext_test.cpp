@@ -92,7 +92,8 @@ TEST(ByteInjection, FlipRateMatchesFloatPath) {
   const error::ErrorInjector inj(g, profile, {}, place, n_bytes, 11, 1e-3);
   Rng rng(3);
   std::vector<std::uint8_t> buf(n_bytes, 0x55);
-  const auto flips = inj.inject_bytes(buf.data(), buf.size(), 1e-3, rng);
+  const auto flips =
+      inj.freeze(1e-3).inject_bytes(buf.data(), buf.size(), rng);
   EXPECT_NEAR(static_cast<double>(flips) / inj.expected_flips(1e-3), 1.0,
               0.15);
 }
@@ -106,7 +107,8 @@ TEST(ByteInjection, FlippedBitsMatchHammingDistance) {
   const error::ErrorInjector inj(g, profile, {}, place, n_bytes, 12, 1e-3);
   Rng rng(4);
   std::vector<std::uint8_t> buf(n_bytes, 0x00);
-  const auto flips = inj.inject_bytes(buf.data(), buf.size(), 1e-3, rng);
+  const auto flips =
+      inj.freeze(1e-3).inject_bytes(buf.data(), buf.size(), rng);
   std::size_t ones = 0;
   for (const auto b : buf)
     ones += static_cast<std::size_t>(std::popcount(unsigned{b}));
@@ -114,30 +116,26 @@ TEST(ByteInjection, FlippedBitsMatchHammingDistance) {
 }
 
 TEST(ByteInjection, SameWeakCellsAsFloatPath) {
-  // Injecting all weak cells via the byte path and via the FP32 path must
-  // corrupt exactly the same stored bits (same physical cells).
+  // One table, one Rng seed: the byte path over the FP32 payload's bytes
+  // must flip exactly the bits the float path flips (same entries, same
+  // order, one draw per entry) and leave the Rng in the same state.
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, 13);
   const std::size_t n_weights = 50000;
   const auto place = mapping::baseline_placement(g, n_weights);
-  const auto inj = error::ErrorInjector::for_weights(g, profile, {}, place,
-                                                     n_weights, 13, 1e-3);
+  const auto frozen = error::ErrorInjector::for_weights(
+                          g, profile, {}, place, n_weights, 13, 1e-3)
+                          .freeze(1e-3);
   std::vector<float> wf(n_weights, 0.1f);
-  (void)inj.inject_all_weak(wf, 1e-3, {-1e30f, 1e30f});  // wide: no clamping
-  // Byte path over the same payload, all weak cells via a forced-decide rng
-  // is not exposed; emulate by comparing against the float result bitwise.
   std::vector<std::uint8_t> bytes(n_weights * sizeof(float));
-  const float clean = 0.1f;
-  for (std::size_t i = 0; i < n_weights; ++i)
-    std::memcpy(bytes.data() + i * 4, &clean, 4);
-  // inject_bytes is probabilistic; run the float injection's deterministic
-  // variant and check every flipped float differs from clean in >= 1 bit
-  // that a weak cell could own (structural consistency check).
-  std::size_t flipped_weights = 0;
-  for (std::size_t i = 0; i < n_weights; ++i)
-    if (wf[i] != clean) ++flipped_weights;
-  EXPECT_GT(flipped_weights, 0u);
-  EXPECT_LE(flipped_weights, inj.candidate_count());
+  std::memcpy(bytes.data(), wf.data(), bytes.size());
+  Rng a(5), b(5);
+  const auto nf = frozen.inject(wf, a, error::SanitizeRange::raw());
+  const auto nb = frozen.inject_bytes(bytes.data(), bytes.size(), b);
+  EXPECT_GT(nf, 0u);
+  EXPECT_EQ(nf, nb);
+  EXPECT_EQ(std::memcmp(bytes.data(), wf.data(), bytes.size()), 0);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
 }
 
 }  // namespace

@@ -211,6 +211,17 @@ TEST(Network, DeltaMirrorEqualsFullResync) {
   EXPECT_EQ(full.weights_T(0), delta.weights_T(0));
 }
 
+TEST(Network, MirrorWeightRejectsOutOfRangeIndex) {
+  const auto cfg = tiny_config();
+  Network net(cfg);
+  net.sync_transpose();
+  const std::size_t n = cfg.n_inputs * cfg.n_neurons;
+  EXPECT_NO_THROW(net.mirror_weight(0, n - 1));
+  EXPECT_THROW(net.mirror_weight(0, n), ContractViolation);
+  EXPECT_THROW(net.mirror_weight(0, n + cfg.n_inputs), ContractViolation);
+  EXPECT_TRUE(net.transpose_synced());
+}
+
 TEST(Network, ReusedStateMatchesFreshStateBitwise) {
   // One InferenceState reused across samples must give the same spike
   // counts and consume the same Rng stream as a fresh state per sample.
