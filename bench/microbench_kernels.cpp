@@ -72,12 +72,18 @@ void BM_NetworkInference(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkInference)->Arg(400)->Arg(1600);
 
+// Arg 0: refresh off; Arg 1: nominal cadence, so every command dodges the
+// REF windows.
 void BM_ControllerStreaming(benchmark::State& state) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const std::size_t n_weights = 784 * 400;
   const auto place = mapping::baseline_placement(g, n_weights);
   const auto trace = mapping::streaming_read_trace(g, place, n_weights);
-  dram::Controller c(g, dram::TimingParams::lpddr3_1600());
+  const bool refresh = state.range(0) != 0;
+  dram::Controller c(g, dram::TimingParams::lpddr3_1600(), false,
+                     refresh ? dram::RefreshPolicy::nominal()
+                             : dram::RefreshPolicy::disabled());
+  state.SetLabel(refresh ? "nominal refresh" : "refresh off");
   for (auto _ : state) {
     auto stats = c.run(trace);
     benchmark::DoNotOptimize(&stats);
@@ -85,7 +91,7 @@ void BM_ControllerStreaming(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(trace.size()));
 }
-BENCHMARK(BM_ControllerStreaming);
+BENCHMARK(BM_ControllerStreaming)->Arg(0)->Arg(1);
 
 // Arg 0-3: Models 0-3; Arg 4: Model-0 plus retention failures at an 8x
 // refresh interval.

@@ -1,12 +1,18 @@
 #include "core/fault_aware.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 
 namespace sparkxd::core {
+
+void require_weight_clip(float weight_clip, float w_min) {
+  SPARKXD_REQUIRE(std::isfinite(weight_clip) && weight_clip > w_min,
+                  "weight clip must be finite and exceed the weight floor");
+}
 
 CorruptionScratch::CorruptionScratch(snn::Network net)
     : net_(std::move(net)), state_(net_), flips_(net_.n_layers()) {
@@ -141,6 +147,7 @@ double evaluate_corrupted_ecc(const snn::Network& net,
                               const data::Dataset& test, Rng& rng,
                               std::size_t trials, float weight_clip,
                               std::vector<EccScrubTotals>* totals) {
+  require_weight_clip(weight_clip, net.config().stdp.w_min);
   // The flip candidates at this BER are the same for every trial: freeze
   // them once per corrupted layer and share the tables read-only across
   // the whole fan-out.
@@ -173,6 +180,7 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   const std::size_t n_layers = baseline.net.n_layers();
   SPARKXD_REQUIRE(injectors.size() == n_layers,
                   "need one injector slot per network layer");
+  require_weight_clip(cfg.weight_clip, baseline.net.config().stdp.w_min);
 
   const double target = baseline.clean_accuracy - cfg.accuracy_bound;
   const error::SanitizeRange sanitize{baseline.net.config().stdp.w_min,
@@ -203,23 +211,18 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
       inject_all(model_temp.net, false);
       snn::train_epoch(model_temp.net, train, rng);
     }
-    // Re-label (receptive fields move during retraining). When configured,
-    // the calibration pass itself runs on corrupted weights, as it would on
+    // Re-label (receptive fields move during retraining). The calibration
+    // pass (neuron labels + bias) runs on corrupted weights, as it would on
     // the deployed approximate DRAM — neurons inflated by their weak cells
     // then carry a high bias and are discounted by the vote at inference.
     // Labelling leaves the weights alone, so reverting the flip log
     // restores them exactly.
-    if (cfg.calibrate_under_errors) {
-      inject_all(model_temp.net, true);
-      model_temp.labels = snn::label_neurons(model_temp.net, train, rng);
-      for (std::size_t l = 0; l < n_layers; ++l) {
-        if (tables[l] == nullptr) continue;
-        error::revert_flips(model_temp.net.weights_mut(l),
-                            calibration_flips[l]);
-        calibration_flips[l].clear();
-      }
-    } else {
-      model_temp.labels = snn::label_neurons(model_temp.net, train, rng);
+    inject_all(model_temp.net, true);
+    model_temp.labels = snn::label_neurons(model_temp.net, train, rng);
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      if (tables[l] == nullptr) continue;
+      error::revert_flips(model_temp.net.weights_mut(l), calibration_flips[l]);
+      calibration_flips[l].clear();
     }
     // Test under corruption at this stage's rate (lines 8-9).
     const double acc = evaluate_frozen(

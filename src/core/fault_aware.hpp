@@ -44,14 +44,14 @@ struct FaultTrainingConfig {
   double accuracy_bound = 0.01;
   /// Injections of fresh error draws per accuracy evaluation (averaged).
   std::size_t eval_trials = 1;
-  /// Range-clipping bound applied when corrupted weights are loaded.
+  /// Range-clipping bound applied when corrupted weights are loaded; must
+  /// be finite and above the STDP weight floor (see require_weight_clip).
   float weight_clip = kDefaultWeightClip;
-  /// Calibrate the readout (neuron labels + bias) on corrupted weights —
-  /// the deployed labelling pass runs against the approximate DRAM, so
-  /// neurons inflated by their weak cells carry high bias and are
-  /// discounted by the vote.
-  bool calibrate_under_errors = true;
 };
+
+/// Throws ContractViolation unless `weight_clip` is finite and exceeds
+/// `w_min`: the clip range [w_min, weight_clip] must be non-empty.
+void require_weight_clip(float weight_clip, float w_min);
 
 /// One (BER, accuracy) point of an error-tolerance curve.
 struct TolerancePoint {

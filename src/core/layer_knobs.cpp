@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 #include "core/pipeline.hpp"
-#include "dram/controller.hpp"
 #include "energy/ber_model.hpp"
 #include "energy/power_model.hpp"
 #include "energy/voltage_model.hpp"
@@ -79,16 +77,16 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
   // Check storage depends on the code, so each rung lays the module out with
   // its own stored sizes (the cheap baseline walk — candidate ranking needs
   // a consistent traffic model, not the operating-BER-dependent Algorithm-2
-  // assignment). Each layer's rows under rung k become the candidate
-  // RefreshRegion for every (v, m) pair at that rung.
+  // assignment). The share of module rows each layer occupies under rung k
+  // scales the refresh charge of every (v, m) candidate at that rung.
   const auto ladder_specs = error::ecc_escalation_ladder(in.ecc);
   const std::size_t n_rungs = ladder_specs.size();
   std::vector<std::unique_ptr<error::EccScheme>> schemes;
   schemes.reserve(n_rungs);
   std::vector<std::vector<std::size_t>> stored(n_rungs);
   std::vector<std::vector<error::ChunkPlacement>> places(n_rungs);
-  std::vector<std::vector<std::vector<std::uint64_t>>> rows(n_rungs);
   std::vector<std::vector<double>> row_fraction(n_rungs);
+  std::vector<std::uint64_t> rows;
   const double total_rows =
       static_cast<double>(in.geometry.total_subarrays()) *
       static_cast<double>(in.geometry.rows_per_subarray);
@@ -100,16 +98,17 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
                      error::ecc_check_float_equiv(*schemes[k],
                                                   in.layer_weights[l]);
     places[k] = mapping::baseline_placement_layers(in.geometry, stored[k]);
-    rows[k].resize(n_layers);
     row_fraction[k].resize(n_layers);
     for (std::size_t l = 0; l < n_layers; ++l) {
-      auto& r = rows[k][l];
-      r.reserve(places[k][l].size());
+      rows.clear();
       for (const auto& addr : places[k][l])
-        r.push_back(dram::region_row_id(in.geometry, addr));
-      std::sort(r.begin(), r.end());
-      r.erase(std::unique(r.begin(), r.end()), r.end());
-      row_fraction[k][l] = static_cast<double>(r.size()) / total_rows;
+        rows.push_back(dram::bank_id(in.geometry, addr) *
+                           in.geometry.rows_per_bank() +
+                       dram::bank_row(in.geometry, addr));
+      std::sort(rows.begin(), rows.end());
+      const auto last = std::unique(rows.begin(), rows.end());
+      row_fraction[k][l] =
+          static_cast<double>(last - rows.begin()) / total_rows;
     }
   }
 
@@ -144,30 +143,18 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
         in.layer_met_target[l] && th > 0.0 && eval.raw_ber <= eval.tolerable_ber;
 
     // Energy: stream the layer's stored weights (payload + check bits) once
-    // through its region, commands dodging the region's own REF cadence;
-    // the refresh charge is the per-region term (REFs x row fraction), not
-    // a module-wide REF bill — other layers' regions are billed by their
-    // own candidates.
-    const auto timing = voltage_model.derive_timings(v);
-    dram::RefreshRegions plan;
-    plan.regions.push_back({candidate_policy(m), rows[ki][l]});
-    dram::Controller controller(in.geometry, timing, in.salp,
-                                std::move(plan));
-    const auto trace = mapping::streaming_read_trace(
-        in.geometry, places[ki][l], stored[ki][l]);
-    auto stats = controller.run(trace, kBurstArrivalNs);
-    std::size_t codewords = 0;
-    if (ladder_specs[ki].enabled()) {
-      codewords = error::ecc_codeword_count(scheme, in.layer_weights[l]);
-      stats.total_time_ns +=
-          static_cast<double>(codewords) * scheme.decode_latency_ns();
-    }
-    auto energy = power_model.trace_energy(stats, v);
+    // at the candidate cadence. The refresh charge covers only the layer's
+    // own rows (REFs x row fraction), not a module-wide REF bill — other
+    // layers are billed by their own candidates.
+    const EccStreamOverhead overhead{
+        error::ecc_codeword_count(scheme, in.layer_weights[l]),
+        scheme.decode_latency_ns(), scheme.decode_energy_nj()};
+    const bool ecc = ladder_specs[ki].enabled();
+    auto [stats, energy] = weight_stream_energy(
+        in.geometry, places[ki][l], stored[ki][l], v, voltage_model,
+        power_model, in.salp, candidate_policy(m), ecc ? &overhead : nullptr);
     energy.refresh_nj = power_model.region_refresh_energy_nj(
-        stats.region_refreshes.empty() ? 0 : stats.region_refreshes[0],
-        row_fraction[ki][l], v);
-    energy.ecc_nj =
-        static_cast<double>(codewords) * scheme.decode_energy_nj();
+        stats.refreshes, row_fraction[ki][l], v);
     eval.energy_nj = energy.total_nj();
     table[slot(l, vi, mi, ki)] = eval;
   });
@@ -201,13 +188,15 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
     c.energy_nj = eval.energy_nj;
     c.meets_floor = feasible;
     // Weak cells the chosen cadence actually produces in the layer's rows
-    // (deterministic per-cell enumeration; consumes no Rng).
+    // (deterministic per-cell enumeration; consumes no Rng). Retention
+    // candidates do not depend on max_ber; at 0 no voltage candidate is
+    // stored or sorted.
     error::ErrorModelSpec spec = in.error_model;
     spec.retention.enabled = true;
     spec.retention.interval_multiplier = c.refresh_multiplier;
     const auto injector = error::ErrorInjector::for_weights(
         in.geometry, *in.profile, spec, places[ki][l], in.layer_weights[l],
-        in.seed, std::max(c.module_ber, 1e-12));
+        in.seed, 0.0);
     c.retention_weak_cells = injector.retention_candidate_count();
     return c;
   };

@@ -15,15 +15,16 @@
 // (baseline accuracy - accuracy_bound), so "meets the floor" is exactly
 // "post-correction residual BER <= BER_th".
 //
-// Candidate energy is a real controller simulation: the layer's rows form
-// one dram::RefreshRegion at the candidate cadence (commands dodge that
-// region's REF windows only) and the refresh charge is the power model's
-// per-region term — REF commands scaled by the fraction of module rows the
-// region actually retires. The search is deterministic and consumes no Rng:
-// candidates are evaluated with parallel_for into a preallocated table and
-// the winner is chosen by a value-based total order (energy, then higher
-// voltage, then lower multiplier, then weaker code), so the result is
-// invariant to thread count AND to candidate-enumeration order.
+// Candidate energy is one core::weight_stream_energy call: the layer's
+// stored weights stream through a controller running the candidate cadence,
+// with the code's decode time and energy added. The refresh charge is then
+// the power model's per-layer term — the run's REF commands scaled by the
+// fraction of module rows the layer occupies, not a module-wide REF bill.
+// The search is deterministic and consumes no Rng: candidates are
+// evaluated with parallel_for into a preallocated table and the winner is
+// chosen by a value-based total order (energy, then higher voltage, then
+// lower multiplier, then weaker code), so the result is invariant to thread
+// count AND to candidate-enumeration order.
 
 #include <cstdint>
 #include <optional>
@@ -54,7 +55,7 @@ struct LayerKnobsConfig {
 struct LayerKnobChoice {
   double v_supply = 0.0;
   double module_ber = 0.0;          ///< voltage-axis BER at v_supply
-  double refresh_multiplier = 1.0;  ///< tREFI multiplier of the layer region
+  double refresh_multiplier = 1.0;  ///< tREFI multiplier of the layer's rows
   error::EccSpec ecc;               ///< assigned code (may be the base spec)
   std::string ecc_scheme;           ///< scheme name, e.g. "secded(72,64)"
   double raw_ber = 0.0;        ///< voltage BER composed with retention p_fail

@@ -33,34 +33,9 @@ Controller::Controller(const Geometry& geometry, const TimingParams& timing,
   banks_.resize(salp_ ? n_banks * geom_.subarrays_per_bank : n_banks);
 }
 
-Controller::Controller(const Geometry& geometry, const TimingParams& timing,
-                       bool subarray_level_parallelism, RefreshRegions regions)
-    : Controller(geometry, timing, subarray_level_parallelism, regions.base) {
-  region_refi_ns_.reserve(regions.regions.size());
-  for (std::size_t r = 0; r < regions.regions.size(); ++r) {
-    const auto& region = regions.regions[r];
-    region.policy.validate(timing_);
-    region_refi_ns_.push_back(region.policy.simulated()
-                                  ? region.policy.effective_refi_ns(timing_)
-                                  : 0.0);
-    for (const auto row : region.rows) {
-      const bool inserted = row_region_.emplace(row, r).second;
-      SPARKXD_REQUIRE(inserted,
-                      "refresh regions must have disjoint row sets");
-    }
-  }
-}
-
 std::size_t Controller::buffer_index(const Address& a) const {
   const auto bank = bank_id(geom_, a);
   return salp_ ? bank * geom_.subarrays_per_bank + a.subarray : bank;
-}
-
-double Controller::refi_for(const Address& a) const {
-  if (region_refi_ns_.empty()) return refi_eff_ns_;
-  const auto it = row_region_.find(region_row_id(geom_, a));
-  return it == row_region_.end() ? refi_eff_ns_
-                                 : region_refi_ns_[it->second];
 }
 
 void Controller::reset_state() {
@@ -77,24 +52,20 @@ RowBufferOutcome Controller::classify(const Access& access) const {
              : RowBufferOutcome::kConflict;
 }
 
-double Controller::next_outside(double t_ns, double refi_ns) const {
-  if (refi_ns <= 0.0) return t_ns;
-  double k = std::floor(t_ns / refi_ns);
+double Controller::next_outside_refresh(double t_ns) const {
+  if (refi_eff_ns_ <= 0.0) return t_ns;
+  double k = std::floor(t_ns / refi_eff_ns_);
   // An instant exactly on a window boundary ties with the REF that starts
   // there; the REF wins. Compare against the *product* — the quotient above
   // may round to just under the integer, which would otherwise let a command
   // issue at the very instant REF k+1 begins.
-  if (t_ns >= (k + 1.0) * refi_ns) k += 1.0;
+  if (t_ns >= (k + 1.0) * refi_eff_ns_) k += 1.0;
   if (k < 1.0) return t_ns;  // first REF fires at tREFI_eff
-  const double window_start = k * refi_ns;
+  const double window_start = k * refi_eff_ns_;
   // tRFC < tREFI_eff (validated), so the pushed instant cannot land inside
   // the next window.
   return t_ns < window_start + timing_.t_rfc ? window_start + timing_.t_rfc
                                              : t_ns;
-}
-
-double Controller::next_outside_refresh(double t_ns) const {
-  return next_outside(t_ns, refi_eff_ns_);
 }
 
 TraceStats Controller::run(const AccessTrace& trace,
@@ -119,10 +90,6 @@ TraceStats Controller::run(const AccessTrace& trace,
     const auto outcome = classify(access);
     const double arrival =
         arrival_interval_ns * static_cast<double>(index++);
-    // Commands to this access dodge the REF windows of *its row's* cadence
-    // (the region's, or the base policy's). Single-policy mode resolves to
-    // refi_eff_ns_ for every access, reproducing the global schedule.
-    const double refi = refi_for(access.addr);
     AccessTiming timing_row;
     timing_row.outcome = outcome;
 
@@ -136,12 +103,10 @@ TraceStats Controller::run(const AccessTrace& trace,
         ++stats.conflicts;
         // PRE may only issue tRAS after the open row's ACT — and never
         // inside a refresh window.
-        const double pre_at = next_outside(
-            std::max({bank.ready_ns, arrival, bank.act_ns + timing_.t_ras}),
-            refi);
-        const double act_at = next_outside(
-            std::max(pre_at + timing_.t_rp, last_act_ns_ + timing_.t_rrd),
-            refi);
+        const double pre_at = next_outside_refresh(
+            std::max({bank.ready_ns, arrival, bank.act_ns + timing_.t_ras}));
+        const double act_at = next_outside_refresh(
+            std::max(pre_at + timing_.t_rp, last_act_ns_ + timing_.t_rrd));
         ++stats.precharges;
         ++stats.activates;
         bank.act_ns = act_at;
@@ -153,9 +118,8 @@ TraceStats Controller::run(const AccessTrace& trace,
       }
       case RowBufferOutcome::kMiss: {
         ++stats.misses;
-        const double act_at = next_outside(
-            std::max({bank.ready_ns, arrival, last_act_ns_ + timing_.t_rrd}),
-            refi);
+        const double act_at = next_outside_refresh(
+            std::max({bank.ready_ns, arrival, last_act_ns_ + timing_.t_rrd}));
         ++stats.activates;
         bank.act_ns = act_at;
         last_act_ns_ = act_at;
@@ -174,7 +138,7 @@ TraceStats Controller::run(const AccessTrace& trace,
     // touches the schedule when the command actually lands in one, so the
     // refresh-free arithmetic stays bit-identical.
     double data_start = std::max(cmd_ready + timing_.t_cl, bus_ready_ns_);
-    const double rd_at = next_outside(data_start - timing_.t_cl, refi);
+    const double rd_at = next_outside_refresh(data_start - timing_.t_cl);
     if (rd_at > data_start - timing_.t_cl) data_start = rd_at + timing_.t_cl;
     const double data_end = data_start + timing_.t_burst;
     bus_ready_ns_ = data_end;
@@ -202,19 +166,10 @@ TraceStats Controller::run(const AccessTrace& trace,
   stats.total_time_ns = makespan;
   // All-bank REFs at k * tREFI_eff for k = 1 .. floor(makespan / tREFI_eff)
   // fell within the trace (the same counting the legacy makespan-based
-  // refresh-energy estimate uses). In region mode each region additionally
-  // refreshes at its own cadence; per-region counts feed the power model's
-  // row-fraction-scaled refresh charge (region_refresh_energy_nj).
+  // refresh-energy estimate uses).
   if (refi_eff_ns_ > 0.0 && makespan > 0.0)
     stats.refreshes =
         static_cast<std::uint64_t>(std::floor(makespan / refi_eff_ns_));
-  if (!region_refi_ns_.empty() && makespan > 0.0) {
-    stats.region_refreshes.resize(region_refi_ns_.size(), 0);
-    for (std::size_t r = 0; r < region_refi_ns_.size(); ++r)
-      if (region_refi_ns_[r] > 0.0)
-        stats.region_refreshes[r] = static_cast<std::uint64_t>(
-            std::floor(makespan / region_refi_ns_[r]));
-  }
   return stats;
 }
 

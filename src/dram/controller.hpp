@@ -9,20 +9,22 @@
 // per-bank ready times), which is exact for in-order single-request-stream
 // workloads like streaming weight reads.
 //
-// Auto-refresh: under a simulated RefreshPolicy the controller schedules one
-// all-bank REF every effective tREFI (tREFI x the policy's multiplier). REF
-// k occupies the whole device for [k*tREFI_eff, k*tREFI_eff + tRFC): no
-// ACT, PRE, or column command may issue inside that window, so every command
-// instant is pushed past the window it lands in. Row buffers are restored
+// Auto-refresh: a controller runs under exactly one RefreshPolicy. When it is
+// simulated the controller schedules one all-bank REF every effective tREFI
+// (tREFI x the policy's multiplier). REF k occupies the whole device for
+// [k*tREFI_eff, k*tREFI_eff + tRFC): no ACT, PRE, or column command may
+// issue inside that window, so every command instant is pushed past the
+// window it lands in. Row buffers are restored
 // after the REF (the controller is assumed to reopen the rows at no modelled
 // cost) — a deliberate simplification that keeps row-buffer classification a
 // pure function of the address stream, which classify() and the
 // classify-vs-run differential tests rely on. The dominant timing cost of
 // refresh — a tRFC stall every tREFI, ~1.7% of time at the nominal cadence —
-// is captured exactly.
+// is captured exactly. A per-layer cadence (core::assign_layer_knobs) is one
+// run per candidate policy; the power model then scales the REF charge by the
+// share of module rows the layer occupies.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dram/geometry.hpp"
@@ -30,33 +32,6 @@
 #include "dram/trace.hpp"
 
 namespace sparkxd::dram {
-
-/// One refresh region: a set of global row ids (bank_id * rows_per_bank +
-/// bank-level row, see region_row_id) that share a RefreshPolicy. Per-layer
-/// error-aware mapping keeps layer regions disjoint at row granularity, so a
-/// region is exactly one layer's footprint — EnforceSNN's "less tolerant
-/// layers live in shorter-refresh regions" realized as per-region REF
-/// cadences instead of one module-wide multiplier.
-struct RefreshRegion {
-  RefreshPolicy policy;
-  std::vector<std::uint64_t> rows;  ///< global row ids; disjoint across regions
-};
-
-/// A module-wide refresh plan: `base` covers every row not claimed by a
-/// region (and defines whether unclaimed rows are refreshed at all), each
-/// region overrides the cadence for its own rows. Commands to a row dodge
-/// the REF windows of *that row's* region only — per-region REF retires one
-/// region's rows, not the whole device, so other regions' traffic proceeds.
-struct RefreshRegions {
-  RefreshPolicy base = RefreshPolicy::disabled();
-  std::vector<RefreshRegion> regions;
-};
-
-/// Global row id used by RefreshRegion::rows.
-[[nodiscard]] inline std::uint64_t region_row_id(const Geometry& g,
-                                                 const Address& a) {
-  return bank_id(g, a) * g.rows_per_bank() + bank_row(g, a);
-}
 
 /// Simulates a trace and produces timing + row-buffer statistics.
 class Controller {
@@ -72,13 +47,6 @@ class Controller {
   Controller(const Geometry& geometry, const TimingParams& timing,
              bool subarray_level_parallelism = false,
              RefreshPolicy refresh = RefreshPolicy::disabled());
-
-  /// Per-region refresh: rows listed in `regions` follow their region's
-  /// cadence, every other row follows `regions.base`. A plan with no regions
-  /// behaves bit-identically to the single-policy constructor with
-  /// `regions.base`. Region row sets must be disjoint (throws otherwise).
-  Controller(const Geometry& geometry, const TimingParams& timing,
-             bool subarray_level_parallelism, RefreshRegions regions);
 
   /// Classifies and times every access in order. Resets state first, so each
   /// call simulates an independent trace (all banks initially idle).
@@ -103,21 +71,12 @@ class Controller {
   }
 
   /// Earliest instant >= t_ns that does not fall inside a refresh window
-  /// [k*tREFI_eff, k*tREFI_eff + tRFC), k >= 1, of the *base* policy.
-  /// Identity when refresh is not simulated. An instant landing exactly on a
-  /// window boundary belongs to the REF (REF wins the tie): the command is
-  /// pushed behind the window regardless of how t_ns / tREFI_eff rounds.
-  /// Exposed so tests can assert the window arithmetic.
+  /// [k*tREFI_eff, k*tREFI_eff + tRFC), k >= 1. Identity when refresh is
+  /// not simulated. An instant landing exactly on a window boundary belongs
+  /// to the REF (REF wins the tie): the command is pushed behind the window
+  /// regardless of how t_ns / tREFI_eff rounds. Exposed so tests can assert
+  /// the window arithmetic.
   [[nodiscard]] double next_outside_refresh(double t_ns) const;
-
-  /// Number of per-region refresh cadences (0 for single-policy mode).
-  [[nodiscard]] std::size_t region_count() const noexcept {
-    return region_refi_ns_.size();
-  }
-  /// Effective tREFI of region `index` in ns (0 = region not refreshed).
-  [[nodiscard]] double region_refi_ns(std::size_t index) const {
-    return region_refi_ns_.at(index);
-  }
 
  private:
   struct BankState {
@@ -129,18 +88,12 @@ class Controller {
 
   void reset_state();
   [[nodiscard]] std::size_t buffer_index(const Address& a) const;
-  /// Effective tREFI governing commands to `a` (the region's, or the base).
-  [[nodiscard]] double refi_for(const Address& a) const;
-  /// The tie-break-pinned window arithmetic for one cadence.
-  [[nodiscard]] double next_outside(double t_ns, double refi_ns) const;
 
   Geometry geom_;
   TimingParams timing_;
   bool salp_ = false;
   RefreshPolicy refresh_;
   double refi_eff_ns_ = 0.0;      ///< effective tREFI (0 when not simulated)
-  std::vector<double> region_refi_ns_;  ///< per-region tREFI (region mode)
-  std::unordered_map<std::uint64_t, std::size_t> row_region_;
   std::vector<BankState> banks_;  ///< one per row buffer (bank, or subarray)
   double bus_ready_ns_ = 0.0;
   double last_act_ns_ = -1.0e18;  ///< for tRRD across banks

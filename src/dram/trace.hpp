@@ -2,7 +2,9 @@
 // Access traces and their statistics — the interface between workload
 // generation (src/mapping TraceGenerator), the controller simulation, and
 // the energy model ("DRAM access traces & statistics" in the paper's Fig. 10
-// tool flow).
+// tool flow). One TraceStats describes one controller run under one refresh
+// cadence: `refreshes` counts that cadence's REF commands, and the energy
+// model decides how much of the module each REF is charged for.
 
 #include <cstdint>
 #include <vector>
@@ -53,10 +55,6 @@ struct TraceStats {
   std::uint64_t reads = 0;       ///< RD bursts
   std::uint64_t writes = 0;      ///< WR bursts
   std::uint64_t refreshes = 0;   ///< all-bank REF commands within the makespan
-  /// Per-region REF counts when the controller runs a RefreshRegions plan
-  /// (one entry per region, in plan order); empty in single-policy mode, so
-  /// existing reports and digests are untouched.
-  std::vector<std::uint64_t> region_refreshes;
   double total_time_ns = 0.0;    ///< makespan of the trace
 
   [[nodiscard]] double hit_rate() const noexcept {

@@ -18,8 +18,9 @@ double PowerModel::background_scale(double v_supply) {
   return v_supply / kNominalVdd;
 }
 
-EnergyBreakdown PowerModel::trace_energy(const dram::TraceStats& stats,
-                                         double v_supply) const {
+EnergyBreakdown PowerModel::trace_energy(
+    const dram::TraceStats& stats, double v_supply,
+    const dram::RefreshPolicy& refresh) const {
   const double s2 = dynamic_scale(v_supply);
   const double s1 = background_scale(v_supply);
   EnergyBreakdown e;
@@ -30,19 +31,12 @@ EnergyBreakdown PowerModel::trace_energy(const dram::TraceStats& stats,
   e.io_nj = static_cast<double>(stats.reads + stats.writes) * p_.e_io_nj;
   // mW * ns = pJ; /1000 -> nJ.
   e.background_nj = p_.p_background_mw * s1 * stats.total_time_ns / 1000.0;
-  // Periodic refresh over the makespan (array work -> V^2 scaling).
-  e.refresh_nj = std::floor(stats.total_time_ns / p_.t_refi_ns) *
-                 p_.e_refresh_nj * s2;
-  return e;
-}
-
-EnergyBreakdown PowerModel::trace_energy(
-    const dram::TraceStats& stats, double v_supply,
-    const dram::RefreshPolicy& refresh) const {
-  if (!refresh.simulated()) return trace_energy(stats, v_supply);
-  EnergyBreakdown e = trace_energy(stats, v_supply);
-  e.refresh_nj = static_cast<double>(stats.refreshes) * p_.e_refresh_nj *
-                 dynamic_scale(v_supply);
+  // Refresh is array work -> V^2 scaling: the counted REFs of a simulated
+  // cadence, else one REF per t_refi_ns of makespan.
+  const double refs = refresh.simulated()
+                          ? static_cast<double>(stats.refreshes)
+                          : std::floor(stats.total_time_ns / p_.t_refi_ns);
+  e.refresh_nj = refs * p_.e_refresh_nj * s2;
   return e;
 }
 

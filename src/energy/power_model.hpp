@@ -10,7 +10,10 @@
 //    saves less (~31%) from voltage scaling than a conflict (~38-42%),
 //    reproducing the 31%-42% per-access range of §I-B;
 //  * background power over the simulated trace makespan, scaling linearly
-//    with voltage (roughly constant standby current).
+//    with voltage (roughly constant standby current);
+//  * refresh: the REF commands the controller counted under its one
+//    cadence (or the makespan estimate when refresh was not simulated),
+//    optionally scaled to the share of rows one layer occupies.
 //
 // Absolute per-command charges are calibrated so the nominal 1.35 V
 // hit/miss/conflict access energies land in the 2-8 nJ range of Fig. 2b.
@@ -62,28 +65,24 @@ class PowerModel {
   /// V / V_nom — scaling of background power.
   [[nodiscard]] static double background_scale(double v_supply);
 
-  /// Energy of a whole simulated trace at the given supply voltage. Refresh
-  /// is charged by the legacy makespan-proportional estimate (one REF per
-  /// Params::t_refi_ns of makespan) — the idealization used when the
-  /// controller did not simulate refresh.
-  [[nodiscard]] EnergyBreakdown trace_energy(const dram::TraceStats& stats,
-                                             double v_supply) const;
-
-  /// Refresh-policy-aware variant. When the policy is simulated
-  /// (nominal/reduced) the refresh term charges the REF commands the
-  /// controller actually counted (`stats.refreshes`) — so a reduced-rate
-  /// policy shows its energy win directly; when the policy is disabled it
-  /// falls back to the legacy estimate above, byte for byte.
+  /// Energy of a whole simulated trace at the given supply voltage. When
+  /// `refresh` is simulated (nominal/reduced) the refresh term charges the
+  /// REF commands the controller actually counted (`stats.refreshes`), so a
+  /// reduced-rate policy shows its energy win directly. When it is disabled
+  /// (the default) refresh is charged by the legacy makespan-proportional
+  /// estimate: one REF per Params::t_refi_ns of makespan.
   [[nodiscard]] EnergyBreakdown trace_energy(
       const dram::TraceStats& stats, double v_supply,
-      const dram::RefreshPolicy& refresh) const;
+      const dram::RefreshPolicy& refresh =
+          dram::RefreshPolicy::disabled()) const;
 
-  /// Refresh charge of one region under per-region refresh: `refreshes` REF
-  /// commands (the controller's per-region count), each retiring only
-  /// `row_fraction` of the module's rows — an all-bank REF's charge scaled by
-  /// the fraction of rows actually refreshed, V^2-scaled like all array
-  /// work. Summing this over disjoint regions replaces the module-wide
-  /// refresh term for a per-layer operating-point evaluation.
+  /// Refresh charge of one layer's rows under a per-layer cadence:
+  /// `refreshes` REF commands (the controller's count for a run at that
+  /// cadence), each retiring only `row_fraction` of the module's rows — an
+  /// all-bank REF's charge scaled by the fraction of rows actually
+  /// refreshed, V^2-scaled like all array work. Summing this over layers
+  /// with disjoint rows replaces the module-wide refresh term for a
+  /// per-layer operating-point evaluation.
   [[nodiscard]] double region_refresh_energy_nj(std::uint64_t refreshes,
                                                 double row_fraction,
                                                 double v_supply) const;

@@ -120,8 +120,7 @@ void ServingArtifact::validate() const {
                       module_ber < 1.0,
                   "artifact module BER must lie in [0, 1)");
   const auto& cfg = model.net.config();
-  SPARKXD_REQUIRE(std::isfinite(weight_clip) && weight_clip > cfg.stdp.w_min,
-                  "artifact weight clip must exceed the weight floor");
+  core::require_weight_clip(weight_clip, cfg.stdp.w_min);
   SPARKXD_REQUIRE(layers.size() == model.net.n_layers(),
                   "artifact needs one layer entry per network layer");
   for (std::size_t l = 0; l < layers.size(); ++l) {

@@ -424,101 +424,6 @@ TEST(Refresh, NominalCadenceSlowsLongTracesAndCountsRefs) {
   EXPECT_EQ(s_on.conflicts, s_off.conflicts);
 }
 
-// ---------------------------------------------------- per-region refresh
-
-TEST(RegionRefresh, EmptyPlanMatchesSinglePolicyBitForBit) {
-  for (const bool salp_mode : {false, true}) {
-    for (const RefreshPolicy policy :
-         {RefreshPolicy::disabled(), RefreshPolicy::nominal(),
-          RefreshPolicy::reduced(8.0)}) {
-      Controller single(geom(), timing(), salp_mode, policy);
-      Controller regions(geom(), timing(), salp_mode,
-                         RefreshRegions{policy, {}});
-      EXPECT_EQ(regions.region_count(), 0u);
-      const auto trace = random_trace(77u, 600);
-      std::vector<AccessTiming> tl_a, tl_b;
-      const auto a = single.run(trace, 5.0, &tl_a);
-      const auto b = regions.run(trace, 5.0, &tl_b);
-      EXPECT_EQ(a.refreshes, b.refreshes);
-      EXPECT_EQ(a.total_time_ns, b.total_time_ns);  // exact
-      EXPECT_TRUE(b.region_refreshes.empty());
-      ASSERT_EQ(tl_a.size(), tl_b.size());
-      for (std::size_t i = 0; i < tl_a.size(); ++i) {
-        EXPECT_EQ(tl_a[i].cmd_ns, tl_b[i].cmd_ns);
-        EXPECT_EQ(tl_a[i].data_end_ns, tl_b[i].data_end_ns);
-      }
-    }
-  }
-}
-
-TEST(RegionRefresh, CommandsDodgeOwnRegionCadenceOnly) {
-  const auto g = geom();
-  const auto t = timing();
-  const Access fast_row = rd(0, 0, 0, 0);   // region with nominal cadence
-  const Access slow_row = rd(1, 0, 0, 0);   // region with 8x relaxed cadence
-  RefreshRegions plan;
-  plan.base = RefreshPolicy::disabled();
-  plan.regions.push_back(
-      {RefreshPolicy::nominal(), {region_row_id(g, fast_row.addr)}});
-  plan.regions.push_back(
-      {RefreshPolicy::reduced(8.0), {region_row_id(g, slow_row.addr)}});
-
-  // Second access arrives exactly at t_refi. In the relaxed region the
-  // first REF is 8*t_refi away — no stall; in the nominal region the
-  // access lands on REF #1 and waits out tRFC.
-  Controller c1(g, t, false, plan);
-  const auto relaxed = c1.run({fast_row, slow_row}, t.t_refi);
-  EXPECT_NEAR(relaxed.total_time_ns,
-              t.t_refi + t.t_rcd + t.t_cl + t.t_burst, 1e-9);
-
-  Controller c2(g, t, false, plan);
-  const auto stalled = c2.run({slow_row, fast_row}, t.t_refi);
-  EXPECT_NEAR(stalled.total_time_ns,
-              t.t_refi + t.t_rfc + t.t_rcd + t.t_cl + t.t_burst, 1e-9);
-}
-
-TEST(RegionRefresh, RegionRefCountsFollowOwnCadence) {
-  const auto g = geom();
-  const auto t = timing();
-  AccessTrace trace;
-  for (std::uint32_t r = 0; r < 32; ++r)
-    for (std::uint32_t b = 0; b < 32; ++b) trace.push_back(rd(0, 0, r, b * 8));
-  RefreshRegions plan;
-  plan.base = RefreshPolicy::disabled();
-  std::vector<std::uint64_t> rows_a, rows_b;
-  for (std::uint32_t r = 0; r < 16; ++r)
-    rows_a.push_back(region_row_id(g, rd(0, 0, r, 0).addr));
-  for (std::uint32_t r = 16; r < 32; ++r)
-    rows_b.push_back(region_row_id(g, rd(0, 0, r, 0).addr));
-  plan.regions.push_back({RefreshPolicy::nominal(), rows_a});
-  plan.regions.push_back({RefreshPolicy::reduced(4.0), rows_b});
-
-  Controller c(g, t, false, plan);
-  ASSERT_EQ(c.region_count(), 2u);
-  EXPECT_DOUBLE_EQ(c.region_refi_ns(0), t.t_refi);
-  EXPECT_DOUBLE_EQ(c.region_refi_ns(1), 4.0 * t.t_refi);
-  const auto stats = c.run(trace, 25.0);
-  EXPECT_EQ(stats.refreshes, 0u);  // base policy is disabled
-  ASSERT_EQ(stats.region_refreshes.size(), 2u);
-  EXPECT_EQ(stats.region_refreshes[0],
-            static_cast<std::uint64_t>(
-                std::floor(stats.total_time_ns / t.t_refi)));
-  EXPECT_EQ(stats.region_refreshes[1],
-            static_cast<std::uint64_t>(
-                std::floor(stats.total_time_ns / (4.0 * t.t_refi))));
-  EXPECT_GT(stats.region_refreshes[0], 0u);
-  EXPECT_GT(stats.region_refreshes[0], stats.region_refreshes[1]);
-}
-
-TEST(RegionRefresh, OverlappingRegionRowSetsThrow) {
-  const auto g = geom();
-  const std::uint64_t shared = region_row_id(g, rd(0, 0, 3, 0).addr);
-  RefreshRegions plan;
-  plan.regions.push_back({RefreshPolicy::nominal(), {shared}});
-  plan.regions.push_back({RefreshPolicy::reduced(2.0), {shared}});
-  EXPECT_THROW(Controller(g, timing(), false, plan), ContractViolation);
-}
-
 // --------------------------------------- randomized refresh timing invariants
 
 class RefreshProperties

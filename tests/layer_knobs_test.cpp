@@ -1,12 +1,14 @@
 // Tests for the per-layer (voltage x refresh x ECC) operating-point search:
 // determinism (thread count, candidate-enumeration order), the accuracy-floor
 // property every chosen triple must satisfy, the honest fallback when no
-// candidate is feasible, and ladder validation.
+// candidate is feasible, ladder validation, and a bit-exact report pin.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/contracts.hpp"
 #include "core/layer_knobs.hpp"
@@ -154,6 +156,70 @@ TEST(LayerKnobs, InfeasibleLayerFallsBackToSafestTripleHonestly) {
   EXPECT_EQ(fallback.ecc, ladder.back());
   // One infeasible layer makes every uniform triple infeasible too.
   EXPECT_FALSE(report.uniform_feasible);
+}
+
+// ------------------------------------------------------------ report pin
+// The digest below was recorded from the search that priced each candidate
+// through a one-region RefreshRegions controller plan. Any change to a
+// chosen triple, a candidate energy or a weak-cell count moves it.
+
+/// FNV-1a 64 over the little-endian bytes of `v`, folded into `h`.
+void fnv_fold(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xFF;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+void fnv_fold(std::uint64_t& h, double v) {
+  fnv_fold(h, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Folds every field of one choice, bit patterns for the doubles.
+void fold_choice(std::uint64_t& h, const LayerKnobChoice& c) {
+  fnv_fold(h, c.v_supply);
+  fnv_fold(h, c.module_ber);
+  fnv_fold(h, c.refresh_multiplier);
+  fnv_fold(h, static_cast<std::uint64_t>(c.ecc.kind));
+  fnv_fold(h, std::uint64_t{c.ecc.data_bits});
+  fnv_fold(h, std::uint64_t{c.ecc.check_bits});
+  for (const char ch : c.ecc_scheme)
+    fnv_fold(h, static_cast<std::uint64_t>(static_cast<unsigned char>(ch)));
+  fnv_fold(h, c.ecc_scheme.size());
+  fnv_fold(h, c.raw_ber);
+  fnv_fold(h, c.tolerable_ber);
+  fnv_fold(h, c.energy_nj);
+  fnv_fold(h, std::uint64_t{c.meets_floor});
+  fnv_fold(h, std::uint64_t{c.retention_weak_cells});
+}
+
+TEST(LayerKnobs, ReportIsPinnedBitExact) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const std::vector<std::vector<std::size_t>> shapes = {{900},
+                                                        {600, 300, 200}};
+  const std::vector<error::EccSpec> codes = {
+      {error::EccKind::kNone, 64, 0},
+      {error::EccKind::kParity, 64, 0},
+      {error::EccKind::kBch, 512, 0}};
+  for (const auto& weights : shapes)
+    for (const auto& code : codes) {
+      SearchSetup s;
+      s.in.error_model.retention.enabled = true;
+      s.in.ecc = code;
+      s.in.layer_weights = weights;
+      s.in.layer_ber_th.assign(weights.size(), 0.0);
+      s.in.layer_met_target.assign(weights.size(), true);
+      for (std::size_t l = 0; l < weights.size(); ++l)
+        s.in.layer_ber_th[l] = 1e-3 / static_cast<double>(1 + 4 * l);
+      const auto report = assign_layer_knobs(s.cfg, s.in);
+      fnv_fold(h, report.layers.size());
+      for (const auto& c : report.layers) fold_choice(h, c);
+      fnv_fold(h, report.total_energy_nj);
+      fold_choice(h, report.uniform);
+      fnv_fold(h, report.uniform_energy_nj);
+      fnv_fold(h, std::uint64_t{report.uniform_feasible});
+    }
+  EXPECT_EQ(h, 0x310c868c31a29ae3ULL) << std::hex << h;
 }
 
 TEST(LayerKnobs, RejectsMismatchedInputs) {
