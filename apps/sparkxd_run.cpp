@@ -58,8 +58,8 @@ void print_usage(std::FILE* to) {
       "                     optionally with a codeword payload size like\n"
       "                     bch:4096 (renames them with a -ecc-* suffix)\n"
       "  --engine SPEC      override the inference accumulator of every\n"
-      "                     selected scenario: dense or event (the same\n"
-      "                     float mode, bit-exact reference), or event-fx\n"
+      "                     selected scenario: event (the default float\n"
+      "                     mode, bit-exact reference) or event-fx\n"
       "                     (fixed-point drive); renames them with a\n"
       "                     -eng-* suffix\n"
       "  --layer-knobs      run the per-layer (voltage x refresh x ECC)\n"
@@ -224,16 +224,14 @@ std::string ecc_suffix(const sparkxd::error::EccSpec& spec) {
   return "-ecc-" + sparkxd::error::ecc_label(spec);
 }
 
-/// Parses an --engine SPEC: dense, event, or event-fx. Exits with usage
-/// code 2 on anything else.
+/// Parses an --engine SPEC: event or event-fx. Exits with usage code 2 on
+/// anything else.
 sparkxd::snn::EngineKind parse_engine_spec(const std::string& spec) {
   using sparkxd::snn::EngineKind;
-  if (spec == "dense") return EngineKind::kDense;
   if (spec == "event") return EngineKind::kEvent;
   if (spec == "event-fx" || spec == "eventfx") return EngineKind::kEventFx;
   std::fprintf(stderr,
-               "sparkxd_run: --engine wants dense, event, or event-fx "
-               "(got '%s')\n",
+               "sparkxd_run: --engine wants event or event-fx (got '%s')\n",
                spec.c_str());
   std::exit(2);
 }
@@ -273,7 +271,7 @@ int main(int argc, char** argv) {
   bool override_ecc = false;
   error::EccSpec ecc_override;
   bool override_engine = false;
-  snn::EngineKind engine_override = snn::EngineKind::kDense;
+  snn::EngineKind engine_override = snn::EngineKind::kEvent;
   bool enable_layer_knobs = false;
 
   for (int i = 1; i < argc; ++i) {

@@ -15,18 +15,28 @@ namespace {
 
 using namespace sparkxd;
 
+// range(0) neurons; range(1) = 0 times train_step (thresholds decay and
+// grow), 1 times infer_step (thresholds frozen).
 void BM_LifStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
+  const bool infer = state.range(1) != 0;
   snn::LifLayer layer(n, snn::LifParams{}, 1.0f);
   std::vector<float> current(n, 0.05f);
+  std::vector<float> theta(n, 0.0f);
   std::vector<std::uint32_t> spikes;
   for (auto _ : state) {
-    layer.step(current, spikes);
+    if (infer)
+      layer.infer_step(current, theta, spikes);
+    else
+      layer.train_step(current, theta, spikes);
     benchmark::DoNotOptimize(spikes.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_LifStep)->Arg(400)->Arg(3600);
+BENCHMARK(BM_LifStep)
+    ->ArgsProduct({{400, 3600}, {0, 1}})
+    ->ArgNames({"n", "infer"});
 
 void BM_StdpUpdate(benchmark::State& state) {
   const std::size_t ni = 784;

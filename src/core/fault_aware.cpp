@@ -94,7 +94,7 @@ double evaluate_frozen(const snn::Network& net,
       trials, [&](std::size_t begin, std::size_t end, std::size_t) {
         // One corruptible copy per worker; between trials only the recorded
         // flips are reverted. The copy carries the configured inference
-        // engine (dense/event/event-fx) along, so the whole Monte-Carlo
+        // engine (event/event-fx) along, so the whole Monte-Carlo
         // fan-out runs whichever kernel the PipelineConfig selected.
         CorruptionScratch scratch(net);
         for (std::size_t t = begin; t < end; ++t) {

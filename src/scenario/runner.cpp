@@ -69,10 +69,9 @@ void write_config(json::Writer& w, const Scenario& s) {
   for (const double v : s.voltages) w.value(v);
   w.end_array();
   w.field("seed", s.seed);
-  // Emitted only for non-default engines so every pre-event report keeps
-  // its byte layout (and `event`, the same float mode as dense, is still
-  // visible in the report when selected).
-  if (s.engine != snn::EngineKind::kDense)
+  // Emitted only for non-default engines so every float-mode report keeps
+  // its byte layout.
+  if (s.engine != snn::EngineKind::kEvent)
     w.field("engine", snn::to_string(s.engine));
   // Same gating for the knob search: absent unless the scenario runs it.
   if (s.layer_knobs) w.field("layer_knobs", true);
@@ -254,8 +253,8 @@ std::string digest(const ScenarioResult& result) {
   const bool deep = !result.scenario.hidden_neurons.empty();
   const bool ecc_on = result.scenario.ecc.enabled();
   // The engine header line follows the same gating: absent for the default
-  // dense spelling, so pre-event digests stay byte-identical.
-  const bool engine_on = result.scenario.engine != snn::EngineKind::kDense;
+  // float mode, so its digests stay byte-identical.
+  const bool engine_on = result.scenario.engine != snn::EngineKind::kEvent;
   // Knob-search lines (K<n>) only for scenarios that ran the search.
   const bool knobs_on =
       result.scenario.layer_knobs && r.layer_knobs.has_value();

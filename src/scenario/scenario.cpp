@@ -164,9 +164,9 @@ Scenario smoke_digits_ecc() {
 
 /// Golden-locked fixed-point smoke run: the inference kernel with kEventFx
 /// (Q47.16 integer accumulation over the spike list) on the same tiny digits
-/// workload. `event` selects the same float mode as dense and needs no
-/// digest of its own; the fixed-point drive is numerically different, so
-/// this scenario pins it.
+/// workload. The float `event` mode is the default and needs no digest of
+/// its own; the fixed-point drive is numerically different, so this
+/// scenario pins it.
 Scenario smoke_digits_event_fx() {
   Scenario s = smoke_digits_m0();
   s.name = "smoke-digits-event-fx";

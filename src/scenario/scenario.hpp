@@ -61,11 +61,11 @@ struct Scenario {
   std::vector<double> voltages = {1.325, 1.250, 1.175, 1.100, 1.025};
   std::uint64_t seed = 42;
   /// Inference accumulator for every evaluation pass (training always runs
-  /// the row-major kernel). kDense and kEvent are the same float mode, the
-  /// bit-exact reference every golden but one was produced by; kEventFx is
+  /// the row-major kernel). kEvent is the float mode, the bit-exact
+  /// reference every golden but one was produced by; kEventFx is
   /// numerically different (fixed-point drive) and golden-locked
   /// separately.
-  snn::EngineKind engine = snn::EngineKind::kDense;
+  snn::EngineKind engine = snn::EngineKind::kEvent;
   /// Per-layer (voltage x refresh x ECC) operating-point search
   /// (core::assign_layer_knobs). Off by default; when on, the report gains
   /// the layer_knobs block and the digest its K<n> lines — knob-free
@@ -86,8 +86,8 @@ struct Scenario {
 /// the refresh/retention axis (nominal cadence and 32x relaxed refresh);
 /// `smoke-digits-ecc` locks down the ECC axis (secded + escalation + scrub
 /// stats in the digest); `smoke-digits-event-fx` locks down the fixed-point
-/// accumulator (`event` needs no golden of its own — it selects the same
-/// float mode as dense).
+/// accumulator (the float `event` mode is the default every other golden
+/// runs).
 inline constexpr std::string_view kGoldenScenarios[] = {
     "smoke-digits-m0",
     "smoke-fashion-salp-m1",

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/contracts.hpp"
 
@@ -12,7 +13,6 @@ LifLayer::LifLayer(std::size_t n, const LifParams& p, float dt_ms)
       decay_m_(std::exp(-dt_ms / p.tau_m_ms)),
       decay_theta_(std::exp(-dt_ms / p.tau_theta_ms)),
       v_(n, p.v_rest),
-      theta_(n, 0.0f),
       refractory_(n, 0) {
   SPARKXD_REQUIRE(n > 0, "LIF layer must have at least one neuron");
   SPARKXD_REQUIRE(p.tau_m_ms > 0.0f && p.tau_theta_ms > 0.0f,
@@ -27,22 +27,22 @@ void LifLayer::reset_dynamics() {
   std::fill(refractory_.begin(), refractory_.end(), 0);
 }
 
-void LifLayer::reset_all() {
-  reset_dynamics();
-  std::fill(theta_.begin(), theta_.end(), 0.0f);
-}
-
-bool LifLayer::silent_at_rest() const noexcept {
-  if (plastic_) return false;
-  for (const float th : theta_)
+bool LifLayer::silent_at_rest(const std::vector<float>& theta) const {
+  SPARKXD_REQUIRE(theta.size() == v_.size(),
+                  "theta width must match layer size");
+  for (const float th : theta)
     if (!(p_.v_rest < p_.v_thresh + th)) return false;
   return true;
 }
 
-void LifLayer::step(const std::vector<float>& input_current,
+template <class Theta>
+void LifLayer::step(const std::vector<float>& input_current, Theta& theta,
                     std::vector<std::uint32_t>& spikes_out) {
+  constexpr bool plastic = !std::is_const_v<Theta>;
   SPARKXD_REQUIRE(input_current.size() == v_.size(),
                   "input current width must match layer size");
+  SPARKXD_REQUIRE(theta.size() == v_.size(),
+                  "theta width must match layer size");
   spikes_out.clear();
   const std::size_t n = v_.size();
   // Integrate, then collect threshold crossings.
@@ -54,18 +54,18 @@ void LifLayer::step(const std::vector<float>& input_current,
     }
     // Leak toward rest, then integrate this step's synaptic drive.
     v_[i] = p_.v_rest + (v_[i] - p_.v_rest) * decay_m_ + input_current[i];
-    if (plastic_) theta_[i] *= decay_theta_;
-    if (v_[i] >= p_.v_thresh + theta_[i])
+    if constexpr (plastic) theta[i] *= decay_theta_;
+    if (v_[i] >= p_.v_thresh + theta[i])
       spikes_out.push_back(static_cast<std::uint32_t>(i));
   }
-  const bool compete = plastic_ || p_.compete_at_inference;
+  const bool compete = plastic || p_.compete_at_inference;
   // Hard WTA: of the simultaneous crossings keep only the neuron whose
   // potential exceeds its threshold by the largest margin.
   if (compete && p_.winner_take_all && spikes_out.size() > 1) {
     std::uint32_t best = spikes_out.front();
-    float best_margin = v_[best] - theta_[best];
+    float best_margin = v_[best] - theta[best];
     for (const auto s : spikes_out) {
-      const float margin = v_[s] - theta_[s];
+      const float margin = v_[s] - theta[s];
       if (margin > best_margin) {
         best = s;
         best_margin = margin;
@@ -76,7 +76,7 @@ void LifLayer::step(const std::vector<float>& input_current,
   for (const auto s : spikes_out) {
     v_[s] = p_.v_reset;
     refractory_[s] = p_.refractory_steps;
-    if (plastic_) theta_[s] += p_.theta_plus;
+    if constexpr (plastic) theta[s] += p_.theta_plus;
   }
   // Lateral inhibition: each spike pushes every *other* neuron down.
   if (compete && !spikes_out.empty() && p_.inhibition > 0.0f) {
@@ -90,6 +90,18 @@ void LifLayer::step(const std::vector<float>& input_current,
     for (std::size_t i = 0; i < n; ++i)
       if (v_[i] < floor) v_[i] = floor;
   }
+}
+
+void LifLayer::train_step(const std::vector<float>& input_current,
+                          std::vector<float>& theta,
+                          std::vector<std::uint32_t>& spikes_out) {
+  step(input_current, theta, spikes_out);
+}
+
+void LifLayer::infer_step(const std::vector<float>& input_current,
+                          const std::vector<float>& theta,
+                          std::vector<std::uint32_t>& spikes_out) {
+  step(input_current, theta, spikes_out);
 }
 
 }  // namespace sparkxd::snn

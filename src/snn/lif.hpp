@@ -2,6 +2,12 @@
 // Leaky integrate-and-fire neuron layer with adaptive thresholds
 // (homeostasis), refractory periods, and all-to-all lateral inhibition —
 // the excitatory layer of the paper's Fig. 4a architecture.
+//
+// The layer holds only per-sample dynamics (potentials, refractory
+// counters) plus its constants. The adaptive thresholds are trained
+// parameters and belong to the caller — snn::Network keeps one vector per
+// layer — so each step takes them as an argument: mutable while training,
+// const at inference.
 
 #include <cstdint>
 #include <vector>
@@ -14,54 +20,57 @@ namespace sparkxd::snn {
 ///
 /// Dynamics per step (dt):
 ///   v <- v_rest + (v - v_rest) * exp(-dt/tau_m) + I
-///   spike if v >= v_thresh + theta  ->  v = v_reset, refractory, theta +=
-///   theta_plus (when plastic); every spike subtracts `inhibition` from all
-///   other neurons' potentials (lateral inhibition).
+///   spike if v >= v_thresh + theta  ->  v = v_reset, refractory; every
+///   spike subtracts `inhibition` from all other neurons' potentials
+///   (lateral inhibition). While training, theta also decays every step and
+///   grows by theta_plus per spike.
 class LifLayer {
  public:
   LifLayer(std::size_t n, const LifParams& p, float dt_ms);
 
-  /// Clears membrane potentials and refractory counters (not theta — the
-  /// adaptive threshold persists across samples by design).
+  /// Clears membrane potentials and refractory counters.
   void reset_dynamics();
 
-  /// Clears everything including the adaptive thresholds.
-  void reset_all();
+  /// Training step: `theta` decays, grows by theta_plus on every spike, and
+  /// the neurons always compete (WTA + lateral inhibition). Appends spiking
+  /// neuron indices to `spikes_out` (cleared first). Throws
+  /// ContractViolation when `input_current` or `theta` is not size() wide.
+  void train_step(const std::vector<float>& input_current,
+                  std::vector<float>& theta,
+                  std::vector<std::uint32_t>& spikes_out);
 
-  /// Enables/disables plasticity of the adaptive threshold. During
-  /// evaluation theta is frozen (standard for this architecture) so that
-  /// inference is deterministic given the weights.
-  void set_plastic(bool plastic) noexcept { plastic_ = plastic; }
+  /// Inference step: `theta` is frozen (standard for this architecture, so
+  /// inference is deterministic given the weights) and the neurons compete
+  /// only when LifParams::compete_at_inference is set. Same contract as
+  /// train_step.
+  void infer_step(const std::vector<float>& input_current,
+                  const std::vector<float>& theta,
+                  std::vector<std::uint32_t>& spikes_out);
 
-  /// Advances one step with per-neuron input current; appends spiking neuron
-  /// indices to `spikes_out` (cleared first).
-  void step(const std::vector<float>& input_current,
-            std::vector<std::uint32_t>& spikes_out);
-
-  /// True when a zero-input step is provably the identity for any at-rest
-  /// state: plasticity frozen (theta neither decays nor grows) and every
-  /// threshold strictly above the resting potential, so a neuron sitting at
-  /// v_rest with no drive can never cross. Network::infer checks this once
-  /// per sample before it is allowed to skip empty timesteps.
-  [[nodiscard]] bool silent_at_rest() const noexcept;
+  /// True when a zero-input infer_step is provably the identity for any
+  /// at-rest state: every threshold v_thresh + theta sits strictly above
+  /// the resting potential, so a neuron at v_rest with no drive can never
+  /// cross. Network::infer checks this once per sample before it is
+  /// allowed to skip empty timesteps. Throws ContractViolation when `theta`
+  /// is not size() wide.
+  [[nodiscard]] bool silent_at_rest(const std::vector<float>& theta) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return v_.size(); }
   [[nodiscard]] const std::vector<float>& potentials() const noexcept {
     return v_;
   }
-  [[nodiscard]] const std::vector<float>& thetas() const noexcept {
-    return theta_;
-  }
-  /// Direct theta access for snapshot/restore in the trainer.
-  [[nodiscard]] std::vector<float>& thetas_mut() noexcept { return theta_; }
 
  private:
+  /// The one step body: `Theta` is `std::vector<float>` for train_step
+  /// (plastic thresholds) and `const std::vector<float>` for infer_step.
+  template <class Theta>
+  void step(const std::vector<float>& input_current, Theta& theta,
+            std::vector<std::uint32_t>& spikes_out);
+
   LifParams p_;
   float decay_m_;      ///< exp(-dt/tau_m)
   float decay_theta_;  ///< exp(-dt/tau_theta)
-  bool plastic_ = true;
   std::vector<float> v_;
-  std::vector<float> theta_;
   std::vector<std::int32_t> refractory_;
 };
 

@@ -17,21 +17,10 @@ constexpr float kFxScale = 65536.0f;
 
 InferenceState::InferenceState(const Network& net)
     : encoder_(net.cfg_.max_rate) {
-  resync(net);
-}
-
-void InferenceState::resync(const Network& net) {
-  layers_.clear();
   layers_.reserve(net.layers_.size());
-  for (const auto& lay : net.layers_) {
-    // Inference freezes the adaptive thresholds (standard for this
-    // architecture): the copied thetas stay at the network's trained values.
-    LayerSlice slice{lay.lif, lay.n_in, std::vector<float>(lay.n_out, 0.0f),
-                     {}, std::vector<std::int64_t>(lay.n_out, 0)};
-    slice.lif.set_plastic(false);
-    layers_.push_back(std::move(slice));
-  }
-  generation_ = net.theta_generation_;
+  for (const auto& lay : net.layers_)
+    layers_.push_back({lay.lif, lay.n_in, std::vector<float>(lay.n_out, 0.0f),
+                       {}, std::vector<std::int64_t>(lay.n_out, 0)});
 }
 
 Network::Layer::Layer(std::size_t n_in_, std::size_t n_out_,
@@ -40,6 +29,7 @@ Network::Layer::Layer(std::size_t n_in_, std::size_t n_out_,
       n_out(n_out_),
       w(n_in_ * n_out_),
       wt(n_in_ * n_out_),
+      theta(n_out_, 0.0f),
       lif(n_out_, cfg.lif, cfg.dt_ms),
       traces(n_in_, cfg.stdp.tau_pre_ms, cfg.dt_ms),
       current(n_out_, 0.0f) {}
@@ -75,6 +65,7 @@ Network::Network(const NetworkConfig& cfg)
 void Network::sync_transpose() {
   for (Layer& lay : layers_) {
     if (lay.wt_synced) continue;
+    lay.require_shape();
     for (std::size_t n = 0; n < lay.n_out; ++n) {
       const float* row = lay.w.data() + n * lay.n_in;
       for (std::size_t i = 0; i < lay.n_in; ++i)
@@ -92,6 +83,7 @@ bool Network::transpose_synced() const noexcept {
 
 void Network::normalize_rows() {
   for (Layer& lay : layers_) {
+    lay.require_shape();
     const std::size_t ni = lay.n_in;
     for (std::size_t n = 0; n < lay.n_out; ++n) {
       float* row = lay.w.data() + n * ni;
@@ -105,22 +97,15 @@ void Network::normalize_rows() {
   }
 }
 
-void Network::reset_dynamics() {
-  for (Layer& lay : layers_) {
-    lay.lif.reset_dynamics();
-    lay.traces.reset();
-    std::fill(lay.current.begin(), lay.current.end(), 0.0f);
-  }
-}
-
 std::vector<std::uint32_t> Network::train_step(const std::vector<float>& image,
                                                Rng& rng) {
   SPARKXD_REQUIRE(image.size() == cfg_.n_inputs,
                   "image size must match n_inputs");
-  // A learning pass adapts thetas on every layer: any InferenceState
-  // snapshotted before it is stale from here on.
-  ++theta_generation_;
-  reset_dynamics();
+  for (Layer& lay : layers_) {
+    lay.require_shape();
+    lay.lif.reset_dynamics();
+    lay.traces.reset();
+  }
   encoder_.set_image(image);
 
   const std::size_t n_layers = layers_.size();
@@ -150,7 +135,7 @@ std::vector<std::uint32_t> Network::train_step(const std::vector<float>& image,
         }
       }
 
-      lay.lif.step(lay.current, lay.out_spikes);
+      lay.lif.train_step(lay.current, lay.theta, lay.out_spikes);
       for (const auto s : lay.out_spikes) {
         if (l + 1 == n_layers) ++counts[s];
         stdp_post_update(lay.w.data() + static_cast<std::size_t>(s) * lay.n_in,
@@ -174,19 +159,14 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
   const std::size_t n_layers = layers_.size();
   SPARKXD_REQUIRE(state.layers_.size() == n_layers,
                   "InferenceState was built for a different network depth");
-  for (std::size_t l = 0; l < n_layers; ++l)
-    SPARKXD_REQUIRE(state.layers_[l].n_in == layers_[l].n_in &&
-                        state.layers_[l].current.size() == layers_[l].n_out,
-                    "InferenceState was built for a different network shape");
-  // Stale-state guard: a state snapshotted before a training pass (or a
-  // thetas_mut touch) would infer with old thresholds. Resync is cheap —
-  // O(neurons) — so just do it.
-  if (state.generation_ != theta_generation_) state.resync(*this);
-
   bool all_skip_ok = true;
-  for (auto& slice : state.layers_) {
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    auto& slice = state.layers_[l];
+    SPARKXD_REQUIRE(slice.n_in == layers_[l].n_in &&
+                        slice.current.size() == layers_[l].n_out,
+                    "InferenceState was built for a different network shape");
     slice.lif.reset_dynamics();
-    slice.skip_ok = slice.lif.silent_at_rest();
+    slice.skip_ok = slice.lif.silent_at_rest(layers_[l].theta);
     slice.at_rest = true;
     all_skip_ok &= slice.skip_ok;
   }
@@ -235,7 +215,7 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
           for (std::size_t n = 0; n < nn; ++n) cur[n] += col[n];
         }
       }
-      slice.lif.step(slice.current, slice.out_spikes);
+      slice.lif.infer_step(slice.current, lay.theta, slice.out_spikes);
       slice.at_rest = false;
 
       if (l + 1 == n_layers)

@@ -20,6 +20,11 @@
 // exactly one entry point and one kernel, infer(); every API addresses a
 // layer by index (layer 0 = input side), also on a one-layer network.
 //
+// Every trained parameter (the weights in both layouts and the adaptive
+// thresholds) has one owner, the Network. An InferenceState holds only
+// per-sample dynamics and scratch, so whichever network runs infer() reads
+// its own current weights and thresholds.
+//
 // Bit-exactness contract: a NetworkConfig with empty `hidden_neurons` is
 // the single-layer network of the paper — the output layer draws its
 // initial weights from Rng(seed) — so flat results do not depend on the
@@ -39,29 +44,16 @@ namespace sparkxd::snn {
 class Network;
 
 /// Per-worker mutable inference state over a shared const Network: per
-/// layer, the LIF dynamics (a copy of the layer: potentials, refractory
-/// counters and the frozen adaptive thresholds) and the scratch buffers,
-/// plus the Poisson encoder — but NOT the weights, which are read from the
-/// network's transposed layouts. Constructing one is O(sum of layer
+/// layer, the LIF dynamics (potentials and refractory counters) and the
+/// scratch buffers, plus the Poisson encoder. It holds no parameters: the
+/// weights (transposed layouts) and the frozen adaptive thresholds are read
+/// from the network that runs infer(). Constructing one is O(sum of layer
 /// neurons); a full Network copy is O(total weights). This is what lets
 /// evaluation workers fan out (and Monte-Carlo trials repeat) without
 /// copying the weight matrices.
 class InferenceState {
  public:
   explicit InferenceState(const Network& net);
-
-  /// Recopies the LIF slices (potentials, refractory counters, thetas) from
-  /// the network — O(sum of layer neurons), no weight traffic. Network::infer
-  /// calls this automatically when the network's theta generation has moved
-  /// past the state's snapshot (e.g. the state was built before fault-aware
-  /// retraining), so a stale state can never silently infer with old
-  /// thresholds.
-  void resync(const Network& net);
-
-  /// Theta generation this state was last synced against.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
-  }
 
  private:
   friend class Network;
@@ -81,7 +73,6 @@ class InferenceState {
   std::vector<LayerSlice> layers_;
   PoissonEncoder encoder_;
   std::vector<std::uint32_t> in_spikes_;
-  std::uint64_t generation_ = 0;
 };
 
 /// A complete network instance (per-layer weights + neuron state + encoder).
@@ -126,9 +117,11 @@ class Network {
 
   /// Copies the current value of layer `l`'s flat weight `idx` into the
   /// transposed layout (companion of weights_delta(l)). Throws
-  /// ContractViolation when `idx` lies past the layer's weight array.
+  /// ContractViolation when `idx` lies past the layer's
+  /// layer_neurons(l) x layer_inputs(l) weights or they were resized.
   void mirror_weight(std::size_t l, std::size_t idx) {
     Layer& lay = layer(l);
+    lay.require_shape();
     SPARKXD_REQUIRE(idx < lay.w.size(),
                     "mirror_weight index past the layer's weights");
     const std::size_t n = idx / lay.n_in;
@@ -145,32 +138,24 @@ class Network {
     return lay.wt;
   }
 
-  /// Layer `l`'s adaptive thresholds (exposed for snapshot/restore
-  /// alongside the weights).
+  /// Layer `l`'s adaptive thresholds, one per neuron: trained by
+  /// train_step, frozen by infer. Mutable access exists for model loading
+  /// and snapshot/restore; the next train_step or infer reads the edit, and
+  /// both throw ContractViolation if the vector was resized.
   [[nodiscard]] const std::vector<float>& thetas(std::size_t l) const {
-    return layer(l).lif.thetas();
+    return layer(l).theta;
   }
   [[nodiscard]] std::vector<float>& thetas_mut(std::size_t l) {
-    // Mutable access presumes mutation: any InferenceState snapshotted
-    // before this call now holds stale thresholds and must resync.
-    ++theta_generation_;
-    return layer(l).lif.thetas_mut();
+    return layer(l).theta;
   }
 
-  /// Monotone counter bumped whenever trained thresholds may have changed
-  /// (training passes, thetas_mut). InferenceState snapshots it; a mismatch
-  /// at infer() time triggers a cheap resync instead of silently inferring
-  /// with stale thetas.
-  [[nodiscard]] std::uint64_t theta_generation() const noexcept {
-    return theta_generation_;
-  }
-
-  /// Selects the inference engine for infer() (see EngineKind). Training
-  /// (train_step) always runs the dense row-major kernel.
+  /// Selects the inference accumulator for infer() (see EngineKind).
+  /// Training (train_step) always runs the row-major float kernel.
   void set_engine(EngineKind engine) noexcept { cfg_.engine = engine; }
   [[nodiscard]] EngineKind engine() const noexcept { return cfg_.engine; }
 
   /// Rebuilds every stale transposed weight copy from its row-major array.
+  /// Throws ContractViolation when a layer's weights were resized.
   void sync_transpose();
   /// True when every layer's transposed copy is in sync.
   [[nodiscard]] bool transpose_synced() const noexcept;
@@ -180,53 +165,61 @@ class Network {
   /// re-normalizes all weight rows. Returns the OUTPUT layer's per-neuron
   /// spike counts. `rng` drives the Poisson spike trains (the only
   /// stochastic part — hidden layers are deterministic given their input
-  /// spikes).
+  /// spikes). Throws ContractViolation when a layer's weights or
+  /// thresholds were resized.
   std::vector<std::uint32_t> train_step(const std::vector<float>& image,
                                         Rng& rng);
 
   /// Pure inference through a caller-owned InferenceState: const on the
   /// network, reusing the state's buffers — the single inference path
   /// (labelling, evaluation, Monte-Carlo trials and serving all run it).
-  /// Requires synced transposes. Resyncs the state first if the network's
-  /// theta generation moved past its snapshot. Thresholds are frozen.
+  /// Requires synced transposes. Reads this network's thresholds, frozen.
   ///
   /// One kernel: a transposed-column gather over each timestep's spike
   /// list. An all-zero image short-circuits the whole sample, and an empty
   /// wave into a layer still at rest is skipped — both only where the step
   /// is provably the identity, so counts and Rng consumption equal a run
   /// that integrates every layer every step. config().engine picks the
-  /// accumulator: kDense and kEvent sum in float (the per-neuron addition
-  /// order of the row-major walk); kEventFx sums Q47.16 fixed point
+  /// accumulator: kEvent sums in float (the per-neuron addition order of
+  /// the row-major walk); kEventFx sums Q47.16 fixed point
   /// (order-independent, numerically different from float). Throws
-  /// ContractViolation for a state built for a differently shaped network.
+  /// ContractViolation for a state built for a differently shaped network
+  /// or a resized threshold vector.
   std::vector<std::uint32_t> infer(InferenceState& state,
                                    const std::vector<float>& image,
                                    Rng& rng) const;
 
   /// Rescales every neuron's incoming weights (every layer) to sum to
-  /// norm_target (no-op for all-zero rows).
+  /// norm_target (no-op for all-zero rows). Throws ContractViolation when a
+  /// layer's weights were resized.
   void normalize_rows();
-
-  /// Resets membrane dynamics (called automatically between samples).
-  void reset_dynamics();
 
  private:
   friend class InferenceState;
 
-  /// One layer of the stack: weights in both layouts plus neuron state.
+  /// One layer of the stack: weights in both layouts, the adaptive
+  /// thresholds, and the training pass's neuron state.
   struct Layer {
     std::size_t n_in = 0;
     std::size_t n_out = 0;
     std::vector<float> w;   ///< canonical row-major [neuron][input]
     std::vector<float> wt;  ///< transposed [input][neuron], inference kernel
     bool wt_synced = false;
-    LifLayer lif;
+    std::vector<float> theta;  ///< adaptive thresholds, one per neuron
+    LifLayer lif;              ///< train_step's dynamics
     PreTraces traces;
     // Reused scratch buffers.
     std::vector<float> current;
     std::vector<std::uint32_t> out_spikes;
 
     Layer(std::size_t n_in, std::size_t n_out, const NetworkConfig& cfg);
+
+    /// Every kernel walks `w` as n_out x n_in, but weights_mut and
+    /// weights_delta hand out the vector itself: a resize is caught here.
+    void require_shape() const {
+      SPARKXD_REQUIRE(w.size() == n_in * n_out,
+                      "layer weights were resized away from n_out x n_in");
+    }
   };
 
   [[nodiscard]] Layer& layer(std::size_t l) {
@@ -241,7 +234,6 @@ class Network {
   std::vector<Layer> layers_;  ///< [0] = input side, back() = output layer
   PoissonEncoder encoder_;
   std::vector<std::uint32_t> in_spikes_;  ///< reused input-spike scratch
-  std::uint64_t theta_generation_ = 0;    ///< see theta_generation()
 };
 
 }  // namespace sparkxd::snn

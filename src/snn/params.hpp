@@ -24,28 +24,23 @@ namespace sparkxd::snn {
 /// state sits exactly at rest, and short-circuits an all-zero sample — only
 /// where the step is provably the identity.
 ///
-///   kDense    float accumulation in spike order (the per-neuron addition
-///             order of the row-major walk). Bit-exact baseline; every
-///             golden digest but smoke-digits-event-fx was produced by it.
-///   kEvent    the same float mode under its own label: bitwise-identical
-///             counts and Rng consumption to kDense; scenarios that select
-///             it only add the gated "engine=event" report/digest line.
+///   kEvent    float accumulation in spike order (the per-neuron addition
+///             order of the row-major walk). The default and the bit-exact
+///             baseline; every golden digest but smoke-digits-event-fx was
+///             produced by it.
 ///   kEventFx  fixed-point accumulation: the gather quantizes weights to
 ///             Q47.16 on the fly and sums in int64, making the per-neuron
 ///             drive independent of addition order. Numerically different
 ///             from the float mode (locked by its own golden,
 ///             smoke-digits-event-fx).
 enum class EngineKind : std::uint8_t {
-  kDense = 0,
-  kEvent = 1,
-  kEventFx = 2,
+  kEvent = 0,
+  kEventFx = 1,
 };
 
-/// Stable axis label: "dense", "event", "event-fx".
+/// Stable axis label: "event", "event-fx".
 [[nodiscard]] constexpr const char* to_string(EngineKind kind) noexcept {
   switch (kind) {
-    case EngineKind::kDense:
-      return "dense";
     case EngineKind::kEvent:
       return "event";
     case EngineKind::kEventFx:
@@ -134,9 +129,8 @@ struct NetworkConfig {
   std::uint64_t seed = 1;  ///< weight-init / spike-train seed
   /// Inference accumulator for Network::infer (see EngineKind). Not part of
   /// the serialized model (model_io writes config fields individually): the
-  /// engine is a runtime execution choice, not model identity — kDense and
-  /// kEvent are the same float mode.
-  EngineKind engine = EngineKind::kDense;
+  /// engine is a runtime execution choice, not model identity.
+  EngineKind engine = EngineKind::kEvent;
   LifParams lif;
   StdpParams stdp;
 

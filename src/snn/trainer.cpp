@@ -29,23 +29,23 @@ NeuronLabels label_neurons(Network& net, const data::Dataset& ds, Rng& rng) {
   std::vector<double> responses(n * k, 0.0);
   std::vector<std::size_t> class_count(k, 0);
 
-  // Labelling always runs the float dense kernel, whatever engine the
-  // network is configured with: an event-fx network is calibrated on exact
-  // float sums and only evaluated in fixed point. The configured engine is
-  // restored on every exit, including a throw.
-  class DenseForScope {
+  // Labelling always runs the float kernel, whatever engine the network is
+  // configured with: an event-fx network is calibrated on exact float sums
+  // and only evaluated in fixed point. The configured engine is restored on
+  // every exit, including a throw.
+  class FloatForScope {
    public:
-    explicit DenseForScope(Network& n) : net_(n), saved_(n.engine()) {
-      net_.set_engine(EngineKind::kDense);
+    explicit FloatForScope(Network& n) : net_(n), saved_(n.engine()) {
+      net_.set_engine(EngineKind::kEvent);
     }
-    DenseForScope(const DenseForScope&) = delete;
-    DenseForScope& operator=(const DenseForScope&) = delete;
-    ~DenseForScope() { net_.set_engine(saved_); }
+    FloatForScope(const FloatForScope&) = delete;
+    FloatForScope& operator=(const FloatForScope&) = delete;
+    ~FloatForScope() { net_.set_engine(saved_); }
 
    private:
     Network& net_;
     EngineKind saved_;
-  } dense_for_scope(net);
+  } float_for_scope(net);
   net.sync_transpose();
   // One state serves every sample, drawing serially from the caller's rng.
   InferenceState state(net);

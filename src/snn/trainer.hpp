@@ -36,7 +36,7 @@ void train_epoch(Network& net, const data::Dataset& ds, Rng& rng);
 
 /// Assigns each neuron the class for which its average spike count (over the
 /// labelled set, inference mode) is highest. Samples run serially through
-/// Network::infer on the dense float kernel, drawing from `rng` in order;
+/// Network::infer on the float kernel (kEvent), drawing from `rng` in order;
 /// the network's configured engine is restored afterwards. Syncs the
 /// transposed inference copy. Rejects a dataset whose pixel width differs
 /// from the network's input or whose labels fall outside

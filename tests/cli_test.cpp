@@ -87,6 +87,18 @@ TEST(CliTest, BadEccSpecExitsTwo) {
   EXPECT_NE(shape.output.find("--ecc"), std::string::npos) << shape.output;
 }
 
+TEST(CliTest, BadEngineSpecExitsTwo) {
+  // One float mode, one label: `dense` is no longer a spelling of it.
+  for (const char* spec : {"dense", "bogus"}) {
+    const auto r = run_cli(std::string("--scenario smoke-digits-m0 --engine ") +
+                           spec);
+    EXPECT_EQ(r.exit_code, 2) << spec;
+    EXPECT_NE(r.output.find("--engine wants event or event-fx"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(CliTest, EccOverrideRenamesAndShowsInList) {
   const auto r = run_cli("--list --scenario smoke-digits-m0 --ecc bch:4096");
   EXPECT_EQ(r.exit_code, 0);

@@ -2,9 +2,9 @@
 //
 // The contract under test: the kernel skips only provably-identity work (an
 // all-zero sample, an empty wave into an at-rest layer), so in float mode
-// (kDense and kEvent) it produces BITWISE-identical spike counts — and
-// consumes the identical Rng stream — as a dense reference that integrates
-// every layer every timestep. The reference below is built from the public
+// (kEvent) it produces BITWISE-identical spike counts — and consumes the
+// identical Rng stream — as a dense reference that integrates every layer
+// every timestep. The reference below is built from the public
 // API only. The fixed-point mode (kEventFx) is deterministic and plausible
 // but numerically its own path; it is locked by the smoke-digits-event-fx
 // golden (scenario_test), so here it only gets determinism + sanity
@@ -69,11 +69,8 @@ std::vector<std::uint32_t> reference_infer(const Network& net,
                                            Rng& rng) {
   const NetworkConfig& cfg = net.config();
   std::vector<snn::LifLayer> lifs;
-  for (std::size_t l = 0; l < net.n_layers(); ++l) {
+  for (std::size_t l = 0; l < net.n_layers(); ++l)
     lifs.emplace_back(cfg.layer_neurons(l), cfg.lif, cfg.dt_ms);
-    lifs.back().thetas_mut() = net.thetas(l);
-    lifs.back().set_plastic(false);
-  }
   snn::PoissonEncoder encoder(cfg.max_rate);
   encoder.set_image(image);
   std::vector<std::uint32_t> counts(cfg.n_neurons, 0), in_spikes;
@@ -87,7 +84,7 @@ std::vector<std::uint32_t> reference_infer(const Network& net,
       std::vector<float> current(lifs[l].size(), 0.0f);
       for (std::size_t n = 0; n < current.size(); ++n)
         for (const auto i : *spikes) current[n] += w[n * n_in + i];
-      lifs[l].step(current, out[l]);
+      lifs[l].infer_step(current, net.thetas(l), out[l]);
       spikes = &out[l];
     }
     for (const auto s : *spikes) ++counts[s];
@@ -95,25 +92,20 @@ std::vector<std::uint32_t> reference_infer(const Network& net,
   return counts;
 }
 
-/// Runs infer under both float engine spellings and the reference from the
-/// same Rng seed, asserting bitwise-equal counts AND an identical stream
-/// position afterwards (one extra draw from each Rng must coincide).
-/// Returns the reference's total output spike count.
+/// Runs infer in float mode and the reference from the same Rng seed,
+/// asserting bitwise-equal counts AND an identical stream position
+/// afterwards (one extra draw from each Rng must coincide). Returns the
+/// reference's total output spike count.
 std::uint64_t expect_matches_reference(const Network& net,
                                        const std::vector<float>& image,
                                        std::uint64_t rng_seed) {
   Rng ref_rng(rng_seed);
   const auto expected = reference_infer(net, image, ref_rng);
-  const std::uint64_t ref_next = ref_rng.next_u64();
-  for (const EngineKind kind : {EngineKind::kDense, EngineKind::kEvent}) {
-    Network copy = net;
-    copy.set_engine(kind);
-    InferenceState state(copy);
-    Rng rng(rng_seed);
-    EXPECT_EQ(copy.infer(state, image, rng), expected) << to_string(kind);
-    EXPECT_EQ(rng.next_u64(), ref_next)
-        << to_string(kind) << " consumed a different Rng stream length";
-  }
+  InferenceState state(net);
+  Rng rng(rng_seed);
+  EXPECT_EQ(net.infer(state, image, rng), expected);
+  EXPECT_EQ(rng.next_u64(), ref_rng.next_u64())
+      << "infer consumed a different Rng stream length";
   return std::accumulate(expected.begin(), expected.end(), std::uint64_t{0});
 }
 
@@ -214,11 +206,11 @@ TEST(EventEngine, FixedPointModeIsDeterministicAndSane) {
   EXPECT_EQ(a.next_u64(), b.next_u64());
   // Same stream length as the float engines too (quantization changes
   // values, never Rng consumption).
-  Network dense = net;
-  dense.set_engine(EngineKind::kDense);
-  InferenceState s3(dense);
+  Network float_net = net;
+  float_net.set_engine(EngineKind::kEvent);
+  InferenceState s3(float_net);
   Rng c(61);
-  (void)dense.infer(s3, img, c);
+  (void)float_net.infer(s3, img, c);
   (void)c.next_u64();  // `a` is one draw ahead from the comparison above
   EXPECT_EQ(a.next_u64(), c.next_u64());
   // And an all-zero image still short-circuits to silence.

@@ -1,6 +1,7 @@
 // Tests for the LIF neuron layer: integration, leak, threshold/reset,
 // refractoriness, adaptive threshold (homeostasis), lateral inhibition and
-// the per-step winner-take-all.
+// the per-step winner-take-all. The thresholds are caller-owned: each test
+// keeps its own `theta` vector, as snn::Network does per layer.
 
 #include <gtest/gtest.h>
 
@@ -21,11 +22,12 @@ LifParams quiet_params() {
 
 TEST(Lif, IntegratesInputUntilThreshold) {
   LifLayer layer(1, quiet_params(), 1.0f);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{0.3f};
   std::vector<std::uint32_t> spikes;
   int steps_to_spike = 0;
   for (int t = 0; t < 50 && spikes.empty(); ++t) {
-    layer.step(current, spikes);
+    layer.train_step(current, theta, spikes);
     ++steps_to_spike;
   }
   ASSERT_EQ(spikes.size(), 1u);
@@ -37,10 +39,11 @@ TEST(Lif, IntegratesInputUntilThreshold) {
 
 TEST(Lif, NoInputNoSpikes) {
   LifLayer layer(4, quiet_params(), 1.0f);
+  std::vector<float> theta(4, 0.0f);
   std::vector<float> current(4, 0.0f);
   std::vector<std::uint32_t> spikes;
   for (int t = 0; t < 100; ++t) {
-    layer.step(current, spikes);
+    layer.train_step(current, theta, spikes);
     EXPECT_TRUE(spikes.empty());
   }
 }
@@ -50,10 +53,11 @@ TEST(Lif, SubthresholdInputNeverFires) {
   auto p = quiet_params();
   p.tau_m_ms = 25.0f;  // decay ~0.9608 -> v_inf = I / 0.0392
   LifLayer layer(1, p, 1.0f);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{0.03f};  // v_inf ~ 0.77 < 1.0
   std::vector<std::uint32_t> spikes;
   for (int t = 0; t < 500; ++t) {
-    layer.step(current, spikes);
+    layer.train_step(current, theta, spikes);
     EXPECT_TRUE(spikes.empty());
   }
   EXPECT_LT(layer.potentials()[0], 1.0f);
@@ -62,9 +66,10 @@ TEST(Lif, SubthresholdInputNeverFires) {
 
 TEST(Lif, ResetAfterSpike) {
   LifLayer layer(1, quiet_params(), 1.0f);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{1.5f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
+  layer.train_step(current, theta, spikes);
   ASSERT_EQ(spikes.size(), 1u);
   EXPECT_EQ(layer.potentials()[0], 0.0f);  // v_reset
 }
@@ -73,11 +78,12 @@ TEST(Lif, RefractoryBlocksSpiking) {
   auto p = quiet_params();
   p.refractory_steps = 3;
   LifLayer layer(1, p, 1.0f);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};  // would fire every step otherwise
   std::vector<std::uint32_t> spikes;
   int fired = 0;
   for (int t = 0; t < 12; ++t) {
-    layer.step(current, spikes);
+    layer.train_step(current, theta, spikes);
     fired += static_cast<int>(spikes.size());
   }
   // One spike then 3 silent steps -> every 4th step fires.
@@ -86,50 +92,58 @@ TEST(Lif, RefractoryBlocksSpiking) {
 
 TEST(Lif, LeakDecaysPotential) {
   LifLayer layer(1, quiet_params(), 1.0f);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{0.5f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
+  layer.train_step(current, theta, spikes);
   const float v1 = layer.potentials()[0];
   current[0] = 0.0f;
-  for (int t = 0; t < 20; ++t) layer.step(current, spikes);
+  for (int t = 0; t < 20; ++t) layer.train_step(current, theta, spikes);
   EXPECT_LT(layer.potentials()[0], v1 * 0.6f);
 }
 
-TEST(Lif, ThetaGrowsPerSpikeWhenPlastic) {
+TEST(Lif, TrainStepGrowsThetaPerSpike) {
   auto p = quiet_params();
   p.theta_plus = 0.1f;
   p.refractory_steps = 0;
   LifLayer layer(1, p, 1.0f);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};
   std::vector<std::uint32_t> spikes;
-  for (int t = 0; t < 5; ++t) layer.step(current, spikes);
-  EXPECT_NEAR(layer.thetas()[0], 0.5f, 0.01f);
+  for (int t = 0; t < 5; ++t) layer.train_step(current, theta, spikes);
+  EXPECT_NEAR(theta[0], 0.5f, 0.01f);
 }
 
-TEST(Lif, ThetaFrozenWhenNotPlastic) {
+TEST(Lif, InferStepLeavesThetaFrozen) {
   auto p = quiet_params();
   p.theta_plus = 0.1f;
   LifLayer layer(1, p, 1.0f);
-  layer.set_plastic(false);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};
   std::vector<std::uint32_t> spikes;
-  for (int t = 0; t < 10; ++t) layer.step(current, spikes);
-  EXPECT_EQ(layer.thetas()[0], 0.0f);
+  int fired = 0;
+  for (int t = 0; t < 10; ++t) {
+    layer.infer_step(current, theta, spikes);
+    fired += static_cast<int>(spikes.size());
+  }
+  EXPECT_GT(fired, 1);
+  EXPECT_EQ(theta[0], 0.0f);
 }
 
 TEST(Lif, ThetaRaisesEffectiveThreshold) {
   auto p = quiet_params();
   p.theta_plus = 100.0f;
   LifLayer layer(1, p, 1.0f);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{1.5f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
+  layer.train_step(current, theta, spikes);
   ASSERT_EQ(spikes.size(), 1u);  // first spike
   // Now theta = 100 -> needs v >= 101; current 1.5/step saturates at
   // v_inf = 1.5 / (1 - exp(-1/25)) ~ 38, far below the raised threshold.
   int fired = 0;
   for (int t = 0; t < 200; ++t) {
-    layer.step(current, spikes);
+    layer.train_step(current, theta, spikes);
     fired += static_cast<int>(spikes.size());
   }
   EXPECT_EQ(fired, 0);
@@ -140,10 +154,11 @@ TEST(Lif, WinnerTakeAllSelectsLargestMargin) {
   p.winner_take_all = true;
   p.inhibition = 0.0f;
   LifLayer layer(3, p, 1.0f);
+  std::vector<float> theta(3, 0.0f);
   // All three cross threshold this step; neuron 1 by the largest margin.
   std::vector<float> current{1.2f, 1.8f, 1.5f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
+  layer.train_step(current, theta, spikes);
   ASSERT_EQ(spikes.size(), 1u);
   EXPECT_EQ(spikes[0], 1u);
 }
@@ -154,10 +169,10 @@ TEST(Lif, WinnerTakeAllDisabledAtInferenceWithoutCompete) {
   p.compete_at_inference = false;
   p.inhibition = 5.0f;
   LifLayer layer(3, p, 1.0f);
-  layer.set_plastic(false);
+  std::vector<float> theta(3, 0.0f);
   std::vector<float> current{1.2f, 1.8f, 1.5f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
+  layer.infer_step(current, theta, spikes);
   EXPECT_EQ(spikes.size(), 3u);  // everyone fires independently
 }
 
@@ -166,10 +181,10 @@ TEST(Lif, CompeteAtInferenceFlagRestoresWta) {
   p.winner_take_all = true;
   p.compete_at_inference = true;
   LifLayer layer(3, p, 1.0f);
-  layer.set_plastic(false);
+  std::vector<float> theta(3, 0.0f);
   std::vector<float> current{1.2f, 1.8f, 1.5f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
+  layer.infer_step(current, theta, spikes);
   EXPECT_EQ(spikes.size(), 1u);
 }
 
@@ -178,10 +193,11 @@ TEST(Lif, LateralInhibitionSuppressesOthers) {
   p.winner_take_all = true;
   p.inhibition = 5.0f;
   LifLayer layer(2, p, 1.0f);
+  std::vector<float> theta(2, 0.0f);
   // Neuron 0 fires; neuron 1 was close to threshold.
   std::vector<float> current{1.5f, 0.9f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
+  layer.train_step(current, theta, spikes);
   ASSERT_EQ(spikes.size(), 1u);
   EXPECT_EQ(spikes[0], 0u);
   EXPECT_LT(layer.potentials()[1], -3.0f);  // pushed far below rest
@@ -192,9 +208,10 @@ TEST(Lif, InhibitionFloorBoundsPotential) {
   p.winner_take_all = false;
   p.inhibition = 100.0f;
   LifLayer layer(2, p, 1.0f);
+  std::vector<float> theta(2, 0.0f);
   std::vector<float> current{1.5f, 0.0f};
   std::vector<std::uint32_t> spikes;
-  for (int t = 0; t < 20; ++t) layer.step(current, spikes);
+  for (int t = 0; t < 20; ++t) layer.train_step(current, theta, spikes);
   EXPECT_GE(layer.potentials()[1], -5.0f - 1e-3f);
 }
 
@@ -203,30 +220,33 @@ TEST(Lif, SpikerDoesNotInhibitItself) {
   p.winner_take_all = true;
   p.inhibition = 5.0f;
   LifLayer layer(2, p, 1.0f);
+  std::vector<float> theta(2, 0.0f);
   std::vector<float> current{1.5f, 0.0f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
+  layer.train_step(current, theta, spikes);
   ASSERT_EQ(spikes.size(), 1u);
   // Winner is at v_reset + own-share refund = inhibition > 0 undone;
   // it must be far above the suppressed neighbour.
   EXPECT_GT(layer.potentials()[0], layer.potentials()[1] + 3.0f);
 }
 
-TEST(Lif, ResetDynamicsKeepsTheta) {
+TEST(Lif, ResetDynamicsClearsPotentialAndRefractory) {
   auto p = quiet_params();
   p.theta_plus = 0.5f;
-  p.refractory_steps = 0;
+  p.refractory_steps = 5;
   LifLayer layer(1, p, 1.0f);
+  std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};
   std::vector<std::uint32_t> spikes;
-  layer.step(current, spikes);
-  ASSERT_GT(layer.thetas()[0], 0.0f);
-  const float theta = layer.thetas()[0];
+  layer.train_step(current, theta, spikes);
+  ASSERT_EQ(spikes.size(), 1u);
+  layer.train_step(current, theta, spikes);
+  ASSERT_TRUE(spikes.empty());  // refractory
   layer.reset_dynamics();
   EXPECT_EQ(layer.potentials()[0], 0.0f);
-  EXPECT_EQ(layer.thetas()[0], theta);
-  layer.reset_all();
-  EXPECT_EQ(layer.thetas()[0], 0.0f);
+  // The refractory counter is cleared too: the next drive fires at once.
+  layer.train_step(current, theta, spikes);
+  EXPECT_EQ(spikes.size(), 1u);
 }
 
 TEST(Lif, RejectsBadConstruction) {
@@ -241,25 +261,45 @@ TEST(Lif, RejectsBadConstruction) {
 }
 
 TEST(Lif, RestPredicatesGateEventSkipping) {
-  // silent_at_rest: only when plasticity is frozen AND every threshold sits
-  // strictly above rest is a zero-input step provably the identity.
+  // silent_at_rest: only when every threshold v_thresh + theta sits strictly
+  // above rest is a zero-input inference step provably the identity.
   LifLayer layer(2, quiet_params(), 1.0f);
-  EXPECT_FALSE(layer.silent_at_rest());  // plastic by default
-  layer.set_plastic(false);
-  EXPECT_TRUE(layer.silent_at_rest());
+  std::vector<float> theta(2, 0.0f);
+  EXPECT_TRUE(layer.silent_at_rest(theta));
+  theta[1] = -1.0f;  // this neuron's threshold drops to rest
+  EXPECT_FALSE(layer.silent_at_rest(theta));
   auto degenerate = quiet_params();
   degenerate.v_thresh = 0.0f;  // threshold AT rest: a rest neuron can fire
   degenerate.v_reset = -1.0f;
   LifLayer hair_trigger(1, degenerate, 1.0f);
-  hair_trigger.set_plastic(false);
-  EXPECT_FALSE(hair_trigger.silent_at_rest());
+  EXPECT_FALSE(hair_trigger.silent_at_rest(std::vector<float>(1, 0.0f)));
 }
 
 TEST(Lif, RejectsMismatchedCurrentWidth) {
   LifLayer layer(3, quiet_params(), 1.0f);
+  std::vector<float> theta(3, 0.0f);
   std::vector<float> current(2, 0.0f);
   std::vector<std::uint32_t> spikes;
-  EXPECT_THROW(layer.step(current, spikes), ContractViolation);
+  EXPECT_THROW(layer.train_step(current, theta, spikes), ContractViolation);
+  EXPECT_THROW(layer.infer_step(current, theta, spikes), ContractViolation);
+}
+
+TEST(Lif, RejectsMismatchedThetaWidth) {
+  // The thresholds are caller-owned: a vector of the wrong width must be
+  // refused before any step indexes it.
+  LifLayer layer(3, quiet_params(), 1.0f);
+  const std::vector<float> current(3, 2.0f);
+  std::vector<std::uint32_t> spikes;
+  for (const std::size_t width : {std::size_t{0}, std::size_t{2},
+                                  std::size_t{4}}) {
+    std::vector<float> theta(width, 0.0f);
+    EXPECT_THROW(layer.train_step(current, theta, spikes), ContractViolation)
+        << width;
+    EXPECT_THROW(layer.infer_step(current, theta, spikes), ContractViolation)
+        << width;
+    EXPECT_THROW((void)layer.silent_at_rest(theta), ContractViolation)
+        << width;
+  }
 }
 
 }  // namespace

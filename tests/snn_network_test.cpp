@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -240,53 +241,101 @@ TEST(Network, ReusedStateMatchesFreshStateBitwise) {
   }
 }
 
-TEST(Network, StaleInferenceStateResyncsAfterRetraining) {
-  // Regression: InferenceState snapshots the LIF thetas at construction.
-  // Before the generation counter a state built pre-(re)training silently
-  // kept inferring with the stale thresholds; now infer() notices the
-  // generation mismatch and resyncs the slices first.
+TEST(Network, StateBuiltBeforeRetrainingInfersLikeAFreshOne) {
+  // The state holds no thresholds: one built before a training pass and a
+  // thetas_mut edit reads the network's current ones, exactly like a state
+  // built afterwards.
   const auto cfg = tiny_config();
   Network net(cfg);
-  InferenceState stale(net);
-  EXPECT_EQ(stale.generation(), net.theta_generation());
+  InferenceState early(net);
 
   Rng train_rng(2);
   (void)net.train_step(bright_image(cfg.n_inputs), train_rng);
+  net.thetas_mut(0)[3] += 0.25f;
   net.sync_transpose();
-  EXPECT_GT(net.theta_generation(), stale.generation());
 
   InferenceState fresh(net);
   const auto img = bright_image(cfg.n_inputs, 0.5f);
   Rng a(9), b(9);
-  EXPECT_EQ(net.infer(stale, img, a), net.infer(fresh, img, b));
-  EXPECT_EQ(stale.generation(), net.theta_generation());
+  const auto counts = net.infer(early, img, a);
+  EXPECT_EQ(counts, net.infer(fresh, img, b));
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+  EXPECT_GT(std::accumulate(counts.begin(), counts.end(), 0u), 0u);
 }
 
-TEST(Network, ThetaGenerationBumpsOnEveryMutationPath) {
-  Network net(tiny_config());
-  const auto g0 = net.theta_generation();
-  (void)net.thetas_mut(0);  // mutable access presumes mutation
-  EXPECT_EQ(net.theta_generation(), g0 + 1);
-  Rng rng(3);
-  (void)net.train_step(bright_image(net.config().n_inputs), rng);
-  EXPECT_GT(net.theta_generation(), g0 + 1);
-  // Inference must not bump it (states stay valid across pure readouts).
-  net.sync_transpose();
-  InferenceState state(net);
-  const auto g1 = net.theta_generation();
-  Rng rng2(4);
-  (void)net.infer(state, bright_image(net.config().n_inputs, 0.3f), rng2);
-  EXPECT_EQ(net.theta_generation(), g1);
-  EXPECT_EQ(state.generation(), g1);
+TEST(Network, StateFromOneNetworkInfersWithTheRunningNetworksThresholds) {
+  // Regression: two same-shape networks whose thresholds were both written
+  // once (as by model loading). A state built from A and run by B must
+  // infer with B's thresholds, not a copy of A's.
+  const auto cfg = tiny_config();
+  Network a(cfg), b(cfg);
+  a.thetas_mut(0) = std::vector<float>(cfg.n_neurons, 0.0f);
+  b.thetas_mut(0) = std::vector<float>(cfg.n_neurons, 50.0f);
+  const auto img = bright_image(cfg.n_inputs);
+  Rng ra(4), rb(4);
+  const auto a_counts = infer_once(a, img, ra);
+  const auto b_counts = infer_once(b, img, rb);
+  ASSERT_GT(std::accumulate(a_counts.begin(), a_counts.end(), 0u), 0u);
+  ASSERT_NE(b_counts, a_counts);
+
+  InferenceState built_from_a(a);
+  Rng rc(4);
+  EXPECT_EQ(b.infer(built_from_a, img, rc), b_counts);
+  EXPECT_EQ(rc.next_u64(), rb.next_u64());
 }
 
-TEST(Network, ExplicitResyncRefreshesSnapshot) {
-  Network net(tiny_config());
-  InferenceState state(net);
-  net.thetas_mut(0)[0] += 0.5f;
-  EXPECT_NE(state.generation(), net.theta_generation());
-  state.resync(net);
-  EXPECT_EQ(state.generation(), net.theta_generation());
+TEST(Network, ResizedWeightsAreRejected) {
+  // weights_mut and weights_delta hand out the vector itself; every kernel
+  // that walks it as n_out x n_in must refuse a resized one.
+  const auto cfg = tiny_config();
+  const std::size_t n = cfg.n_inputs * cfg.n_neurons;
+  Rng rng(1);
+  {
+    Network net(cfg);
+    net.weights_mut(0).pop_back();
+    EXPECT_THROW(net.sync_transpose(), ContractViolation);
+    EXPECT_THROW(net.normalize_rows(), ContractViolation);
+    EXPECT_THROW((void)net.train_step(bright_image(cfg.n_inputs), rng),
+                 ContractViolation);
+  }
+  {
+    Network net(cfg);
+    net.weights_mut(0).resize(2 * n, 0.1f);
+    EXPECT_THROW((void)net.train_step(bright_image(cfg.n_inputs), rng),
+                 ContractViolation);
+  }
+  {
+    Network net(cfg);
+    net.weights_delta(0).resize(2 * n, 0.1f);
+    EXPECT_THROW(net.mirror_weight(0, 2 * n - 1), ContractViolation);
+    EXPECT_THROW(net.mirror_weight(0, 0), ContractViolation);
+  }
+  {
+    Network net(cfg);
+    net.weights_delta(0).pop_back();
+    EXPECT_THROW(net.mirror_weight(0, n - 2), ContractViolation);
+  }
+}
+
+TEST(Network, ResizedThresholdsAreRejected) {
+  const auto cfg = tiny_config();
+  for (const std::size_t width : {cfg.n_neurons - 1, cfg.n_neurons + 1}) {
+    Network net(cfg);
+    net.thetas_mut(0).resize(width, 0.0f);
+    InferenceState state(net);
+    Rng rng(1);
+    EXPECT_THROW((void)net.infer(state, bright_image(cfg.n_inputs), rng),
+                 ContractViolation)
+        << width;
+    // The all-zero short-circuit must not bypass the check.
+    EXPECT_THROW((void)net.infer(state, bright_image(cfg.n_inputs, 0.0f),
+                                 rng),
+                 ContractViolation)
+        << width;
+    EXPECT_THROW((void)net.train_step(bright_image(cfg.n_inputs), rng),
+                 ContractViolation)
+        << width;
+  }
 }
 
 TEST(Network, InferLeavesNetworkUntouched) {
