@@ -82,6 +82,39 @@ void BM_NetworkInference(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkInference)->Arg(400)->Arg(1600);
 
+// One STDP training sample (60 steps: gather, LIF, STDP write-through, then
+// the row normalisation). Arg 0: the flat 784->64 network; Arg 1: a deep
+// 784->128->64 stack.
+void BM_TrainStep(benchmark::State& state) {
+  snn::NetworkConfig cfg;
+  cfg.n_neurons = 64;
+  if (state.range(0) != 0) cfg.hidden_neurons = {128};
+  snn::Network net(cfg);
+  const auto ds = data::make_dataset(data::Task::kDigits, 1, 1);
+  Rng rng(1);
+  for (auto _ : state) {
+    auto counts = net.train_step(ds.images[0], rng);
+    benchmark::DoNotOptimize(counts.data());
+  }
+}
+BENCHMARK(BM_TrainStep)->Arg(0)->Arg(1);
+
+// normalize_rows on a synced 784 x range(0) layer: sums over the
+// transposed layout, then scales both layouts.
+void BM_NormalizeRows(benchmark::State& state) {
+  snn::NetworkConfig cfg;
+  cfg.n_neurons = static_cast<std::size_t>(state.range(0));
+  snn::Network net(cfg);
+  for (auto _ : state) {
+    net.normalize_rows();
+    benchmark::DoNotOptimize(net.weights(0).data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(cfg.n_inputs * cfg.n_neurons));
+}
+BENCHMARK(BM_NormalizeRows)->Arg(64)->Arg(400);
+
 // Arg 0: refresh off; Arg 1: nominal cadence, so every command dodges the
 // REF windows.
 void BM_ControllerStreaming(benchmark::State& state) {

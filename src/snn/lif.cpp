@@ -43,19 +43,40 @@ void LifLayer::step(const std::vector<float>& input_current, Theta& theta,
                   "input current width must match layer size");
   SPARKXD_REQUIRE(theta.size() == v_.size(),
                   "theta width must match layer size");
-  spikes_out.clear();
   const std::size_t n = v_.size();
-  // Integrate, then collect threshold crossings.
+  float* v = v_.data();
+  std::int32_t* refr = refractory_.data();
+  const float* cur = input_current.data();
+  // Constants in locals: a store through `v` or `theta` may alias the
+  // members, which would force a reload per neuron.
+  const float v_rest = p_.v_rest;
+  const float v_reset = p_.v_reset;
+  const float decay_m = decay_m_;
+  const float decay_theta = decay_theta_;
+  // Integrate: a refractory neuron is held at reset (its threshold does not
+  // decay); every other one leaks toward rest, takes this step's synaptic
+  // drive, and, while training, its threshold decays. Both arms are
+  // computed and one is selected, so the loop vectorises.
   for (std::size_t i = 0; i < n; ++i) {
-    if (refractory_[i] > 0) {
-      --refractory_[i];
-      v_[i] = p_.v_reset;
+    const bool held = refr[i] > 0;
+    const float leaked = v_rest + (v[i] - v_rest) * decay_m + cur[i];
+    v[i] = held ? v_reset : leaked;
+    if constexpr (plastic) {
+      const float decayed = theta[i] * decay_theta;
+      theta[i] = held ? theta[i] : decayed;
+    }
+  }
+  // Scan: count down the refractory neurons and collect the threshold
+  // crossings of the others. A held neuron never crosses, even when a
+  // negative threshold puts v_thresh + theta below v_reset.
+  spikes_out.clear();
+  const float v_thresh = p_.v_thresh;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (refr[i] > 0) {
+      --refr[i];
       continue;
     }
-    // Leak toward rest, then integrate this step's synaptic drive.
-    v_[i] = p_.v_rest + (v_[i] - p_.v_rest) * decay_m_ + input_current[i];
-    if constexpr (plastic) theta[i] *= decay_theta_;
-    if (v_[i] >= p_.v_thresh + theta[i])
+    if (v[i] >= v_thresh + theta[i])
       spikes_out.push_back(static_cast<std::uint32_t>(i));
   }
   const bool compete = plastic || p_.compete_at_inference;
@@ -87,8 +108,7 @@ void LifLayer::step(const std::vector<float>& input_current, Theta& theta,
     for (const auto s : spikes_out) v_[s] += p_.inhibition;
     // Do not let inhibition push potentials unphysically far below reset.
     const float floor = p_.v_rest - 5.0f * p_.v_thresh;
-    for (std::size_t i = 0; i < n; ++i)
-      if (v_[i] < floor) v_[i] = floor;
+    for (std::size_t i = 0; i < n; ++i) v_[i] = v_[i] < floor ? floor : v_[i];
   }
 }
 

@@ -63,6 +63,9 @@ class LifLayer {
  private:
   /// The one step body: `Theta` is `std::vector<float>` for train_step
   /// (plastic thresholds) and `const std::vector<float>` for infer_step.
+  /// A branch-free integrate pass over all neurons (vectorised) is followed
+  /// by a scalar scan that counts down refractory neurons and collects the
+  /// threshold crossings.
   template <class Theta>
   void step(const std::vector<float>& input_current, Theta& theta,
             std::vector<std::uint32_t>& spikes_out);

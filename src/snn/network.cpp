@@ -1,7 +1,9 @@
 #include "snn/network.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <type_traits>
 
 #include "common/contracts.hpp"
 
@@ -13,10 +15,38 @@ namespace {
 /// 1e-5 of a unit threshold while 47 integer bits can absorb any realistic
 /// fan-in without overflow.
 constexpr float kFxScale = 65536.0f;
+
+/// Bitwise equality, so a NaN constant matches itself.
+bool same_bits(float a, float b) noexcept {
+  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
+}
+
+/// Bitwise for floats, == otherwise.
+template <class T>
+bool same_field(T a, T b) noexcept {
+  if constexpr (std::is_same_v<T, float>)
+    return same_bits(a, b);
+  else
+    return a == b;
+}
+
+bool same_lif(const LifParams& a, const LifParams& b) noexcept {
+  // The bindings must name every LifParams field, so a new field breaks
+  // the build here until it is compared too.
+  const auto& [a0, a1, a2, a3, a4, a5, a6, a7, a8, a9] = a;
+  const auto& [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9] = b;
+  return same_field(a0, b0) && same_field(a1, b1) && same_field(a2, b2) &&
+         same_field(a3, b3) && same_field(a4, b4) && same_field(a5, b5) &&
+         same_field(a6, b6) && same_field(a7, b7) && same_field(a8, b8) &&
+         same_field(a9, b9);
+}
 }  // namespace
 
 InferenceState::InferenceState(const Network& net)
-    : encoder_(net.cfg_.max_rate) {
+    : encoder_(net.cfg_.max_rate),
+      lif_(net.cfg_.lif),
+      dt_ms_(net.cfg_.dt_ms),
+      max_rate_(net.cfg_.max_rate) {
   layers_.reserve(net.layers_.size());
   for (const auto& lay : net.layers_)
     layers_.push_back({lay.lif, lay.n_in, std::vector<float>(lay.n_out, 0.0f),
@@ -58,8 +88,7 @@ Network::Network(const NetworkConfig& cfg)
     Rng rng(l + 1 == n_layers ? cfg.seed : hash_combine(cfg.seed, l + 1));
     for (float& w : layers_[l].w) w = static_cast<float>(rng.uniform(0.0, 0.3));
   }
-  normalize_rows();
-  sync_transpose();
+  normalize_rows();  // syncs the transposes, then scales both layouts
 }
 
 void Network::sync_transpose() {
@@ -82,18 +111,50 @@ bool Network::transpose_synced() const noexcept {
 }
 
 void Network::normalize_rows() {
+  sync_transpose();
   for (Layer& lay : layers_) {
-    lay.require_shape();
-    const std::size_t ni = lay.n_in;
-    for (std::size_t n = 0; n < lay.n_out; ++n) {
-      float* row = lay.w.data() + n * ni;
-      float sum = 0.0f;
-      for (std::size_t i = 0; i < ni; ++i) sum += row[i];
-      if (sum <= 0.0f) continue;
-      const float scale = cfg_.norm_target / sum;
-      for (std::size_t i = 0; i < ni; ++i) row[i] *= scale;
-    }
-    lay.wt_synced = false;
+    lay.require_shape();  // a weights_delta resize leaves the layer synced
+    lay.normalize_synced(cfg_.norm_target);
+  }
+}
+
+void Network::Layer::normalize_synced(float norm_target) {
+  // Every neuron's row sum, accumulated over the transposed layout: input
+  // i's column adds to all neurons at once (vectorised across neurons),
+  // and each neuron still sums its inputs in ascending i — the row loop's
+  // order, so the sums are bitwise those of the row loop. The sums and
+  // scales live in `current`, train_step's per-timestep scratch, which is
+  // idle between samples.
+  std::fill(current.begin(), current.end(), 0.0f);
+  float* k = current.data();
+  for (std::size_t i = 0; i < n_in; ++i) {
+    const float* col = wt.data() + i * n_out;
+    for (std::size_t n = 0; n < n_out; ++n) k[n] += col[n];
+  }
+  // A row with sum <= 0 is left alone: its scale is 1, and x * 1 == x for
+  // every value such a row can hold (a NaN would have made its sum NaN).
+  for (std::size_t n = 0; n < n_out; ++n) {
+    const float q = norm_target / k[n];
+    k[n] = k[n] <= 0.0f ? 1.0f : q;
+  }
+  for (std::size_t i = 0; i < n_in; ++i) {
+    float* col = wt.data() + i * n_out;
+    for (std::size_t n = 0; n < n_out; ++n) col[n] *= k[n];
+  }
+  for (std::size_t n = 0; n < n_out; ++n) {
+    float* row = w.data() + n * n_in;
+    const float kn = k[n];
+    for (std::size_t i = 0; i < n_in; ++i) row[i] *= kn;
+  }
+}
+
+void Network::Layer::gather(const std::vector<std::uint32_t>& spikes,
+                            std::vector<float>& current) const {
+  std::fill(current.begin(), current.end(), 0.0f);
+  float* cur = current.data();
+  for (const auto i : spikes) {
+    const float* col = wt.data() + std::size_t{i} * n_out;
+    for (std::size_t n = 0; n < n_out; ++n) cur[n] += col[n];
   }
 }
 
@@ -106,6 +167,10 @@ std::vector<std::uint32_t> Network::train_step(const std::vector<float>& image,
     lay.lif.reset_dynamics();
     lay.traces.reset();
   }
+  // Training gathers from the transposed layout and keeps it in sync; only
+  // a weights_mut edit (fault injection) since the last sample leaves a
+  // layer stale.
+  sync_transpose();
   encoder_.set_image(image);
 
   const std::size_t n_layers = layers_.size();
@@ -120,32 +185,24 @@ std::vector<std::uint32_t> Network::train_step(const std::vector<float>& image,
     for (std::size_t l = 0; l < n_layers; ++l) {
       Layer& lay = layers_[l];
       lay.traces.step(*spikes);
-
-      // Synaptic drive: per-neuron sum over this step's spiking inputs.
-      // Training reads the row-major array directly: STDP updates weight
-      // rows mid-sample and the next step's gather must see them.
-      std::fill(lay.current.begin(), lay.current.end(), 0.0f);
-      if (!spikes->empty()) {
-        const std::size_t ni = lay.n_in;
-        for (std::size_t n = 0; n < lay.n_out; ++n) {
-          const float* row = lay.w.data() + n * ni;
-          float acc = 0.0f;
-          for (const auto i : *spikes) acc += row[i];
-          lay.current[n] = acc;
-        }
-      }
-
+      lay.gather(*spikes, lay.current);
       lay.lif.train_step(lay.current, lay.theta, lay.out_spikes);
+      // STDP moves a spiking neuron's row; writing it through to the
+      // transposed column lets the next step's gather see the update.
+      const std::size_t ni = lay.n_in;
+      const std::size_t nn = lay.n_out;
       for (const auto s : lay.out_spikes) {
         if (l + 1 == n_layers) ++counts[s];
-        stdp_post_update(lay.w.data() + static_cast<std::size_t>(s) * lay.n_in,
-                         lay.n_in, lay.traces.values(), cfg_.stdp);
+        float* row = lay.w.data() + std::size_t{s} * ni;
+        stdp_post_update(row, ni, lay.traces.values(), cfg_.stdp);
+        float* col = lay.wt.data() + s;
+        for (std::size_t i = 0; i < ni; ++i) col[i * nn] = row[i];
       }
       spikes = &lay.out_spikes;
     }
   }
 
-  normalize_rows();  // also marks the transposes stale
+  normalize_rows();  // scales both layouts: the transposes stay synced
   return counts;
 }
 
@@ -159,6 +216,11 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
   const std::size_t n_layers = layers_.size();
   SPARKXD_REQUIRE(state.layers_.size() == n_layers,
                   "InferenceState was built for a different network depth");
+  SPARKXD_REQUIRE(same_lif(state.lif_, cfg_.lif) &&
+                      same_bits(state.dt_ms_, cfg_.dt_ms) &&
+                      same_bits(state.max_rate_, cfg_.max_rate),
+                  "InferenceState was built for other LIF constants, dt_ms "
+                  "or max_rate");
   bool all_skip_ok = true;
   for (std::size_t l = 0; l < n_layers; ++l) {
     auto& slice = state.layers_[l];
@@ -192,9 +254,9 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
       }
 
       // Synaptic drive: transposed-column gather over the spike list. The
-      // float sums keep the per-neuron addition order of the row-major walk;
-      // kEventFx quantizes each weight to Q47.16 at read time and sums in
-      // int64, which is independent of addition order.
+      // float gather (train_step's too) adds each neuron's inputs in
+      // spike-list order; kEventFx quantizes each weight to Q47.16 at read
+      // time and sums in int64, which is independent of addition order.
       const std::size_t nn = lay.n_out;
       if (fx) {
         auto& acc = slice.acc;
@@ -208,12 +270,7 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
         for (std::size_t n = 0; n < nn; ++n)
           slice.current[n] = static_cast<float>(acc[n]) / kFxScale;
       } else {
-        std::fill(slice.current.begin(), slice.current.end(), 0.0f);
-        float* cur = slice.current.data();
-        for (const auto i : *spikes) {
-          const float* col = lay.wt.data() + std::size_t{i} * nn;
-          for (std::size_t n = 0; n < nn; ++n) cur[n] += col[n];
-        }
+        lay.gather(*spikes, slice.current);
       }
       slice.lif.infer_step(slice.current, lay.theta, slice.out_spikes);
       slice.at_rest = false;

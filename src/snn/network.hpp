@@ -8,17 +8,22 @@
 // and the error-aware mapping places independently (per-layer BER_th, the
 // EnforceSNN/EDEN structure).
 //
-// Inference additionally maintains a TRANSPOSED copy of each layer's
-// weights ([input][neuron]): the per-timestep synaptic gather then runs
-// spike-outer / neuron-inner over contiguous memory, which vectorizes and
-// breaks the per-neuron serial addition chain of the row-major walk. The
-// per-neuron addition *sequence* is unchanged (same spikes, same order), so
-// inference results are bitwise identical to the row-major kernel — the
-// golden digests lock this down. Training (train_step) keeps reading the
-// row-major arrays directly (STDP updates rows mid-sample), so the
-// transposes are resynced lazily before the next inference. Inference has
-// exactly one entry point and one kernel, infer(); every API addresses a
-// layer by index (layer 0 = input side), also on a one-layer network.
+// Each layer also keeps a TRANSPOSED copy of its weights ([input][neuron]),
+// and both training and inference gather from it: the per-timestep
+// synaptic gather runs spike-outer / neuron-inner over contiguous memory,
+// which vectorizes and breaks the per-neuron serial addition chain of a
+// row-major walk. Each neuron still adds its inputs in spike-list order —
+// the row-major walk's sequence — so results are bitwise those of a
+// row-major kernel (tests/train_oracle_util.hpp replays one for training;
+// the golden digests lock the rest down). train_step keeps the
+// two layouts in sync: STDP writes every updated row through to its
+// transposed column, and normalize_rows scales both. Only weights_mut
+// (fault injection, model loading) leaves a layer's transpose stale;
+// train_step and normalize_rows resync it first, inference requires
+// sync_transpose().
+// Inference has exactly one entry point and one kernel, infer(); every API
+// addresses a layer by index (layer 0 = input side), also on a one-layer
+// network.
 //
 // Every trained parameter (the weights in both layouts and the adaptive
 // thresholds) has one owner, the Network. An InferenceState holds only
@@ -47,7 +52,8 @@ class Network;
 /// layer, the LIF dynamics (potentials and refractory counters) and the
 /// scratch buffers, plus the Poisson encoder. It holds no parameters: the
 /// weights (transposed layouts) and the frozen adaptive thresholds are read
-/// from the network that runs infer(). Constructing one is O(sum of layer
+/// from the network that runs infer(), which must match the builder's shape,
+/// LIF constants, dt_ms and max_rate. Constructing one is O(sum of layer
 /// neurons); a full Network copy is O(total weights). This is what lets
 /// evaluation workers fan out (and Monte-Carlo trials repeat) without
 /// copying the weight matrices.
@@ -73,6 +79,11 @@ class InferenceState {
   std::vector<LayerSlice> layers_;
   PoissonEncoder encoder_;
   std::vector<std::uint32_t> in_spikes_;
+  /// The constants the LIF slices and the encoder were built with; infer
+  /// rejects a network whose constants differ.
+  LifParams lif_;
+  float dt_ms_;
+  float max_rate_;
 };
 
 /// A complete network instance (per-layer weights + neuron state + encoder).
@@ -90,8 +101,8 @@ class Network {
   /// Layer `l`'s synaptic weight matrix, row-major
   /// [layer_neurons(l)][layer_inputs(l)]. Mutable access exists so the
   /// error injector can corrupt the stored bits and the fault-aware trainer
-  /// can revert them; it invalidates that layer's transposed
-  /// inference copy, which is rebuilt before the next inference.
+  /// can revert them; it invalidates that layer's transposed copy, which
+  /// train_step rebuilds itself and infer needs sync_transpose() for.
   [[nodiscard]] const std::vector<float>& weights(std::size_t l) const {
     return layer(l).w;
   }
@@ -150,7 +161,7 @@ class Network {
   }
 
   /// Selects the inference accumulator for infer() (see EngineKind).
-  /// Training (train_step) always runs the row-major float kernel.
+  /// Training (train_step) always sums in float, through kEvent's gather.
   void set_engine(EngineKind engine) noexcept { cfg_.engine = engine; }
   [[nodiscard]] EngineKind engine() const noexcept { return cfg_.engine; }
 
@@ -165,8 +176,9 @@ class Network {
   /// re-normalizes all weight rows. Returns the OUTPUT layer's per-neuron
   /// spike counts. `rng` drives the Poisson spike trains (the only
   /// stochastic part — hidden layers are deterministic given their input
-  /// spikes). Throws ContractViolation when a layer's weights or
-  /// thresholds were resized.
+  /// spikes). Resyncs any stale transpose first and leaves every transpose
+  /// synced. Throws ContractViolation when a layer's weights or thresholds
+  /// were resized.
   std::vector<std::uint32_t> train_step(const std::vector<float>& image,
                                         Rng& rng);
 
@@ -184,14 +196,16 @@ class Network {
   /// the row-major walk); kEventFx sums Q47.16 fixed point
   /// (order-independent, numerically different from float). Throws
   /// ContractViolation for a state built for a differently shaped network
-  /// or a resized threshold vector.
+  /// or one with other LIF constants, dt_ms or max_rate, and for a resized
+  /// threshold vector.
   std::vector<std::uint32_t> infer(InferenceState& state,
                                    const std::vector<float>& image,
                                    Rng& rng) const;
 
   /// Rescales every neuron's incoming weights (every layer) to sum to
-  /// norm_target (no-op for all-zero rows). Throws ContractViolation when a
-  /// layer's weights were resized.
+  /// norm_target (no-op for rows summing to <= 0). Resyncs any stale
+  /// transpose first, scales both layouts and leaves every transpose
+  /// synced. Throws ContractViolation when a layer's weights were resized.
   void normalize_rows();
 
  private:
@@ -203,7 +217,7 @@ class Network {
     std::size_t n_in = 0;
     std::size_t n_out = 0;
     std::vector<float> w;   ///< canonical row-major [neuron][input]
-    std::vector<float> wt;  ///< transposed [input][neuron], inference kernel
+    std::vector<float> wt;  ///< transposed [input][neuron], the gather layout
     bool wt_synced = false;
     std::vector<float> theta;  ///< adaptive thresholds, one per neuron
     LifLayer lif;              ///< train_step's dynamics
@@ -213,6 +227,16 @@ class Network {
     std::vector<std::uint32_t> out_spikes;
 
     Layer(std::size_t n_in, std::size_t n_out, const NetworkConfig& cfg);
+
+    /// current[n] = sum of wt[i][n] over `spikes`, added in list order:
+    /// the float synaptic gather of both train_step and infer. Requires a
+    /// synced transpose.
+    void gather(const std::vector<std::uint32_t>& spikes,
+                std::vector<float>& current) const;
+    /// normalize_rows for one layer, whose transpose must be synced: sums
+    /// each neuron over `wt` (vectorised across neurons, ascending inputs)
+    /// and scales both layouts, which stay synced. Clobbers `current`.
+    void normalize_synced(float norm_target);
 
     /// Every kernel walks `w` as n_out x n_in, but weights_mut and
     /// weights_delta hand out the vector itself: a resize is caught here.

@@ -27,16 +27,28 @@ void stdp_post_update(float* w_row, std::size_t n_inputs,
                       const std::vector<float>& x_pre, const StdpParams& p) {
   SPARKXD_REQUIRE(x_pre.size() == n_inputs,
                   "trace width must match the weight row");
+  // Locals, not p.*: `p` may alias w_row, which would force a reload of
+  // every field after each store and keep the loop scalar.
+  const float eta = p.eta;
+  const float x_target = p.x_target;
+  const float w_min = p.w_min;
+  const float w_max = p.w_max;
+  const float* x = x_pre.data();
   for (std::size_t i = 0; i < n_inputs; ++i) {
-    const float drive = x_pre[i] - p.x_target;
+    const float w = w_row[i];
+    const float drive = x[i] - x_target;
     // Asymmetric soft bounds: potentiation saturates toward w_max,
     // depression toward w_min. Scaling depression by (w - w_min) matters
     // for fault recovery: a weight corrupted to w_max must still be
     // depressible, which a symmetric (w_max - w) factor would forbid.
-    const float dw = drive > 0.0f
-                         ? p.eta * drive * (p.w_max - w_row[i])
-                         : p.eta * drive * (w_row[i] - p.w_min);
-    w_row[i] = std::clamp(w_row[i] + dw, p.w_min, p.w_max);
+    // Both products are computed and one is selected, so the loop has no
+    // branch.
+    const float up = eta * drive * (w_max - w);
+    const float down = eta * drive * (w - w_min);
+    const float v = w + (drive > 0.0f ? up : down);
+    // std::clamp(v, w_min, w_max), spelled out as its select chain (a NaN
+    // v passes through unchanged).
+    w_row[i] = v < w_min ? w_min : (w_max < v ? w_max : v);
   }
 }
 

@@ -29,8 +29,12 @@ class PreTraces {
 };
 
 /// Applies the STDP update to one neuron's weight row at a postsynaptic
-/// spike:  w_i += eta * (x_pre_i - x_target) * (w_max - w_i), clamped to
-/// [w_min, w_max]. `w_row` points at n_inputs contiguous weights.
+/// spike: with drive = x_pre_i - x_target,
+///   w_i += eta * drive * (w_max - w_i)   if drive > 0,
+///   w_i += eta * drive * (w_i - w_min)   otherwise,
+/// clamped to [w_min, w_max] (std::clamp semantics: a NaN stays NaN).
+/// `w_row` points at n_inputs contiguous weights. The loop has no branch,
+/// so it vectorises.
 void stdp_post_update(float* w_row, std::size_t n_inputs,
                       const std::vector<float>& x_pre, const StdpParams& p);
 

@@ -90,6 +90,49 @@ TEST(Lif, RefractoryBlocksSpiking) {
   EXPECT_EQ(fired, 3);
 }
 
+TEST(Lif, RefractoryNeuronKeepsItsThreshold) {
+  // A held neuron skips the whole step, threshold decay included.
+  auto p = quiet_params();
+  p.refractory_steps = 3;
+  p.theta_plus = 0.5f;
+  p.tau_theta_ms = 10.0f;  // decay 0.905 per step: any decay shows
+  LifLayer layer(1, p, 1.0f);
+  std::vector<float> theta(1, 0.0f);
+  std::vector<float> current{5.0f};
+  std::vector<std::uint32_t> spikes;
+  layer.train_step(current, theta, spikes);
+  ASSERT_EQ(spikes.size(), 1u);
+  ASSERT_EQ(theta[0], 0.5f);
+  for (int t = 0; t < 3; ++t) {
+    layer.train_step(current, theta, spikes);
+    EXPECT_TRUE(spikes.empty()) << t;
+    EXPECT_EQ(theta[0], 0.5f) << t;
+  }
+  layer.train_step(current, theta, spikes);
+  EXPECT_EQ(spikes.size(), 1u);
+  EXPECT_EQ(theta[0], 0.5f * std::exp(-1.0f / 10.0f) + 0.5f);
+}
+
+TEST(Lif, RefractoryNeuronNeverCrossesANegativeThreshold) {
+  // theta = -2 puts v_thresh + theta = -1 below v_reset = 0, so a held
+  // neuron sitting at v_reset would "cross" if the scan did not skip it.
+  auto p = quiet_params();
+  p.refractory_steps = 3;
+  LifLayer layer(2, p, 1.0f);
+  const std::vector<float> theta(2, -2.0f);
+  const std::vector<float> current(2, 0.0f);
+  std::vector<std::uint32_t> spikes;
+  std::vector<int> fired_at;
+  for (int t = 0; t < 12; ++t) {
+    layer.infer_step(current, theta, spikes);
+    if (!spikes.empty()) {
+      EXPECT_EQ(spikes, (std::vector<std::uint32_t>{0, 1})) << t;
+      fired_at.push_back(t);
+    }
+  }
+  EXPECT_EQ(fired_at, (std::vector<int>{0, 4, 8}));
+}
+
 TEST(Lif, LeakDecaysPotential) {
   LifLayer layer(1, quiet_params(), 1.0f);
   std::vector<float> theta(1, 0.0f);

@@ -6,6 +6,7 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -15,6 +16,7 @@
 #include "data/dataset.hpp"
 #include "snn/network.hpp"
 #include "snn/trainer.hpp"
+#include "train_oracle_util.hpp"
 
 namespace sparkxd::snn {
 namespace {
@@ -173,8 +175,9 @@ TEST(Network, TransposeMirrorsRowMajorAfterTraining) {
   Network net(cfg);
   Rng rng(1);
   (void)net.train_step(bright_image(cfg.n_inputs), rng);
-  EXPECT_FALSE(net.transpose_synced());  // training moved the rows
-  net.sync_transpose();
+  // STDP and the normalisation write through to the transpose: it stays
+  // synced, with no sync_transpose() call.
+  ASSERT_TRUE(net.transpose_synced());
   const auto& w = net.weights(0);
   const auto& wt = net.weights_T(0);
   ASSERT_EQ(wt.size(), w.size());
@@ -284,6 +287,36 @@ TEST(Network, StateFromOneNetworkInfersWithTheRunningNetworksThresholds) {
   EXPECT_EQ(rc.next_u64(), rb.next_u64());
 }
 
+TEST(Network, StateBuiltForOtherDynamicsIsRejected) {
+  // The state's LIF slices and encoder carry the builder's constants: a
+  // same-shape network with other LIF constants, dt_ms or max_rate must
+  // refuse it rather than infer with the builder's.
+  const auto cfg = tiny_config();
+  Network net(cfg);
+  std::vector<NetworkConfig> others(6, cfg);
+  others[0].lif.v_thresh = 0.9f;
+  others[1].lif.tau_m_ms = 30.0f;
+  others[2].lif.refractory_steps = 2;
+  others[3].lif.compete_at_inference = false;
+  others[4].dt_ms = 0.5f;
+  others[5].max_rate = 0.2f;
+  for (std::size_t k = 0; k < others.size(); ++k) {
+    InferenceState state{Network(others[k])};
+    Rng rng(1);
+    EXPECT_THROW((void)net.infer(state, bright_image(cfg.n_inputs), rng),
+                 ContractViolation)
+        << k;
+    // The all-zero short-circuit must not bypass the check.
+    EXPECT_THROW((void)net.infer(state, bright_image(cfg.n_inputs, 0.0f),
+                                 rng),
+                 ContractViolation)
+        << k;
+  }
+  InferenceState same{Network(cfg)};
+  Rng rng(1);
+  EXPECT_NO_THROW((void)net.infer(same, bright_image(cfg.n_inputs), rng));
+}
+
 TEST(Network, ResizedWeightsAreRejected) {
   // weights_mut and weights_delta hand out the vector itself; every kernel
   // that walks it as n_out x n_in must refuse a resized one.
@@ -314,6 +347,7 @@ TEST(Network, ResizedWeightsAreRejected) {
     Network net(cfg);
     net.weights_delta(0).pop_back();
     EXPECT_THROW(net.mirror_weight(0, n - 2), ContractViolation);
+    EXPECT_THROW(net.normalize_rows(), ContractViolation);
   }
 }
 
@@ -666,6 +700,115 @@ TEST(DeepNetwork, RejectsZeroSizedHiddenLayers) {
   auto cfg = tiny_config();
   cfg.hidden_neurons = {16, 0};
   EXPECT_THROW(Network net(cfg), ContractViolation);
+}
+
+// ------------------------------------------- training against the oracle
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]))
+      return false;
+  return true;
+}
+
+/// The same `per_layer` weights of every layer of both networks, drawn
+/// from `rng`, set to w_min or w_max through weights_mut — the injection
+/// path of the fault-aware trainer, which leaves the transposes stale.
+void corrupt_both(Network& a, Network& b, Rng& rng, std::size_t per_layer) {
+  const StdpParams& p = a.config().stdp;
+  for (std::size_t l = 0; l < a.n_layers(); ++l) {
+    std::vector<float>& wa = a.weights_mut(l);
+    std::vector<float>& wb = b.weights_mut(l);
+    for (std::size_t k = 0; k < per_layer; ++k) {
+      const std::size_t idx = rng.next_u64() % wa.size();
+      wa[idx] = wb[idx] = (rng.next_u64() & 1) != 0 ? p.w_max : p.w_min;
+    }
+  }
+}
+
+TEST(TrainOracle, TrainStepMatchesTheRowMajorOracleBitwise) {
+  // Flat, deep2 and deep3 stacks, WTA on and off, weights corrupted
+  // between samples: both layouts, the thresholds, the counts and the Rng
+  // position equal a row-major replay of every kernel.
+  const auto ds = data::make_dataset(data::Task::kDigits, 5, 3);
+  const std::vector<std::vector<std::size_t>> stacks{{}, {48}, {48, 24}};
+  for (const auto& hidden : stacks) {
+    for (const bool wta : {true, false}) {
+      NetworkConfig cfg = tiny_config();
+      cfg.hidden_neurons = hidden;
+      cfg.lif.winner_take_all = wta;
+      // Not a power of two, so a reassociated eta * drive * (...) shows.
+      cfg.stdp.eta = 0.15f;
+      Network net(cfg), ref(cfg);
+      Rng rng(11), ref_rng(11), fault_rng(5);
+      std::uint32_t output_spikes = 0;
+      for (std::size_t k = 0; k < ds.size(); ++k) {
+        SCOPED_TRACE(testing::Message() << "depth " << net.n_layers()
+                                        << " wta " << wta << " sample " << k);
+        const auto counts = net.train_step(ds.images[k], rng);
+        const auto ref_counts =
+            testutil::oracle_train_step(ref, ds.images[k], ref_rng);
+        ASSERT_EQ(counts, ref_counts);
+        output_spikes += std::accumulate(counts.begin(), counts.end(), 0u);
+        ASSERT_TRUE(net.transpose_synced());
+        ref.sync_transpose();
+        for (std::size_t l = 0; l < net.n_layers(); ++l) {
+          ASSERT_TRUE(same_bits(net.weights(l), ref.weights(l))) << l;
+          ASSERT_TRUE(same_bits(net.weights_T(l), ref.weights_T(l))) << l;
+          ASSERT_TRUE(same_bits(net.thetas(l), ref.thetas(l))) << l;
+        }
+        corrupt_both(net, ref, fault_rng, 40);
+      }
+      EXPECT_EQ(rng.next_u64(), ref_rng.next_u64());
+      EXPECT_GT(output_spikes, 0u);
+    }
+  }
+}
+
+TEST(TrainOracle, NormalizationMatchesTheRowLoopBitwise) {
+  // normalize_rows sums over the transposed layout and scales both; the
+  // row loop is the reference, also on rows it must leave alone (sum 0 or
+  // negative) and rows whose sum is inf or NaN.
+  const auto cfg = tiny_config();
+  Network net(cfg);
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::size_t ni = cfg.n_inputs;
+  const auto set_row = [&](std::size_t n, auto value_of) {
+    std::vector<float>& w = net.weights_delta(0);
+    for (std::size_t i = 0; i < ni; ++i) {
+      w[n * ni + i] = value_of(i);
+      net.mirror_weight(0, n * ni + i);
+    }
+  };
+  set_row(0, [](std::size_t) { return 0.0f; });
+  set_row(1, [](std::size_t) { return -0.1f; });
+  set_row(2, [](std::size_t i) { return i % 2 != 0 ? -0.0f : 0.0f; });
+  set_row(3, [&](std::size_t i) { return i == 7 ? inf : 0.01f; });
+  set_row(4, [&](std::size_t i) { return i == 9 ? -inf : 0.01f; });
+  set_row(5, [](std::size_t i) {
+    return i == 3 ? std::numeric_limits<float>::quiet_NaN() : 0.01f;
+  });
+  set_row(6, [](std::size_t) { return 1e-41f; });
+  set_row(7, [](std::size_t i) { return i == 0 ? 1.0f : -1e-3f; });
+  Network ref = net;
+  ASSERT_TRUE(net.transpose_synced());
+  net.normalize_rows();
+  testutil::oracle_normalize_rows(ref);
+  ASSERT_TRUE(net.transpose_synced());
+  ref.sync_transpose();
+  EXPECT_TRUE(same_bits(net.weights(0), ref.weights(0)));
+  EXPECT_TRUE(same_bits(net.weights_T(0), ref.weights_T(0)));
+
+  // A stale transpose (weights_mut) is resynced first and ends up synced.
+  for (float& w : net.weights_mut(0)) w *= 3.0f;
+  for (float& w : ref.weights_mut(0)) w *= 3.0f;
+  net.normalize_rows();
+  testutil::oracle_normalize_rows(ref);
+  ASSERT_TRUE(net.transpose_synced());
+  ref.sync_transpose();
+  EXPECT_TRUE(same_bits(net.weights(0), ref.weights(0)));
+  EXPECT_TRUE(same_bits(net.weights_T(0), ref.weights_T(0)));
 }
 
 }  // namespace

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "snn/encoding.hpp"
 #include "snn/stdp.hpp"
+#include "train_oracle_util.hpp"
 
 namespace sparkxd::snn {
 namespace {
@@ -215,6 +219,49 @@ TEST(Stdp, RejectsMismatchedTraceWidth) {
   std::vector<float> w(3, 0.5f);
   const std::vector<float> x(2, 0.5f);
   EXPECT_THROW(stdp_post_update(w.data(), 3, x, p), ContractViolation);
+}
+
+TEST(Stdp, MatchesTheScalarOracleBitwiseOnEdgeInputs) {
+  // Every pairing of edge weights with edge traces: NaN drive, drive == 0,
+  // weights at +-inf, NaN, at and past the bounds, and a denormal. The
+  // branch-free kernel must reproduce the branchy one bit for bit.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<StdpParams> cases(4);
+  cases[1].w_min = -0.5f;
+  cases[1].w_max = 2.0f;
+  cases[2].eta = 0.0f;
+  cases[3].eta = 0.1f;  // not a power of two
+  for (const StdpParams& p : cases) {
+    const std::vector<float> weights{p.w_min, p.w_max, -inf,   inf,
+                                     nan,     0.5f,    -0.0f,  1e-40f,
+                                     3.0f,    -1.0f,   0.3f,   0.07f};
+    const std::vector<float> traces{nan,  p.x_target, 0.0f,  1.0f,
+                                    0.5f, -inf,       inf,   0.123f,
+                                    0.77f};
+    std::vector<float> w, x;
+    for (const float wi : weights)
+      for (const float xi : traces) {
+        w.push_back(wi);
+        x.push_back(xi);
+      }
+    const std::vector<float> w_in = w;
+    std::vector<float> ref = w;
+    stdp_post_update(w.data(), w.size(), x, p);
+    testutil::oracle_stdp_post_update(ref.data(), ref.size(), x, p);
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      // A NaN weight plus a NaN update: x86 returns the first operand's
+      // NaN, and the compiler may commute the addition, so only NaN-ness
+      // is defined there.
+      if (std::isnan(w_in[i]) && std::isnan(ref[i])) {
+        EXPECT_TRUE(std::isnan(w[i]));
+        continue;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(w[i]),
+                std::bit_cast<std::uint32_t>(ref[i]))
+          << "w " << w_in[i] << " x " << x[i] << " eta " << p.eta;
+    }
+  }
 }
 
 }  // namespace
