@@ -54,11 +54,12 @@ int main() {
     const auto frozen = inj_f32.freeze(ber);
     double acc = 0.0;
     for (int i = 0; i < trials; ++i) {
-      model.net.weights_mut(0) = clean;
-      frozen.inject(model.net.weights_mut(0), rng, {0.0f, clip});
+      model.net.set_weights(0, clean);
+      frozen.inject(model.net.weights_delta(0), rng, {0.0f, clip});
+      model.net.sync_transpose();
       acc += snn::evaluate(model.net, model.labels, test, rng);
     }
-    model.net.weights_mut(0) = clean;
+    model.net.set_weights(0, clean);
     return acc / trials;
   };
   const auto eval_u8 = [&](double ber) {
@@ -67,10 +68,10 @@ int main() {
     for (int i = 0; i < trials; ++i) {
       quant.codes = quant_clean_codes;
       frozen.inject_bytes(quant.codes.data(), quant.codes.size(), rng);
-      model.net.weights_mut(0) = snn::dequantize(quant);
+      model.net.set_weights(0, snn::dequantize(quant));
       acc += snn::evaluate(model.net, model.labels, test, rng);
     }
-    model.net.weights_mut(0) = clean;
+    model.net.set_weights(0, clean);
     return acc / trials;
   };
 
@@ -90,12 +91,12 @@ int main() {
              Table::pct(100.0 * model.clean_accuracy, 1)});
   {
     quant.codes = quant_clean_codes;
-    model.net.weights_mut(0) = snn::dequantize(quant);
+    model.net.set_weights(0, snn::dequantize(quant));
     s.add_row({"clean uint8 accuracy (quantization loss only)",
                Table::pct(100.0 * snn::evaluate(model.net, model.labels,
                                                 test, rng),
                           1)});
-    model.net.weights_mut(0) = clean;
+    model.net.set_weights(0, clean);
   }
   s.emit();
   return 0;

@@ -99,7 +99,7 @@ void BM_TrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStep)->Arg(0)->Arg(1);
 
-// normalize_rows on a synced 784 x range(0) layer: sums over the
+// normalize_rows on a 784 x range(0) layer: sums over the
 // transposed layout, then scales both layouts.
 void BM_NormalizeRows(benchmark::State& state) {
   snn::NetworkConfig cfg;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -14,10 +15,25 @@ void require_weight_clip(float weight_clip, float w_min) {
                   "weight clip must be finite and exceed the weight floor");
 }
 
-CorruptionScratch::CorruptionScratch(snn::Network net)
-    : net_(std::move(net)), state_(net_), flips_(net_.n_layers()) {
-  net_.sync_transpose();
+namespace {
+
+/// Copies every word in `flips` into layer `l`'s transposed layout.
+void mirror_flips(snn::Network& net, std::size_t l,
+                  const std::vector<error::WeightFlip>& flips) {
+  for (const auto& f : flips) net.mirror_weight(l, f.word);
 }
+
+/// Reverts layer `l`'s logged flips in both layouts.
+void revert_layer(snn::Network& net, std::size_t l,
+                  const std::vector<error::WeightFlip>& flips) {
+  error::revert_flips(net.weights_delta(l), flips);
+  mirror_flips(net, l, flips);
+}
+
+}  // namespace
+
+CorruptionScratch::CorruptionScratch(snn::Network net)
+    : net_(std::move(net)), state_(net_), flips_(net_.n_layers()) {}
 
 std::size_t CorruptionScratch::corrupt(const LayerTables& tables,
                                        const LayerEcc& ecc,
@@ -35,7 +51,7 @@ std::size_t CorruptionScratch::corrupt(const LayerTables& tables,
                          : Rng(inject_seed).fork(static_cast<std::uint64_t>(l));
     auto& flips = flips_[l];
     SPARKXD_REQUIRE(flips.empty(), "corrupt() needs a restored copy");
-    std::vector<float>& w = net_.weights_delta(l);
+    const std::span<float> w = net_.weights_delta(l);
     const bool protect = ecc[l].scheme != nullptr;
     SPARKXD_REQUIRE(!protect || ecc[l].checks != nullptr,
                     "an ecc-protected layer needs its check words");
@@ -48,7 +64,7 @@ std::size_t CorruptionScratch::corrupt(const LayerTables& tables,
           *ecc[l].scheme, w, *ecc[l].checks, flips, n, clip);
       if (stats != nullptr) stats[l] = st;
     }
-    for (const auto& f : flips) net_.mirror_weight(l, f.word);
+    mirror_flips(net_, l, flips);
   }
   return n_injected;
 }
@@ -56,9 +72,7 @@ std::size_t CorruptionScratch::corrupt(const LayerTables& tables,
 void CorruptionScratch::restore() {
   for (std::size_t l = 0; l < flips_.size(); ++l) {
     auto& flips = flips_[l];
-    if (flips.empty()) continue;
-    error::revert_flips(net_.weights_delta(l), flips);
-    for (const auto& f : flips) net_.mirror_weight(l, f.word);
+    revert_layer(net_, l, flips);
     flips.clear();
   }
 }
@@ -187,17 +201,21 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
                                       cfg.weight_clip};
   std::vector<error::FrozenInjection> frozen;
   LayerTables tables;
-  std::vector<std::vector<error::WeightFlip>> calibration_flips(n_layers);
-  const auto inject_all = [&](snn::Network& net, bool log) {
-    // Layers draw serially from the caller's generator, input side first.
-    for (std::size_t l = 0; l < n_layers; ++l)
-      if (tables[l] != nullptr)
-        tables[l]->inject(net.weights_mut(l), rng, sanitize,
-                          log ? &calibration_flips[l] : nullptr);
-  };
-
   // model_temp starts as a copy of the baseline (Algorithm 1 line 1).
   snn::TrainedModel model_temp = baseline;
+  std::vector<std::vector<error::WeightFlip>> flips(n_layers);
+  const auto inject_all = [&] {
+    // Layers draw serially from the caller's generator, input side first;
+    // each layer's flip log mirrors the injection into its transpose and
+    // lets the calibration pass revert it.
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      if (tables[l] == nullptr) continue;
+      flips[l].clear();
+      tables[l]->inject(model_temp.net.weights_delta(l), rng, sanitize,
+                        &flips[l]);
+      mirror_flips(model_temp.net, l, flips[l]);
+    }
+  };
   FaultAwareResult result{baseline, 0.0, false, {}};
 
   for (const double rate : cfg.ber_stages) {
@@ -208,7 +226,7 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
       // Error generation + injection into the stored weights (lines 3-4):
       // the training epoch then runs on the corrupted weights, and STDP
       // re-routes weight mass away from unreliable cells — in every layer.
-      inject_all(model_temp.net, false);
+      inject_all();
       snn::train_epoch(model_temp.net, train, rng);
     }
     // Re-label (receptive fields move during retraining). The calibration
@@ -217,13 +235,10 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
     // then carry a high bias and are discounted by the vote at inference.
     // Labelling leaves the weights alone, so reverting the flip log
     // restores them exactly.
-    inject_all(model_temp.net, true);
+    inject_all();
     model_temp.labels = snn::label_neurons(model_temp.net, train, rng);
-    for (std::size_t l = 0; l < n_layers; ++l) {
-      if (tables[l] == nullptr) continue;
-      error::revert_flips(model_temp.net.weights_mut(l), calibration_flips[l]);
-      calibration_flips[l].clear();
-    }
+    for (std::size_t l = 0; l < n_layers; ++l)
+      revert_layer(model_temp.net, l, flips[l]);
     // Test under corruption at this stage's rate (lines 8-9).
     const double acc = evaluate_frozen(
         model_temp.net, model_temp.labels, tables, LayerEcc(n_layers), test,

@@ -105,8 +105,7 @@ using LayerTables = std::vector<const error::FrozenInjection*>;
 /// serve::Engine by request.
 class CorruptionScratch {
  public:
-  /// Takes the network by value (the private copy) and syncs its
-  /// transposes.
+  /// Takes the network by value (the private copy).
   explicit CorruptionScratch(snn::Network net);
 
   /// Corrupts the copy for one read. Layers with a non-null `ecc[l].scheme`

@@ -669,7 +669,7 @@ std::vector<EccSpec> registered_ecc_specs() {
 namespace {
 
 /// Gathers codeword `cw` of `weights` into `dbuf` (zero-padded tail).
-void gather_codeword(const std::vector<float>& weights, std::size_t cw,
+void gather_codeword(std::span<const float> weights, std::size_t cw,
                      std::size_t floats_per_cw, std::uint64_t* dbuf,
                      std::size_t data_words) {
   const std::size_t base = cw * floats_per_cw;
@@ -712,7 +712,7 @@ std::vector<std::uint64_t> ecc_encode_buffer(const EccScheme& scheme,
 }
 
 EccScrubStats ecc_scrub_codewords(const EccScheme& scheme,
-                                  std::vector<float>& weights,
+                                  std::span<float> weights,
                                   const std::vector<std::uint64_t>& checks,
                                   std::vector<WeightFlip>& flips,
                                   std::size_t n_injected,

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -219,7 +220,7 @@ struct EccScrubStats {
 /// beyond-guarantee miscorrection leaves behind goes through the clip like
 /// other surviving corruption.
 EccScrubStats ecc_scrub_codewords(const EccScheme& scheme,
-                                  std::vector<float>& weights,
+                                  std::span<float> weights,
                                   const std::vector<std::uint64_t>& checks,
                                   std::vector<WeightFlip>& flips,
                                   std::size_t n_injected,

@@ -226,7 +226,7 @@ void sanitize_weight(float& w, const SanitizeRange& r) noexcept {
   w = std::clamp(w, r.lo, r.hi);
 }
 
-void revert_flips(std::vector<float>& weights,
+void revert_flips(std::span<float> weights,
                   const std::vector<WeightFlip>& flips) noexcept {
   // Reverse order: when one word was flipped more than once, the first
   // record (written last here) carries the pre-injection value.
@@ -279,7 +279,7 @@ FrozenInjection FrozenInjection::from_parts(std::vector<Entry> entries,
   return f;
 }
 
-std::size_t FrozenInjection::inject(std::vector<float>& weights, Rng& rng,
+std::size_t FrozenInjection::inject(std::span<float> weights, Rng& rng,
                                     const SanitizeRange& sanitize,
                                     std::vector<WeightFlip>* flips) const {
   SPARKXD_REQUIRE(weights.size() * sizeof(float) >= n_payload_bytes_,

@@ -51,6 +51,7 @@
 // delta protocol (inject with a flip log, mirror, revert).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -101,7 +102,7 @@ struct WeightFlip {
 /// Reverts a recorded injection delta: walks `flips` in reverse and restores
 /// each word's pre-flip value. Reverse order makes multi-flip words exact —
 /// the earliest record of a word wins, restoring the pre-injection value.
-void revert_flips(std::vector<float>& weights,
+void revert_flips(std::span<float> weights,
                   const std::vector<WeightFlip>& flips) noexcept;
 
 /// Read-only injection plan frozen for one (injector, BER) pair: the prefix
@@ -126,7 +127,7 @@ class FrozenInjection {
   /// `flips` is non-null every flip is appended (the vector is NOT cleared)
   /// so the caller can revert the delta via revert_flips. Returns the
   /// number of flipped bits.
-  std::size_t inject(std::vector<float>& weights, Rng& rng,
+  std::size_t inject(std::span<float> weights, Rng& rng,
                      const SanitizeRange& sanitize = {},
                      std::vector<WeightFlip>* flips = nullptr) const;
 

@@ -56,8 +56,8 @@ void write_bool(std::ostream& os, bool b) {
   write_pod(os, static_cast<std::uint8_t>(b ? 1 : 0));
 }
 
-/// Rejects NaN and +-inf: weights and thetas reach the Q47.16 llrintf of
-/// the event-fx kernel and the LIF threshold, label biases the vote.
+/// Rejects NaN and +-inf: thetas reach the LIF threshold, label biases the
+/// vote (Network::set_weights checks the weights).
 template <typename T>
 void require_finite(const std::vector<T>& v, const char* msg) {
   for (const T x : v) SPARKXD_REQUIRE(std::isfinite(x), msg);
@@ -184,21 +184,11 @@ TrainedModel load_model(std::istream& is) {
     std::vector<float> weights, thetas;
     read_vec(is, weights, kMaxElems);
     read_vec(is, thetas, kMaxElems);
-    SPARKXD_REQUIRE(weights.size() == cfg.layer_weight_count(l),
-                    "weight payload does not match the stored shape");
     SPARKXD_REQUIRE(thetas.size() == cfg.layer_neurons(l),
                     "theta payload does not match the stored shape");
-    require_finite(weights, "model file holds a non-finite weight");
     require_finite(thetas, "model file holds a non-finite theta");
-    // The event-fx kernel sums each weight's Q47.16 image (|w| * 2^16) over
-    // the layer's fan-in in an int64: bound the sum below 2^62.
-    const double fx_bound =
-        0x1p62 / (0x1p16 * static_cast<double>(cfg.layer_inputs(l)));
-    for (const float w : weights)
-      SPARKXD_REQUIRE(std::fabs(static_cast<double>(w)) < fx_bound,
-                      "model file holds a weight that could overflow the "
-                      "Q47.16 accumulator");
-    model.net.weights_mut(l) = std::move(weights);
+    // set_weights checks the shape, finiteness and Q47.16 bound.
+    model.net.set_weights(l, std::move(weights));
     model.net.thetas_mut(l) = std::move(thetas);
   }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <type_traits>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -88,37 +89,43 @@ Network::Network(const NetworkConfig& cfg)
     Rng rng(l + 1 == n_layers ? cfg.seed : hash_combine(cfg.seed, l + 1));
     for (float& w : layers_[l].w) w = static_cast<float>(rng.uniform(0.0, 0.3));
   }
-  normalize_rows();  // syncs the transposes, then scales both layouts
+  sync_transpose();
+  normalize_rows();
+}
+
+void Network::Layer::transpose() {
+  for (std::size_t n = 0; n < n_out; ++n) {
+    const float* row = w.data() + n * n_in;
+    for (std::size_t i = 0; i < n_in; ++i) wt[i * n_out + n] = row[i];
+  }
+}
+
+void Network::set_weights(std::size_t l, std::vector<float> w) {
+  Layer& lay = layer(l);
+  SPARKXD_REQUIRE(w.size() == lay.n_in * lay.n_out,
+                  "weights do not match the layer's n_out x n_in shape");
+  // The event-fx kernel sums each weight's Q47.16 image (|w| * 2^16) over
+  // the layer's fan-in in an int64: bound the sum below 2^62.
+  const double fx_bound =
+      0x1p62 / (static_cast<double>(kFxScale) * static_cast<double>(lay.n_in));
+  for (const float v : w) {
+    SPARKXD_REQUIRE(std::isfinite(v), "weights must be finite");
+    SPARKXD_REQUIRE(std::fabs(static_cast<double>(v)) < fx_bound,
+                    "a weight could overflow the Q47.16 accumulator");
+  }
+  lay.w = std::move(w);
+  lay.transpose();
 }
 
 void Network::sync_transpose() {
-  for (Layer& lay : layers_) {
-    if (lay.wt_synced) continue;
-    lay.require_shape();
-    for (std::size_t n = 0; n < lay.n_out; ++n) {
-      const float* row = lay.w.data() + n * lay.n_in;
-      for (std::size_t i = 0; i < lay.n_in; ++i)
-        lay.wt[i * lay.n_out + n] = row[i];
-    }
-    lay.wt_synced = true;
-  }
-}
-
-bool Network::transpose_synced() const noexcept {
-  for (const Layer& lay : layers_)
-    if (!lay.wt_synced) return false;
-  return true;
+  for (Layer& lay : layers_) lay.transpose();
 }
 
 void Network::normalize_rows() {
-  sync_transpose();
-  for (Layer& lay : layers_) {
-    lay.require_shape();  // a weights_delta resize leaves the layer synced
-    lay.normalize_synced(cfg_.norm_target);
-  }
+  for (Layer& lay : layers_) lay.normalize(cfg_.norm_target);
 }
 
-void Network::Layer::normalize_synced(float norm_target) {
+void Network::Layer::normalize(float norm_target) {
   // Every neuron's row sum, accumulated over the transposed layout: input
   // i's column adds to all neurons at once (vectorised across neurons),
   // and each neuron still sums its inputs in ascending i — the row loop's
@@ -163,14 +170,9 @@ std::vector<std::uint32_t> Network::train_step(const std::vector<float>& image,
   SPARKXD_REQUIRE(image.size() == cfg_.n_inputs,
                   "image size must match n_inputs");
   for (Layer& lay : layers_) {
-    lay.require_shape();
     lay.lif.reset_dynamics();
     lay.traces.reset();
   }
-  // Training gathers from the transposed layout and keeps it in sync; only
-  // a weights_mut edit (fault injection) since the last sample leaves a
-  // layer stale.
-  sync_transpose();
   encoder_.set_image(image);
 
   const std::size_t n_layers = layers_.size();
@@ -202,7 +204,7 @@ std::vector<std::uint32_t> Network::train_step(const std::vector<float>& image,
     }
   }
 
-  normalize_rows();  // scales both layouts: the transposes stay synced
+  normalize_rows();
   return counts;
 }
 
@@ -211,8 +213,6 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
                                           Rng& rng) const {
   SPARKXD_REQUIRE(image.size() == cfg_.n_inputs,
                   "image size must match n_inputs");
-  SPARKXD_REQUIRE(transpose_synced(),
-                  "infer needs synced transposes — call sync_transpose()");
   const std::size_t n_layers = layers_.size();
   SPARKXD_REQUIRE(state.layers_.size() == n_layers,
                   "InferenceState was built for a different network depth");

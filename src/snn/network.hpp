@@ -15,12 +15,20 @@
 // row-major walk. Each neuron still adds its inputs in spike-list order —
 // the row-major walk's sequence — so results are bitwise those of a
 // row-major kernel (tests/train_oracle_util.hpp replays one for training;
-// the golden digests lock the rest down). train_step keeps the
-// two layouts in sync: STDP writes every updated row through to its
-// transposed column, and normalize_rows scales both. Only weights_mut
-// (fault injection, model loading) leaves a layer's transpose stale;
-// train_step and normalize_rows resync it first, inference requires
-// sync_transpose().
+// the golden digests lock the rest down).
+//
+// Invariant: both layouts hold the same weights after every Network call;
+// the only exception is a word a weights_delta caller has written and not
+// yet mirrored. There are two ways to write them, and neither hands out a
+// resizable vector:
+//   * set_weights(l, w) replaces a whole layer (model loading,
+//     dequantized copies) and rebuilds its transpose;
+//   * weights_delta(l) is a span over the row-major array for in-place
+//     fault injection; the caller mirrors every word it changed through
+//     mirror_weight() (error::WeightFlip logs carry exactly those words),
+//     or closes the write with one sync_transpose().
+// Training keeps the layouts in step itself: STDP writes every updated row
+// through to its transposed column, and normalize_rows scales both.
 // Inference has exactly one entry point and one kernel, infer(); every API
 // addresses a layer by index (layer 0 = input side), also on a one-layer
 // network.
@@ -36,6 +44,7 @@
 // layer-stack generalization.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -99,40 +108,33 @@ class Network {
   // ---- Per-layer weight access (layer 0 = input side). -----------------
 
   /// Layer `l`'s synaptic weight matrix, row-major
-  /// [layer_neurons(l)][layer_inputs(l)]. Mutable access exists so the
-  /// error injector can corrupt the stored bits and the fault-aware trainer
-  /// can revert them; it invalidates that layer's transposed copy, which
-  /// train_step rebuilds itself and infer needs sync_transpose() for.
+  /// [layer_neurons(l)][layer_inputs(l)].
   [[nodiscard]] const std::vector<float>& weights(std::size_t l) const {
     return layer(l).w;
   }
-  [[nodiscard]] std::vector<float>& weights_mut(std::size_t l) {
-    Layer& lay = layer(l);
-    lay.wt_synced = false;
-    return lay.w;
-  }
 
-  /// Hot-path mutable access for DELTA fault injection: unlike
-  /// weights_mut(l) this does NOT invalidate the transposed copy. The caller
-  /// must mirror every word it changes via mirror_weight() before the next
-  /// inference — error::WeightFlip logs carry exactly those words. Requires
-  /// a synced transpose (sync_transpose() first), so the invariant "both
-  /// layouts agree except at the words the caller is about to mirror" holds.
-  [[nodiscard]] std::vector<float>& weights_delta(std::size_t l) {
-    Layer& lay = layer(l);
-    SPARKXD_REQUIRE(lay.wt_synced,
-                    "weights_delta needs a synced transpose — call "
-                    "sync_transpose() first (or use weights_mut(l))");
-    return lay.w;
+  /// Replaces layer `l`'s weights wholesale (model loading, dequantized
+  /// copies) and rebuilds its transpose. Throws ContractViolation unless
+  /// `w` holds layer_neurons(l) x layer_inputs(l) finite weights, each small
+  /// enough that the layer's Q47.16 accumulator (kEventFx) cannot overflow
+  /// over its fan-in.
+  void set_weights(std::size_t l, std::vector<float> w);
+
+  /// In-place access for DELTA fault injection: a span over layer `l`'s
+  /// row-major weights. The caller mirrors every word it changes via
+  /// mirror_weight() before the next call that reads the transpose —
+  /// error::WeightFlip logs carry exactly those words — or closes the
+  /// write with sync_transpose().
+  [[nodiscard]] std::span<float> weights_delta(std::size_t l) {
+    return layer(l).w;
   }
 
   /// Copies the current value of layer `l`'s flat weight `idx` into the
   /// transposed layout (companion of weights_delta(l)). Throws
   /// ContractViolation when `idx` lies past the layer's
-  /// layer_neurons(l) x layer_inputs(l) weights or they were resized.
+  /// layer_neurons(l) x layer_inputs(l) weights.
   void mirror_weight(std::size_t l, std::size_t idx) {
     Layer& lay = layer(l);
-    lay.require_shape();
     SPARKXD_REQUIRE(idx < lay.w.size(),
                     "mirror_weight index past the layer's weights");
     const std::size_t n = idx / lay.n_in;
@@ -140,13 +142,10 @@ class Network {
     lay.wt[i * lay.n_out + n] = lay.w[idx];
   }
 
-  /// Layer `l`'s transposed weights [input][neuron]; requires a synced
-  /// transpose. Read-only — the row-major array stays canonical.
+  /// Layer `l`'s transposed weights [input][neuron]. Read-only — the
+  /// row-major array stays canonical.
   [[nodiscard]] const std::vector<float>& weights_T(std::size_t l) const {
-    const Layer& lay = layer(l);
-    SPARKXD_REQUIRE(lay.wt_synced, "transposed weights are stale — call "
-                                   "sync_transpose() first");
-    return lay.wt;
+    return layer(l).wt;
   }
 
   /// Layer `l`'s adaptive thresholds, one per neuron: trained by
@@ -165,27 +164,24 @@ class Network {
   void set_engine(EngineKind engine) noexcept { cfg_.engine = engine; }
   [[nodiscard]] EngineKind engine() const noexcept { return cfg_.engine; }
 
-  /// Rebuilds every stale transposed weight copy from its row-major array.
-  /// Throws ContractViolation when a layer's weights were resized.
+  /// Rebuilds every layer's transposed copy from its row-major array:
+  /// closes a weights_delta write made without per-word mirrors.
   void sync_transpose();
-  /// True when every layer's transposed copy is in sync.
-  [[nodiscard]] bool transpose_synced() const noexcept;
 
   /// One STDP training pass: presents one image for config().timesteps
   /// steps with STDP and threshold adaptation active on every layer, then
   /// re-normalizes all weight rows. Returns the OUTPUT layer's per-neuron
   /// spike counts. `rng` drives the Poisson spike trains (the only
   /// stochastic part — hidden layers are deterministic given their input
-  /// spikes). Resyncs any stale transpose first and leaves every transpose
-  /// synced. Throws ContractViolation when a layer's weights or thresholds
-  /// were resized.
+  /// spikes). Throws ContractViolation when a layer's thresholds were
+  /// resized.
   std::vector<std::uint32_t> train_step(const std::vector<float>& image,
                                         Rng& rng);
 
   /// Pure inference through a caller-owned InferenceState: const on the
   /// network, reusing the state's buffers — the single inference path
   /// (labelling, evaluation, Monte-Carlo trials and serving all run it).
-  /// Requires synced transposes. Reads this network's thresholds, frozen.
+  /// Reads this network's thresholds, frozen.
   ///
   /// One kernel: a transposed-column gather over each timestep's spike
   /// list. An all-zero image short-circuits the whole sample, and an empty
@@ -203,9 +199,7 @@ class Network {
                                    Rng& rng) const;
 
   /// Rescales every neuron's incoming weights (every layer) to sum to
-  /// norm_target (no-op for rows summing to <= 0). Resyncs any stale
-  /// transpose first, scales both layouts and leaves every transpose
-  /// synced. Throws ContractViolation when a layer's weights were resized.
+  /// norm_target (no-op for rows summing to <= 0), in both layouts.
   void normalize_rows();
 
  private:
@@ -218,7 +212,6 @@ class Network {
     std::size_t n_out = 0;
     std::vector<float> w;   ///< canonical row-major [neuron][input]
     std::vector<float> wt;  ///< transposed [input][neuron], the gather layout
-    bool wt_synced = false;
     std::vector<float> theta;  ///< adaptive thresholds, one per neuron
     LifLayer lif;              ///< train_step's dynamics
     PreTraces traces;
@@ -229,21 +222,15 @@ class Network {
     Layer(std::size_t n_in, std::size_t n_out, const NetworkConfig& cfg);
 
     /// current[n] = sum of wt[i][n] over `spikes`, added in list order:
-    /// the float synaptic gather of both train_step and infer. Requires a
-    /// synced transpose.
+    /// the float synaptic gather of both train_step and infer.
     void gather(const std::vector<std::uint32_t>& spikes,
                 std::vector<float>& current) const;
-    /// normalize_rows for one layer, whose transpose must be synced: sums
-    /// each neuron over `wt` (vectorised across neurons, ascending inputs)
-    /// and scales both layouts, which stay synced. Clobbers `current`.
-    void normalize_synced(float norm_target);
-
-    /// Every kernel walks `w` as n_out x n_in, but weights_mut and
-    /// weights_delta hand out the vector itself: a resize is caught here.
-    void require_shape() const {
-      SPARKXD_REQUIRE(w.size() == n_in * n_out,
-                      "layer weights were resized away from n_out x n_in");
-    }
+    /// normalize_rows for one layer: sums each neuron over `wt`
+    /// (vectorised across neurons, ascending inputs) and scales both
+    /// layouts. Clobbers `current`.
+    void normalize(float norm_target);
+    /// Rebuilds `wt` from `w`.
+    void transpose();
   };
 
   [[nodiscard]] Layer& layer(std::size_t l) {

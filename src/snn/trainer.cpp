@@ -1,7 +1,6 @@
 #include "snn/trainer.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -46,7 +45,6 @@ NeuronLabels label_neurons(Network& net, const data::Dataset& ds, Rng& rng) {
     Network& net_;
     EngineKind saved_;
   } float_for_scope(net);
-  net.sync_transpose();
   // One state serves every sample, drawing serially from the caller's rng.
   InferenceState state(net);
   for (std::size_t i = 0; i < ds.size(); ++i) {
@@ -84,11 +82,16 @@ NeuronLabels label_neurons(Network& net, const data::Dataset& ds, Rng& rng) {
 
 std::int32_t vote_spike_counts(const std::vector<std::uint32_t>& counts,
                                const NeuronLabels& labels) {
+  SPARKXD_REQUIRE(counts.size() <= labels.label.size() &&
+                      counts.size() <= labels.bias.size(),
+                  "label table shorter than the spike counts");
   std::vector<double> votes(labels.num_classes, 0.0);
   std::vector<std::size_t> members(labels.num_classes, 0);
   for (std::size_t j = 0; j < counts.size(); ++j) {
     const auto c = labels.label[j];
     if (c < 0) continue;
+    SPARKXD_REQUIRE(static_cast<std::size_t>(c) < labels.num_classes,
+                    "neuron label outside [0, num_classes)");
     // Bias-corrected vote: a neuron only contributes its response *excess*
     // over its labelling-time mean, so indiscriminate firing cancels.
     votes[static_cast<std::size_t>(c)] +=
@@ -138,13 +141,6 @@ double evaluate(const Network& net, const NeuronLabels& labels,
   SPARKXD_REQUIRE(ds.size() > 0, "cannot evaluate on an empty dataset");
   SPARKXD_REQUIRE(labels.label.size() == net.config().n_neurons,
                   "label table must match the network size");
-  if (!net.transpose_synced()) {
-    // Cold path: one private synced copy for the whole call (never one per
-    // chunk). Hot callers sync beforehand and share `net` across workers.
-    Network synced = net;
-    synced.sync_transpose();
-    return evaluate(std::as_const(synced), labels, ds, rng);
-  }
   // Inference is per-sample independent (the membrane dynamics reset per
   // sample and the weights are read-only), so samples are scored
   // concurrently: each chunk owns an InferenceState and each sample forks
@@ -158,15 +154,6 @@ double evaluate(const Network& net, const NeuronLabels& labels,
         score_span(net, state, labels, ds, stream, begin, end, correct);
       });
   return accuracy_of(correct);
-}
-
-double evaluate(Network& net, const NeuronLabels& labels,
-                const data::Dataset& ds, Rng& rng) {
-  // Scratch overload: sync the transposed inference copy in place (the only
-  // mutation — weights and thetas are untouched), then share the network
-  // read-only across the scoring workers.
-  net.sync_transpose();
-  return evaluate(std::as_const(net), labels, ds, rng);
 }
 
 double evaluate(const Network& net, InferenceState& state,

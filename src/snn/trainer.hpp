@@ -37,16 +37,17 @@ void train_epoch(Network& net, const data::Dataset& ds, Rng& rng);
 /// Assigns each neuron the class for which its average spike count (over the
 /// labelled set, inference mode) is highest. Samples run serially through
 /// Network::infer on the float kernel (kEvent), drawing from `rng` in order;
-/// the network's configured engine is restored afterwards. Syncs the
-/// transposed inference copy. Rejects a dataset whose pixel width differs
-/// from the network's input or whose labels fall outside
-/// [0, ds.num_classes).
+/// the network's configured engine is restored afterwards. Rejects a
+/// dataset whose pixel width differs from the network's input or whose
+/// labels fall outside [0, ds.num_classes).
 [[nodiscard]] NeuronLabels label_neurons(Network& net,
                                          const data::Dataset& ds, Rng& rng);
 
 /// The bias-corrected population vote over one sample's spike counts: the
 /// class with the highest mean (count - bias) among its labelled neurons.
-/// Returns -1 when no labelled neuron exists.
+/// Returns -1 when no labelled neuron exists. Throws ContractViolation when
+/// a neuron that `counts` covers has no label or bias entry, or a label at
+/// or above num_classes.
 [[nodiscard]] std::int32_t vote_spike_counts(
     const std::vector<std::uint32_t>& counts, const NeuronLabels& labels);
 
@@ -56,23 +57,14 @@ void train_epoch(Network& net, const data::Dataset& ds, Rng& rng);
 /// network's weights in place, so fan-out never copies the weight matrix.
 /// Each sample's spike trains fork from one draw of `rng`, so the result is
 /// deterministic and thread-count independent. `net` is untouched (const),
-/// which is what lets concurrent sweeps share one trained model. If the
-/// network's transposed inference copy is stale, one private synced copy is
-/// made; callers on the hot path should sync_transpose() beforehand.
+/// which is what lets concurrent sweeps share one trained model.
 [[nodiscard]] double evaluate(const Network& net, const NeuronLabels& labels,
-                              const data::Dataset& ds, Rng& rng);
-
-/// Scratch overload: identical result and streams; syncs the transposed
-/// inference copy in place first (weights and thetas untouched). Use when
-/// the caller owns a mutable network (e.g. freshly corrupted weights).
-[[nodiscard]] double evaluate(Network& net, const NeuronLabels& labels,
                               const data::Dataset& ds, Rng& rng);
 
 /// Hot-path overload: identical result and streams, scoring serially
 /// through a caller-owned InferenceState with no per-call copies or
 /// fan-out. Intended for callers already inside a parallel region (the
 /// Monte-Carlo trial loop) that reuse one state across many evaluations.
-/// Requires net's transpose synced.
 [[nodiscard]] double evaluate(const Network& net, InferenceState& state,
                               const NeuronLabels& labels,
                               const data::Dataset& ds, Rng& rng);

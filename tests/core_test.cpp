@@ -6,6 +6,9 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
+#include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -13,6 +16,7 @@
 #include "core/fault_aware.hpp"
 #include "core/pipeline.hpp"
 #include "mapping/mapping.hpp"
+#include "snn/model_io.hpp"
 
 namespace sparkxd::core {
 namespace {
@@ -129,15 +133,15 @@ TEST_F(FaultAwareFixture, HotPathMatchesLegacySnapshotLoopBitwise) {
   for (std::size_t t = 0; t < trials; ++t) {
     Rng inject_rng(hash_combine(stream, 2 * t));
     Rng eval_rng(hash_combine(stream, 2 * t + 1));
-    if (t != 0) scratch.weights_mut(0) = snapshot;
     // Test-local flip loop: Model-0 weak cells fail with probability 0.5,
     // one draw per table entry, each flipped word range-clipped.
-    std::vector<float>& w = scratch.weights_mut(0);
+    std::vector<float> w = snapshot;
     for (const auto& e : entries) {
       if (!inject_rng.bernoulli(error::kWeakCellFailProb)) continue;
       w[e.word] = flip_float_bit(w[e.word], e.bit);
       error::sanitize_weight(w[e.word], sanitize);
     }
+    scratch.set_weights(0, std::move(w));
     sum += snn::evaluate(scratch, state->baseline->labels, state->test,
                          eval_rng);
   }
@@ -165,7 +169,6 @@ void expect_round_trip(const std::vector<std::size_t>& hidden,
   cfg.hidden_neurons = hidden;
   cfg.seed = 7;
   snn::Network source(cfg);
-  source.sync_transpose();
   const std::size_t n_layers = source.n_layers();
 
   const auto g = dram::Geometry::lpddr3_4gb();
@@ -198,7 +201,6 @@ void expect_round_trip(const std::vector<std::size_t>& hidden,
     std::vector<error::EccScrubStats> stats(n_layers);
     EXPECT_GT(scratch.corrupt(tables, ecc, seed, clip, stats.data()), 0u);
     snn::Network resynced = scratch.net();
-    for (std::size_t l = 0; l < n_layers; ++l) (void)resynced.weights_mut(l);
     resynced.sync_transpose();
     for (std::size_t l = 0; l < n_layers; ++l) {
       EXPECT_FALSE(same_bits(scratch.net().weights(l), source.weights(l)))
@@ -236,6 +238,100 @@ TEST(CorruptionScratch_, RoundTripThreeLayers) {
 
 TEST(CorruptionScratch_, RoundTripThreeLayersWithEcc) {
   expect_round_trip({24, 16}, true);
+}
+
+// ------------------------------------------------------ layout invariant
+
+/// Fails unless every layer's transposed copy is exactly the transpose of
+/// its row-major weights.
+void expect_layouts_agree(const snn::Network& net, const char* after) {
+  for (std::size_t l = 0; l < net.n_layers(); ++l) {
+    const std::vector<float>& w = net.weights(l);
+    const std::size_t ni = net.config().layer_inputs(l);
+    const std::size_t nn = net.config().layer_neurons(l);
+    ASSERT_EQ(w.size(), ni * nn) << after << ": layer " << l;
+    std::vector<float> want(w.size());
+    for (std::size_t n = 0; n < nn; ++n)
+      for (std::size_t i = 0; i < ni; ++i) want[i * nn + n] = w[n * ni + i];
+    EXPECT_TRUE(same_bits(net.weights_T(l), want))
+        << after << ": layer " << l << " of " << net.n_layers();
+  }
+}
+
+TEST(LayoutInvariant, BothLayoutsAgreeAfterEveryWrite) {
+  const auto all = data::make_dataset(data::Task::kDigits, 30, 11);
+  const auto train = all.take(20);
+  const auto test = all.drop(20);
+  const std::vector<std::vector<std::size_t>> stacks{{}, {16}, {16, 12}};
+  for (const auto& hidden : stacks) {
+    SCOPED_TRACE(testing::Message() << "depth " << hidden.size() + 1);
+    snn::NetworkConfig cfg;
+    cfg.n_neurons = 10;
+    cfg.hidden_neurons = hidden;
+    cfg.seed = 3;
+    Rng rng(3);
+    snn::Network net(cfg);
+    expect_layouts_agree(net, "construction");
+    (void)net.train_step(train.images[0], rng);
+    expect_layouts_agree(net, "train_step");
+    const std::size_t n_layers = net.n_layers();
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      std::vector<float> w = net.weights(l);
+      for (std::size_t k = 0; k < w.size(); k += 7) w[k] *= 2.5f;
+      net.set_weights(l, std::move(w));
+    }
+    expect_layouts_agree(net, "set_weights");
+    net.normalize_rows();
+    expect_layouts_agree(net, "normalize_rows");
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      const std::span<float> w = net.weights_delta(l);
+      for (std::size_t k = l; k < w.size(); k += 13) {
+        w[k] = 0.5f * w[k] + 0.01f;
+        net.mirror_weight(l, k);
+      }
+    }
+    expect_layouts_agree(net, "weights_delta + mirror_weight");
+
+    snn::TrainedModel model{net, snn::label_neurons(net, train, rng), 0.0};
+    expect_layouts_agree(model.net, "label_neurons");
+    std::stringstream file;
+    snn::save_model(model, file);
+    expect_layouts_agree(snn::load_model(file).net, "load_model");
+
+    const auto g = dram::Geometry::lpddr3_4gb();
+    const error::SubarrayProfile profile(g, 5);
+    std::vector<std::size_t> layer_weights;
+    for (std::size_t l = 0; l < n_layers; ++l)
+      layer_weights.push_back(cfg.layer_weight_count(l));
+    const auto placements =
+        mapping::baseline_placement_layers(g, layer_weights);
+    std::vector<error::ErrorInjector> injectors;
+    for (std::size_t l = 0; l < n_layers; ++l)
+      injectors.push_back(error::ErrorInjector::for_weights(
+          g, profile, {}, placements[l], layer_weights[l], 5, 1e-2));
+    std::vector<error::FrozenInjection> frozen;
+    LayerTables tables;
+    LayerInjectors layer_injectors;
+    for (const auto& inj : injectors) {
+      frozen.push_back(inj.freeze(1e-2));
+      layer_injectors.push_back(&inj);
+    }
+    for (const auto& f : frozen) tables.push_back(&f);
+
+    CorruptionScratch scratch(net);
+    EXPECT_GT(scratch.corrupt(tables, LayerEcc(n_layers), 1,
+                              {cfg.stdp.w_min, kDefaultWeightClip}),
+              0u);
+    expect_layouts_agree(scratch.net(), "CorruptionScratch::corrupt");
+    scratch.restore();
+    expect_layouts_agree(scratch.net(), "CorruptionScratch::restore");
+
+    FaultTrainingConfig ft;
+    ft.ber_stages = {1e-3, 1e-2};
+    const FaultAwareResult result = improve_error_tolerance(
+        model, ft, layer_injectors, train, test, rng);
+    expect_layouts_agree(result.improved.net, "improve_error_tolerance");
+  }
 }
 
 TEST_F(FaultAwareFixture, RejectsZeroTrials) {

@@ -58,7 +58,6 @@ void warm_up(Network& net, std::uint64_t seed) {
   for (int pass = 0; pass < 2; ++pass)
     (void)net.train_step(random_image(net.config().n_inputs, seed + pass, 0.4),
                          rng);
-  net.sync_transpose();
 }
 
 /// The dense reference: every layer integrates every timestep (no

@@ -25,10 +25,8 @@ std::vector<char> file_bytes(const std::string& path) {
 
 /// The first ten test samples get the same vote from both models, drawing
 /// the same spike trains.
-void expect_same_votes(TrainedModel& a, TrainedModel& b,
+void expect_same_votes(const TrainedModel& a, const TrainedModel& b,
                        const data::Dataset& test) {
-  a.net.sync_transpose();
-  b.net.sync_transpose();
   InferenceState state_a(a.net), state_b(b.net);
   Rng rng_a(9), rng_b(9);
   for (std::size_t i = 0; i < 10; ++i)

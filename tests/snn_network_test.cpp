@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <numeric>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -35,10 +37,9 @@ std::vector<float> bright_image(std::size_t n, float value = 0.8f) {
 }
 
 /// One clean inference through a fresh InferenceState.
-std::vector<std::uint32_t> infer_once(Network& net,
+std::vector<std::uint32_t> infer_once(const Network& net,
                                       const std::vector<float>& image,
                                       Rng& rng) {
-  net.sync_transpose();
   InferenceState state(net);
   return net.infer(state, image, rng);
 }
@@ -69,7 +70,9 @@ TEST(Network, WeightInitDeterministicInSeed) {
 TEST(Network, NormalizeRowsRestoresTarget) {
   const auto cfg = tiny_config();
   Network net(cfg);
-  for (auto& w : net.weights_mut(0)) w *= 3.0f;
+  auto tripled = net.weights(0);
+  for (auto& w : tripled) w *= 3.0f;
+  net.set_weights(0, std::move(tripled));
   net.normalize_rows();
   const auto& w = net.weights(0);
   float sum = 0.0f;
@@ -80,8 +83,9 @@ TEST(Network, NormalizeRowsRestoresTarget) {
 TEST(Network, NormalizeSkipsZeroRows) {
   const auto cfg = tiny_config();
   Network net(cfg);
-  for (std::size_t i = 0; i < cfg.n_inputs; ++i)
-    net.weights_mut(0)[i] = 0.0f;  // zero out neuron 0
+  auto w = net.weights(0);
+  std::fill_n(w.begin(), cfg.n_inputs, 0.0f);  // zero out neuron 0
+  net.set_weights(0, std::move(w));
   net.normalize_rows();
   for (std::size_t i = 0; i < cfg.n_inputs; ++i)
     EXPECT_EQ(net.weights(0)[i], 0.0f);
@@ -175,9 +179,7 @@ TEST(Network, TransposeMirrorsRowMajorAfterTraining) {
   Network net(cfg);
   Rng rng(1);
   (void)net.train_step(bright_image(cfg.n_inputs), rng);
-  // STDP and the normalisation write through to the transpose: it stays
-  // synced, with no sync_transpose() call.
-  ASSERT_TRUE(net.transpose_synced());
+  // STDP and the normalisation write through to the transpose.
   const auto& w = net.weights(0);
   const auto& wt = net.weights_T(0);
   ASSERT_EQ(wt.size(), w.size());
@@ -187,30 +189,14 @@ TEST(Network, TransposeMirrorsRowMajorAfterTraining) {
           << "neuron " << n << " input " << i;
 }
 
-TEST(Network, StaleTransposeIsRejectedUntilSynced) {
-  Network net(tiny_config());
-  net.weights_mut(0)[3] = 0.77f;
-  EXPECT_FALSE(net.transpose_synced());
-  EXPECT_THROW((void)net.weights_T(0), ContractViolation);
-  EXPECT_THROW((void)net.weights_delta(0), ContractViolation);
-  InferenceState state(net);
-  Rng rng(1);
-  EXPECT_THROW((void)net.infer(state, bright_image(net.config().n_inputs),
-                               rng),
-               ContractViolation);
-  net.sync_transpose();
-  EXPECT_EQ(net.weights_T(0)[3 * net.config().n_neurons], 0.77f);
-}
-
 TEST(Network, DeltaMirrorEqualsFullResync) {
   const auto cfg = tiny_config();
   Network full(cfg), delta(cfg);
   const std::size_t idx = 5 * cfg.n_inputs + 17;  // neuron 5, input 17
-  full.weights_mut(0)[idx] = 0.123f;
+  full.weights_delta(0)[idx] = 0.123f;
   full.sync_transpose();
   delta.weights_delta(0)[idx] = 0.123f;
   delta.mirror_weight(0, idx);
-  EXPECT_TRUE(delta.transpose_synced());
   EXPECT_EQ(full.weights(0), delta.weights(0));
   EXPECT_EQ(full.weights_T(0), delta.weights_T(0));
 }
@@ -218,12 +204,10 @@ TEST(Network, DeltaMirrorEqualsFullResync) {
 TEST(Network, MirrorWeightRejectsOutOfRangeIndex) {
   const auto cfg = tiny_config();
   Network net(cfg);
-  net.sync_transpose();
   const std::size_t n = cfg.n_inputs * cfg.n_neurons;
   EXPECT_NO_THROW(net.mirror_weight(0, n - 1));
   EXPECT_THROW(net.mirror_weight(0, n), ContractViolation);
   EXPECT_THROW(net.mirror_weight(0, n + cfg.n_inputs), ContractViolation);
-  EXPECT_TRUE(net.transpose_synced());
 }
 
 TEST(Network, ReusedStateMatchesFreshStateBitwise) {
@@ -233,7 +217,6 @@ TEST(Network, ReusedStateMatchesFreshStateBitwise) {
   Network net(cfg);
   Rng train_rng(2);
   (void)net.train_step(bright_image(cfg.n_inputs), train_rng);
-  net.sync_transpose();
   InferenceState state(net);
   for (const float intensity : {0.8f, 0.5f, 0.2f}) {
     const auto img = bright_image(cfg.n_inputs, intensity);
@@ -255,7 +238,6 @@ TEST(Network, StateBuiltBeforeRetrainingInfersLikeAFreshOne) {
   Rng train_rng(2);
   (void)net.train_step(bright_image(cfg.n_inputs), train_rng);
   net.thetas_mut(0)[3] += 0.25f;
-  net.sync_transpose();
 
   InferenceState fresh(net);
   const auto img = bright_image(cfg.n_inputs, 0.5f);
@@ -317,40 +299,6 @@ TEST(Network, StateBuiltForOtherDynamicsIsRejected) {
   EXPECT_NO_THROW((void)net.infer(same, bright_image(cfg.n_inputs), rng));
 }
 
-TEST(Network, ResizedWeightsAreRejected) {
-  // weights_mut and weights_delta hand out the vector itself; every kernel
-  // that walks it as n_out x n_in must refuse a resized one.
-  const auto cfg = tiny_config();
-  const std::size_t n = cfg.n_inputs * cfg.n_neurons;
-  Rng rng(1);
-  {
-    Network net(cfg);
-    net.weights_mut(0).pop_back();
-    EXPECT_THROW(net.sync_transpose(), ContractViolation);
-    EXPECT_THROW(net.normalize_rows(), ContractViolation);
-    EXPECT_THROW((void)net.train_step(bright_image(cfg.n_inputs), rng),
-                 ContractViolation);
-  }
-  {
-    Network net(cfg);
-    net.weights_mut(0).resize(2 * n, 0.1f);
-    EXPECT_THROW((void)net.train_step(bright_image(cfg.n_inputs), rng),
-                 ContractViolation);
-  }
-  {
-    Network net(cfg);
-    net.weights_delta(0).resize(2 * n, 0.1f);
-    EXPECT_THROW(net.mirror_weight(0, 2 * n - 1), ContractViolation);
-    EXPECT_THROW(net.mirror_weight(0, 0), ContractViolation);
-  }
-  {
-    Network net(cfg);
-    net.weights_delta(0).pop_back();
-    EXPECT_THROW(net.mirror_weight(0, n - 2), ContractViolation);
-    EXPECT_THROW(net.normalize_rows(), ContractViolation);
-  }
-}
-
 TEST(Network, ResizedThresholdsAreRejected) {
   const auto cfg = tiny_config();
   for (const std::size_t width : {cfg.n_neurons - 1, cfg.n_neurons + 1}) {
@@ -377,12 +325,13 @@ TEST(Network, InferLeavesNetworkUntouched) {
   Network net(cfg);
   InferenceState state(net);
   const auto w_before = net.weights(0);
+  const auto wt_before = net.weights_T(0);
   const auto theta_before = net.thetas(0);
   Rng rng(4);
   (void)net.infer(state, bright_image(cfg.n_inputs), rng);
   EXPECT_EQ(net.weights(0), w_before);
+  EXPECT_EQ(net.weights_T(0), wt_before);
   EXPECT_EQ(net.thetas(0), theta_before);
-  EXPECT_TRUE(net.transpose_synced());
 }
 
 // ------------------------------------------------------------------- trainer
@@ -443,17 +392,12 @@ TEST_F(TrainedFixture, EvaluateIsMeanAccuracy) {
 }
 
 TEST_F(TrainedFixture, EvaluateOverloadsAgreeBitwise) {
-  // Const fan-out, in-place scratch, and the reusable-InferenceState hot
-  // path must all produce the same accuracy from the same Rng state.
-  Rng a(8), b(8), c(8);
-  const double fanned =
-      evaluate(std::as_const(model->net), model->labels, test, a);
-  const double in_place = evaluate(model->net, model->labels, test, b);
-  model->net.sync_transpose();
+  // The concurrent fan-out and the reusable-InferenceState hot path must
+  // produce the same accuracy from the same Rng state.
+  Rng a(8), c(8);
+  const double fanned = evaluate(model->net, model->labels, test, a);
   InferenceState state(model->net);
-  const double reused =
-      evaluate(std::as_const(model->net), state, model->labels, test, c);
-  EXPECT_EQ(fanned, in_place);
+  const double reused = evaluate(model->net, state, model->labels, test, c);
   EXPECT_EQ(fanned, reused);
 }
 
@@ -520,6 +464,29 @@ TEST(Trainer, LabelingRejectsOutOfRangeLabelsAndPixelMismatch) {
   EXPECT_NO_THROW((void)label_neurons(net, ds, rng));
 }
 
+TEST(Trainer, VoteRejectsOutOfRangeLabelsAndShortTables) {
+  // A caller-built label table must not make the vote index past its
+  // per-class slots, or past the label and bias tables themselves.
+  const NeuronLabels labels{{0, 1, 2}, {0.0, 0.0, 0.0}, 3};
+  const std::vector<std::uint32_t> counts{1, 2, 3};
+  EXPECT_EQ(vote_spike_counts(counts, labels), 2);
+  auto unlabelled = labels;
+  unlabelled.label[2] = -1;  // an unlabelled neuron abstains
+  EXPECT_EQ(vote_spike_counts(counts, unlabelled), 1);
+
+  auto past_classes = labels;
+  past_classes.label[1] = 3;
+  EXPECT_THROW((void)vote_spike_counts(counts, past_classes),
+               ContractViolation);
+  auto short_bias = labels;
+  short_bias.bias.pop_back();
+  EXPECT_THROW((void)vote_spike_counts(counts, short_bias), ContractViolation);
+  auto short_label = labels;
+  short_label.label.pop_back();
+  EXPECT_THROW((void)vote_spike_counts(counts, short_label),
+               ContractViolation);
+}
+
 TEST(Trainer, LabelingAFixedPointNetworkRunsTheDenseFloatKernel) {
   // An event-fx network labels on the float dense kernel and only evaluates
   // in fixed point; label_neurons must not follow the configured engine.
@@ -530,7 +497,6 @@ TEST(Trainer, LabelingAFixedPointNetworkRunsTheDenseFloatKernel) {
   cfg.norm_target = 0.01f;
   cfg.lif.v_thresh = 3e-4f;
   Network net(cfg);
-  net.sync_transpose();
   Network fx = net;
   fx.set_engine(EngineKind::kEventFx);
 
@@ -625,7 +591,9 @@ TEST(DeepNetwork, OutputLayerInitMatchesTheFlatNetworkBitwise) {
 TEST(DeepNetwork, LayerIndexOutOfRangeIsRejected) {
   Network deep(deep_config());
   EXPECT_THROW((void)deep.weights(3), ContractViolation);
-  EXPECT_THROW((void)deep.weights_mut(3), ContractViolation);
+  EXPECT_THROW((void)deep.weights_T(3), ContractViolation);
+  EXPECT_THROW((void)deep.weights_delta(3), ContractViolation);
+  EXPECT_THROW(deep.set_weights(3, {}), ContractViolation);
   EXPECT_THROW((void)deep.thetas(3), ContractViolation);
 }
 
@@ -667,18 +635,6 @@ TEST(DeepNetwork, PerLayerDeltaMirrorRoundTrips) {
   EXPECT_EQ(net.infer(state, image, restored_rng), clean);
 }
 
-TEST(DeepNetwork, WeightsMutInvalidatesOnlyThatLayersTranspose) {
-  Network net(deep_config());
-  ASSERT_TRUE(net.transpose_synced());
-  (void)net.weights_mut(1);
-  EXPECT_FALSE(net.transpose_synced());
-  EXPECT_THROW((void)net.weights_T(1), ContractViolation);
-  EXPECT_NO_THROW((void)net.weights_T(0));  // untouched layers stay synced
-  EXPECT_THROW((void)net.weights_delta(1), ContractViolation);
-  net.sync_transpose();
-  EXPECT_TRUE(net.transpose_synced());
-}
-
 TEST(DeepNetwork, TrainsLabelsAndEvaluatesEndToEnd) {
   const auto all = data::make_dataset(data::Task::kDigits, 140, 3);
   const auto train = all.take(100);
@@ -713,16 +669,18 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 /// The same `per_layer` weights of every layer of both networks, drawn
-/// from `rng`, set to w_min or w_max through weights_mut — the injection
-/// path of the fault-aware trainer, which leaves the transposes stale.
+/// from `rng`, set to w_min or w_max through weights_delta and mirrored —
+/// the injection path of the fault-aware trainer.
 void corrupt_both(Network& a, Network& b, Rng& rng, std::size_t per_layer) {
   const StdpParams& p = a.config().stdp;
   for (std::size_t l = 0; l < a.n_layers(); ++l) {
-    std::vector<float>& wa = a.weights_mut(l);
-    std::vector<float>& wb = b.weights_mut(l);
+    const std::span<float> wa = a.weights_delta(l);
+    const std::span<float> wb = b.weights_delta(l);
     for (std::size_t k = 0; k < per_layer; ++k) {
       const std::size_t idx = rng.next_u64() % wa.size();
       wa[idx] = wb[idx] = (rng.next_u64() & 1) != 0 ? p.w_max : p.w_min;
+      a.mirror_weight(l, idx);
+      b.mirror_weight(l, idx);
     }
   }
 }
@@ -751,8 +709,6 @@ TEST(TrainOracle, TrainStepMatchesTheRowMajorOracleBitwise) {
             testutil::oracle_train_step(ref, ds.images[k], ref_rng);
         ASSERT_EQ(counts, ref_counts);
         output_spikes += std::accumulate(counts.begin(), counts.end(), 0u);
-        ASSERT_TRUE(net.transpose_synced());
-        ref.sync_transpose();
         for (std::size_t l = 0; l < net.n_layers(); ++l) {
           ASSERT_TRUE(same_bits(net.weights(l), ref.weights(l))) << l;
           ASSERT_TRUE(same_bits(net.weights_T(l), ref.weights_T(l))) << l;
@@ -775,7 +731,7 @@ TEST(TrainOracle, NormalizationMatchesTheRowLoopBitwise) {
   const float inf = std::numeric_limits<float>::infinity();
   const std::size_t ni = cfg.n_inputs;
   const auto set_row = [&](std::size_t n, auto value_of) {
-    std::vector<float>& w = net.weights_delta(0);
+    const std::span<float> w = net.weights_delta(0);
     for (std::size_t i = 0; i < ni; ++i) {
       w[n * ni + i] = value_of(i);
       net.mirror_weight(0, n * ni + i);
@@ -792,21 +748,19 @@ TEST(TrainOracle, NormalizationMatchesTheRowLoopBitwise) {
   set_row(6, [](std::size_t) { return 1e-41f; });
   set_row(7, [](std::size_t i) { return i == 0 ? 1.0f : -1e-3f; });
   Network ref = net;
-  ASSERT_TRUE(net.transpose_synced());
   net.normalize_rows();
   testutil::oracle_normalize_rows(ref);
-  ASSERT_TRUE(net.transpose_synced());
-  ref.sync_transpose();
   EXPECT_TRUE(same_bits(net.weights(0), ref.weights(0)));
   EXPECT_TRUE(same_bits(net.weights_T(0), ref.weights_T(0)));
 
-  // A stale transpose (weights_mut) is resynced first and ends up synced.
-  for (float& w : net.weights_mut(0)) w *= 3.0f;
-  for (float& w : ref.weights_mut(0)) w *= 3.0f;
+  // Again on rows scaled off target (a delta write closed by
+  // sync_transpose).
+  for (Network* n : {&net, &ref}) {
+    for (float& w : n->weights_delta(0)) w *= 3.0f;
+    n->sync_transpose();
+  }
   net.normalize_rows();
   testutil::oracle_normalize_rows(ref);
-  ASSERT_TRUE(net.transpose_synced());
-  ref.sync_transpose();
   EXPECT_TRUE(same_bits(net.weights(0), ref.weights(0)));
   EXPECT_TRUE(same_bits(net.weights_T(0), ref.weights_T(0)));
 }

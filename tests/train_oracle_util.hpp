@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -32,11 +33,12 @@ inline void oracle_stdp_post_update(float* w_row, std::size_t n_inputs,
 }
 
 /// Rescales every row of every layer to sum to norm_target, one row at a
-/// time (rows summing to <= 0 are left alone).
+/// time (rows summing to <= 0 are left alone), then rebuilds the
+/// transposes from the row-major result.
 inline void oracle_normalize_rows(snn::Network& net) {
   const float target = net.config().norm_target;
   for (std::size_t l = 0; l < net.n_layers(); ++l) {
-    std::vector<float>& w = net.weights_mut(l);
+    const std::span<float> w = net.weights_delta(l);
     const std::size_t ni = net.config().layer_inputs(l);
     for (std::size_t n = 0; n < net.config().layer_neurons(l); ++n) {
       float* row = w.data() + n * ni;
@@ -47,6 +49,7 @@ inline void oracle_normalize_rows(snn::Network& net) {
       for (std::size_t i = 0; i < ni; ++i) row[i] *= scale;
     }
   }
+  net.sync_transpose();
 }
 
 /// The LIF training step as one pass per neuron: integrate, decay the
@@ -112,8 +115,9 @@ class OracleLif {
 
 /// One training sample on `net`, row-major: the reference for
 /// Network::train_step (same draws, same spikes, same per-weight update
-/// order). Edits the weights through weights_mut, so the transposes are
-/// left stale. Returns the output layer's spike counts.
+/// order). Edits the row-major weights in place through weights_delta;
+/// the closing normalisation rebuilds the transposes. Returns the output
+/// layer's spike counts.
 inline std::vector<std::uint32_t> oracle_train_step(
     snn::Network& net, const std::vector<float>& image, Rng& rng) {
   const snn::NetworkConfig& cfg = net.config();
@@ -137,7 +141,7 @@ inline std::vector<std::uint32_t> oracle_train_step(
     for (std::size_t l = 0; l < n_layers; ++l) {
       const std::size_t ni = cfg.layer_inputs(l);
       const std::size_t nn = cfg.layer_neurons(l);
-      std::vector<float>& w = net.weights_mut(l);
+      const std::span<float> w = net.weights_delta(l);
       traces[l].step(*spikes);
       current.assign(nn, 0.0f);
       if (!spikes->empty()) {
