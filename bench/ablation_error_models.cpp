@@ -1,4 +1,4 @@
-// Ablation B (DESIGN.md §5): the paper (following EDEN [15]) trains with
+// Ablation B: the paper (following EDEN [15]) trains with
 // Error Model-0 arguing it approximates Models 1-3. Test that claim: train
 // fault-aware with Model-0, then evaluate the improved model under all four
 // error models at the same BER.
@@ -27,7 +27,7 @@ int main() {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, seed);
   const std::size_t n_weights = cfg.n_inputs * cfg.n_neurons;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
 
   // Harden with Model-0 (the paper's training configuration).
   const auto train_inj = error::ErrorInjector::for_weights(g, profile, {}, place, n_weights,

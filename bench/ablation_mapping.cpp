@@ -1,4 +1,4 @@
-// Ablation A (DESIGN.md §5): what each ingredient of the DRAM mapping buys.
+// Ablation A: what each ingredient of the DRAM mapping buys.
 // Compares, at 1.025 V / module BER 1e-3:
 //   * baseline mapping  (sequential bank fill, error-oblivious)
 //   * Algorithm 2       (safe subarrays + row-hit + bank rotation)
@@ -25,9 +25,9 @@ int main() {
   const std::size_t n_weights = 784 * 900;
   const double ber = 1e-3;
 
-  const auto base = mapping::baseline_placement(g, n_weights);
-  const auto prop = mapping::sparkxd_placement(g, profile, ber, ber,
-                                               n_weights);
+  const auto base = mapping::baseline_placement_layers(g, {n_weights})[0];
+  const auto prop = mapping::sparkxd_placement_layers(g, profile, ber, {ber},
+                                                      {n_weights})[0];
   // Adversarial scatter: stride chunks across rows of one bank.
   error::ChunkPlacement scatter;
   const std::size_t chunks = mapping::chunks_for_weights(g, n_weights);
@@ -77,7 +77,7 @@ int main() {
   for (const double sigma : {0.2, 0.5, 0.8, 1.2}) {
     const error::SubarrayProfile p2(g, seed, sigma);
     const auto prop2 =
-        mapping::sparkxd_placement(g, p2, ber, ber, n_weights);
+        mapping::sparkxd_placement_layers(g, p2, ber, {ber}, {n_weights})[0];
     const auto inj_b = error::ErrorInjector::for_weights(g, p2, {}, base, n_weights, seed, ber);
     const auto inj_p = error::ErrorInjector::for_weights(g, p2, {}, prop2.chunks, n_weights,
                                      seed, ber);

@@ -27,7 +27,7 @@ int main() {
   const double ber = 1e-3;
 
   const auto prop =
-      mapping::sparkxd_placement(g, profile, ber, ber, n_weights);
+      mapping::sparkxd_placement_layers(g, profile, ber, {ber}, {n_weights})[0];
   // Adversarial: consecutive chunks walk rows within one bank's subarrays.
   error::ChunkPlacement scatter;
   const std::size_t chunks = mapping::chunks_for_weights(g, n_weights);

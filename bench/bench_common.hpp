@@ -1,9 +1,8 @@
 #pragma once
 // Shared setup for the paper-reproduction bench binaries.
 //
-// Every bench prints the rows/series of one table or figure of the paper
-// (see DESIGN.md §5 for the experiment index) as an ASCII Table, and writes
-// CSV when SPARKXD_CSV_DIR is set. Accuracy experiments honour SPARKXD_SCALE
+// Every bench prints the rows/series of one table or figure of the paper as
+// an ASCII Table, and writes CSV when SPARKXD_CSV_DIR is set. Accuracy experiments honour SPARKXD_SCALE
 // (default 1.0, sized for a single-core host) and SPARKXD_SEED.
 
 #include <cstdio>
@@ -68,8 +67,8 @@ inline void banner(const char* experiment, const char* claim) {
 // is stable — fixed key order, std::to_chars numbers via common/json — so
 // identical results serialize byte-identically; the wall-clock values
 // themselves of course vary run to run (CI archives them as trend
-// artifacts, no thresholds). Canonical consumer: bench/pipeline_hotpath,
-// whose CI artifact is BENCH_4.json.
+// artifacts, no thresholds). The repository's benchmark with regression
+// bounds is perfbench/ (see BENCHMARK.json), not these reports.
 
 /// One timed phase of a bench run.
 struct BenchPhase {

@@ -18,7 +18,8 @@ int main() {
   const std::size_t full_weights = 784 * 4900;
 
   // Normalization reference: accurate DRAM at full connectivity.
-  const auto ref_place = mapping::baseline_placement(g, full_weights);
+  const auto ref_place =
+      mapping::baseline_placement_layers(g, {full_weights})[0];
   const double ref = core::weight_stream_energy(g, ref_place, full_weights,
                                                 1.350)
                          .energy.total_nj();
@@ -31,9 +32,9 @@ int main() {
         static_cast<std::size_t>(conn * static_cast<double>(full_weights));
     // Accurate baseline uses the baseline mapping; the approximate point
     // uses the SparkXD mapping (safe subarrays at BER_th = module BER).
-    const auto base_place = mapping::baseline_placement(g, n);
+    const auto base_place = mapping::baseline_placement_layers(g, {n})[0];
     const auto prop =
-        mapping::sparkxd_placement(g, profile, 1e-3, 1e-3, n);
+        mapping::sparkxd_placement_layers(g, profile, 1e-3, {1e-3}, {n})[0];
     const double e_acc =
         core::weight_stream_energy(g, base_place, n, 1.350).energy.total_nj();
     const double e_apx =

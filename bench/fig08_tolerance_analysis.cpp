@@ -28,7 +28,7 @@ int main() {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, seed);
   const std::size_t n_weights = cfg.n_inputs * cfg.n_neurons;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   const auto injector = error::ErrorInjector::for_weights(g, profile, {}, place, n_weights, seed,
                                       1e-3);
   core::FaultTrainingConfig ft;

@@ -35,7 +35,7 @@ void run_dataset(data::Task task, Table& table, Table& summary) {
 
     // Error machinery over the baseline (training-time) placement.
     const std::size_t n_weights = cfg.n_inputs * cfg.n_neurons;
-    const auto place = mapping::baseline_placement(g, n_weights);
+    const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
     const auto injector = error::ErrorInjector::for_weights(g, profile, {}, place, n_weights,
                                         seed, 1e-3);
 
@@ -56,8 +56,8 @@ void run_dataset(data::Task task, Table& table, Table& summary) {
       const double acc_base_approx =
           core::evaluate_corrupted(baseline.net, baseline.labels,
                                    {&injector}, ber, test, rng);
-      const auto sp = mapping::sparkxd_placement(
-          g, profile, ber, std::max(ber, ber_th), n_weights);
+      const auto sp = mapping::sparkxd_placement_layers(
+          g, profile, ber, {std::max(ber, ber_th)}, {n_weights})[0];
       const auto sp_injector = error::ErrorInjector::for_weights(
           g, profile, {}, sp.chunks, n_weights, seed, std::max(ber, 1e-12));
       const double acc_impr_approx = core::evaluate_corrupted(

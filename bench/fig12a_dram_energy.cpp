@@ -24,7 +24,8 @@ int main() {
   std::vector<double> avg_saving(5, 0.0);
   for (const auto neurons : bench::kPaperSizes) {
     const std::size_t n_weights = 784 * neurons;
-    const auto base_place = mapping::baseline_placement(g, n_weights);
+    const auto base_place =
+        mapping::baseline_placement_layers(g, {n_weights})[0];
     const double e_base =
         core::weight_stream_energy(g, base_place, n_weights, 1.350)
             .energy.total_nj();
@@ -36,9 +37,8 @@ int main() {
       const double ber = bm.ber(v);
       // BER_th = the trained tolerance; the full pipeline learns 1e-3
       // (see fig11); mapping at min(1e-3, anything above module BER).
-      const auto prop = mapping::sparkxd_placement(g, profile, ber,
-                                                   std::max(ber, 1e-3),
-                                                   n_weights);
+      const auto prop = mapping::sparkxd_placement_layers(
+          g, profile, ber, {std::max(ber, 1e-3)}, {n_weights})[0];
       const double e =
           core::weight_stream_energy(g, prop.chunks, n_weights, v)
               .energy.total_nj();

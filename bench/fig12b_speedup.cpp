@@ -23,9 +23,10 @@ int main() {
   double avg = 0.0;
   for (const auto neurons : bench::kPaperSizes) {
     const std::size_t n_weights = 784 * neurons;
-    const auto base = mapping::baseline_placement(g, n_weights);
+    const auto base = mapping::baseline_placement_layers(g, {n_weights})[0];
     const auto prop =
-        mapping::sparkxd_placement(g, profile, 1e-3, 1e-3, n_weights);
+        mapping::sparkxd_placement_layers(g, profile, 1e-3, {1e-3},
+                                          {n_weights})[0];
     const auto s_base = controller.run(
         mapping::streaming_read_trace(g, base, n_weights),
         core::kBurstArrivalNs);

@@ -120,7 +120,7 @@ BENCHMARK(BM_NormalizeRows)->Arg(64)->Arg(400);
 void BM_ControllerStreaming(benchmark::State& state) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const std::size_t n_weights = 784 * 400;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   const auto trace = mapping::streaming_read_trace(g, place, n_weights);
   const bool refresh = state.range(0) != 0;
   dram::Controller c(g, dram::TimingParams::lpddr3_1600(), false,
@@ -142,7 +142,7 @@ void BM_InjectorBuild(benchmark::State& state) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, 1);
   const std::size_t n_weights = 784 * 400;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   error::ErrorModelSpec spec;
   if (state.range(0) < 4) {
     spec.kind = static_cast<error::ErrorModelKind>(state.range(0));
@@ -166,7 +166,7 @@ void BM_InjectorInject(benchmark::State& state) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, 1);
   const std::size_t n_weights = 784 * 400;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   // Freeze once, time the read: the path every caller injects through.
   const auto frozen = error::ErrorInjector::for_weights(
                           g, profile, {}, place, n_weights, 1, 1e-3)
@@ -179,16 +179,17 @@ void BM_InjectorInject(benchmark::State& state) {
 }
 BENCHMARK(BM_InjectorInject);
 
-void BM_SparkXdPlacement(benchmark::State& state) {
+void BM_SparkXdLayerPlacement(benchmark::State& state) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, 1);
   const std::size_t n_weights = 784 * 3600;
   for (auto _ : state) {
-    auto p = mapping::sparkxd_placement(g, profile, 1e-3, 1e-3, n_weights);
+    auto p = mapping::sparkxd_placement_layers(g, profile, 1e-3, {1e-3},
+                                               {n_weights})[0];
     benchmark::DoNotOptimize(p.chunks.data());
   }
 }
-BENCHMARK(BM_SparkXdPlacement);
+BENCHMARK(BM_SparkXdLayerPlacement);
 
 }  // namespace
 

@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   auto model = snn::train_and_label(cfg, train, test, 1, rng);
 
   const std::size_t n_weights = cfg.n_inputs * cfg.n_neurons;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   const auto inj = error::ErrorInjector::for_weights(g, profile, {}, place,
                                                      n_weights, seed, 1e-3);
 

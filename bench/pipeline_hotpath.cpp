@@ -1,17 +1,18 @@
-// pipeline_hotpath — the canonical perf-trajectory benchmark.
+// pipeline_hotpath — a phase-timing bench of the pipeline. The repository's
+// benchmark with regression bounds is perfbench/ (see BENCHMARK.json).
 //
 // Times the SparkXD pipeline's phases separately — baseline training,
 // fault-aware training, the DRAM energy sweep, and the Monte-Carlo
 // corrupted-accuracy phase (core::evaluate_corrupted: frozen candidate
 // table shared across trials, flip-log revert, transposed spike gather,
 // reused per-worker inference scratch) — and emits the stable
-// sparkxd-bench-v1 JSON report (CI archives it as BENCH_4.json) so hot-path
-// wins are tracked by machines, not commit messages. The bit-exactness of
-// the Monte-Carlo phase against a snapshot-restore reference loop is a
-// test (tests/core_test.cpp), not a bench concern. Runs at 1 thread so the
-// numbers are comparable across CI hosts.
+// sparkxd-bench-v1 JSON report (CI archives it as pipeline_hotpath.json)
+// so hot-path wins are tracked by machines, not commit messages. The
+// bit-exactness of the Monte-Carlo phase against a snapshot-restore
+// reference loop is a test (tests/core_test.cpp), not a bench concern.
+// Runs at 1 thread so the numbers are comparable across CI hosts.
 //
-//   pipeline_hotpath [--json BENCH_4.json]
+//   pipeline_hotpath [--json pipeline_hotpath.json]
 //
 // Honours SPARKXD_SCALE / SPARKXD_SEED. Exit codes: 0 ok, 2 bad usage.
 
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, seed);
   const std::size_t n_weights = cfg.n_inputs * cfg.n_neurons;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   const auto injector = error::ErrorInjector::for_weights(
       g, profile, {}, place, n_weights, seed, 1e-3);
   const core::LayerInjectors injectors{&injector};

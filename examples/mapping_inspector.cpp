@@ -3,7 +3,9 @@
 //
 // Prints (1) a per-bank x subarray occupancy map — '#' safe+used, '.'
 // safe+unused, 'x' unsafe/skipped — and (2) row-buffer statistics of the
-// inference weight stream under both mappings.
+// inference weight stream under both mappings. When the subarrays safe at
+// ber_th cannot hold the weights, Algorithm 2 relaxes the threshold; the
+// inspector then prints the relaxed BER_th and draws the map at it.
 //
 // Usage: mapping_inspector [neurons] [module_ber] [ber_th]
 
@@ -34,8 +36,12 @@ int main(int argc, char** argv) {
       static_cast<double>(n_weights) * 4.0 / (1024.0 * 1024.0), module_ber,
       ber_th);
 
-  const auto prop =
-      mapping::sparkxd_placement(g, profile, module_ber, ber_th, n_weights);
+  const auto prop = mapping::sparkxd_placement_layers(
+      g, profile, module_ber, {ber_th}, {n_weights})[0];
+  if (prop.capacity_relaxed)
+    std::printf("BER_th relaxed to %.3e: the subarrays safe at %.0e cannot "
+                "hold the weights\n",
+                prop.ber_th, ber_th);
   std::printf("safe subarrays: %zu / %zu (unsafe skipped: %zu)\n",
               prop.safe_subarrays, static_cast<std::size_t>(
                                        g.total_subarrays()),
@@ -51,14 +57,14 @@ int main(int argc, char** argv) {
     for (std::uint32_t su = 0; su < g.subarrays_per_bank; ++su) {
       const dram::Address a{0, 0, 0, ba, su, 0, 0};
       const auto sid = subarray_id(g, a);
-      const bool safe = profile.rate(sid, module_ber) <= ber_th;
+      const bool safe = profile.rate(sid, module_ber) <= prop.ber_th;
       std::printf("%c", !safe ? 'x' : (used.count(sid) ? '#' : '.'));
     }
     std::printf("\n");
   }
 
   // Stream statistics under both mappings.
-  const auto base = mapping::baseline_placement(g, n_weights);
+  const auto base = mapping::baseline_placement_layers(g, {n_weights})[0];
   dram::Controller c(g, dram::TimingParams::lpddr3_1600());
   const auto s_base = c.run(
       mapping::streaming_read_trace(g, base, n_weights),

@@ -45,7 +45,8 @@ int main() {
   const auto geometry = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(geometry, seed);
   const std::size_t n_weights = cfg.n_inputs * cfg.n_neurons;
-  const auto placement = mapping::baseline_placement(geometry, n_weights);
+  const auto placement =
+      mapping::baseline_placement_layers(geometry, {n_weights})[0];
   const double ber = 1e-3;
   const auto injector = error::ErrorInjector::for_weights(geometry, profile, {}, placement,
                                       n_weights, seed, ber);

@@ -99,6 +99,9 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
                                                   in.layer_weights[l]);
     places[k] = mapping::baseline_placement_layers(in.geometry, stored[k]);
     row_fraction[k].resize(n_layers);
+    // The baseline walk is chunk-aligned, not row-aligned: a layer that
+    // ends mid-row shares that row with the next layer, and the row counts
+    // in both layers' fractions (the fractions can sum past the rows used).
     for (std::size_t l = 0; l < n_layers; ++l) {
       rows.clear();
       for (const auto& addr : places[k][l])

@@ -4,8 +4,7 @@
 // The paper evaluates on MNIST and Fashion-MNIST. Those files are not
 // available in this offline environment, so we substitute deterministic
 // *procedural* datasets with the same interface contract the experiments rely
-// on: 28x28 grayscale images in [0,1], 10 classes, a harder second task
-// (see DESIGN.md §2 for the substitution rationale).
+// on: 28x28 grayscale images in [0,1], 10 classes, a harder second task.
 
 #include <cstdint>
 #include <string>

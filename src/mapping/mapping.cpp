@@ -16,16 +16,16 @@ std::size_t chunks_for_weights(const dram::Geometry& g,
   return (n_weights + wpc - 1) / wpc;
 }
 
-error::ChunkPlacement baseline_placement(const dram::Geometry& g,
-                                         std::size_t n_weights) {
-  g.validate();
-  const std::size_t needed = chunks_for_weights(g, n_weights);
+namespace {
+
+/// The baseline's sequential walk: `needed` chunks at subsequent addresses
+/// within a bank — columns, then rows (subarray-major) — then the next
+/// bank, chip, rank, channel. Throws if the module cannot hold them.
+error::ChunkPlacement sequential_walk(const dram::Geometry& g,
+                                      std::size_t needed) {
   const std::size_t bursts_per_row = g.columns_per_row / g.burst_columns;
   error::ChunkPlacement out;
   out.reserve(needed);
-
-  // Subsequent addresses within a bank: columns, then rows (subarray-major),
-  // then the next bank, chip, rank, channel.
   for (std::uint32_t ch = 0; ch < g.channels && out.size() < needed; ++ch)
     for (std::uint32_t ra = 0; ra < g.ranks_per_channel && out.size() < needed;
          ++ra)
@@ -48,24 +48,21 @@ error::ChunkPlacement baseline_placement(const dram::Geometry& g,
   return out;
 }
 
-namespace {
-
 /// Algorithm 2's walk at threshold `ber_th`: counts the safe/unsafe
 /// subarrays, then fills `out` with up to `needed` chunks through the loop
 /// nest ch -> ra -> cp -> ro -> su -> ba -> safe? -> co. For a fixed row
 /// offset, all columns of that row are filled (row-buffer hits, Step-1) and
 /// the walk rotates across banks (multi-bank overlap, Step-2) before moving
-/// to the next subarray and only then the next row. When `used` is non-null
-/// (one flag per subarray row) rows already holding earlier layers are
-/// skipped and, if the walk fills `needed` chunks, the rows it consumed are
-/// marked (row granularity: partially filled rows are retired whole).
-/// Returns whether `needed` chunks were placed; a failed walk leaves `used`
-/// untouched.
+/// to the next subarray and only then the next row. Rows flagged in `used`
+/// (one flag per subarray row) hold earlier layers and are skipped; if the
+/// walk fills `needed` chunks, the rows it consumed are flagged (row
+/// granularity: partially filled rows are retired whole). Returns whether
+/// `needed` chunks were placed; a failed walk leaves `used` untouched.
 bool algorithm2_walk(const dram::Geometry& g,
                      const error::SubarrayProfile& profile, double module_ber,
                      double ber_th, std::size_t needed,
                      error::ChunkPlacement& out, std::size_t& safe,
-                     std::size_t& unsafe, std::vector<std::uint8_t>* used) {
+                     std::size_t& unsafe, std::vector<std::uint8_t>& used) {
   const std::size_t bursts_per_row = g.columns_per_row / g.burst_columns;
   out.clear();
   out.reserve(needed);
@@ -90,11 +87,9 @@ bool algorithm2_walk(const dram::Geometry& g,
               const auto sid = dram::subarray_id(g, probe);
               if (profile.rate(sid, module_ber) > ber_th)
                 continue;  // unsafe subarray: do not store weights here
-              if (used != nullptr) {
-                const std::uint64_t row_key = sid * g.rows_per_subarray + ro;
-                if ((*used)[row_key]) continue;  // row holds an earlier layer
-                rows.push_back(row_key);
-              }
+              const std::uint64_t row_key = sid * g.rows_per_subarray + ro;
+              if (used[row_key]) continue;  // row holds an earlier layer
+              rows.push_back(row_key);
               for (std::size_t b = 0; b < bursts_per_row && out.size() < needed;
                    ++b)
                 out.push_back(dram::Address{
@@ -103,39 +98,23 @@ bool algorithm2_walk(const dram::Geometry& g,
             }
 
   if (out.size() < needed) return false;
-  if (used != nullptr)
-    for (const auto key : rows) (*used)[key] = 1;
+  for (const auto key : rows) used[key] = 1;
   return true;
 }
 
 }  // namespace
 
-SparkXdPlacement sparkxd_placement(const dram::Geometry& g,
-                                   const error::SubarrayProfile& profile,
-                                   double module_ber, double ber_threshold,
-                                   std::size_t n_weights) {
-  g.validate();
-  SPARKXD_REQUIRE(ber_threshold >= 0.0, "BER_th must be non-negative");
-  SparkXdPlacement result;
-  const bool fits = algorithm2_walk(
-      g, profile, module_ber, ber_threshold, chunks_for_weights(g, n_weights),
-      result.chunks, result.safe_subarrays, result.unsafe_subarrays, nullptr);
-  SPARKXD_REQUIRE(fits,
-                  "safe subarrays cannot hold the weight data at this BER_th");
-  return result;
-}
-
 std::vector<error::ChunkPlacement> baseline_placement_layers(
     const dram::Geometry& g, const std::vector<std::size_t>& layer_weights) {
+  g.validate();
   SPARKXD_REQUIRE(!layer_weights.empty(), "need at least one layer");
-  const std::size_t wpc = weights_per_chunk(g);
   // Whole chunks per layer: a layer whose weights end mid-chunk pads the
   // remainder, so the next layer starts chunk-aligned and the regions stay
   // disjoint.
   std::size_t total_chunks = 0;
   for (const std::size_t n : layer_weights)
     total_chunks += chunks_for_weights(g, n);
-  const auto flat = baseline_placement(g, total_chunks * wpc);
+  const auto flat = sequential_walk(g, total_chunks);
 
   std::vector<error::ChunkPlacement> out(layer_weights.size());
   std::size_t cursor = 0;
@@ -165,12 +144,12 @@ std::vector<LayerPlacement> sparkxd_placement_layers(
     lp.ber_th = thresholds[l];
     SPARKXD_REQUIRE(lp.ber_th >= 0.0, "BER_th must be non-negative");
     const std::size_t needed = chunks_for_weights(g, layer_weights[l]);
-    // The pipeline's capacity-relax loop, per layer: when the learned
-    // threshold is too strict to fit this layer at the operating BER, relax
-    // it to the smallest feasible threshold and report that honestly.
+    // When the learned threshold is too strict to fit this layer at the
+    // operating BER, relax it to the smallest feasible threshold and report
+    // that honestly.
     while (!algorithm2_walk(g, profile, module_ber, lp.ber_th, needed,
                             lp.chunks, lp.safe_subarrays, lp.unsafe_subarrays,
-                            &used)) {
+                            used)) {
       SPARKXD_REQUIRE(lp.safe_subarrays < profile.size(),
                       "DRAM module cannot hold the layer stack even with "
                       "every subarray safe");

@@ -13,9 +13,6 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'X', 'D', 'A'};
 constexpr std::uint32_t kVersion = 1;
-// A placement or frozen table bigger than this is a corrupt length field,
-// not a workload (the largest built-in scenarios stay far below it).
-constexpr std::uint64_t kMaxElems = 1ull << 32;
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
@@ -56,10 +53,15 @@ void write_placement(std::ostream& os, const error::ChunkPlacement& p) {
   }
 }
 
-error::ChunkPlacement read_placement(std::istream& is) {
+/// Reads one layer's placement: a layer of `n_weights` weights occupies at
+/// most that many chunks, which bounds the declared count before the
+/// vector is allocated.
+error::ChunkPlacement read_placement(std::istream& is, std::size_t n_weights) {
   std::uint64_t n = 0;
   read_pod(is, n);
-  SPARKXD_REQUIRE(n <= kMaxElems, "artifact declares an absurd placement");
+  SPARKXD_REQUIRE(n <= n_weights,
+                  "artifact placement has more chunks than the layer has "
+                  "weights");
   error::ChunkPlacement p(static_cast<std::size_t>(n));
   for (auto& a : p) {
     read_pod(is, a.channel);
@@ -86,7 +88,10 @@ void write_frozen(std::ostream& os, const error::FrozenInjection& f) {
   }
 }
 
-error::FrozenInjection read_frozen(std::istream& is) {
+/// Reads one layer's frozen table. The payload must be the layer's FP32
+/// weights, and each payload bit is listed at most once, which bounds the
+/// declared entry count before the vector is allocated.
+error::FrozenInjection read_frozen(std::istream& is, std::size_t n_weights) {
   double ber = 0.0, p0 = 0.0, p1 = 0.0;
   read_pod(is, ber);
   read_pod(is, p0);
@@ -96,8 +101,11 @@ error::FrozenInjection read_frozen(std::istream& is) {
   SPARKXD_REQUIRE(dd <= 1, "artifact data-dependence flag is corrupt");
   std::uint64_t payload = 0, n = 0;
   read_pod(is, payload);
+  SPARKXD_REQUIRE(payload == n_weights * sizeof(float),
+                  "artifact frozen table does not cover the layer weights");
   read_pod(is, n);
-  SPARKXD_REQUIRE(n <= kMaxElems, "artifact declares an absurd frozen table");
+  SPARKXD_REQUIRE(n <= payload * 8,
+                  "artifact frozen table has more entries than payload bits");
   std::vector<error::FrozenInjection::Entry> entries(
       static_cast<std::size_t>(n));
   for (auto& e : entries) {
@@ -205,11 +213,12 @@ ServingArtifact load_artifact(const std::string& path) {
   SPARKXD_REQUIRE(n_layers == art.model.net.n_layers(),
                   "artifact layer count does not match the stored model");
   art.layers.reserve(static_cast<std::size_t>(n_layers));
-  for (std::uint64_t l = 0; l < n_layers; ++l) {
+  const auto& cfg = art.model.net.config();
+  for (std::size_t l = 0; l < n_layers; ++l) {
     LayerArtifact layer;
     read_pod(is, layer.ber_th);
-    layer.placement = read_placement(is);
-    layer.frozen = read_frozen(is);
+    layer.placement = read_placement(is, cfg.layer_weight_count(l));
+    layer.frozen = read_frozen(is, cfg.layer_weight_count(l));
     art.layers.push_back(std::move(layer));
   }
   art.validate();

@@ -40,13 +40,16 @@ void write_vec(std::ostream& os, const std::vector<T>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
+/// Reads a length-prefixed vector whose declared length must lie in
+/// [min_elems, max_elems] — bounds taken from data already loaded, checked
+/// before anything is allocated; `msg` names the mismatch.
 template <typename T>
-void read_vec(std::istream& is, std::vector<T>& v,
-              std::uint64_t max_elems) {
+void read_vec(std::istream& is, std::vector<T>& v, std::uint64_t min_elems,
+              std::uint64_t max_elems, const char* msg) {
   std::uint64_t n = 0;
   read_pod(is, n);
-  SPARKXD_REQUIRE(n <= max_elems, "model file declares an absurd size");
-  v.resize(n);
+  SPARKXD_REQUIRE(n >= min_elems && n <= max_elems, msg);
+  v.resize(static_cast<std::size_t>(n));
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(T)));
   SPARKXD_REQUIRE(is.good(), "truncated model file");
@@ -161,12 +164,11 @@ TrainedModel load_model(std::istream& is) {
   SPARKXD_REQUIRE(version == kVersion, "unsupported model file version");
 
   NetworkConfig cfg;
-  constexpr std::uint64_t kMaxElems = 1ull << 32;  // sanity bound
   std::uint64_t n_inputs = 0, n_neurons = 0, timesteps = 0;
   read_pod(is, n_inputs);
   read_pod(is, n_neurons);
   std::vector<std::uint64_t> hidden;
-  read_vec(is, hidden, 1024);
+  read_vec(is, hidden, 0, 1024, "model file declares an absurd layer count");
   read_pod(is, timesteps);
   cfg.n_inputs = static_cast<std::size_t>(n_inputs);
   cfg.n_neurons = static_cast<std::size_t>(n_neurons);
@@ -179,24 +181,27 @@ TrainedModel load_model(std::istream& is) {
   read_lif(is, cfg.lif);
   read_stdp(is, cfg.stdp);
 
+  // Network(cfg) bounds every layer's n_in x n_out; every payload count
+  // below must then equal the count the stored shape implies.
   TrainedModel model{Network(cfg), {}, 0.0};
   for (std::size_t l = 0; l < model.net.n_layers(); ++l) {
     std::vector<float> weights, thetas;
-    read_vec(is, weights, kMaxElems);
-    read_vec(is, thetas, kMaxElems);
-    SPARKXD_REQUIRE(thetas.size() == cfg.layer_neurons(l),
-                    "theta payload does not match the stored shape");
+    const std::size_t n_w = cfg.layer_weight_count(l);
+    const std::size_t n_th = cfg.layer_neurons(l);
+    read_vec(is, weights, n_w, n_w,
+             "weight payload does not match the stored shape");
+    read_vec(is, thetas, n_th, n_th,
+             "theta payload does not match the stored shape");
     require_finite(thetas, "model file holds a non-finite theta");
     // set_weights checks the shape, finiteness and Q47.16 bound.
     model.net.set_weights(l, std::move(weights));
     model.net.thetas_mut(l) = std::move(thetas);
   }
 
-  read_vec(is, model.labels.label, kMaxElems);
-  read_vec(is, model.labels.bias, kMaxElems);
-  SPARKXD_REQUIRE(model.labels.label.size() == cfg.n_neurons &&
-                      model.labels.bias.size() == cfg.n_neurons,
-                  "label payload does not match the stored shape");
+  read_vec(is, model.labels.label, cfg.n_neurons, cfg.n_neurons,
+           "label payload does not match the stored shape");
+  read_vec(is, model.labels.bias, cfg.n_neurons, cfg.n_neurons,
+           "label payload does not match the stored shape");
   require_finite(model.labels.bias,
                  "model file holds a non-finite label bias");
   std::uint64_t num_classes = 0;

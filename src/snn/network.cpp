@@ -71,6 +71,13 @@ Network::Network(const NetworkConfig& cfg)
                   "network dimensions must be positive");
   for (const std::size_t h : cfg.hidden_neurons)
     SPARKXD_REQUIRE(h > 0, "hidden layer sizes must be positive");
+  // A model file's shape is untrusted until here: refuse a layer whose
+  // n_in x n_out overflows or exceeds 2^32 synapses before allocating it.
+  constexpr std::size_t kMaxLayerWeights = std::size_t{1} << 32;
+  for (std::size_t l = 0; l < cfg.n_layers(); ++l)
+    SPARKXD_REQUIRE(cfg.layer_inputs(l) <=
+                        kMaxLayerWeights / cfg.layer_neurons(l),
+                    "layer n_in x n_out exceeds 2^32 synapses");
   SPARKXD_REQUIRE(cfg.timesteps > 0, "need at least one timestep per sample");
   SPARKXD_REQUIRE(cfg.norm_target > 0.0f, "norm_target must be positive");
 

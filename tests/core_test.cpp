@@ -41,7 +41,7 @@ class FaultAwareFixture : public ::testing::Test {
         std::make_unique<error::SubarrayProfile>(state->geometry, 42);
     const std::size_t n_weights = cfg.n_inputs * cfg.n_neurons;
     state->placement =
-        mapping::baseline_placement(state->geometry, n_weights);
+        mapping::baseline_placement_layers(state->geometry, {n_weights})[0];
     state->injector = std::make_unique<error::ErrorInjector>(
         state->geometry, *state->profile, error::ErrorModelSpec{},
         state->placement, n_weights, 42, 1e-3);

@@ -29,7 +29,7 @@ struct InjectorFixture {
   SubarrayProfile profile{g, 42};
   std::size_t n_weights = 200000;
   ChunkPlacement placement =
-      mapping::baseline_placement(g, n_weights);
+      mapping::baseline_placement_layers(g, {n_weights})[0];
   std::vector<float> weights = std::vector<float>(n_weights, 0.1f);
 };
 
@@ -629,8 +629,10 @@ std::uint64_t enumeration_digest(std::size_t n_weights) {
   for (const std::uint64_t seed : {1u, 42u}) {
     const SubarrayProfile profile(g, seed);
     const ChunkPlacement layouts[] = {
-        mapping::baseline_placement(g, n_weights),
-        mapping::sparkxd_placement(g, profile, 1e-3, 1e-3, n_weights).chunks};
+        mapping::baseline_placement_layers(g, {n_weights})[0],
+        mapping::sparkxd_placement_layers(g, profile, 1e-3, {1e-3},
+                                          {n_weights})[0]
+            .chunks};
     for (const auto& place : layouts)
       for (const auto& spec : pinned_specs())
         for (const double ber : {1e-6, 1e-5, 1e-4, 1e-3})
@@ -699,7 +701,8 @@ TEST(InjectorEnumeration, WideColumnGeometryIsPinned) {
   g.burst_columns = 4;
   g.columns_per_row = 256;
   const std::size_t n_weights = 3000;
-  EXPECT_EQ(model1_digest(g, mapping::baseline_placement(g, n_weights),
+  EXPECT_EQ(model1_digest(g,
+                          mapping::baseline_placement_layers(g, {n_weights})[0],
                           n_weights * sizeof(float)),
             0x5DDF236FD3AC631DULL);
 }

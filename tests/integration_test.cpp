@@ -60,7 +60,7 @@ TEST(Integration, BerModelVoltagesMatchInjectionSeverity) {
   const energy::BerModel bm;
   const error::SubarrayProfile profile(g, 9);
   const std::size_t n_weights = 50000;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   std::vector<float> weights(n_weights, 0.1f);
   std::size_t prev = 0;
   for (const double v : {1.175, 1.100, 1.025}) {
@@ -75,8 +75,8 @@ TEST(Integration, BerModelVoltagesMatchInjectionSeverity) {
 
 TEST(Integration, SafeSubarrayMappingReducesEffectiveErrors) {
   // The heart of Algorithm 2's accuracy guarantee: at the same module BER,
-  // weights placed via sparkxd_placement (safe subarrays only) suffer fewer
-  // bit errors than the baseline placement.
+  // weights placed via sparkxd_placement_layers (safe subarrays only)
+  // suffer fewer bit errors than the baseline placement.
   const auto g = dram::Geometry::lpddr3_4gb();
   // Seed chosen arbitrarily; the property must hold for any seed because
   // the proposed placement filters subarrays by rate.
@@ -84,9 +84,10 @@ TEST(Integration, SafeSubarrayMappingReducesEffectiveErrors) {
     const error::SubarrayProfile profile(g, seed);
     const double ber = 1e-3;
     const std::size_t n_weights = 784 * 400;
-    const auto base = mapping::baseline_placement(g, n_weights);
+    const auto base = mapping::baseline_placement_layers(g, {n_weights})[0];
     const auto prop =
-        mapping::sparkxd_placement(g, profile, ber, ber, n_weights);
+        mapping::sparkxd_placement_layers(g, profile, ber, {ber},
+                                          {n_weights})[0];
     const auto inj_base = error::ErrorInjector::for_weights(g, profile, {}, base, n_weights,
                                         seed, ber);
     const auto inj_prop = error::ErrorInjector::for_weights(g, profile, {}, prop.chunks,
@@ -124,7 +125,7 @@ TEST(Integration, EnergySavingGrowsMonotonicallyWithVoltageReduction) {
   // placement, each voltage step down saves more energy.
   const auto g = dram::Geometry::lpddr3_4gb();
   const std::size_t n_weights = 784 * 900;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   const auto base = core::weight_stream_energy(g, place, n_weights,
                                                energy::kNominalVdd);
   double prev_saving = -1.0;
@@ -146,7 +147,7 @@ TEST(Integration, EnergyScalesWithNetworkSize) {
   double prev = 0.0;
   for (const std::size_t neurons : {400u, 900u, 1600u, 2500u, 3600u}) {
     const std::size_t n_weights = 784 * neurons;
-    const auto place = mapping::baseline_placement(g, n_weights);
+    const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
     const auto te = core::weight_stream_energy(g, place, n_weights,
                                                energy::kNominalVdd);
     EXPECT_GT(te.energy.total_nj(), prev);
@@ -163,7 +164,7 @@ TEST(Integration, Fig2aCombinationWithPruning) {
   double prev_acc = 1e18, prev_apx = 1e18;
   for (const double conn : {1.0, 0.9, 0.8, 0.7, 0.6, 0.5}) {
     const auto n = static_cast<std::size_t>(conn * static_cast<double>(full));
-    const auto place = mapping::baseline_placement(g, n);
+    const auto place = mapping::baseline_placement_layers(g, {n})[0];
     const double e_acc =
         core::weight_stream_energy(g, place, n, 1.350).energy.total_nj();
     const double e_apx =

@@ -1,5 +1,6 @@
 // Tests for the DRAM mapping policies (baseline §IV-B Step-2, SparkXD
-// Algorithm 2) and the trace generator.
+// Algorithm 2) and the trace generator. One-layer cases read layer 0 of the
+// layer-list API.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,28 @@ std::uint64_t key(const dram::Geometry& g, const dram::Address& a) {
   return dram::encode_linear(g, a);
 }
 
+/// One-layer baseline placement of n weights.
+error::ChunkPlacement baseline(const dram::Geometry& g, std::size_t n) {
+  return baseline_placement_layers(g, {n})[0];
+}
+
+/// FNV-1a 64 over the chunk count and every field of every chunk address.
+std::uint64_t digest(const error::ChunkPlacement& p) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  fold(p.size());
+  for (const auto& a : p)
+    for (const std::uint32_t f :
+         {a.channel, a.rank, a.chip, a.bank, a.subarray, a.row, a.column})
+      fold(f);
+  return h;
+}
+
 TEST(Helpers, WeightsPerChunk) {
   EXPECT_EQ(weights_per_chunk(geom()), 8u);  // 32 B / FP32
   EXPECT_EQ(chunks_for_weights(geom(), 16), 2u);
@@ -32,7 +55,7 @@ TEST(Helpers, WeightsPerChunk) {
 TEST(Baseline, CoversAllWeightsWithUniqueBurstAlignedChunks) {
   const auto g = geom();
   const std::size_t n_weights = 100000;
-  const auto p = baseline_placement(g, n_weights);
+  const auto p = baseline(g, n_weights);
   EXPECT_EQ(p.size(), chunks_for_weights(g, n_weights));
   std::set<std::uint64_t> keys;
   for (const auto& a : p) {
@@ -44,7 +67,7 @@ TEST(Baseline, CoversAllWeightsWithUniqueBurstAlignedChunks) {
 
 TEST(Baseline, FillsSubsequentAddressesInOneBankFirst) {
   const auto g = geom();
-  const auto p = baseline_placement(g, 100000);
+  const auto p = baseline(g, 100000);
   // First chunk at bank 0 row 0 col 0; consecutive chunks advance columns.
   EXPECT_EQ(p[0].bank, 0u);
   EXPECT_EQ(p[0].column, 0u);
@@ -59,7 +82,7 @@ TEST(Baseline, SpillsToNextBankWhenFull) {
   g.rows_per_subarray = 2;  // tiny banks: 2 rows * 512 cols * 4 B = 4 KB
   const std::size_t weights_per_bank =
       g.rows_per_bank() * g.columns_per_row;  // FP32 words per bank
-  const auto p = baseline_placement(g, weights_per_bank + 8);
+  const auto p = baseline(g, weights_per_bank + 8);
   EXPECT_EQ(p.back().bank, 1u);
 }
 
@@ -68,14 +91,14 @@ TEST(Baseline, ThrowsWhenModuleTooSmall) {
   g.banks_per_chip = 1;
   g.subarrays_per_bank = 1;
   g.rows_per_subarray = 1;
-  EXPECT_THROW(baseline_placement(g, 10000), ContractViolation);
+  EXPECT_THROW(baseline(g, 10000), ContractViolation);
 }
 
 TEST(Baseline, LinearAddressesAreContiguous) {
   // "Subsequent addresses in a DRAM bank": byte addresses advance by one
   // burst per chunk.
   const auto g = geom();
-  const auto p = baseline_placement(g, 5000);
+  const auto p = baseline(g, 5000);
   for (std::size_t i = 1; i < p.size(); ++i)
     EXPECT_EQ(key(g, p[i]), key(g, p[i - 1]) + g.burst_bytes());
 }
@@ -88,11 +111,15 @@ struct SparkXdFixture : public ::testing::Test {
   double module_ber = 1e-3;
   double ber_th = 1e-3;
   std::size_t n_weights = 784 * 400;
+
+  /// One-layer Algorithm-2 placement of n_weights at threshold `th`.
+  [[nodiscard]] LayerPlacement place(double ber, double th) const {
+    return sparkxd_placement_layers(g, profile, ber, {th}, {n_weights})[0];
+  }
 };
 
 TEST_F(SparkXdFixture, AllChunksInSafeSubarrays) {
-  const auto p =
-      sparkxd_placement(g, profile, module_ber, ber_th, n_weights);
+  const auto p = place(module_ber, ber_th);
   for (const auto& a : p.chunks) {
     const auto sid = dram::subarray_id(g, a);
     EXPECT_LE(profile.rate(sid, module_ber), ber_th)
@@ -101,8 +128,7 @@ TEST_F(SparkXdFixture, AllChunksInSafeSubarrays) {
 }
 
 TEST_F(SparkXdFixture, ChunksUniqueAndComplete) {
-  const auto p =
-      sparkxd_placement(g, profile, module_ber, ber_th, n_weights);
+  const auto p = place(module_ber, ber_th);
   EXPECT_EQ(p.chunks.size(), chunks_for_weights(g, n_weights));
   std::set<std::uint64_t> keys;
   for (const auto& a : p.chunks) keys.insert(key(g, a));
@@ -110,16 +136,14 @@ TEST_F(SparkXdFixture, ChunksUniqueAndComplete) {
 }
 
 TEST_F(SparkXdFixture, DiagnosticsAddUp) {
-  const auto p =
-      sparkxd_placement(g, profile, module_ber, ber_th, n_weights);
+  const auto p = place(module_ber, ber_th);
   EXPECT_EQ(p.safe_subarrays + p.unsafe_subarrays, g.total_subarrays());
   EXPECT_EQ(p.safe_subarrays, profile.count_safe(module_ber, ber_th));
   EXPECT_GT(p.unsafe_subarrays, 0u);  // lognormal spread guarantees some
 }
 
 TEST_F(SparkXdFixture, RotatesAcrossBanksAtRowGranularity) {
-  const auto p =
-      sparkxd_placement(g, profile, module_ber, ber_th, n_weights);
+  const auto p = place(module_ber, ber_th);
   const std::size_t bursts_per_row = g.columns_per_row / g.burst_columns;
   // Within the first row's worth of chunks the bank is constant...
   for (std::size_t i = 1; i < bursts_per_row; ++i)
@@ -130,28 +154,19 @@ TEST_F(SparkXdFixture, RotatesAcrossBanksAtRowGranularity) {
 }
 
 TEST_F(SparkXdFixture, EverythingSafeAtZeroBer) {
-  const auto p = sparkxd_placement(g, profile, 0.0, 0.0, n_weights);
+  const auto p = place(0.0, 0.0);
   EXPECT_EQ(p.safe_subarrays, g.total_subarrays());
   EXPECT_EQ(p.unsafe_subarrays, 0u);
 }
 
-TEST_F(SparkXdFixture, ThrowsWhenNoSafeCapacity) {
-  // Threshold far below every subarray's rate -> nothing is safe.
-  EXPECT_THROW(sparkxd_placement(g, profile, 1e-3, 1e-9, n_weights),
-               ContractViolation);
-}
-
 TEST_F(SparkXdFixture, TighterThresholdUsesFewerSubarrays) {
-  const auto loose =
-      sparkxd_placement(g, profile, module_ber, 1e-3, n_weights);
-  const auto tight =
-      sparkxd_placement(g, profile, module_ber, 3e-4, n_weights);
+  const auto loose = place(module_ber, 1e-3);
+  const auto tight = place(module_ber, 3e-4);
   EXPECT_LT(tight.safe_subarrays, loose.safe_subarrays);
 }
 
 TEST_F(SparkXdFixture, SkipsExactlyTheUnsafeSubarrays) {
-  const auto p =
-      sparkxd_placement(g, profile, module_ber, ber_th, n_weights);
+  const auto p = place(module_ber, ber_th);
   std::set<std::uint64_t> used;
   for (const auto& a : p.chunks) used.insert(dram::subarray_id(g, a));
   for (const auto sid : used)
@@ -163,9 +178,8 @@ TEST_F(SparkXdFixture, SkipsExactlyTheUnsafeSubarrays) {
 TEST_F(SparkXdFixture, ProposedMappingAtLeastAsFastAsBaseline) {
   // The throughput claim of Fig. 12b: Algorithm 2 overlaps row switches
   // across banks, so it cannot be slower than the baseline fill.
-  const auto base = baseline_placement(g, n_weights);
-  const auto prop =
-      sparkxd_placement(g, profile, module_ber, ber_th, n_weights);
+  const auto base = baseline(g, n_weights);
+  const auto prop = place(module_ber, ber_th);
   dram::Controller c(g, dram::TimingParams::lpddr3_1600());
   const auto t_base =
       c.run(streaming_read_trace(g, base, n_weights)).total_time_ns;
@@ -175,9 +189,8 @@ TEST_F(SparkXdFixture, ProposedMappingAtLeastAsFastAsBaseline) {
 }
 
 TEST_F(SparkXdFixture, BothMappingsMaximizeRowHits) {
-  const auto base = baseline_placement(g, n_weights);
-  const auto prop =
-      sparkxd_placement(g, profile, module_ber, ber_th, n_weights);
+  const auto base = baseline(g, n_weights);
+  const auto prop = place(module_ber, ber_th);
   dram::Controller c(g, dram::TimingParams::lpddr3_1600());
   const auto s_base = c.run(streaming_read_trace(g, base, n_weights));
   const auto s_prop = c.run(streaming_read_trace(g, prop.chunks, n_weights));
@@ -187,7 +200,7 @@ TEST_F(SparkXdFixture, BothMappingsMaximizeRowHits) {
 
 TEST(TraceGen, OneAccessPerChunkInOrder) {
   const auto g = geom();
-  const auto p = baseline_placement(g, 100);
+  const auto p = baseline(g, 100);
   const auto trace = streaming_read_trace(g, p, 100);
   EXPECT_EQ(trace.size(), chunks_for_weights(g, 100));
   for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -198,7 +211,7 @@ TEST(TraceGen, OneAccessPerChunkInOrder) {
 
 TEST(TraceGen, MultiplePassesRepeat) {
   const auto g = geom();
-  const auto p = baseline_placement(g, 64);
+  const auto p = baseline(g, 64);
   const auto trace = streaming_read_trace(g, p, 64, 3);
   const std::size_t per_pass = chunks_for_weights(g, 64);
   EXPECT_EQ(trace.size(), 3 * per_pass);
@@ -207,7 +220,7 @@ TEST(TraceGen, MultiplePassesRepeat) {
 
 TEST(TraceGen, RejectsUndersizedPlacementAndZeroPasses) {
   const auto g = geom();
-  const auto p = baseline_placement(g, 64);
+  const auto p = baseline(g, 64);
   EXPECT_THROW(streaming_read_trace(g, p, 1000), ContractViolation);
   EXPECT_THROW(streaming_read_trace(g, p, 64, 0), ContractViolation);
 }
@@ -219,34 +232,40 @@ TEST(MultiLayer, BaselineLayersSliceTheLinearWalk) {
   const std::vector<std::size_t> layer_weights{784 * 48, 48 * 25};
   const auto per_layer = baseline_placement_layers(g, layer_weights);
   ASSERT_EQ(per_layer.size(), 2u);
-  // Each layer covers its own weights in whole chunks...
+  // Each layer covers its own weights in whole chunks, and layer 1
+  // continues at the next subsequent address.
   for (std::size_t l = 0; l < 2; ++l)
     EXPECT_EQ(per_layer[l].size(), chunks_for_weights(g, layer_weights[l]));
-  // ...layer 0 is exactly the single-layer baseline placement...
-  const auto flat = baseline_placement(g, layer_weights[0]);
-  ASSERT_EQ(per_layer[0].size(), flat.size());
-  for (std::size_t i = 0; i < flat.size(); ++i)
-    EXPECT_EQ(per_layer[0][i], flat[i]);
-  // ...and layer 1 continues at the next subsequent address.
   EXPECT_EQ(key(g, per_layer[1].front()),
             key(g, per_layer[0].back()) + g.burst_bytes());
+  // Chunk-aligned, not row-aligned: layer 0 (4704 chunks, 64 per row) ends
+  // mid-row, so layer 1 starts in the same row.
+  EXPECT_EQ(per_layer[1].front().row, per_layer[0].back().row);
+  EXPECT_EQ(per_layer[1].front().subarray, per_layer[0].back().subarray);
+  EXPECT_EQ(per_layer[1].front().bank, per_layer[0].back().bank);
 }
 
-TEST(MultiLayer, SingleLayerSparkXdMatchesLegacyChunkForChunk) {
+// The digests were recorded from the single-layer placement functions the
+// layer-list API replaced (one FNV-1a over every chunk address). A one-layer
+// list must keep producing those placements chunk for chunk.
+TEST(MultiLayer, OneLayerPlacementsArePinned) {
   const auto g = geom();
-  const error::SubarrayProfile profile(g, 42);
   const std::size_t n_weights = 784 * 400;
-  const auto legacy = sparkxd_placement(g, profile, 1e-3, 1e-3, n_weights);
-  const auto multi =
+  const auto base = baseline_placement_layers(g, {n_weights});
+  ASSERT_EQ(base.size(), 1u);
+  EXPECT_EQ(base[0].size(), chunks_for_weights(g, n_weights));
+  EXPECT_EQ(digest(base[0]), 0x5abfa4f3c9e69b42ULL);
+
+  const error::SubarrayProfile profile(g, 42);
+  const auto prop =
       sparkxd_placement_layers(g, profile, 1e-3, {1e-3}, {n_weights});
-  ASSERT_EQ(multi.size(), 1u);
-  EXPECT_EQ(multi[0].ber_th, 1e-3);
-  EXPECT_FALSE(multi[0].capacity_relaxed);
-  EXPECT_EQ(multi[0].safe_subarrays, legacy.safe_subarrays);
-  EXPECT_EQ(multi[0].unsafe_subarrays, legacy.unsafe_subarrays);
-  ASSERT_EQ(multi[0].chunks.size(), legacy.chunks.size());
-  for (std::size_t i = 0; i < legacy.chunks.size(); ++i)
-    EXPECT_EQ(multi[0].chunks[i], legacy.chunks[i]);
+  ASSERT_EQ(prop.size(), 1u);
+  EXPECT_EQ(prop[0].ber_th, 1e-3);
+  EXPECT_FALSE(prop[0].capacity_relaxed);
+  EXPECT_EQ(prop[0].safe_subarrays, 330u);
+  EXPECT_EQ(prop[0].unsafe_subarrays, 182u);
+  EXPECT_EQ(prop[0].chunks.size(), chunks_for_weights(g, n_weights));
+  EXPECT_EQ(digest(prop[0].chunks), 0x0b6b8cf3a40476c2ULL);
 }
 
 TEST(MultiLayer, RelaxesPerLayerThresholdWhenCapacityRunsOut) {
@@ -356,8 +375,9 @@ TEST_P(WeightCounts, BaselineAndSparkXdAgreeOnChunkCount) {
   const auto g = geom();
   const error::SubarrayProfile profile(g, 1);
   const auto n = GetParam();
-  const auto base = baseline_placement(g, n);
-  const auto prop = sparkxd_placement(g, profile, 1e-4, 1e-3, n);
+  const auto base = baseline(g, n);
+  const auto prop =
+      sparkxd_placement_layers(g, profile, 1e-4, {1e-3}, {n})[0];
   EXPECT_EQ(base.size(), prop.chunks.size());
 }
 

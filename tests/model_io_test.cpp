@@ -317,14 +317,58 @@ TEST_F(ModelIoTest, RejectsWeightsThatCouldOverflowTheFxAccumulator) {
 
 TEST_F(ModelIoTest, RejectsCorruptShape) {
   save_model(*model_, path_);
+  const auto pristine = file_bytes(path_);
+  const auto restore = [&] {
+    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+    os.write(pristine.data(), static_cast<std::streamsize>(pristine.size()));
+  };
   // Corrupt the stored n_neurons field (offset: magic 4 + version 4 +
   // n_inputs 8 = byte 16).
-  std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
-  f.seekp(16);
-  const std::uint64_t bogus = 9999;
-  f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
-  f.close();
+  patch_file(path_, 16, std::uint64_t{9999});
   EXPECT_THROW((void)load_model(path_), ContractViolation);
+
+  // A layer shape whose n_in x n_out overflows (2^62 x 4 wraps to 0) or
+  // exceeds 2^32 synapses is refused before Network allocates it.
+  restore();
+  patch_file(path_, 8, std::uint64_t{1} << 62);
+  patch_file(path_, 16, std::uint64_t{4});
+  EXPECT_THROW((void)load_model(path_), ContractViolation);
+  restore();
+  patch_file(path_, 16, std::uint64_t{1} << 32);
+  EXPECT_THROW((void)load_model(path_), ContractViolation);
+
+  // Crafted payload counts (u64 before each blob, offsets as in
+  // RejectsNonFiniteWeightsThetasAndBiases) must equal the stored shape:
+  // a 2^31-element count would otherwise be allocated before the shape
+  // check.
+  const auto size = static_cast<std::streamoff>(pristine.size());
+  const auto n = static_cast<std::streamoff>(model_->labels.label.size());
+  const auto n_w = static_cast<std::streamoff>(model_->net.weights(0).size());
+  const std::streamoff bias_count = size - 8 - 8 - 8 * n - 8;
+  const std::streamoff label_count = bias_count - 4 * n - 8;
+  const std::streamoff theta_count = label_count - 4 * n - 8;
+  const std::streamoff weight_count = theta_count - 4 * n_w - 8;
+  const auto u64_at = [&](std::streamoff off) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, pristine.data() + off, sizeof(v));
+    return v;
+  };
+  // The offsets land on the stored counts.
+  ASSERT_EQ(u64_at(bias_count), model_->labels.bias.size());
+  ASSERT_EQ(u64_at(label_count), model_->labels.label.size());
+  ASSERT_EQ(u64_at(theta_count), model_->net.thetas(0).size());
+  ASSERT_EQ(u64_at(weight_count), model_->net.weights(0).size());
+  for (const std::streamoff at :
+       {weight_count, theta_count, label_count, bias_count})
+    for (const std::uint64_t bogus :
+         {std::uint64_t{1} << 31, u64_at(at) + 1, u64_at(at) - 1}) {
+      restore();
+      patch_file(path_, at, bogus);
+      EXPECT_THROW((void)load_model(path_), ContractViolation)
+          << "count at " << at << " = " << bogus;
+    }
+  restore();
+  EXPECT_NO_THROW((void)load_model(path_));
 }
 
 }  // namespace

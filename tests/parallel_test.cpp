@@ -187,7 +187,7 @@ TEST(ParallelDeterminism, InjectorEnumerationIsThreadCountInvariant) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, 42);
   const std::size_t n_weights = 100000;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
 
   const auto masks_at = [&](const char* threads_value) {
     ThreadsOverride threads(threads_value);

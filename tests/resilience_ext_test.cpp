@@ -88,7 +88,7 @@ TEST(ByteInjection, FlipRateMatchesFloatPath) {
   const error::SubarrayProfile profile(g, 11);
   const std::size_t n_bytes = 400000;
   const auto place =
-      mapping::baseline_placement(g, n_bytes / sizeof(float));
+      mapping::baseline_placement_layers(g, {n_bytes / sizeof(float)})[0];
   const error::ErrorInjector inj(g, profile, {}, place, n_bytes, 11, 1e-3);
   Rng rng(3);
   std::vector<std::uint8_t> buf(n_bytes, 0x55);
@@ -103,7 +103,7 @@ TEST(ByteInjection, FlippedBitsMatchHammingDistance) {
   const error::SubarrayProfile profile(g, 12);
   const std::size_t n_bytes = 100000;
   const auto place =
-      mapping::baseline_placement(g, n_bytes / sizeof(float));
+      mapping::baseline_placement_layers(g, {n_bytes / sizeof(float)})[0];
   const error::ErrorInjector inj(g, profile, {}, place, n_bytes, 12, 1e-3);
   Rng rng(4);
   std::vector<std::uint8_t> buf(n_bytes, 0x00);
@@ -122,7 +122,7 @@ TEST(ByteInjection, SameWeakCellsAsFloatPath) {
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, 13);
   const std::size_t n_weights = 50000;
-  const auto place = mapping::baseline_placement(g, n_weights);
+  const auto place = mapping::baseline_placement_layers(g, {n_weights})[0];
   const auto frozen = error::ErrorInjector::for_weights(
                           g, profile, {}, place, n_weights, 13, 1e-3)
                           .freeze(1e-3);

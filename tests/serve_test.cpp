@@ -9,8 +9,10 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "serve/client.hpp"
 #include "serve/engine.hpp"
 #include "serve/server.hpp"
+#include "snn/model_io.hpp"
 
 namespace sparkxd::serve {
 namespace {
@@ -123,6 +126,50 @@ TEST_F(ServeTest, ArtifactLoadRejectsGarbage) {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   }
   EXPECT_THROW((void)load_artifact(path), ContractViolation);
+
+  // Crafted length fields of layer 0. Offsets: magic 4 + version 4 +
+  // scenario (u64 length + chars) + v_supply 8 + module_ber 8 + clip 4, the
+  // embedded model, the u64 layer count, then ber_th 8 and the placement
+  // (u64 count + 28 B per chunk); the frozen table follows with ber/p0/p1
+  // 24 + flag 1, then the u64 payload bytes and the u64 entry count.
+  const auto& layer = artifact_->layers[0];
+  std::ostringstream model_bytes;
+  snn::save_model(artifact_->model, static_cast<std::ostream&>(model_bytes));
+  const std::size_t placement_at = 36 + artifact_->scenario.size() +
+                                   model_bytes.str().size() + 8 + 8;
+  const std::size_t payload_at = placement_at + 8 +
+                                 28 * layer.placement.size() + 25;
+  const std::size_t entries_at = payload_at + 8;
+  const auto u64_at = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + off, sizeof(v));
+    return v;
+  };
+  // The offsets land on the stored counts.
+  ASSERT_EQ(u64_at(placement_at), layer.placement.size());
+  ASSERT_EQ(u64_at(payload_at), layer.frozen.payload_bytes());
+  ASSERT_EQ(u64_at(entries_at), layer.frozen.entries().size());
+  const std::uint64_t n_weights =
+      artifact_->model.net.config().layer_weight_count(0);
+  const auto expect_rejected = [&](std::size_t off, std::uint64_t value) {
+    auto crafted = bytes;
+    std::memcpy(crafted.data() + off, &value, sizeof(value));
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os.write(crafted.data(), static_cast<std::streamsize>(crafted.size()));
+    }
+    EXPECT_THROW((void)load_artifact(path), ContractViolation)
+        << "offset " << off << " value " << value;
+  };
+  // Each count is bounded by the layer's weight count before the loader
+  // allocates: a 2^31-entry placement or frozen table would otherwise
+  // request tens of GiB.
+  expect_rejected(placement_at, std::uint64_t{1} << 31);
+  expect_rejected(placement_at, n_weights + 1);
+  expect_rejected(payload_at, n_weights * 4 + 4);
+  expect_rejected(payload_at, std::uint64_t{1} << 40);
+  expect_rejected(entries_at, std::uint64_t{1} << 31);
+  expect_rejected(entries_at, n_weights * 4 * 8 + 1);
   std::remove(path.c_str());
 }
 
