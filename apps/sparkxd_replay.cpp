@@ -36,6 +36,7 @@
 #include <string>
 #include <thread>
 
+#include "cli_args.hpp"
 #include "common/env.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
@@ -43,6 +44,11 @@
 #include "serve/client.hpp"
 
 namespace {
+
+long long parse_count(const char* what, const char* spec, long long lo,
+                      long long hi) {
+  return sparkxd::cli::parse_count("sparkxd_replay", what, spec, lo, hi);
+}
 
 void print_usage(std::FILE* to) {
   std::fprintf(
@@ -76,19 +82,6 @@ void print_usage(std::FILE* to) {
       "                     exhausts its retry budget instead of failing;\n"
       "                     a replay that served NOTHING still exits 1\n"
       "  --help             this message\n");
-}
-
-long long parse_count(const char* what, const char* spec, long long lo,
-                      long long hi) {
-  char* end = nullptr;
-  const long long v = std::strtoll(spec, &end, 10);
-  if (end == spec || *end != '\0' || v < lo || v > hi) {
-    std::fprintf(stderr,
-                 "sparkxd_replay: %s wants an integer in [%lld, %lld]\n",
-                 what, lo, hi);
-    std::exit(2);
-  }
-  return v;
 }
 
 /// Reads the port from `path`, retrying while the file is missing or not

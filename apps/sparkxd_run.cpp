@@ -20,15 +20,16 @@
 //
 // Exit codes: 0 success, 2 bad usage / unknown scenario.
 
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "common/contracts.hpp"
 #include "common/env.hpp"
 #include "error/ecc_scheme.hpp"
@@ -65,7 +66,7 @@ void print_usage(std::FILE* to) {
       "  --layer-knobs      run the per-layer (voltage x refresh x ECC)\n"
       "                     operating-point search on every selected\n"
       "                     scenario (renames them with a -knobs suffix)\n"
-      "  --threads N        worker threads (sets SPARKXD_THREADS)\n"
+      "  --threads N        worker threads, 1..256 (sets SPARKXD_THREADS)\n"
       "  --out FILE         write the JSON report to FILE ('-' = stdout)\n"
       "  --export-artifact FILE\n"
       "                     also save the serving artifact (for\n"
@@ -152,18 +153,15 @@ std::vector<std::size_t> parse_layers_spec(const std::string& spec) {
   while (pos <= spec.size()) {
     const std::size_t comma = std::min(spec.find(',', pos), spec.size());
     const std::string part = spec.substr(pos, comma - pos);
-    char* end = nullptr;
-    errno = 0;
-    const long long n = std::strtoll(part.c_str(), &end, 10);
-    if (part.empty() || end != part.c_str() + part.size() || errno != 0 ||
-        n < 1 || n > kMaxHidden) {
+    const auto n = sparkxd::cli::parse_int(part.c_str(), 1, kMaxHidden);
+    if (!n) {
       std::fprintf(stderr,
                    "sparkxd_run: --layers wants 'flat' or a comma list of "
                    "positive hidden sizes like 64,32 (got '%s')\n",
                    spec.c_str());
       std::exit(2);
     }
-    hidden.push_back(static_cast<std::size_t>(n));
+    hidden.push_back(static_cast<std::size_t>(*n));
     pos = comma + 1;
   }
   return hidden;
@@ -201,14 +199,11 @@ sparkxd::error::EccSpec parse_ecc_spec(const std::string& spec) {
     fail("unknown scheme");
   }
   if (colon != std::string::npos) {
-    const std::string part = spec.substr(colon + 1);
-    char* end = nullptr;
-    errno = 0;
-    const long long bits = std::strtoll(part.c_str(), &end, 10);
-    if (part.empty() || end != part.c_str() + part.size() || errno != 0 ||
-        bits < 1)
-      fail("payload size is not a positive bit count");
-    out.data_bits = static_cast<std::size_t>(bits);
+    const auto bits =
+        sparkxd::cli::parse_int(spec.substr(colon + 1).c_str(), 1,
+                                std::numeric_limits<long long>::max());
+    if (!bits) fail("payload size is not a positive bit count");
+    out.data_bits = static_cast<std::size_t>(*bits);
   }
   try {
     out.validate();
@@ -330,12 +325,10 @@ int main(int argc, char** argv) {
       }
       have_artifact_voltage = true;
     } else if (arg == "--threads") {
-      const char* n = next("--threads");
-      if (std::atoll(n) < 1) {
-        std::fprintf(stderr, "sparkxd_run: --threads wants a count >= 1\n");
-        return 2;
-      }
-      ::setenv("SPARKXD_THREADS", n, 1);
+      const long long n = cli::parse_count(
+          "sparkxd_run", "--threads", next("--threads"), 1,
+          static_cast<long long>(kMaxThreads));
+      ::setenv("SPARKXD_THREADS", std::to_string(n).c_str(), 1);
     } else {
       std::fprintf(stderr, "sparkxd_run: unknown option '%s'\n",
                    std::string(arg).c_str());

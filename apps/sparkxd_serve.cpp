@@ -33,10 +33,16 @@
 #include <string>
 #include <thread>
 
+#include "cli_args.hpp"
 #include "serve/artifact.hpp"
 #include "serve/server.hpp"
 
 namespace {
+
+long long parse_count(const char* what, const char* spec, long long lo,
+                      long long hi) {
+  return sparkxd::cli::parse_count("sparkxd_serve", what, spec, lo, hi);
+}
 
 std::atomic<int> g_signal{0};
 std::atomic<bool> g_reload{false};
@@ -79,18 +85,6 @@ void print_usage(std::FILE* to) {
       "\nSIGTERM/SIGINT drains admitted requests, answers them, and exits "
       "0.\nSIGHUP reloads the artifact file as a new generation without "
       "dropping connections.\n");
-}
-
-long long parse_count(const char* what, const char* spec, long long lo,
-                      long long hi) {
-  char* end = nullptr;
-  const long long v = std::strtoll(spec, &end, 10);
-  if (end == spec || *end != '\0' || v < lo || v > hi) {
-    std::fprintf(stderr, "sparkxd_serve: %s wants an integer in [%lld, %lld]\n",
-                 what, lo, hi);
-    std::exit(2);
-  }
-  return v;
 }
 
 /// Publishes the port atomically: write + flush a sibling temp file, then

@@ -34,11 +34,11 @@ int main(int argc, char** argv) {
   m.error_models = {{"m0", {}}};
   m.ecc_schemes = {
       {"ecc-off", {}},
-      {"ecc-parity", {error::EccKind::kParity, 64, 0}},
-      {"ecc-secded", {error::EccKind::kSecded, 64, 0}},
-      {"ecc-hsiao", {error::EccKind::kHsiao, 64, 0}},
-      {"ecc-bch", {error::EccKind::kBch, 64, 0}},
-      {"ecc-bch512b", {error::EccKind::kBch, 4096, 0}},
+      {"ecc-parity", {error::EccKind::kParity, 64}},
+      {"ecc-secded", {error::EccKind::kSecded, 64}},
+      {"ecc-hsiao", {error::EccKind::kHsiao, 64}},
+      {"ecc-bch", {error::EccKind::kBch, 64}},
+      {"ecc-bch512b", {error::EccKind::kBch, 4096}},
   };
   m.voltage_grids = {{"v3", {1.250, 1.100, 1.025}}};
   m.seeds = {experiment_seed()};

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   scenario::Scenario s = *base;
   s.name += "-knobs";
   s.layer_knobs = true;
-  s.ecc = {error::EccKind::kSecded, 64, 0};  // give the search a real ladder
+  s.ecc = {error::EccKind::kSecded, 64};  // give the search a real ladder
   s.seed = experiment_seed();
 
   const auto t0 = std::chrono::steady_clock::now();

@@ -40,26 +40,4 @@ namespace sparkxd {
   return (word >> bit) & 1u;
 }
 
-/// Number of bits that differ between two 32-bit patterns.
-[[nodiscard]] constexpr int hamming_distance(std::uint32_t a,
-                                             std::uint32_t b) noexcept {
-  return std::popcount(a ^ b);
-}
-
-/// Rounds `bytes` up to a multiple of `align` (align must be a power of two).
-[[nodiscard]] constexpr std::uint64_t align_up(std::uint64_t bytes,
-                                               std::uint64_t align) noexcept {
-  return (bytes + align - 1) & ~(align - 1);
-}
-
-/// True if x is a power of two (and non-zero).
-[[nodiscard]] constexpr bool is_pow2(std::uint64_t x) noexcept {
-  return x != 0 && (x & (x - 1)) == 0;
-}
-
-/// log2 of a power of two.
-[[nodiscard]] constexpr unsigned log2_pow2(std::uint64_t x) noexcept {
-  return static_cast<unsigned>(std::countr_zero(x));
-}
-
 }  // namespace sparkxd

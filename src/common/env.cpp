@@ -37,7 +37,8 @@ std::size_t thread_count() {
   const auto fallback = static_cast<std::int64_t>(
       std::max(1u, std::thread::hardware_concurrency()));
   const std::int64_t v = env_int("SPARKXD_THREADS", fallback);
-  return static_cast<std::size_t>(std::clamp<std::int64_t>(v, 1, 256));
+  return static_cast<std::size_t>(std::clamp<std::int64_t>(
+      v, 1, static_cast<std::int64_t>(kMaxThreads)));
 }
 
 std::size_t scaled(std::size_t base, std::size_t lo) {

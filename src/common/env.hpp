@@ -30,9 +30,12 @@ namespace sparkxd {
 /// The global experiment seed (SPARKXD_SEED, default 42).
 [[nodiscard]] std::uint64_t experiment_seed();
 
+/// Largest worker-thread count thread_count() returns.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// Worker-thread count for parallel_for (SPARKXD_THREADS, default
-/// std::thread::hardware_concurrency(), clamped to [1, 256]). Read on every
-/// call, so tests may change the knob between runs.
+/// std::thread::hardware_concurrency(), clamped to [1, kMaxThreads]). Read
+/// on every call, so tests may change the knob between runs.
 [[nodiscard]] std::size_t thread_count();
 
 /// max(lo, round(base * workload_scale())) — sizing helper for sample counts.

@@ -62,44 +62,4 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-std::uint64_t Rng::poisson(double lambda) {
-  SPARKXD_REQUIRE(lambda >= 0.0, "poisson lambda must be >= 0");
-  if (lambda == 0.0) return 0;
-  if (lambda < 64.0) {
-    // Knuth: multiply uniforms until below exp(-lambda).
-    const double l = std::exp(-lambda);
-    std::uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > l);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction for large lambda.
-  const double x = normal(lambda, std::sqrt(lambda));
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
-
-double Rng::exponential(double rate) {
-  SPARKXD_REQUIRE(rate > 0.0, "exponential rate must be > 0");
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -std::log(u) / rate;
-}
-
-std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
-                                                         std::size_t k) {
-  SPARKXD_REQUIRE(k <= n, "cannot sample more items than the population");
-  // Partial Fisher–Yates over an index vector; O(n) memory, O(n) time.
-  std::vector<std::size_t> idx(n);
-  for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t j = i + index(n - i);
-    std::swap(idx[i], idx[j]);
-  }
-  idx.resize(k);
-  return idx;
-}
-
 }  // namespace sparkxd

@@ -101,13 +101,6 @@ class Rng {
   /// Log-normal: exp(normal(mu, sigma)).
   double lognormal(double mu, double sigma);
 
-  /// Poisson-distributed count with given mean (lambda >= 0).
-  /// Uses Knuth's method for small lambda and normal approximation above 64.
-  std::uint64_t poisson(double lambda);
-
-  /// Exponential with given rate (rate > 0).
-  double exponential(double rate);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -116,10 +109,6 @@ class Rng {
       std::swap(v[i - 1], v[j]);
     }
   }
-
-  /// Draws k distinct indices from [0, n) (k <= n), in random order.
-  std::vector<std::size_t> sample_without_replacement(std::size_t n,
-                                                      std::size_t k);
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -1,45 +1,10 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.hpp"
 
 namespace sparkxd {
-
-void RunningStat::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStat::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-double mean(const std::vector<double>& v) noexcept {
-  if (v.empty()) return 0.0;
-  double s = 0.0;
-  for (const double x : v) s += x;
-  return s / static_cast<double>(v.size());
-}
-
-double stddev(const std::vector<double>& v) noexcept {
-  if (v.size() < 2) return 0.0;
-  const double m = mean(v);
-  double s = 0.0;
-  for (const double x : v) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(v.size() - 1));
-}
 
 double percentile(std::vector<double> v, double p) {
   SPARKXD_REQUIRE(!v.empty(), "percentile of empty sample");
@@ -58,43 +23,8 @@ double percentile(std::vector<double> v, double p) {
   return v_lo * (1.0 - frac) + v_hi * frac;
 }
 
-std::vector<double> linspace(double lo, double hi, std::size_t n) {
-  SPARKXD_REQUIRE(n >= 1, "linspace needs n >= 1");
-  std::vector<double> out(n);
-  if (n == 1) {
-    out[0] = lo;
-    return out;
-  }
-  const double step = (hi - lo) / static_cast<double>(n - 1);
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = lo + step * static_cast<double>(i);
-  return out;
-}
-
-std::vector<double> logspace(double lo, double hi, std::size_t n) {
-  SPARKXD_REQUIRE(lo > 0.0 && hi > 0.0, "logspace needs positive endpoints");
-  auto exps = linspace(std::log10(lo), std::log10(hi), n);
-  for (double& e : exps) e = std::pow(10.0, e);
-  return exps;
-}
-
 double clamp(double x, double lo, double hi) noexcept {
   return x < lo ? lo : (x > hi ? hi : x);
-}
-
-double interp(const std::vector<double>& xs, const std::vector<double>& ys,
-              double x) {
-  SPARKXD_REQUIRE(xs.size() == ys.size() && !xs.empty(),
-                  "interp needs equal-sized non-empty tables");
-  SPARKXD_REQUIRE(std::is_sorted(xs.begin(), xs.end()),
-                  "interp needs xs sorted ascending");
-  if (x <= xs.front()) return ys.front();
-  if (x >= xs.back()) return ys.back();
-  // Find the bracketing segment.
-  const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-  const auto i = static_cast<std::size_t>(it - xs.begin());
-  const double t = (x - xs[i - 1]) / (xs[i] - xs[i - 1]);
-  return ys[i - 1] * (1.0 - t) + ys[i] * t;
 }
 
 }  // namespace sparkxd

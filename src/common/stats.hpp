@@ -1,53 +1,15 @@
 #pragma once
 // Small numerical helpers shared by the simulator, the analyzers, and the
-// benchmark harnesses: summary statistics and parameter-sweep grids.
+// benchmark harnesses.
 
-#include <cstddef>
 #include <vector>
 
 namespace sparkxd {
 
-/// Streaming mean/variance accumulator (Welford's algorithm).
-class RunningStat {
- public:
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t count() const noexcept { return n_; }
-  [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double min() const noexcept { return min_; }
-  [[nodiscard]] double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Arithmetic mean of a vector (0 for empty input).
-[[nodiscard]] double mean(const std::vector<double>& v) noexcept;
-
-/// Sample standard deviation (0 for fewer than two samples).
-[[nodiscard]] double stddev(const std::vector<double>& v) noexcept;
-
 /// Linearly interpolated percentile, p in [0, 100]. Requires non-empty input.
 [[nodiscard]] double percentile(std::vector<double> v, double p);
 
-/// n evenly spaced points from lo to hi inclusive (n >= 2), or {lo} for n == 1.
-[[nodiscard]] std::vector<double> linspace(double lo, double hi, std::size_t n);
-
-/// n log-spaced points from lo to hi inclusive (lo, hi > 0).
-[[nodiscard]] std::vector<double> logspace(double lo, double hi, std::size_t n);
-
 /// Clamps x into [lo, hi].
 [[nodiscard]] double clamp(double x, double lo, double hi) noexcept;
-
-/// Linear interpolation in a sorted (x, y) table with end-point clamping.
-/// Requires xs sorted ascending (contract-checked).
-[[nodiscard]] double interp(const std::vector<double>& xs,
-                            const std::vector<double>& ys, double x);
 
 }  // namespace sparkxd

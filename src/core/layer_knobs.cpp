@@ -1,6 +1,7 @@
 #include "core/layer_knobs.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 
@@ -16,19 +17,12 @@
 
 namespace sparkxd::core {
 
-void LayerKnobsConfig::validate() const {
-  SPARKXD_REQUIRE(!refresh_ladder.empty(),
-                  "refresh ladder needs at least one multiplier");
-  for (std::size_t i = 0; i < refresh_ladder.size(); ++i) {
-    const double m = refresh_ladder[i];
-    SPARKXD_REQUIRE(std::isfinite(m) && m >= 1.0,
-                    "refresh multipliers must be finite and >= 1");
-    SPARKXD_REQUIRE(i == 0 || refresh_ladder[i - 1] < m,
-                    "refresh ladder must be strictly ascending");
-  }
-}
-
 namespace {
+
+/// Refresh-interval multipliers the search considers, in units of tREFI
+/// (strictly ascending; 1 = datasheet cadence). They span the same decades
+/// as the voltage axis (see error::RetentionSpec).
+constexpr std::array<double, 4> kRefreshLadder = {1.0, 2.0, 4.0, 8.0};
 
 /// One candidate's evaluation record: written concurrently (one slot per
 /// candidate), read sequentially by the selection pass.
@@ -57,9 +51,8 @@ dram::RefreshPolicy candidate_policy(double m) {
 
 }  // namespace
 
-LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
+LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& /*cfg*/,
                                     const LayerKnobsInputs& in) {
-  cfg.validate();
   SPARKXD_REQUIRE(in.profile != nullptr,
                   "knob search needs a subarray profile");
   SPARKXD_REQUIRE(!in.voltages.empty(), "knob search needs a voltage grid");
@@ -117,7 +110,7 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
 
   // --- Evaluate every (layer, voltage, multiplier, rung) candidate. --------
   const std::size_t n_v = in.voltages.size();
-  const std::size_t n_m = cfg.refresh_ladder.size();
+  const std::size_t n_m = kRefreshLadder.size();
   std::vector<CandidateEval> table(n_layers * n_v * n_m * n_rungs);
   const auto slot = [&](std::size_t l, std::size_t vi, std::size_t mi,
                         std::size_t ki) {
@@ -129,7 +122,7 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
     const std::size_t vi = (idx / (n_rungs * n_m)) % n_v;
     const std::size_t l = idx / (n_rungs * n_m * n_v);
     const double v = in.voltages[vi];
-    const double m = cfg.refresh_ladder[mi];
+    const double m = kRefreshLadder[mi];
     const error::EccScheme& scheme = *schemes[ki];
     CandidateEval eval;
 
@@ -172,8 +165,8 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
     if (ae != be) return ae < be;
     if (in.voltages[avi] != in.voltages[bvi])
       return in.voltages[avi] > in.voltages[bvi];
-    if (cfg.refresh_ladder[ami] != cfg.refresh_ladder[bmi])
-      return cfg.refresh_ladder[ami] < cfg.refresh_ladder[bmi];
+    if (kRefreshLadder[ami] != kRefreshLadder[bmi])
+      return kRefreshLadder[ami] < kRefreshLadder[bmi];
     return schemes[aki]->check_bits() < schemes[bki]->check_bits();
   };
 
@@ -183,7 +176,7 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
     LayerKnobChoice c;
     c.v_supply = in.voltages[vi];
     c.module_ber = ber_model.ber(c.v_supply);
-    c.refresh_multiplier = cfg.refresh_ladder[mi];
+    c.refresh_multiplier = kRefreshLadder[mi];
     c.ecc = ladder_specs[ki];
     c.ecc_scheme = schemes[ki]->name();
     c.raw_ber = eval.raw_ber;
@@ -263,7 +256,7 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& cfg,
     report.uniform_energy_nj = u_total;
     report.uniform.v_supply = in.voltages[u_vi];
     report.uniform.module_ber = ber_model.ber(report.uniform.v_supply);
-    report.uniform.refresh_multiplier = cfg.refresh_ladder[u_mi];
+    report.uniform.refresh_multiplier = kRefreshLadder[u_mi];
     report.uniform.ecc = ladder_specs[u_ki];
     report.uniform.ecc_scheme = schemes[u_ki]->name();
     report.uniform.energy_nj = u_total;

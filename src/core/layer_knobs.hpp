@@ -6,14 +6,14 @@
 // approximation axes at once.
 //
 // For every layer the search walks the cross-product of the scenario's
-// voltage grid, a refresh-interval ladder, and the ECC escalation ladder of
-// the configured base code, and picks the minimum-energy triple whose
-// combined raw bit-error rate (voltage BER composed with the refresh
-// ladder's retention-failure probability) stays within what the candidate
-// code can absorb at the layer's learned tolerance BER_th — the same
-// accuracy floor analyze_layer_tolerance derived the threshold under
-// (baseline accuracy - accuracy_bound), so "meets the floor" is exactly
-// "post-correction residual BER <= BER_th".
+// voltage grid, a fixed refresh-interval ladder (1, 2, 4 and 8 x tREFI),
+// and the ECC escalation ladder of the configured base code, and picks the
+// minimum-energy triple whose combined raw bit-error rate (voltage BER
+// composed with the refresh ladder's retention-failure probability) stays
+// within what the candidate code can absorb at the layer's learned
+// tolerance BER_th — the same accuracy floor analyze_layer_tolerance
+// derived the threshold under (baseline accuracy - accuracy_bound), so
+// "meets the floor" is exactly "post-correction residual BER <= BER_th".
 //
 // Candidate energy is one core::weight_stream_energy call: the layer's
 // stored weights stream through a controller running the candidate cadence,
@@ -38,16 +38,10 @@
 
 namespace sparkxd::core {
 
-/// Knob-search configuration (part of PipelineConfig).
+/// Knob-search configuration (part of PipelineConfig): whether
+/// run_pipeline runs the search at all.
 struct LayerKnobsConfig {
   bool enabled = false;
-  /// Refresh-interval multipliers to consider, in units of tREFI (>= 1,
-  /// strictly ascending; 1 = datasheet cadence). The default spans the same
-  /// decades as the voltage axis (see error::RetentionSpec).
-  std::vector<double> refresh_ladder = {1.0, 2.0, 4.0, 8.0};
-
-  /// Throws ContractViolation on an invalid ladder.
-  void validate() const;
 };
 
 /// The chosen (voltage, refresh, ECC) triple of one layer, plus the

@@ -41,7 +41,6 @@ void PipelineConfig::validate() const {
   refresh.validate(dram::TimingParams::lpddr3_1600());
   error_model.retention.validate();
   ecc.validate();
-  layer_knobs.validate();
 }
 
 TraceEnergy weight_stream_energy(const dram::Geometry& geometry,

@@ -47,8 +47,4 @@ enum class Task : std::uint8_t {
 [[nodiscard]] Dataset make_dataset(Task task, std::size_t n,
                                    std::uint64_t seed);
 
-/// Per-class mean images (centroids); used by tests to check separability.
-[[nodiscard]] std::vector<std::vector<float>> class_centroids(
-    const Dataset& ds);
-
 }  // namespace sparkxd::data

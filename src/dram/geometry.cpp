@@ -40,15 +40,6 @@ std::uint32_t bank_row(const Geometry& g, const Address& a) {
   return a.subarray * g.rows_per_subarray + a.row;
 }
 
-std::uint64_t cell_bit_index(const Geometry& g, const Address& a,
-                             std::uint32_t bit_in_column) {
-  SPARKXD_REQUIRE(bit_in_column < 8 * g.column_bytes,
-                  "bit offset exceeds the column width");
-  // encode_linear is the byte address of the word's first byte; the cell
-  // coordinate is that address in bits plus the offset within the word.
-  return encode_linear(g, a) * 8 + bit_in_column;
-}
-
 std::uint64_t encode_linear(const Geometry& g, const Address& a) {
   check_address(g, a);
   std::uint64_t x = a.channel;
@@ -59,26 +50,6 @@ std::uint64_t encode_linear(const Geometry& g, const Address& a) {
   x = x * g.rows_per_subarray + a.row;
   x = x * g.columns_per_row + a.column;
   return x * g.column_bytes;
-}
-
-Address decode_linear(const Geometry& g, std::uint64_t byte_addr) {
-  SPARKXD_REQUIRE(byte_addr < g.total_bytes(), "byte address out of range");
-  std::uint64_t x = byte_addr / g.column_bytes;
-  Address a;
-  a.column = static_cast<std::uint32_t>(x % g.columns_per_row);
-  x /= g.columns_per_row;
-  a.row = static_cast<std::uint32_t>(x % g.rows_per_subarray);
-  x /= g.rows_per_subarray;
-  a.subarray = static_cast<std::uint32_t>(x % g.subarrays_per_bank);
-  x /= g.subarrays_per_bank;
-  a.bank = static_cast<std::uint32_t>(x % g.banks_per_chip);
-  x /= g.banks_per_chip;
-  a.chip = static_cast<std::uint32_t>(x % g.chips_per_rank);
-  x /= g.chips_per_rank;
-  a.rank = static_cast<std::uint32_t>(x % g.ranks_per_channel);
-  x /= g.ranks_per_channel;
-  a.channel = static_cast<std::uint32_t>(x);
-  return a;
 }
 
 }  // namespace sparkxd::dram

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "common/bits.hpp"
 #include "common/contracts.hpp"
 
 namespace sparkxd::dram {
@@ -32,20 +31,8 @@ struct Geometry {
   [[nodiscard]] std::uint32_t rows_per_bank() const noexcept {
     return subarrays_per_bank * rows_per_subarray;
   }
-  [[nodiscard]] std::uint64_t row_bytes() const noexcept {
-    return std::uint64_t{columns_per_row} * column_bytes;
-  }
   [[nodiscard]] std::uint64_t burst_bytes() const noexcept {
     return std::uint64_t{burst_columns} * column_bytes;
-  }
-  [[nodiscard]] std::uint64_t bank_bytes() const noexcept {
-    return row_bytes() * rows_per_bank();
-  }
-  [[nodiscard]] std::uint64_t chip_bytes() const noexcept {
-    return bank_bytes() * banks_per_chip;
-  }
-  [[nodiscard]] std::uint64_t total_bytes() const noexcept {
-    return chip_bytes() * chips_per_rank * ranks_per_channel * channels;
   }
   [[nodiscard]] std::uint64_t total_subarrays() const noexcept {
     return std::uint64_t{channels} * ranks_per_channel * chips_per_rank *
@@ -80,17 +67,11 @@ struct Address {
 /// Row index within the bank (subarray-major).
 [[nodiscard]] std::uint32_t bank_row(const Geometry& g, const Address& a);
 
-/// Unique linear *bit* coordinate of bit `bit_in_column` (0..8*column_bytes)
-/// of the word at `a` — the cell coordinate hashed by the weak-cell model.
-[[nodiscard]] std::uint64_t cell_bit_index(const Geometry& g, const Address& a,
-                                           std::uint32_t bit_in_column);
-
 /// Byte-address codec: the canonical linearization used by the baseline
 /// mapping ("subsequent addresses in a DRAM bank"): bytes advance through
 /// columns of a row, then rows of a bank (subarray-major), then banks, then
 /// chips, ranks, channels.
 [[nodiscard]] std::uint64_t encode_linear(const Geometry& g, const Address& a);
-[[nodiscard]] Address decode_linear(const Geometry& g, std::uint64_t byte_addr);
 
 /// Bounds-checks an address against the geometry.
 void check_address(const Geometry& g, const Address& a);

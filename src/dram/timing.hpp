@@ -34,9 +34,6 @@ struct TimingParams {
   double t_refi = 7800.0;  ///< average REF-to-REF interval (tREFI)
   double t_rfc = 130.0;    ///< all-bank REF cycle time (tRFCab, 4 Gb)
 
-  /// ACT -> ACT same bank (row cycle).
-  [[nodiscard]] double t_rc() const noexcept { return t_ras + t_rp; }
-
   /// Nominal LPDDR3-1600 timings at V_supply = 1.35 V.
   [[nodiscard]] static TimingParams lpddr3_1600() { return {}; }
 };

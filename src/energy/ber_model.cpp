@@ -15,18 +15,4 @@ double BerModel::ber(double v_supply) const {
   return b > p_.max_ber ? p_.max_ber : b;
 }
 
-double BerModel::min_voltage_for(double target_ber) const {
-  SPARKXD_REQUIRE(target_ber >= 0.0, "target BER must be non-negative");
-  if (target_ber <= 0.0) return p_.v_safe;
-  // Invert the log-linear segment; clamp into the modelled range.
-  const double v = p_.v_anchor + (std::log10(target_ber) -
-                                  p_.log10_at_anchor) /
-                                     p_.decades_per_volt;
-  if (v > p_.v_safe) return p_.v_safe;
-  const double v_floor = p_.v_anchor + (std::log10(p_.max_ber) -
-                                        p_.log10_at_anchor) /
-                                           p_.decades_per_volt;
-  return v < v_floor ? v_floor : v;
-}
-
 }  // namespace sparkxd::energy

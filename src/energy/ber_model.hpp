@@ -26,10 +26,6 @@ class BerModel {
   /// Module-level bit error rate at the given supply voltage.
   [[nodiscard]] double ber(double v_supply) const;
 
-  /// Inverse: the lowest supply voltage whose BER does not exceed
-  /// `target_ber` (clamped to the modelled range [v floor, v_safe]).
-  [[nodiscard]] double min_voltage_for(double target_ber) const;
-
  private:
   Params p_;
 };

@@ -39,7 +39,6 @@ class NoneScheme final : public EccScheme {
   [[nodiscard]] EccKind kind() const noexcept override { return EccKind::kNone; }
   [[nodiscard]] std::string name() const override { return "off"; }
   [[nodiscard]] unsigned correctable_bits() const noexcept override { return 0; }
-  [[nodiscard]] unsigned detectable_bits() const noexcept override { return 0; }
 
   void encode(const std::uint64_t*, std::uint64_t*) const override {}
   EccDecode decode(std::uint64_t*, std::uint64_t*) const override {
@@ -61,7 +60,6 @@ class ParityScheme final : public EccScheme {
            std::to_string(data_bits_) + ")";
   }
   [[nodiscard]] unsigned correctable_bits() const noexcept override { return 0; }
-  [[nodiscard]] unsigned detectable_bits() const noexcept override { return 1; }
 
   void encode(const std::uint64_t* data, std::uint64_t* check) const override {
     check[0] = parity_of(data, data_words());
@@ -115,7 +113,6 @@ class SecdedScheme final : public EccScheme {
   }
   [[nodiscard]] std::string name() const override { return "secded(72,64)"; }
   [[nodiscard]] unsigned correctable_bits() const noexcept override { return 1; }
-  [[nodiscard]] unsigned detectable_bits() const noexcept override { return 2; }
 
   void encode(const std::uint64_t* data, std::uint64_t* check) const override {
     check[0] = check_byte(data[0]);
@@ -172,7 +169,7 @@ class SecdedScheme final : public EccScheme {
   }
 };
 
-// --- Hsiao: odd-weight-column SECDED, configurable d/k ---------------------
+// --- Hsiao: odd-weight-column SECDED at any codeword size ------------------
 //
 // H = [A | I_k]: the k check columns are the identity (weight 1), every
 // data column is a distinct odd-weight (>= 3) k-bit vector chosen in
@@ -181,9 +178,28 @@ class SecdedScheme final : public EccScheme {
 // that can match neither a data column nor a check column, so 2-bit
 // patterns are always detected and never miscorrected.
 
+/// Fewest check bits k whose odd-weight (>= 3) columns cover data_bits.
+[[nodiscard]] std::size_t hsiao_min_k(std::size_t data_bits) {
+  for (std::size_t k = 4; k <= 16; ++k) {
+    // Count the odd-weight >= 3 columns available with k check bits.
+    std::size_t columns = 0;
+    for (std::size_t w = 3; w <= k; w += 2) {
+      std::uint64_t c = 1;
+      for (std::size_t j = 0; j < w; ++j) c = c * (k - j) / (j + 1);
+      columns += c;
+    }
+    if (columns >= data_bits) return k;
+  }
+  SPARKXD_REQUIRE(false, "hsiao(" + std::to_string(data_bits) +
+                             ") exceeds 16 check bits");
+  return 0;
+}
+
 class HsiaoScheme final : public EccScheme {
  public:
-  HsiaoScheme(std::size_t data_bits, std::size_t k) : EccScheme(data_bits, k) {
+  explicit HsiaoScheme(std::size_t data_bits)
+      : EccScheme(data_bits, hsiao_min_k(data_bits)) {
+    const std::size_t k = check_bits_;
     col_.reserve(data_bits);
     for (unsigned weight = 3; weight <= k && col_.size() < data_bits;
          weight += 2) {
@@ -193,10 +209,6 @@ class HsiaoScheme final : public EccScheme {
           col_.push_back(v);
       }
     }
-    SPARKXD_REQUIRE(col_.size() == data_bits,
-                    "hsiao(" + std::to_string(data_bits) +
-                        ") infeasible with " + std::to_string(k) +
-                        " check bits");
     by_value_.reserve(data_bits);
     for (std::uint32_t i = 0; i < data_bits; ++i)
       by_value_.push_back({col_[i], i});
@@ -211,7 +223,6 @@ class HsiaoScheme final : public EccScheme {
            std::to_string(data_bits_) + ")";
   }
   [[nodiscard]] unsigned correctable_bits() const noexcept override { return 1; }
-  [[nodiscard]] unsigned detectable_bits() const noexcept override { return 2; }
 
   void encode(const std::uint64_t* data, std::uint64_t* check) const override {
     check[0] = syndrome_of(data);
@@ -291,7 +302,6 @@ class BchScheme final : public EccScheme {
            std::to_string(data_bits_) + ")";
   }
   [[nodiscard]] unsigned correctable_bits() const noexcept override { return 2; }
-  [[nodiscard]] unsigned detectable_bits() const noexcept override { return 3; }
 
   void encode(const std::uint64_t* data, std::uint64_t* check) const override {
     std::uint64_t rem = 0;
@@ -483,22 +493,6 @@ class BchScheme final : public EccScheme {
   return 0;
 }
 
-[[nodiscard]] std::size_t hsiao_min_k(std::size_t data_bits) {
-  for (std::size_t k = 4; k <= 16; ++k) {
-    // Count the odd-weight >= 3 columns available with k check bits.
-    std::size_t columns = 0;
-    for (std::size_t w = 3; w <= k; w += 2) {
-      std::uint64_t c = 1;
-      for (std::size_t j = 0; j < w; ++j) c = c * (k - j) / (j + 1);
-      columns += c;
-    }
-    if (columns >= data_bits) return k;
-  }
-  SPARKXD_REQUIRE(false, "hsiao(" + std::to_string(data_bits) +
-                             ") exceeds 16 check bits");
-  return 0;
-}
-
 }  // namespace
 
 const char* to_string(EccKind kind) noexcept {
@@ -512,59 +506,17 @@ const char* to_string(EccKind kind) noexcept {
   return "off";
 }
 
-std::size_t ecc_min_check_bits(EccKind kind, std::size_t data_bits) {
-  switch (kind) {
-    case EccKind::kNone: return 0;
-    case EccKind::kParity: return 1;
-    case EccKind::kSecded: return 8;
-    case EccKind::kHsiao: return hsiao_min_k(data_bits);
-    case EccKind::kBch: return 2 * bch_field_bits(data_bits) + 1;
-  }
-  return 0;
-}
-
 void EccSpec::validate() const {
   SPARKXD_REQUIRE(data_bits >= 32 && data_bits <= 32768 && data_bits % 32 == 0,
                   "ecc data_bits must be a multiple of 32 in [32, 32768], "
                   "got " +
                       std::to_string(data_bits));
-  switch (kind) {
-    case EccKind::kNone:
-      SPARKXD_REQUIRE(check_bits == 0, "ecc off takes no check bits");
-      break;
-    case EccKind::kParity:
-      SPARKXD_REQUIRE(check_bits == 0 || check_bits == 1,
-                      "parity uses exactly 1 check bit");
-      break;
-    case EccKind::kSecded:
-      SPARKXD_REQUIRE(data_bits == 64,
-                      "secded is the fixed Hamming(72,64); use hsiao or bch "
-                      "for other codeword sizes");
-      SPARKXD_REQUIRE(check_bits == 0 || check_bits == 8,
-                      "secded(72,64) uses exactly 8 check bits");
-      break;
-    case EccKind::kHsiao: {
-      SPARKXD_REQUIRE(data_bits <= 4096,
-                      "hsiao supports data_bits <= 4096; use bch for the "
-                      "large-codeword mode");
-      const std::size_t min_k = hsiao_min_k(data_bits);
-      SPARKXD_REQUIRE(check_bits == 0 ||
-                          (check_bits >= min_k && check_bits <= 16),
-                      "hsiao(" + std::to_string(data_bits) +
-                          ") wants check_bits 0 (auto) or " +
-                          std::to_string(min_k) + "..16, got " +
-                          std::to_string(check_bits));
-      break;
-    }
-    case EccKind::kBch: {
-      const std::size_t auto_bits = 2 * bch_field_bits(data_bits) + 1;
-      SPARKXD_REQUIRE(check_bits == 0 || check_bits == auto_bits,
-                      "bch(" + std::to_string(data_bits) + ") auto-sizes to " +
-                          std::to_string(auto_bits) + " check bits, got " +
-                          std::to_string(check_bits));
-      break;
-    }
-  }
+  SPARKXD_REQUIRE(kind != EccKind::kSecded || data_bits == 64,
+                  "secded is the fixed Hamming(72,64); use hsiao or bch "
+                  "for other codeword sizes");
+  SPARKXD_REQUIRE(kind != EccKind::kHsiao || data_bits <= 4096,
+                  "hsiao supports data_bits <= 4096; use bch for the "
+                  "large-codeword mode");
 }
 
 std::string ecc_label(const EccSpec& spec) {
@@ -616,10 +568,7 @@ std::unique_ptr<EccScheme> make_ecc_scheme(const EccSpec& spec) {
     case EccKind::kSecded:
       return std::make_unique<SecdedScheme>();
     case EccKind::kHsiao:
-      return std::make_unique<HsiaoScheme>(
-          spec.data_bits, spec.check_bits != 0
-                              ? spec.check_bits
-                              : hsiao_min_k(spec.data_bits));
+      return std::make_unique<HsiaoScheme>(spec.data_bits);
     case EccKind::kBch:
       return std::make_unique<BchScheme>(spec.data_bits,
                                          bch_field_bits(spec.data_bits));
@@ -629,16 +578,16 @@ std::unique_ptr<EccScheme> make_ecc_scheme(const EccSpec& spec) {
 
 std::vector<EccSpec> ecc_escalation_ladder(const EccSpec& spec) {
   std::vector<EccSpec> ladder = {spec};
-  const EccSpec bch{EccKind::kBch, spec.data_bits, 0};
+  const EccSpec bch{EccKind::kBch, spec.data_bits};
   switch (spec.kind) {
     case EccKind::kNone:
     case EccKind::kBch:
       break;
     case EccKind::kParity:
       if (spec.data_bits == 64) {
-        ladder.push_back({EccKind::kSecded, 64, 0});
+        ladder.push_back({EccKind::kSecded, 64});
       } else if (spec.data_bits <= 4096) {
-        ladder.push_back({EccKind::kHsiao, spec.data_bits, 0});
+        ladder.push_back({EccKind::kHsiao, spec.data_bits});
       }
       ladder.push_back(bch);
       break;
@@ -648,19 +597,6 @@ std::vector<EccSpec> ecc_escalation_ladder(const EccSpec& spec) {
       break;
   }
   return ladder;
-}
-
-std::vector<EccSpec> registered_ecc_specs() {
-  return {
-      {EccKind::kNone, 64, 0},
-      {EccKind::kParity, 64, 0},
-      {EccKind::kSecded, 64, 0},
-      {EccKind::kHsiao, 64, 0},
-      {EccKind::kHsiao, 128, 0},
-      {EccKind::kBch, 64, 0},
-      {EccKind::kBch, 4096, 0},   // 512 B large-codeword mode
-      {EccKind::kBch, 32768, 0},  // 4 KB large-codeword mode
-  };
 }
 
 // ---------------------------------------------------------------------------

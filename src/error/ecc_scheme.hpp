@@ -16,16 +16,20 @@
 //  * Secded  — the classic Hamming(72,64): 7 Hamming bits plus an overall
 //              parity bit per 64-bit word (t=1, d=2; tests/ecc_scheme_test.cpp
 //              pins its encode and decode by digest over a seeded corpus).
-//  * Hsiao   — odd-weight-column SECDED with configurable d/k: every data
-//              column of H has odd weight >= 3, so any double error has an
-//              even, hence non-column, syndrome — 2-bit patterns can NEVER
-//              miscorrect (t=1, d=2, same overhead as Hamming at d=64).
+//  * Hsiao   — odd-weight-column SECDED at any codeword size up to 4096
+//              data bits, with the fewest check bits that fit (8 at 64, 9 at
+//              128): every data column of H has odd weight >= 3, so any
+//              double error has an even, hence non-column, syndrome — 2-bit
+//              patterns can NEVER miscorrect (t=1, d=2, same overhead as
+//              Hamming at 64 data bits).
 //  * BchT2   — shortened binary BCH over GF(2^m) with designed distance 5
 //              plus an overall parity bit (d_min >= 6): corrects any 2,
 //              detects any 3 bit errors per codeword (t=2, d=3). Check bits
 //              auto-size from the field (15 bits at d=64 up to 33 bits at
 //              d=32768 — the large-codeword 512 B–4 KB mode, where the
 //              relative storage overhead drops below 1%).
+//
+// Check bits are never configured: each kind sizes them from data_bits.
 //
 // Every scheme also carries a controller-side cost model: decode latency
 // per codeword (fed into the dram::Controller access timeline by
@@ -58,30 +62,24 @@ enum class EccKind : std::uint8_t {
 
 /// Pure-data ECC configuration (the RefreshPolicy pattern): what a Scenario
 /// names, what PipelineConfig validates, what make_ecc_scheme constructs.
+/// The check bits follow from (kind, data_bits): parity 1, secded 8, hsiao
+/// the fewest that give enough odd-weight columns, bch 2m+1 for the
+/// smallest field GF(2^m) that holds the codeword.
 struct EccSpec {
   EccKind kind = EccKind::kNone;
   /// Data bits per codeword. Must be a positive multiple of 32 (whole FP32
   /// weights) up to 32768 (the 4 KB large-codeword mode); 64 is the classic
   /// per-word granularity of SECDED(72,64).
   std::size_t data_bits = 64;
-  /// Check bits; 0 = auto-size for the kind (parity 1, secded 8, hsiao the
-  /// smallest feasible column count, bch from the field size). A non-zero
-  /// value must match the kind's sizing rule exactly (hsiao additionally
-  /// accepts any feasible k <= 32).
-  std::size_t check_bits = 0;
 
   [[nodiscard]] bool enabled() const noexcept { return kind != EccKind::kNone; }
 
   /// Throws ContractViolation with a specific message on the first problem
-  /// (bad data size, infeasible check-bit override, kind-specific limits).
+  /// (bad data size, kind-specific limits).
   void validate() const;
 
   friend bool operator==(const EccSpec&, const EccSpec&) = default;
 };
-
-/// Minimum (= auto) check-bit count of a spec's (kind, data_bits) pair.
-[[nodiscard]] std::size_t ecc_min_check_bits(EccKind kind,
-                                             std::size_t data_bits);
 
 /// Scenario-name-safe label of a spec: "off", "parity", "secded", "hsiao",
 /// "bch", with the data size appended when it is not the default 64
@@ -115,9 +113,6 @@ class EccScheme {
   /// Guaranteed corrected error weight t (any pattern of <= t bit errors is
   /// fully corrected).
   [[nodiscard]] virtual unsigned correctable_bits() const noexcept = 0;
-  /// Guaranteed detected error weight d (any pattern of t < weight <= d is
-  /// flagged, never miscorrected).
-  [[nodiscard]] virtual unsigned detectable_bits() const noexcept = 0;
 
   /// Computes the check bits of `data` (data_words() words) into `check`
   /// (check_words() words; bits past check_bits() are cleared).
@@ -174,11 +169,6 @@ class EccScheme {
 /// layers buy stronger codes instead of relaxing placement capacity. A
 /// disabled spec never escalates (ladder = {spec}).
 [[nodiscard]] std::vector<EccSpec> ecc_escalation_ladder(const EccSpec& spec);
-
-/// Representative specs across every kind and codeword size — what the
-/// exhaustive sweep and the property/fuzz tests iterate. Includes the
-/// 512 B and 4 KB large-codeword BCH modes.
-[[nodiscard]] std::vector<EccSpec> registered_ecc_specs();
 
 // ---------------------------------------------------------------------------
 // Buffer-level helpers over FP32 weight arrays. Codeword c covers the FP32

@@ -158,7 +158,7 @@ Scenario smoke_digits_ecc() {
   s.description =
       "tiny digits net, commodity DRAM, Model-0, SECDED ECC — "
       "golden-locked ecc-axis smoke run";
-  s.ecc = {error::EccKind::kSecded, 64, 0};
+  s.ecc = {error::EccKind::kSecded, 64};
   return s;
 }
 
@@ -188,7 +188,7 @@ Scenario smoke_digits_knobs() {
   s.description =
       "tiny 2-layer digits net, SECDED ECC, 8x relaxed refresh, per-layer "
       "knob search — golden-locked smoke run";
-  s.ecc = {error::EccKind::kSecded, 64, 0};
+  s.ecc = {error::EccKind::kSecded, 64};
   s.refresh = dram::RefreshPolicy::reduced(8.0);
   s.layer_knobs = true;
   return s;
@@ -284,11 +284,11 @@ std::vector<Scenario> build_registry() {
   ecc_grid.error_models = {
       {"m0", model_spec(error::ErrorModelKind::kModel0Uniform)}};
   ecc_grid.ecc_schemes = {
-      {"ecc-parity", {error::EccKind::kParity, 64, 0}},
-      {"ecc-secded", {error::EccKind::kSecded, 64, 0}},
-      {"ecc-hsiao", {error::EccKind::kHsiao, 64, 0}},
-      {"ecc-bch", {error::EccKind::kBch, 64, 0}},
-      {"ecc-bch512b", {error::EccKind::kBch, 4096, 0}}};
+      {"ecc-parity", {error::EccKind::kParity, 64}},
+      {"ecc-secded", {error::EccKind::kSecded, 64}},
+      {"ecc-hsiao", {error::EccKind::kHsiao, 64}},
+      {"ecc-bch", {error::EccKind::kBch, 64}},
+      {"ecc-bch512b", {error::EccKind::kBch, 4096}}};
   for (auto& s : ecc_grid.expand()) all.push_back(std::move(s));
 
   // ECC × SALP/Model-1 cross: the scrub path composing with the bitline
@@ -301,8 +301,8 @@ std::vector<Scenario> build_registry() {
   ecc_salp.error_models = {
       {"m1", model_spec(error::ErrorModelKind::kModel1Bitline)}};
   ecc_salp.ecc_schemes = {
-      {"ecc-secded", {error::EccKind::kSecded, 64, 0}},
-      {"ecc-bch4kb", {error::EccKind::kBch, 32768, 0}}};
+      {"ecc-secded", {error::EccKind::kSecded, 64}},
+      {"ecc-bch4kb", {error::EccKind::kBch, 32768}}};
   for (auto& s : ecc_salp.expand()) all.push_back(std::move(s));
 
   for (const auto& s : all) s.validate();

@@ -41,11 +41,4 @@ void PoissonEncoder::step(Rng& rng,
   spikes_out.resize(n);
 }
 
-double PoissonEncoder::expected_spikes_per_step() const noexcept {
-  double e = 0.0;
-  for (const std::uint64_t thr : active_thr_)
-    e += static_cast<double>(thr) * 0x1.0p-53;
-  return e;
-}
-
 }  // namespace sparkxd::snn

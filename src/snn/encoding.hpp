@@ -50,10 +50,6 @@ class PoissonEncoder {
   /// order. The output vector is reused storage owned by the caller.
   void step(Rng& rng, std::vector<std::uint32_t>& spikes_out) const;
 
-  /// Expected number of input spikes per step for the current image: the
-  /// sum of each pixel's exact spike probability, threshold * 2^-53.
-  [[nodiscard]] double expected_spikes_per_step() const noexcept;
-
   /// Number of pixels that can spike for the current image. Zero means
   /// step() never draws from the Rng, which lets Network::infer
   /// short-circuit an all-zero sample without desynchronizing the stream.

@@ -55,6 +55,35 @@ void read_vec(std::istream& is, std::vector<T>& v, std::uint64_t min_elems,
   SPARKXD_REQUIRE(is.good(), "truncated model file");
 }
 
+/// Bytes between the stream's read position and its end.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::streampos pos = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streampos end = is.tellg();
+  is.seekg(pos);
+  SPARKXD_REQUIRE(pos != std::streampos(-1) && end != std::streampos(-1) &&
+                      is.good(),
+                  "model stream is not seekable");
+  return static_cast<std::uint64_t>(end - pos);
+}
+
+/// Rejects a stored shape whose weights and thetas (plus their two count
+/// words per layer) need more FP32 words than the stream has left. Each
+/// product is bounded by a division first, so no multiplication wraps.
+void require_payload_fits(const NetworkConfig& cfg, std::uint64_t left) {
+  std::uint64_t floats = left / sizeof(float);
+  for (std::size_t l = 0; l < cfg.n_layers(); ++l) {
+    const std::uint64_t n_in = cfg.layer_inputs(l);
+    const std::uint64_t n_out = cfg.layer_neurons(l);
+    SPARKXD_REQUIRE(n_out <= floats && (n_out == 0 || n_in <= floats / n_out),
+                    "model file is too short for its declared shape");
+    const std::uint64_t layer = n_in * n_out + n_out + 4;
+    SPARKXD_REQUIRE(layer <= floats,
+                    "model file is too short for its declared shape");
+    floats -= layer;
+  }
+}
+
 void write_bool(std::ostream& os, bool b) {
   write_pod(os, static_cast<std::uint8_t>(b ? 1 : 0));
 }
@@ -181,8 +210,10 @@ TrainedModel load_model(std::istream& is) {
   read_lif(is, cfg.lif);
   read_stdp(is, cfg.stdp);
 
-  // Network(cfg) bounds every layer's n_in x n_out; every payload count
-  // below must then equal the count the stored shape implies.
+  // Network(cfg) allocates and initialises two FP32 copies of every layer,
+  // so the shape must first fit the bytes actually stored. Every payload
+  // count below must then equal the count the stored shape implies.
+  require_payload_fits(cfg, bytes_left(is));
   TrainedModel model{Network(cfg), {}, 0.0};
   for (std::size_t l = 0; l < model.net.n_layers(); ++l) {
     std::vector<float> weights, thetas;

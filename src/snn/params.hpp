@@ -151,12 +151,6 @@ struct NetworkConfig {
   [[nodiscard]] std::size_t layer_weight_count(std::size_t l) const noexcept {
     return layer_inputs(l) * layer_neurons(l);
   }
-  /// Synapse count over the whole stack.
-  [[nodiscard]] std::size_t total_weights() const noexcept {
-    std::size_t n = 0;
-    for (std::size_t l = 0; l < n_layers(); ++l) n += layer_weight_count(l);
-    return n;
-  }
 };
 
 }  // namespace sparkxd::snn

@@ -46,10 +46,4 @@ std::vector<float> dequantize(const QuantizedWeights& q) {
   return out;
 }
 
-float quantization_error_bound(const QuantizedWeights& q,
-                               std::size_t neuron) {
-  SPARKXD_REQUIRE(neuron < q.n_neurons, "neuron index out of range");
-  return q.row_scale[neuron] * 0.5f;
-}
-
 }  // namespace sparkxd::snn

@@ -42,8 +42,4 @@ struct QuantizedWeights {
 /// Reconstructs FP32 weights from the codes.
 [[nodiscard]] std::vector<float> dequantize(const QuantizedWeights& q);
 
-/// Worst-case reconstruction error of a row: scale/2 per weight.
-[[nodiscard]] float quantization_error_bound(const QuantizedWeights& q,
-                                             std::size_t neuron);
-
 }  // namespace sparkxd::snn

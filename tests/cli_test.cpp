@@ -172,6 +172,38 @@ TEST(CliTest, LayerKnobsOverrideRenamesAndShowsInList) {
       << r.output;
 }
 
+// --threads used to go through atoll: "4x" ran 4 threads, "1e9" ran one,
+// and counts past 256 were clamped silently. --list starts no workers, so
+// a parse that wrongly succeeded would still exit 0 here.
+TEST(CliTest, BadThreadCountsExitTwo) {
+  for (const char* bad : {"4x", "0", "257", "1e9", "-3", ""}) {
+    const auto r =
+        run_cli(std::string("--list --threads '") + bad + "'");
+    EXPECT_EQ(r.exit_code, 2) << "--threads '" << bad << "': " << r.output;
+    EXPECT_NE(r.output.find("--threads wants an integer in [1, 256]"),
+              std::string::npos)
+        << r.output;
+  }
+  EXPECT_EQ(run_cli("--list --threads 256").exit_code, 0);
+}
+
+TEST(CliTest, BadLayersSpecsExitTwo) {
+  for (const char* bad : {"0", "64,", "x", ",64", "64,,32", "-1"}) {
+    const auto r = run_cli(std::string("--list --scenario smoke-digits-m0 "
+                                       "--layers '") +
+                           bad + "'");
+    EXPECT_EQ(r.exit_code, 2) << "--layers '" << bad << "': " << r.output;
+    EXPECT_NE(r.output.find("--layers wants 'flat' or a comma list"),
+              std::string::npos)
+        << r.output;
+  }
+  const auto ok =
+      run_cli("--list --scenario smoke-digits-m0 --layers 64,32");
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("smoke-digits-m0-l64-32"), std::string::npos)
+      << ok.output;
+}
+
 // Regression: serve::percentile used to return 0 on an empty sample, so a
 // replay that served nothing reported "p99=0us" and exited 0 — a fully
 // faulted run read as infinitely fast in the CI trend. A zero-served replay

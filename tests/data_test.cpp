@@ -13,6 +13,23 @@
 namespace sparkxd::data {
 namespace {
 
+/// Per-class mean images (centroids), the reference the separability
+/// checks measure distances against.
+std::vector<std::vector<float>> class_centroids(const Dataset& ds) {
+  std::vector<std::vector<float>> centroids(
+      ds.num_classes, std::vector<float>(ds.pixels(), 0.0f));
+  std::vector<std::size_t> counts(ds.num_classes, 0);
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    auto& c = centroids[ds.labels[i]];
+    for (std::size_t p = 0; p < ds.pixels(); ++p) c[p] += ds.images[i][p];
+    ++counts[ds.labels[i]];
+  }
+  for (std::size_t k = 0; k < ds.num_classes; ++k)
+    if (counts[k] > 0)
+      for (float& v : centroids[k]) v /= static_cast<float>(counts[k]);
+  return centroids;
+}
+
 double pixel_sum(const std::vector<float>& img) {
   double s = 0.0;
   for (const float p : img) s += p;

@@ -20,11 +20,13 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "error/ecc_scheme.hpp"
+#include "ecc_test_util.hpp"
 #include "test_env_util.hpp"
 
 namespace sparkxd::error {
 namespace {
 
+using testutil::registered_ecc_specs;
 using testutil::ThreadsOverride;
 
 /// Classification counts of one sweep, split by injected error weight.
@@ -163,7 +165,7 @@ void check_contract(const EccScheme& s, const Sweep& r, std::size_t triples) {
   ASSERT_EQ(r.w3.total, triples) << s.name();
 
   const unsigned t = s.correctable_bits();
-  const unsigned d = s.detectable_bits();
+  const unsigned d = testutil::detectable_bits(s.kind());
   // Weight 1: corrected iff t >= 1, else detected iff d >= 1, else missed.
   if (t >= 1) {
     EXPECT_EQ(r.w1.corrected, n) << s.name();
@@ -206,7 +208,7 @@ void check_contract(const EccScheme& s, const Sweep& r, std::size_t triples) {
 std::vector<EccSpec> exhaustive_specs() {
   std::vector<EccSpec> out;
   for (const auto& spec : registered_ecc_specs())
-    if (spec.data_bits + ecc_min_check_bits(spec.kind, spec.data_bits) <= 160)
+    if (spec.data_bits + make_ecc_scheme(spec)->check_bits() <= 160)
       out.push_back(spec);
   return out;
 }

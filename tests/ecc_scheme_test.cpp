@@ -14,10 +14,13 @@
 #include "common/bits.hpp"
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
+#include "ecc_test_util.hpp"
 #include "error/ecc_scheme.hpp"
 
 namespace sparkxd::error {
 namespace {
+
+using testutil::registered_ecc_specs;
 
 /// FNV-1a 64 over the little-endian bytes of `v`, folded into `h`.
 void fnv_fold(std::uint64_t& h, std::uint64_t v) {
@@ -32,7 +35,7 @@ constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 TEST(EccSchemeSecded, EncodeDigestOnRandomCorpusIsPinned) {
   // The check words of 20 000 seeded data words: any change to the
   // Hamming(72,64) parity layout moves the digest.
-  const auto scheme = make_ecc_scheme({EccKind::kSecded, 64, 0});
+  const auto scheme = make_ecc_scheme({EccKind::kSecded, 64});
   Rng rng(1001);
   std::uint64_t h = kFnvBasis;
   for (int i = 0; i < 20000; ++i) {
@@ -50,7 +53,7 @@ TEST(EccSchemeSecded, DecodeDigestUnderRandomCorruptionIsPinned) {
   // corrected, detected and (beyond the guarantee) miscorrected codewords.
   // The digest folds (status, data, check) after each decode, so behaviour
   // outside the t/d guarantee is pinned too.
-  const auto scheme = make_ecc_scheme({EccKind::kSecded, 64, 0});
+  const auto scheme = make_ecc_scheme({EccKind::kSecded, 64});
   Rng rng(2002);
   std::uint64_t h = kFnvBasis;
   for (int i = 0; i < 20000; ++i) {
@@ -83,22 +86,21 @@ TEST(EccSchemeRegistry, CheckBitSizingMatchesTheDeclaredOverhead) {
     EccSpec spec;
     std::size_t check_bits;
   } expected[] = {
-      {{EccKind::kNone, 64, 0}, 0},     {{EccKind::kParity, 64, 0}, 1},
-      {{EccKind::kSecded, 64, 0}, 8},   {{EccKind::kHsiao, 64, 0}, 8},
-      {{EccKind::kHsiao, 128, 0}, 9},   {{EccKind::kBch, 64, 0}, 15},
-      {{EccKind::kBch, 4096, 0}, 27},   {{EccKind::kBch, 32768, 0}, 33},
+      {{EccKind::kNone, 64}, 0},     {{EccKind::kParity, 64}, 1},
+      {{EccKind::kSecded, 64}, 8},   {{EccKind::kHsiao, 64}, 8},
+      {{EccKind::kHsiao, 128}, 9},   {{EccKind::kBch, 64}, 15},
+      {{EccKind::kBch, 4096}, 27},   {{EccKind::kBch, 32768}, 33},
   };
   for (const auto& e : expected) {
     const auto scheme = make_ecc_scheme(e.spec);
     EXPECT_EQ(scheme->check_bits(), e.check_bits) << scheme->name();
-    EXPECT_EQ(ecc_min_check_bits(e.spec.kind, e.spec.data_bits), e.check_bits);
     EXPECT_EQ(scheme->data_bits(), e.spec.data_bits);
     EXPECT_DOUBLE_EQ(scheme->storage_overhead(),
                      static_cast<double>(e.check_bits) /
                          static_cast<double>(e.spec.data_bits));
   }
   // The classic SECDED overhead: one check byte per 64-bit word.
-  EXPECT_DOUBLE_EQ(make_ecc_scheme({EccKind::kSecded, 64, 0})->storage_overhead(),
+  EXPECT_DOUBLE_EQ(make_ecc_scheme({EccKind::kSecded, 64})->storage_overhead(),
                    0.125);
 }
 
@@ -164,10 +166,10 @@ TEST(EccSchemeRegistry, AnyCorruptionWithinTheGuaranteeIsFullyRestored) {
 }
 
 TEST(EccSchemeRegistry, TolerableRawBerInvertsTheResidualRate) {
-  const auto none = make_ecc_scheme({EccKind::kNone, 64, 0});
-  const auto parity = make_ecc_scheme({EccKind::kParity, 64, 0});
-  const auto secded = make_ecc_scheme({EccKind::kSecded, 64, 0});
-  const auto bch = make_ecc_scheme({EccKind::kBch, 64, 0});
+  const auto none = make_ecc_scheme({EccKind::kNone, 64});
+  const auto parity = make_ecc_scheme({EccKind::kParity, 64});
+  const auto secded = make_ecc_scheme({EccKind::kSecded, 64});
+  const auto bch = make_ecc_scheme({EccKind::kBch, 64});
   // Detection alone restores no bits: pass-through.
   EXPECT_DOUBLE_EQ(none->tolerable_raw_ber(1e-5), 1e-5);
   EXPECT_DOUBLE_EQ(parity->tolerable_raw_ber(1e-5), 1e-5);
@@ -183,27 +185,27 @@ TEST(EccSchemeRegistry, TolerableRawBerInvertsTheResidualRate) {
 }
 
 TEST(EccSchemeRegistry, EscalationLaddersEndAtBch) {
-  const auto off = ecc_escalation_ladder({EccKind::kNone, 64, 0});
+  const auto off = ecc_escalation_ladder({EccKind::kNone, 64});
   ASSERT_EQ(off.size(), 1u);
   EXPECT_EQ(off[0].kind, EccKind::kNone);
 
-  const auto parity = ecc_escalation_ladder({EccKind::kParity, 64, 0});
+  const auto parity = ecc_escalation_ladder({EccKind::kParity, 64});
   ASSERT_EQ(parity.size(), 3u);
   EXPECT_EQ(parity[0].kind, EccKind::kParity);
   EXPECT_EQ(parity[1].kind, EccKind::kSecded);
   EXPECT_EQ(parity[2].kind, EccKind::kBch);
 
-  const auto parity4k = ecc_escalation_ladder({EccKind::kParity, 4096, 0});
+  const auto parity4k = ecc_escalation_ladder({EccKind::kParity, 4096});
   ASSERT_EQ(parity4k.size(), 3u);
   EXPECT_EQ(parity4k[1].kind, EccKind::kHsiao);
   EXPECT_EQ(parity4k[1].data_bits, 4096u);
   EXPECT_EQ(parity4k[2].kind, EccKind::kBch);
 
-  const auto secded = ecc_escalation_ladder({EccKind::kSecded, 64, 0});
+  const auto secded = ecc_escalation_ladder({EccKind::kSecded, 64});
   ASSERT_EQ(secded.size(), 2u);
   EXPECT_EQ(secded[1].kind, EccKind::kBch);
 
-  const auto bch = ecc_escalation_ladder({EccKind::kBch, 4096, 0});
+  const auto bch = ecc_escalation_ladder({EccKind::kBch, 4096});
   ASSERT_EQ(bch.size(), 1u);
 
   // Every ladder step is constructible, keeps the codeword size, and
@@ -222,28 +224,26 @@ TEST(EccSchemeRegistry, EscalationLaddersEndAtBch) {
 }
 
 TEST(EccSchemeRegistry, SpecValidateRejectsInfeasibleShapes) {
-  EXPECT_THROW(EccSpec({EccKind::kSecded, 128, 0}).validate(),
+  EXPECT_THROW(EccSpec({EccKind::kSecded, 128}).validate(),
                ContractViolation);
-  EXPECT_THROW(EccSpec({EccKind::kNone, 48, 0}).validate(), ContractViolation);
-  EXPECT_THROW(EccSpec({EccKind::kHsiao, 8192, 0}).validate(),
+  EXPECT_THROW(EccSpec({EccKind::kNone, 48}).validate(), ContractViolation);
+  EXPECT_THROW(EccSpec({EccKind::kHsiao, 8192}).validate(),
                ContractViolation);
-  EXPECT_THROW(EccSpec({EccKind::kBch, 64, 14}).validate(), ContractViolation);
-  EXPECT_THROW(EccSpec({EccKind::kParity, 64, 2}).validate(),
-               ContractViolation);
-  EXPECT_NO_THROW(EccSpec({EccKind::kBch, 32768, 33}).validate());
-  EXPECT_EQ(ecc_label({EccKind::kBch, 4096, 0}), "bch4096b");
-  EXPECT_EQ(ecc_label({EccKind::kSecded, 64, 0}), "secded");
-  EXPECT_EQ(ecc_label({EccKind::kNone, 64, 0}), "off");
+  EXPECT_NO_THROW(EccSpec({EccKind::kBch, 32768}).validate());
+  EXPECT_NO_THROW(EccSpec({EccKind::kHsiao, 4096}).validate());
+  EXPECT_EQ(ecc_label({EccKind::kBch, 4096}), "bch4096b");
+  EXPECT_EQ(ecc_label({EccKind::kSecded, 64}), "secded");
+  EXPECT_EQ(ecc_label({EccKind::kNone, 64}), "off");
 }
 
 // ------------------------------------------------------------------- buffers
 
 TEST(EccSchemeBuffers, EncodeCountAndFloatEquivalentTracksTheCodewords) {
-  const auto secded = make_ecc_scheme({EccKind::kSecded, 64, 0});
+  const auto secded = make_ecc_scheme({EccKind::kSecded, 64});
   EXPECT_EQ(ecc_codeword_count(*secded, 10), 5u);
   // 5 codewords x 8 check bits = 40 bits -> 2 FP32 words.
   EXPECT_EQ(ecc_check_float_equiv(*secded, 10), 2u);
-  const auto bch = make_ecc_scheme({EccKind::kBch, 4096, 0});
+  const auto bch = make_ecc_scheme({EccKind::kBch, 4096});
   EXPECT_EQ(ecc_codeword_count(*bch, 200), 2u);  // 128 floats per codeword
   EXPECT_EQ(ecc_check_float_equiv(*bch, 200), 2u);  // 54 bits -> 2 words
 
@@ -302,7 +302,7 @@ TEST(EccSchemeBuffers, ScrubClipsWhatTheCodeCannotRestore) {
   // Two flips in one SECDED codeword: detected, not corrected — the
   // injected words must go through the load-time clip (no raw Inf/NaN may
   // reach inference), and the delta must still revert bit for bit.
-  const auto scheme = make_ecc_scheme({EccKind::kSecded, 64, 0});
+  const auto scheme = make_ecc_scheme({EccKind::kSecded, 64});
   std::vector<float> w(4, 0.75f);
   const auto original = w;
   const auto checks = ecc_encode_buffer(*scheme, w);

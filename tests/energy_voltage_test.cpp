@@ -165,25 +165,9 @@ TEST(BerModel, ClampsAtMaxBer) {
   EXPECT_LE(bm.ber(0.90), 1.0e-2 + 1e-12);
 }
 
-TEST(BerModel, MinVoltageForInvertsBer) {
-  const BerModel bm;
-  for (const double target : {1e-9, 1e-6, 1e-3}) {
-    const double v = bm.min_voltage_for(target);
-    EXPECT_LE(bm.ber(v), target * 1.0001);
-    // A slightly lower voltage would violate the target.
-    EXPECT_GT(bm.ber(v - 0.02), target);
-  }
-}
-
-TEST(BerModel, MinVoltageForZeroIsSafeVoltage) {
-  const BerModel bm;
-  EXPECT_EQ(bm.ber(bm.min_voltage_for(0.0)), 0.0);
-}
-
 TEST(BerModel, RejectsNonPositiveVoltage) {
   const BerModel bm;
   EXPECT_THROW((void)bm.ber(0.0), ContractViolation);
-  EXPECT_THROW((void)bm.min_voltage_for(-1.0), ContractViolation);
 }
 
 }  // namespace

@@ -582,8 +582,8 @@ TEST(Retention, RetentionCellsFlipAtAnyInjectionBer) {
 }
 
 // -------------------------------------------------------- enumeration pins
-// The digests below were recorded from the per-bit enumeration (one
-// cell_bit_index and one stripe_multiplier per bit). Any change to which
+// The digests below were recorded from the per-bit enumeration (one cell
+// coordinate and one stripe_multiplier per bit). Any change to which
 // cells are weak, to their score order or to the retention split moves one.
 
 /// FNV-1a 64 over the little-endian bytes of `v`, folded into `h`.

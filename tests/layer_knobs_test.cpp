@@ -1,11 +1,12 @@
 // Tests for the per-layer (voltage x refresh x ECC) operating-point search:
 // determinism (thread count, candidate-enumeration order), the accuracy-floor
 // property every chosen triple must satisfy, the honest fallback when no
-// candidate is feasible, ladder validation, and a bit-exact report pin.
+// candidate is feasible, and a bit-exact report pin.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -20,6 +21,9 @@
 namespace sparkxd::core {
 namespace {
 
+/// The search's refresh-interval ladder, in units of tREFI.
+constexpr std::array<double, 4> kRefreshLadder = {1.0, 2.0, 4.0, 8.0};
+
 /// A small two-layer search problem with generous tolerances, so both the
 /// per-layer choices and the uniform baseline are feasible.
 struct SearchSetup {
@@ -33,7 +37,7 @@ struct SearchSetup {
     in.geometry = geometry;
     in.profile = &profile;
     in.voltages = {1.325, 1.175, 1.025};
-    in.ecc = {error::EccKind::kSecded, 64, 0};
+    in.ecc = {error::EccKind::kSecded, 64};
     in.layer_ber_th = {1e-3, 2e-4};
     in.layer_met_target = {true, true};
     in.layer_weights = {600, 300};
@@ -64,19 +68,6 @@ void expect_identical(const LayerKnobsReport& a, const LayerKnobsReport& b) {
   EXPECT_EQ(a.uniform.ecc_scheme, b.uniform.ecc_scheme);
 }
 
-TEST(LayerKnobs, LadderValidation) {
-  LayerKnobsConfig cfg;
-  EXPECT_NO_THROW(cfg.validate());
-  cfg.refresh_ladder = {};
-  EXPECT_THROW(cfg.validate(), ContractViolation);
-  cfg.refresh_ladder = {0.5};
-  EXPECT_THROW(cfg.validate(), ContractViolation);
-  cfg.refresh_ladder = {1.0, 4.0, 2.0};  // not ascending
-  EXPECT_THROW(cfg.validate(), ContractViolation);
-  cfg.refresh_ladder = {1.0, 2.0, 2.0};  // not strictly
-  EXPECT_THROW(cfg.validate(), ContractViolation);
-}
-
 TEST(LayerKnobs, EveryChosenTripleMeetsTheFloorItWasSelectedUnder) {
   SearchSetup s;
   const auto report = assign_layer_knobs(s.cfg, s.in);
@@ -100,9 +91,9 @@ TEST(LayerKnobs, EveryChosenTripleMeetsTheFloorItWasSelectedUnder) {
     EXPECT_NE(std::find(s.in.voltages.begin(), s.in.voltages.end(),
                         c.v_supply),
               s.in.voltages.end());
-    EXPECT_NE(std::find(s.cfg.refresh_ladder.begin(),
-                        s.cfg.refresh_ladder.end(), c.refresh_multiplier),
-              s.cfg.refresh_ladder.end());
+    EXPECT_NE(std::find(kRefreshLadder.begin(), kRefreshLadder.end(),
+                        c.refresh_multiplier),
+              kRefreshLadder.end());
   }
   // The per-layer assignment minimizes over a superset of any uniform
   // triple, so its total can never exceed the uniform baseline.
@@ -151,7 +142,7 @@ TEST(LayerKnobs, InfeasibleLayerFallsBackToSafestTripleHonestly) {
   // Safest triple: first grid voltage (the highest), datasheet-closest
   // cadence, strongest rung of the escalation ladder.
   EXPECT_EQ(fallback.v_supply, s.in.voltages.front());
-  EXPECT_EQ(fallback.refresh_multiplier, s.cfg.refresh_ladder.front());
+  EXPECT_EQ(fallback.refresh_multiplier, kRefreshLadder.front());
   const auto ladder = error::ecc_escalation_ladder(s.in.ecc);
   EXPECT_EQ(fallback.ecc, ladder.back());
   // One infeasible layer makes every uniform triple infeasible too.
@@ -182,7 +173,7 @@ void fold_choice(std::uint64_t& h, const LayerKnobChoice& c) {
   fnv_fold(h, c.refresh_multiplier);
   fnv_fold(h, static_cast<std::uint64_t>(c.ecc.kind));
   fnv_fold(h, std::uint64_t{c.ecc.data_bits});
-  fnv_fold(h, std::uint64_t{c.ecc.check_bits});
+  fnv_fold(h, std::uint64_t{0});  // was EccSpec::check_bits, always 0
   for (const char ch : c.ecc_scheme)
     fnv_fold(h, static_cast<std::uint64_t>(static_cast<unsigned char>(ch)));
   fnv_fold(h, c.ecc_scheme.size());
@@ -198,9 +189,9 @@ TEST(LayerKnobs, ReportIsPinnedBitExact) {
   const std::vector<std::vector<std::size_t>> shapes = {{900},
                                                         {600, 300, 200}};
   const std::vector<error::EccSpec> codes = {
-      {error::EccKind::kNone, 64, 0},
-      {error::EccKind::kParity, 64, 0},
-      {error::EccKind::kBch, 512, 0}};
+      {error::EccKind::kNone, 64},
+      {error::EccKind::kParity, 64},
+      {error::EccKind::kBch, 512}};
   for (const auto& weights : shapes)
     for (const auto& code : codes) {
       SearchSetup s;

@@ -321,7 +321,9 @@ TEST(MultiLayerProperty, RandomizedGeometriesBersAndSigmas) {
     // Capacity headroom: keep the stack well under the module size so the
     // relax loop terminates by relaxing rather than exhausting the module.
     const std::size_t module_words =
-        static_cast<std::size_t>(g.total_bytes() / sizeof(float));
+        static_cast<std::size_t>(g.total_subarrays() * g.rows_per_subarray *
+                                 g.columns_per_row * g.column_bytes /
+                                 sizeof(float));
     for (std::size_t l = 0; l < n_layers; ++l) {
       layer_weights[l] = static_cast<std::size_t>(
           rng.uniform_int(1, static_cast<std::int64_t>(

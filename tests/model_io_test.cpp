@@ -371,5 +371,22 @@ TEST_F(ModelIoTest, RejectsCorruptShape) {
   EXPECT_NO_THROW((void)load_model(path_));
 }
 
+TEST_F(ModelIoTest, RejectsShapeLargerThanTheFileBeforeAllocating) {
+  // n_neurons inflated from 25 to 1024: 784 x 1024 weights (about 3 MiB
+  // per FP32 copy) declared by a file of about 80 KiB. The loader must
+  // refuse the shape against the bytes left in the stream, before
+  // Network(cfg) allocates and initialises it.
+  save_model(*model_, path_);
+  patch_file(path_, 16, std::uint64_t{1024});
+  try {
+    (void)load_model(path_);
+    FAIL() << "inflated shape loaded";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("too short for its declared shape"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace sparkxd::snn

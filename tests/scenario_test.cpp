@@ -366,8 +366,8 @@ TEST(Matrix, EccAxisSuffixesNamesOnlyWhenMultiValued) {
   m.error_models = {{"m0", {}}};
   m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false}};
   m.ecc_schemes = {{"ecc-off", {}},
-                   {"ecc-secded", {error::EccKind::kSecded, 64, 0}},
-                   {"ecc-bch512b", {error::EccKind::kBch, 4096, 0}}};
+                   {"ecc-secded", {error::EccKind::kSecded, 64}},
+                   {"ecc-bch512b", {error::EccKind::kBch, 4096}}};
   const auto scenarios = m.expand();
   ASSERT_EQ(scenarios.size(), 3u);
   EXPECT_EQ(scenarios[0].name, "digits-tiny-commodity-m0-ecc-off");

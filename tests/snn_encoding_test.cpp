@@ -95,12 +95,35 @@ TEST(PoissonEncoder, ZeroPixelsNeverSpikeAndFullIntensityAlwaysDoes) {
   }
 }
 
+/// Expected input spikes per step of `image`: the sum of each pixel's
+/// exact spike probability, spike_threshold(p * max_rate) * 2^-53.
+double expected_spikes_per_step(const std::vector<float>& image,
+                                float max_rate) {
+  double e = 0.0;
+  for (const float p : image)
+    if (p > 0.0f)
+      e += static_cast<double>(spike_threshold(p * max_rate)) * 0x1.0p-53;
+  return e;
+}
+
 TEST(PoissonEncoder, ExpectedSpikesPerStepSumsActiveProbabilities) {
+  const std::vector<float> image{0.5f, 0.0f, 1.0f};
+  EXPECT_NEAR(expected_spikes_per_step(image, 0.4f), 0.5 * 0.4 + 1.0 * 0.4,
+              1e-6);
+  EXPECT_EQ(expected_spikes_per_step(std::vector<float>(10, 0.0f), 0.4f), 0.0);
+  // The encoder's mean spike count per step converges to that sum.
   PoissonEncoder enc(0.4f);
-  enc.set_image({0.5f, 0.0f, 1.0f});
-  EXPECT_NEAR(enc.expected_spikes_per_step(), 0.5 * 0.4 + 1.0 * 0.4, 1e-6);
-  enc.set_image(std::vector<float>(10, 0.0f));
-  EXPECT_EQ(enc.expected_spikes_per_step(), 0.0);
+  enc.set_image(image);
+  Rng rng(3);
+  std::vector<std::uint32_t> spikes;
+  const std::size_t steps = 20000;
+  std::size_t total = 0;
+  for (std::size_t t = 0; t < steps; ++t) {
+    enc.step(rng, spikes);
+    total += spikes.size();
+  }
+  EXPECT_NEAR(static_cast<double>(total) / steps,
+              expected_spikes_per_step(image, 0.4f), 0.02);
 }
 
 TEST(PoissonEncoder, SetImageResetsTheActiveSet) {

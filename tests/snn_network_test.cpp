@@ -549,8 +549,9 @@ TEST(DeepNetwork, LayerGeometryHelpers) {
   EXPECT_EQ(cfg.layer_neurons(1), 12u);
   EXPECT_EQ(cfg.layer_inputs(2), 12u);
   EXPECT_EQ(cfg.layer_neurons(2), 30u);
-  EXPECT_EQ(cfg.total_weights(),
-            784u * 20u + 20u * 12u + 12u * 30u);
+  EXPECT_EQ(cfg.layer_weight_count(0), 784u * 20u);
+  EXPECT_EQ(cfg.layer_weight_count(1), 20u * 12u);
+  EXPECT_EQ(cfg.layer_weight_count(2), 12u * 30u);
 }
 
 TEST(DeepNetwork, PerLayerWeightsNormalizedAndDeterministic) {

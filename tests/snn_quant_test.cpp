@@ -30,8 +30,8 @@ TEST(Quant, RoundTripErrorWithinHalfScalePerWeight) {
     const auto back = dequantize(q);
     ASSERT_EQ(back.size(), w.size());
     for (std::size_t n = 0; n < n_neurons; ++n) {
-      const float bound = quantization_error_bound(q, n);
-      EXPECT_EQ(bound, q.row_scale[n] * 0.5f);
+      // Worst-case reconstruction error: half a scale step per weight.
+      const float bound = q.row_scale[n] * 0.5f;
       for (std::size_t i = 0; i < n_inputs; ++i) {
         const std::size_t idx = n * n_inputs + i;
         // lround ties plus float rounding: half a scale step plus slack.
@@ -108,8 +108,6 @@ TEST(Quant, RejectsShapeMismatchAndNegativeWeights) {
   q.codes = {1, 2, 3};  // 3 != 4
   q.row_scale = {1.0f, 1.0f};
   EXPECT_THROW((void)dequantize(q), ContractViolation);
-  const auto ok = quantize(std::vector<float>(4, 0.5f), 2, 2);
-  EXPECT_THROW((void)quantization_error_bound(ok, 2), ContractViolation);
 }
 
 }  // namespace

@@ -38,12 +38,6 @@ TEST(Encoding, RateProportionalToIntensity) {
   EXPECT_EQ(counts[3], 0);  // zero pixel never spikes
 }
 
-TEST(Encoding, ExpectedSpikesPerStep) {
-  PoissonEncoder enc(0.4f);
-  enc.set_image({1.0f, 0.5f, 0.0f});
-  EXPECT_NEAR(enc.expected_spikes_per_step(), 0.4 + 0.2, 1e-6);
-}
-
 TEST(Encoding, DeterministicGivenRngState) {
   PoissonEncoder enc(0.3f);
   std::vector<float> img(10, 0.7f);
