@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
       {"ecc-bch", {error::EccKind::kBch, 64}},
       {"ecc-bch512b", {error::EccKind::kBch, 4096}},
   };
-  m.voltage_grids = {{"v3", {1.250, 1.100, 1.025}}};
-  m.seeds = {experiment_seed()};
+  m.voltages = {1.250, 1.100, 1.025};
+  m.seed = experiment_seed();
 
   const auto scenarios = m.expand();
   bench::BenchReport report("ecc_ablation");

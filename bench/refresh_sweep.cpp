@@ -41,7 +41,7 @@ int main() {
 
   const auto results = scenario::run_scenarios(sweep);
 
-  const energy::PowerModel::Params power_params;
+  const energy::PowerModel power_model;
   Table t("refresh_sweep",
           {"refresh", "REFs@lowV", "refresh_nJ", "energy_nJ", "saving",
            "ret_weak_cells", "acc@lowV"});
@@ -52,8 +52,7 @@ int main() {
     // legacy row charges the makespan-based estimate inside energy_nj and
     // counts no REFs).
     const double refresh_nj =
-        static_cast<double>(low.refreshes) * power_params.e_refresh_nj *
-        energy::PowerModel::dynamic_scale(low.v_supply);
+        power_model.region_refresh_energy_nj(low.refreshes, 1.0, low.v_supply);
     t.add_row({i == 0 ? std::string("legacy")
                       : scenario::refresh_label(r.scenario.refresh),
                std::to_string(low.refreshes),

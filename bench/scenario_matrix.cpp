@@ -31,8 +31,8 @@ int main() {
   error::ErrorModelSpec m1;
   m1.kind = error::ErrorModelKind::kModel1Bitline;
   m.error_models = {{"m0", {}}, {"m1", m1}};
-  m.voltage_grids = {{"v3", {1.250, 1.100, 1.025}}};
-  m.seeds = {experiment_seed()};
+  m.voltages = {1.250, 1.100, 1.025};
+  m.seed = experiment_seed();
 
   const auto scenarios = m.expand();
   const auto t0 = std::chrono::steady_clock::now();

@@ -14,7 +14,7 @@ double env_double(const char* name, double fallback) {
   if (!s || !*s) return fallback;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  return end != s ? v : fallback;
+  return end != s && std::isfinite(v) ? v : fallback;
 }
 
 std::int64_t env_int(const char* name, std::int64_t fallback) {

@@ -17,7 +17,8 @@
 
 namespace sparkxd {
 
-/// Reads a double-valued env var, falling back to `fallback` when unset/bad.
+/// Reads a double-valued env var, falling back to `fallback` when unset,
+/// unparsable or not finite (nan, inf).
 [[nodiscard]] double env_double(const char* name, double fallback);
 
 /// Reads an integer env var, falling back to `fallback` when unset/bad.

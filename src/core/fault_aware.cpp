@@ -190,7 +190,6 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   SPARKXD_REQUIRE(!cfg.ber_stages.empty(), "need at least one BER stage");
   SPARKXD_REQUIRE(std::is_sorted(cfg.ber_stages.begin(), cfg.ber_stages.end()),
                   "BER stages must be ascending (Algorithm 1 raises the BER)");
-  SPARKXD_REQUIRE(cfg.epochs_per_stage >= 1, "need at least one epoch/stage");
   const std::size_t n_layers = baseline.net.n_layers();
   SPARKXD_REQUIRE(injectors.size() == n_layers,
                   "need one injector slot per network layer");
@@ -222,13 +221,11 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
     // The weak cells at this stage's rate are fixed: one table per layer
     // serves every injection of the stage.
     freeze_layers(injectors, rate, frozen, tables);
-    for (std::size_t e = 0; e < cfg.epochs_per_stage; ++e) {
-      // Error generation + injection into the stored weights (lines 3-4):
-      // the training epoch then runs on the corrupted weights, and STDP
-      // re-routes weight mass away from unreliable cells — in every layer.
-      inject_all();
-      snn::train_epoch(model_temp.net, train, rng);
-    }
+    // Error generation + injection into the stored weights (lines 3-4):
+    // one training epoch then runs on the corrupted weights, and STDP
+    // re-routes weight mass away from unreliable cells — in every layer.
+    inject_all();
+    snn::train_epoch(model_temp.net, train, rng);
     // Re-label (receptive fields move during retraining). The calibration
     // pass (neuron labels + bias) runs on corrupted weights, as it would on
     // the deployed approximate DRAM — neurons inflated by their weak cells

@@ -4,9 +4,9 @@
 //
 // Fault-aware training: starting from the baseline model, bit errors are
 // injected into the DRAM-resident weights at a stage BER and the network is
-// retrained for one or more STDP epochs; the BER is then raised (the paper
-// uses 10x increments) and the process repeats up to the maximum rate. The
-// network gradually learns not to rely on weights stored in weak cells
+// retrained for one STDP epoch; the BER is then raised (the paper uses 10x
+// increments) and the process repeats up to the maximum rate. The network
+// gradually learns not to rely on weights stored in weak cells
 // (weak-cell locations are fixed — see ErrorInjector).
 //
 // Tolerance analysis: a linear search over the BER stages finds the largest
@@ -38,7 +38,6 @@ struct FaultTrainingConfig {
   /// Ascending BER stages; paper: decades from 1e-9 to 1e-3.
   std::vector<double> ber_stages = {1e-9, 1e-8, 1e-7, 1e-6,
                                     1e-5, 1e-4, 1e-3};
-  std::size_t epochs_per_stage = 1;
   /// Target accuracy bound: accuracy must stay within this of the error-free
   /// baseline (paper: 1%).
   double accuracy_bound = 0.01;

@@ -12,22 +12,8 @@ namespace sparkxd::energy {
 
 class BerModel {
  public:
-  struct Params {
-    double v_safe = 1.340;        ///< at/above this voltage: no errors
-    double v_anchor = 1.325;      ///< anchor voltage
-    double log10_at_anchor = -9;  ///< log10 BER at the anchor
-    double decades_per_volt = -20.0;  ///< d(log10 BER)/dV
-    double max_ber = 1.0e-2;          ///< clamp (cells fail en masse below)
-  };
-
-  BerModel() : BerModel(Params{}) {}
-  explicit BerModel(const Params& p) : p_(p) {}
-
   /// Module-level bit error rate at the given supply voltage.
   [[nodiscard]] double ber(double v_supply) const;
-
- private:
-  Params p_;
 };
 
 }  // namespace sparkxd::energy

@@ -44,21 +44,15 @@ struct EnergyBreakdown {
 class PowerModel {
  public:
   /// Per-command charges at V_nom = 1.35 V, in nJ; background in mW.
-  struct Params {
-    double e_act_nj = 3.2;
-    double e_pre_nj = 2.1;
-    double e_rd_nj = 1.5;
-    double e_wr_nj = 1.6;
-    double e_io_nj = 0.10;        ///< per burst, fixed rail
-    double p_background_mw = 3.0;
-    /// Refresh: one all-bank REF every tREFI; its charge is array work and
-    /// scales with V^2 like the other dynamic components.
-    double e_refresh_nj = 28.0;
-    double t_refi_ns = 7800.0;
-  };
-
-  PowerModel() : PowerModel(Params{}) {}
-  explicit PowerModel(const Params& p) : p_(p) {}
+  static constexpr double kActNj = 3.2;
+  static constexpr double kPreNj = 2.1;
+  static constexpr double kReadNj = 1.5;
+  static constexpr double kWriteNj = 1.6;
+  static constexpr double kIoNj = 0.10;  ///< per burst, fixed rail
+  static constexpr double kBackgroundMw = 3.0;
+  /// One all-bank REF; array work, so it scales with V^2 like the other
+  /// dynamic components.
+  static constexpr double kRefreshNj = 28.0;
 
   /// (V / V_nom)^2 — scaling of array dynamic energy.
   [[nodiscard]] static double dynamic_scale(double v_supply);
@@ -70,7 +64,7 @@ class PowerModel {
   /// REF commands the controller actually counted (`stats.refreshes`), so a
   /// reduced-rate policy shows its energy win directly. When it is disabled
   /// (the default) refresh is charged by the legacy makespan-proportional
-  /// estimate: one REF per Params::t_refi_ns of makespan.
+  /// estimate: one REF per datasheet tREFI of makespan.
   [[nodiscard]] EnergyBreakdown trace_energy(
       const dram::TraceStats& stats, double v_supply,
       const dram::RefreshPolicy& refresh =
@@ -99,11 +93,6 @@ class PowerModel {
   /// excluding the fixed I/O rail — the "DRAM energy-per-access" quantity
   /// whose savings Table I reports.
   [[nodiscard]] double array_energy_per_access_nj(double v_supply) const;
-
-  [[nodiscard]] const Params& params() const noexcept { return p_; }
-
- private:
-  Params p_;
 };
 
 }  // namespace sparkxd::energy

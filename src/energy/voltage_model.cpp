@@ -6,48 +6,52 @@
 
 namespace sparkxd::energy {
 
-VoltageModel::VoltageModel(const Params& p) : p_(p) {
-  SPARKXD_REQUIRE(p.beta > 0.0 && p.tau_act_ns > 0.0 && p.tau_pre_ns > 0.0,
-                  "voltage-model constants must be positive");
-}
+namespace {
 
-double VoltageModel::tau_scale(double v_supply) const {
+constexpr double kBeta = 1.81;          // stretch of the restore exponential
+constexpr double kTauActNs = 22.04;     // restore time constant at V_nom
+constexpr double kTauPreNs = 4.60;      // equalize time constant at V_nom
+constexpr double kDriveExponent = 2.0;  // tau ~ (V_nom/V)^kDriveExponent
+
+double tau_scale(double v_supply) {
   SPARKXD_REQUIRE(v_supply > 0.5 && v_supply <= 2.0,
                   "supply voltage outside the modelled range");
-  return std::pow(kNominalVdd / v_supply, p_.drive_exponent);
+  return std::pow(kNominalVdd / v_supply, kDriveExponent);
 }
+
+}  // namespace
 
 double VoltageModel::v_array_activate(double v_supply, double t_ns) const {
   if (t_ns <= 0.0) return v_supply / 2.0;
-  const double tau = p_.tau_act_ns * tau_scale(v_supply);
-  const double x = std::pow(t_ns / tau, p_.beta);
+  const double tau = kTauActNs * tau_scale(v_supply);
+  const double x = std::pow(t_ns / tau, kBeta);
   return v_supply / 2.0 + (v_supply / 2.0) * (1.0 - std::exp(-x));
 }
 
 double VoltageModel::v_array_precharge(double v_supply, double v_start,
                                        double t_ns) const {
   if (t_ns <= 0.0) return v_start;
-  const double tau = p_.tau_pre_ns * tau_scale(v_supply);
+  const double tau = kTauPreNs * tau_scale(v_supply);
   const double target = v_supply / 2.0;
   return target + (v_start - target) * std::exp(-t_ns / tau);
 }
 
 double VoltageModel::t_rcd_ns(double v_supply) const {
   // Solve V/2 * (2 - exp(-(t/tau)^beta)) = 0.75 V  =>  exp(-x) = 0.5.
-  const double tau = p_.tau_act_ns * tau_scale(v_supply);
-  return tau * std::pow(std::log(2.0), 1.0 / p_.beta);
+  const double tau = kTauActNs * tau_scale(v_supply);
+  return tau * std::pow(std::log(2.0), 1.0 / kBeta);
 }
 
 double VoltageModel::t_ras_ns(double v_supply) const {
   // 98% threshold: remaining gap fraction = (1 - 0.98) / 0.5 = 0.04.
-  const double tau = p_.tau_act_ns * tau_scale(v_supply);
-  return tau * std::pow(std::log(1.0 / 0.04), 1.0 / p_.beta);
+  const double tau = kTauActNs * tau_scale(v_supply);
+  return tau * std::pow(std::log(1.0 / 0.04), 1.0 / kBeta);
 }
 
 double VoltageModel::t_rp_ns(double v_supply) const {
   // From a restored cell (~V_supply) down to within 2% of V/2: the initial
   // gap is V/2, so exp(-t/tau) = 0.02.
-  const double tau = p_.tau_pre_ns * tau_scale(v_supply);
+  const double tau = kTauPreNs * tau_scale(v_supply);
   return tau * std::log(1.0 / 0.02);
 }
 

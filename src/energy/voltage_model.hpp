@@ -39,19 +39,10 @@ struct WaveformPoint {
   double v_array = 0.0;
 };
 
+/// Array-voltage waveform and the timings it implies. The model constants
+/// (voltage_model.cpp) are calibrated to LPDDR3-1600 nominal timings.
 class VoltageModel {
  public:
-  /// Model constants; defaults calibrated to LPDDR3-1600 nominal timings.
-  struct Params {
-    double beta = 1.81;         ///< stretch of the restore exponential
-    double tau_act_ns = 22.04;  ///< restore time constant at V_nom
-    double tau_pre_ns = 4.60;   ///< equalize time constant at V_nom
-    double drive_exponent = 2.0;  ///< tau ~ (V_nom/V)^drive_exponent
-  };
-
-  VoltageModel() : VoltageModel(Params{}) {}
-  explicit VoltageModel(const Params& p);
-
   /// Array voltage at time t_ns after an ACT issued at t = 0 with the array
   /// starting from the equalized level V/2.
   [[nodiscard]] double v_array_activate(double v_supply, double t_ns) const;
@@ -78,10 +69,6 @@ class VoltageModel {
                                                     double pre_at_ns,
                                                     double t_end_ns,
                                                     double dt_ns) const;
-
- private:
-  [[nodiscard]] double tau_scale(double v_supply) const;
-  Params p_;
 };
 
 }  // namespace sparkxd::energy

@@ -4,15 +4,21 @@
 
 namespace sparkxd::error {
 
+namespace {
+
+// log10 of the median cell retention time, in nominal windows
+// (3.36 decades ~ 23 s for a 64 ms window).
+constexpr double kMedianDecades = 3.36;
+// Lognormal spread of retention times, in decades.
+constexpr double kSigmaDecades = 0.6;
+
+}  // namespace
+
 void RetentionSpec::validate() const {
   if (!enabled) return;
   SPARKXD_REQUIRE(std::isfinite(interval_multiplier) &&
                       interval_multiplier >= 1.0,
                   "retention interval multiplier must be finite and >= 1");
-  SPARKXD_REQUIRE(std::isfinite(median_decades),
-                  "retention median must be finite");
-  SPARKXD_REQUIRE(std::isfinite(sigma_decades) && sigma_decades > 0.0,
-                  "retention sigma must be positive and finite");
 }
 
 double retention_fail_probability(const RetentionSpec& spec,
@@ -23,8 +29,8 @@ double retention_fail_probability(const RetentionSpec& spec,
                   "subarray weakness must be non-negative");
   if (subarray_weakness == 0.0) return 0.0;  // infinitely strong subarray
   const double z = (std::log10(spec.interval_multiplier) +
-                    std::log10(subarray_weakness) - spec.median_decades) /
-                   spec.sigma_decades;
+                    std::log10(subarray_weakness) - kMedianDecades) /
+                   kSigmaDecades;
   // Standard normal CDF via erfc (numerically sound far into the tail).
   return 0.5 * std::erfc(-z / std::sqrt(2.0));
 }

@@ -12,16 +12,18 @@
 // weak-cell structure fault-aware training can learn around.
 //
 // We model per-cell retention time (in units of the nominal window) as
-//     t_ret = 10^(median_decades + sigma_decades * z) / subarray_weakness
-// with z standard normal. A cell fails when t_ret < m, i.e. with
-// per-subarray probability
-//     p(m, w) = Phi((log10(m) + log10(w) - median_decades) / sigma_decades).
+//     t_ret = 10^(kMedianDecades + kSigmaDecades * z) / subarray_weakness
+// with z standard normal (the two constants live in retention.cpp: a
+// median of 3.36 decades ~ 23 s for a 64 ms window, a spread of 0.6
+// decades). A cell fails when t_ret < m, i.e. with per-subarray
+// probability
+//     p(m, w) = Phi((log10(m) + log10(w) - kMedianDecades) / kSigmaDecades).
 // The injector realizes this by comparing a deterministic per-cell uniform
 // hash against p — which makes retention-weak sets NESTED across multipliers
 // (a cell failing at m = 8 also fails at m = 16), mirroring the nesting of
 // the voltage weak-cell sets across BER.
 //
-// The defaults put the nominal cadence (m = 1) at ~1e-8 failures/cell and
+// The constants put the nominal cadence (m = 1) at ~1e-8 failures/cell and
 // m = 32 at ~1e-3 — the same decades the voltage axis spans — so the two
 // approximation axes compose on equal footing.
 
@@ -36,13 +38,8 @@ struct RetentionSpec {
   /// Effective retention window in units of the nominal tREFW (the refresh
   /// policy's interval multiplier; 1 = datasheet cadence).
   double interval_multiplier = 1.0;
-  /// log10 of the median cell retention time, in nominal windows
-  /// (3.36 decades ~ 23 s for a 64 ms window).
-  double median_decades = 3.36;
-  /// Lognormal spread of retention times, in decades.
-  double sigma_decades = 0.6;
 
-  /// Throws ContractViolation when enabled with out-of-range parameters.
+  /// Throws ContractViolation when enabled with an out-of-range multiplier.
   void validate() const;
 };
 

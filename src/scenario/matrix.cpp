@@ -22,8 +22,7 @@ void require_named(const std::string& name, const char* axis) {
 std::size_t ScenarioMatrix::size() const noexcept {
   return tasks.size() * sizes.size() * geometries.size() *
          error_models.size() * layer_stacks.size() * ecc_schemes.size() *
-         refresh_policies.size() * voltage_grids.size() *
-         knob_searches.size() * seeds.size();
+         refresh_policies.size();
 }
 
 std::vector<Scenario> ScenarioMatrix::expand() const {
@@ -35,16 +34,12 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
   SPARKXD_REQUIRE(!ecc_schemes.empty(), "matrix ecc axis is empty");
   SPARKXD_REQUIRE(!refresh_policies.empty(),
                   "matrix refresh-policy axis is empty");
-  SPARKXD_REQUIRE(!voltage_grids.empty(), "matrix voltage-grid axis is empty");
-  SPARKXD_REQUIRE(!seeds.empty(), "matrix seed axis is empty");
   for (const auto& s : sizes) require_named(s.name, "size");
   for (const auto& g : geometries) require_named(g.name, "geometry");
   for (const auto& m : error_models) require_named(m.name, "error-model");
   for (const auto& ls : layer_stacks) require_named(ls.name, "layer-stack");
   for (const auto& e : ecc_schemes) require_named(e.name, "ecc");
   for (const auto& r : refresh_policies) require_named(r.name, "refresh");
-  for (const auto& v : voltage_grids) require_named(v.name, "voltage-grid");
-  for (const auto& k : knob_searches) require_named(k.name, "knob-search");
 
   std::vector<Scenario> out;
   out.reserve(size());
@@ -59,26 +54,18 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
         for (const auto& model : error_models)
           for (const auto& stack : layer_stacks)
             for (const auto& ecc : ecc_schemes)
-              for (const auto& refresh : refresh_policies)
-                for (const auto& grid : voltage_grids)
-                  for (const auto& knobs : knob_searches)
-                    for (const auto seed : seeds) {
+              for (const auto& refresh : refresh_policies) {
                 Scenario s;
                 s.name = task_label(task) + "-" + size.name + "-" +
                          geom.name + "-" + model.name;
                 if (layer_stacks.size() > 1) s.name += "-" + stack.name;
                 if (ecc_schemes.size() > 1) s.name += "-" + ecc.name;
                 if (refresh_policies.size() > 1) s.name += "-" + refresh.name;
-                if (voltage_grids.size() > 1) s.name += "-" + grid.name;
-                if (knob_searches.size() > 1) s.name += "-" + knobs.name;
-                if (seeds.size() > 1) s.name += "-s" + std::to_string(seed);
                 const std::string tuple =
                     "(task=" + task_label(task) + " size=" + size.name +
                     " geometry=" + geom.name + " model=" + model.name +
                     " layers=" + stack.name + " ecc=" + ecc.name +
-                    " refresh=" + refresh.name + " grid=" + grid.name +
-                    " knobs=" + knobs.name +
-                    " seed=" + std::to_string(seed) + ")";
+                    " refresh=" + refresh.name + ")";
                 const auto [it, inserted] = sources.emplace(s.name, tuple);
                 SPARKXD_REQUIRE(inserted,
                                 "scenario name collision: '" + s.name +
@@ -97,15 +84,12 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
                 s.train_samples = size.train_samples;
                 s.test_samples = size.test_samples;
                 s.baseline_epochs = size.baseline_epochs;
-                s.ber_stages = ber_stages;
-                s.eval_trials = eval_trials;
                 s.geometry = geom.geometry;
                 s.salp = geom.salp;
                 s.refresh = refresh.policy;
                 s.error_model = model.spec;
                 s.ecc = ecc.spec;
-                s.voltages = grid.voltages;
-                s.layer_knobs = knobs.enabled;
+                s.voltages = voltages;
                 s.seed = seed;
                 s.validate();
                 out.push_back(std::move(s));

@@ -2,10 +2,10 @@
 // Cross-product expansion of scenario axes.
 //
 // A ScenarioMatrix names a list of values per evaluation axis (task, network
-// size, DRAM organization, error model, voltage grid, seed) and expands to
-// the full cross product of Scenarios with deterministic names and ordering
-// — the programmatic way to build the paper's Fig. 11/12 grids, the built-in
-// registry, and ad-hoc sweeps (bench/scenario_matrix).
+// size, DRAM organization, error model, layer stack, ECC, refresh) and
+// expands to the full cross product of Scenarios with deterministic names
+// and ordering — the programmatic way to build the paper's Fig. 11/12
+// grids, the built-in registry, and ad-hoc sweeps (bench/scenario_matrix).
 
 #include <cstdint>
 #include <string>
@@ -60,30 +60,14 @@ struct LayerStackSpec {
   std::vector<std::size_t> hidden;
 };
 
-/// Voltage-grid axis value (strictly descending voltages). Defaults to the
-/// paper's five-point grid.
-struct VoltageGridSpec {
-  std::string name = "v5";
-  std::vector<double> voltages = {1.325, 1.250, 1.175, 1.100, 1.025};
-};
-
-/// Per-layer knob-search axis value (Scenario::layer_knobs). The default
-/// disabled value keeps legacy matrices unchanged.
-struct LayerKnobsAxis {
-  std::string name = "knobs-off";
-  bool enabled = false;
-};
-
-/// Axis lists plus the shared knobs every expanded scenario inherits.
-/// expand() iterates tasks (outermost), sizes, geometries, error models,
-/// layer stacks, ecc schemes, refresh policies, voltage grids, knob
-/// searches, seeds (innermost) and names each cell
-/// "<task>-<size>-<geometry>-<model>", appending "-<layers>" when the
-/// layer-stack axis has more than one value, "-<ecc>" when the ecc axis
-/// does, "-<refresh>" when the refresh axis does, "-<grid>" when the grid
-/// axis does, "-<knobs>" when the knob-search axis does, and "-s<seed>"
-/// when the seed axis does, so single-valued axes keep names short and
-/// multi-valued axes keep them unique.
+/// Axis lists plus the voltage grid and seed every expanded scenario
+/// inherits. expand() iterates tasks (outermost), sizes, geometries, error
+/// models, layer stacks, ecc schemes and refresh policies (innermost) and
+/// names each cell "<task>-<size>-<geometry>-<model>", appending
+/// "-<layers>" when the layer-stack axis has more than one value, "-<ecc>"
+/// when the ecc axis does, and "-<refresh>" when the refresh axis does, so
+/// single-valued axes keep names short and multi-valued axes keep them
+/// unique.
 struct ScenarioMatrix {
   std::vector<data::Task> tasks = {data::Task::kDigits};
   std::vector<SizeSpec> sizes;
@@ -93,13 +77,10 @@ struct ScenarioMatrix {
   std::vector<EccAxis> ecc_schemes = {{"ecc-off", error::EccSpec{}}};
   std::vector<RefreshSpec> refresh_policies = {
       {"ref-off", dram::RefreshPolicy::disabled()}};
-  std::vector<VoltageGridSpec> voltage_grids = {VoltageGridSpec{}};
-  std::vector<LayerKnobsAxis> knob_searches = {LayerKnobsAxis{}};
-  std::vector<std::uint64_t> seeds = {42};
 
-  /// Shared (non-axis) knobs.
-  std::vector<double> ber_stages = {1e-5, 1e-3};
-  std::size_t eval_trials = 1;
+  /// Strictly descending supply-voltage grid (paper: 1.325 .. 1.025 V).
+  std::vector<double> voltages = {1.325, 1.250, 1.175, 1.100, 1.025};
+  std::uint64_t seed = 42;
 
   /// Number of scenarios expand() will produce (product of axis sizes).
   [[nodiscard]] std::size_t size() const noexcept;

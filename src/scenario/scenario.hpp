@@ -60,9 +60,9 @@ struct Scenario {
   /// Strictly descending supply-voltage grid (paper: 1.325 .. 1.025 V).
   std::vector<double> voltages = {1.325, 1.250, 1.175, 1.100, 1.025};
   std::uint64_t seed = 42;
-  /// Inference accumulator for every evaluation pass (training always runs
-  /// the row-major kernel). kEvent is the float mode, the bit-exact
-  /// reference every golden but one was produced by; kEventFx is
+  /// Inference accumulator for every evaluation pass (training always sums
+  /// in float over the transposed layout). kEvent is the float mode, the
+  /// bit-exact reference every golden but one was produced by; kEventFx is
   /// numerically different (fixed-point drive) and golden-locked
   /// separately.
   snn::EngineKind engine = snn::EngineKind::kEvent;

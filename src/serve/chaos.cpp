@@ -14,6 +14,10 @@ namespace sparkxd::serve {
 
 namespace {
 
+constexpr std::size_t kDripChunk = 16;       // bytes per dripped write
+constexpr std::uint64_t kDripDelayUs = 500;  // sleep between dripped chunks
+constexpr std::uint64_t kStallUs = 20'000;   // mid-frame stall duration
+
 struct ModeField {
   const char* name;
   double ChaosSpec::* field;
@@ -99,7 +103,6 @@ void ChaosSpec::validate() const {
     SPARKXD_REQUIRE(p >= 0.0 && p <= 1.0,
                     "chaos probability must lie in [0, 1]");
   }
-  SPARKXD_REQUIRE(drip_chunk >= 1, "chaos drip chunk must be >= 1 byte");
 }
 
 ChaosCounters& ChaosCounters::operator+=(const ChaosCounters& o) noexcept {
@@ -173,12 +176,11 @@ bool ChaosConnection::send_frame(int& fd, const std::vector<std::uint8_t>& paylo
 
     case Fault::kDrip: {
       ++counters_.drip;
-      for (std::size_t off = 0; off < wire.size(); off += spec_.drip_chunk) {
-        const std::size_t n = std::min(spec_.drip_chunk, wire.size() - off);
+      for (std::size_t off = 0; off < wire.size(); off += kDripChunk) {
+        const std::size_t n = std::min(kDripChunk, wire.size() - off);
         if (!send_bytes(fd, wire.data() + off, n)) return fail();
         if (off + n < wire.size())
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(spec_.drip_delay_us));
+          std::this_thread::sleep_for(std::chrono::microseconds(kDripDelayUs));
       }
       return true;
     }
@@ -187,7 +189,7 @@ bool ChaosConnection::send_frame(int& fd, const std::vector<std::uint8_t>& paylo
       ++counters_.stall;
       const std::size_t half = wire.size() / 2;
       if (!send_bytes(fd, wire.data(), half)) return fail();
-      std::this_thread::sleep_for(std::chrono::microseconds(spec_.stall_us));
+      std::this_thread::sleep_for(std::chrono::microseconds(kStallUs));
       if (!send_bytes(fd, wire.data() + half, wire.size() - half))
         return fail();
       return true;

@@ -51,10 +51,6 @@ struct ChaosSpec {
   double rst = 0.0;
   double corrupt = 0.0;
 
-  std::size_t drip_chunk = 16;        ///< bytes per dripped write
-  std::uint64_t drip_delay_us = 500;  ///< sleep between dripped chunks
-  std::uint64_t stall_us = 20'000;    ///< mid-frame stall duration
-
   /// Parses the grammar above; throws ContractViolation on a bad spec.
   [[nodiscard]] static ChaosSpec parse(const std::string& spec);
 
@@ -64,7 +60,7 @@ struct ChaosSpec {
   /// Canonical "name:prob,..." form ("none" when inactive).
   [[nodiscard]] std::string to_string() const;
 
-  /// Probabilities in [0, 1], chunk/delays sane; throws otherwise.
+  /// Probabilities in [0, 1]; throws otherwise.
   void validate() const;
 };
 

@@ -39,6 +39,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr std::uint64_t kBaseBackoffUs = 200;    // first backoff step
+constexpr std::uint64_t kMaxBackoffUs = 50'000;  // exponential ceiling
+
 /// What one connection thread brings home.
 struct ConnResult {
   std::vector<ClassifyReply> replies;
@@ -125,8 +128,8 @@ class ConnectionDriver {
   void backoff(std::size_t attempt) {
     const std::uint64_t shift = std::min<std::size_t>(attempt, 8);
     const double ceiling = std::min<double>(
-        static_cast<double>(options_.retry.max_backoff_us),
-        static_cast<double>(options_.retry.base_backoff_us) *
+        static_cast<double>(kMaxBackoffUs),
+        static_cast<double>(kBaseBackoffUs) *
             static_cast<double>(1ull << shift));
     const double jittered = ceiling * (0.5 + 0.5 * jitter_.uniform());
     std::this_thread::sleep_for(

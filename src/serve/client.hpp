@@ -37,10 +37,8 @@
 
 namespace sparkxd::serve {
 
-/// Backoff/reconnect knobs for the replay client.
+/// Reconnect budget for the replay client.
 struct RetryPolicy {
-  std::uint64_t base_backoff_us = 200;   ///< first backoff step
-  std::uint64_t max_backoff_us = 50'000; ///< exponential ceiling
   /// Consecutive failed reconnect attempts per connection slot before the
   /// slot declares the server gone.
   std::size_t max_reconnects = 64;

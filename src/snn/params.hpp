@@ -17,8 +17,8 @@
 
 namespace sparkxd::snn {
 
-/// Accumulator selector for Network::infer (training always runs the
-/// row-major kernel — STDP rewrites weight rows mid-sample). Every value runs
+/// Accumulator selector for Network::infer (training always sums in float,
+/// gathering from the same transposed layout as kEvent). Every value runs
 /// the same kernel: a transposed-column gather over each timestep's spike
 /// list that skips a layer whose input wave is empty while its membrane
 /// state sits exactly at rest, and short-circuits an all-zero sample — only
@@ -71,11 +71,12 @@ struct LifParams {
   /// unsupervised STDP relies on to differentiate receptive fields.
   bool winner_take_all = true;
   /// Whether the competition (WTA + lateral inhibition) also runs at
-  /// inference. Training needs it to differentiate receptive fields; at
-  /// inference it *couples* neurons, letting a single corrupted neuron
-  /// suppress the whole population, so the default readout lets every
-  /// neuron integrate independently and relies on the bias-corrected
-  /// population vote (see snn::vote_spike_counts) for robustness.
+  /// inference. Training needs it to differentiate receptive fields. The
+  /// default keeps it on, so the neurons compete at inference too and every
+  /// golden digest runs that way. Off, every neuron integrates
+  /// independently: one corrupted neuron can then no longer suppress the
+  /// whole population, and the readout relies on the bias-corrected
+  /// population vote (see snn::vote_spike_counts) alone.
   bool compete_at_inference = true;
 };
 

@@ -257,6 +257,17 @@ TEST(Env, ScaledAppliesFloor) {
   EXPECT_EQ(scaled(100, 10), 100u);
 }
 
+TEST(Env, NonFiniteScaleFallsBackToDefault) {
+  // strtod parses "nan" and "inf"; a NaN scale would reach the size_t cast
+  // in scaled() (undefined behaviour), so both count as unparsable.
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    ::setenv("SPARKXD_SCALE", bad, 1);
+    EXPECT_EQ(workload_scale(), 1.0) << bad;
+    EXPECT_EQ(scaled(100, 10), 100u) << bad;
+  }
+  ::unsetenv("SPARKXD_SCALE");
+}
+
 // ---------------------------------------------------------------- JSON core
 // The scenario reports diff serialized bytes across thread counts and
 // against checked-in goldens, so json::number must be byte-stable over the

@@ -389,12 +389,6 @@ TEST_F(FaultAwareFixture, Algorithm1RejectsBadSchedules) {
                                              state->injectors, state->train,
                                              state->test, rng),
                ContractViolation);
-  cfg.ber_stages = {1e-5};
-  cfg.epochs_per_stage = 0;
-  EXPECT_THROW((void)improve_error_tolerance(*state->baseline, cfg,
-                                             state->injectors, state->train,
-                                             state->test, rng),
-               ContractViolation);
 }
 
 /// Clips that leave [w_min, clip] empty or undefined: below the floor, at

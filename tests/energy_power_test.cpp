@@ -155,16 +155,16 @@ TEST(PowerModel, RefreshPolicyAwareTraceEnergy) {
   const auto off =
       pm.trace_energy(s, kNominalVdd, dram::RefreshPolicy::disabled());
   EXPECT_EQ(off.refresh_nj, legacy.refresh_nj);
-  EXPECT_DOUBLE_EQ(legacy.refresh_nj, 2.0 * pm.params().e_refresh_nj);
+  EXPECT_DOUBLE_EQ(legacy.refresh_nj, 2.0 * PowerModel::kRefreshNj);
   // Simulated policies charge the counted REF commands instead.
   const auto nominal =
       pm.trace_energy(s, kNominalVdd, dram::RefreshPolicy::nominal());
-  EXPECT_DOUBLE_EQ(nominal.refresh_nj, 3.0 * pm.params().e_refresh_nj);
+  EXPECT_DOUBLE_EQ(nominal.refresh_nj, 3.0 * PowerModel::kRefreshNj);
   // Refresh charge is array work: V^2 scaling like ACT/PRE.
   const auto reduced_low_v =
       pm.trace_energy(s, 1.025, dram::RefreshPolicy::reduced(8.0));
   EXPECT_DOUBLE_EQ(reduced_low_v.refresh_nj,
-                   3.0 * pm.params().e_refresh_nj *
+                   3.0 * PowerModel::kRefreshNj *
                        PowerModel::dynamic_scale(1.025));
   // Fewer REFs -> proportionally less refresh energy (the reduced-rate win).
   dram::TraceStats relaxed = s;

@@ -481,9 +481,6 @@ TEST(Retention, SpecValidation) {
   EXPECT_NO_THROW(RetentionSpec{}.validate());  // disabled: anything goes
   EXPECT_NO_THROW(retention_at(64.0).validate());
   EXPECT_THROW(retention_at(0.5).validate(), ContractViolation);
-  auto bad_sigma = retention_at(8.0);
-  bad_sigma.sigma_decades = 0.0;
-  EXPECT_THROW(bad_sigma.validate(), ContractViolation);
 }
 
 TEST(Retention, InjectorEnumeratesRetentionCandidates) {

@@ -47,7 +47,7 @@ TEST(Integration, PerAccessProbeConsistentWithTraceEnergy) {
   auto e_trace = pm.trace_energy(stats, energy::kNominalVdd).total_nj();
   // The trace also accounts the trailing PRE of the still-open row; remove
   // it for the comparison.
-  e_trace -= pm.params().e_pre_nj;
+  e_trace -= energy::PowerModel::kPreNj;
   const double e_probe = pm.access_energy_nj(dram::RowBufferOutcome::kMiss,
                                              energy::kNominalVdd, timing);
   EXPECT_NEAR(e_trace, e_probe, 0.05);

@@ -329,18 +329,6 @@ TEST(Matrix, ExpansionIsDeterministic) {
   }
 }
 
-TEST(Matrix, SeedAxisSuffixesNamesOnlyWhenMultiValued) {
-  auto m = small_matrix();
-  m.tasks = {data::Task::kDigits};
-  m.error_models = {{"m0", {}}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false}};
-  m.seeds = {1, 2};
-  const auto scenarios = m.expand();
-  ASSERT_EQ(scenarios.size(), 2u);
-  EXPECT_EQ(scenarios[0].name, "digits-tiny-commodity-m0-s1");
-  EXPECT_EQ(scenarios[1].name, "digits-tiny-commodity-m0-s2");
-}
-
 TEST(Matrix, RefreshAxisSuffixesNamesOnlyWhenMultiValued) {
   auto m = small_matrix();
   m.tasks = {data::Task::kDigits};
@@ -380,23 +368,6 @@ TEST(Matrix, EccAxisSuffixesNamesOnlyWhenMultiValued) {
   // Single-valued ecc axis (the default) leaves names untouched.
   for (const auto& s : small_matrix().expand())
     EXPECT_EQ(s.name.find("ecc"), std::string::npos) << s.name;
-}
-
-TEST(Matrix, KnobSearchAxisSuffixesNamesOnlyWhenMultiValued) {
-  auto m = small_matrix();
-  m.tasks = {data::Task::kDigits};
-  m.error_models = {{"m0", {}}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false}};
-  m.knob_searches = {{"knobs-off", false}, {"knobs-on", true}};
-  const auto scenarios = m.expand();
-  ASSERT_EQ(scenarios.size(), 2u);
-  EXPECT_EQ(scenarios[0].name, "digits-tiny-commodity-m0-knobs-off");
-  EXPECT_EQ(scenarios[1].name, "digits-tiny-commodity-m0-knobs-on");
-  EXPECT_FALSE(scenarios[0].layer_knobs);
-  EXPECT_TRUE(scenarios[1].layer_knobs);
-  // Single-valued knob axis (the default) leaves names untouched.
-  for (const auto& s : small_matrix().expand())
-    EXPECT_EQ(s.name.find("knobs"), std::string::npos) << s.name;
 }
 
 TEST(Matrix, DuplicateAxisValueNamesCollideLoudly) {
