@@ -30,8 +30,7 @@ int main() {
   Rng rng(seed);
 
   const auto cfg = bench::net_config(neurons);
-  auto model = snn::train_and_label(cfg, train, test, 2, rng);
-  const auto clean = model.net.weights(0);
+  const auto model = snn::train_and_label(cfg, train, test, 2, rng);
 
   const auto g = dram::Geometry::lpddr3_4gb();
   const error::SubarrayProfile profile(g, seed);
@@ -43,8 +42,14 @@ int main() {
   const error::ErrorInjector inj_u8(g, profile, {}, place, n_weights, seed,
                                     1e-3);
 
-  auto quant = snn::quantize(clean, cfg.n_neurons, cfg.n_inputs);
+  auto quant = snn::quantize(model.net.weights(0), cfg.n_neurons,
+                             cfg.n_inputs);
   const auto quant_clean_codes = quant.codes;
+  // The model with the stored uint8 weights decoded (trained thresholds).
+  const auto decoded = [&] {
+    return snn::Network(model.net.config(), {snn::dequantize(quant)},
+                        {model.net.thetas(0)});
+  };
 
   Table t("ablation_quantization",
           {"storage", "bytes", "accuracy @BER 1e-4", "accuracy @BER 1e-3"});
@@ -54,12 +59,11 @@ int main() {
     const auto frozen = inj_f32.freeze(ber);
     double acc = 0.0;
     for (int i = 0; i < trials; ++i) {
-      model.net.set_weights(0, clean);
-      frozen.inject(model.net.weights_delta(0), rng, {0.0f, clip});
-      model.net.sync_transpose();
-      acc += snn::evaluate(model.net, model.labels, test, rng);
+      snn::Network trial(model.net);
+      frozen.inject(trial.weights_delta(0), rng, {0.0f, clip});
+      trial.sync_transpose();
+      acc += snn::evaluate(trial, model.labels, test, rng);
     }
-    model.net.set_weights(0, clean);
     return acc / trials;
   };
   const auto eval_u8 = [&](double ber) {
@@ -68,10 +72,8 @@ int main() {
     for (int i = 0; i < trials; ++i) {
       quant.codes = quant_clean_codes;
       frozen.inject_bytes(quant.codes.data(), quant.codes.size(), rng);
-      model.net.set_weights(0, snn::dequantize(quant));
-      acc += snn::evaluate(model.net, model.labels, test, rng);
+      acc += snn::evaluate(decoded(), model.labels, test, rng);
     }
-    model.net.set_weights(0, clean);
     return acc / trials;
   };
 
@@ -89,15 +91,11 @@ int main() {
   Table s("ablation_quantization_ref", {"reference", "value"});
   s.add_row({"clean FP32 accuracy",
              Table::pct(100.0 * model.clean_accuracy, 1)});
-  {
-    quant.codes = quant_clean_codes;
-    model.net.set_weights(0, snn::dequantize(quant));
-    s.add_row({"clean uint8 accuracy (quantization loss only)",
-               Table::pct(100.0 * snn::evaluate(model.net, model.labels,
-                                                test, rng),
-                          1)});
-    model.net.set_weights(0, clean);
-  }
+  quant.codes = quant_clean_codes;
+  s.add_row({"clean uint8 accuracy (quantization loss only)",
+             Table::pct(100.0 * snn::evaluate(decoded(), model.labels, test,
+                                              rng),
+                        1)});
   s.emit();
   return 0;
 }

@@ -79,8 +79,9 @@ int main(int argc, char** argv) {
   for (int t = 0; t < 2; ++t) {
     quant.codes = clean_codes;
     quant_frozen.inject_bytes(quant.codes.data(), quant.codes.size(), rng);
-    shipped.net.set_weights(0, snn::dequantize(quant));
-    acc_u8 += snn::evaluate(shipped.net, shipped.labels, test, rng) / 2.0;
+    const snn::Network decoded(shipped.net.config(), {snn::dequantize(quant)},
+                               {shipped.net.thetas(0)});
+    acc_u8 += snn::evaluate(decoded, shipped.labels, test, rng) / 2.0;
   }
   std::printf("reloaded FP32 accuracy @BER 1e-3:  %.1f%%\n",
               100.0 * acc_fp32);

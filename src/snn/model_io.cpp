@@ -88,13 +88,6 @@ void write_bool(std::ostream& os, bool b) {
   write_pod(os, static_cast<std::uint8_t>(b ? 1 : 0));
 }
 
-/// Rejects NaN and +-inf: thetas reach the LIF threshold, label biases the
-/// vote (Network::set_weights checks the weights).
-template <typename T>
-void require_finite(const std::vector<T>& v, const char* msg) {
-  for (const T x : v) SPARKXD_REQUIRE(std::isfinite(x), msg);
-}
-
 void read_bool(std::istream& is, bool& b) {
   std::uint8_t byte = 0;
   read_pod(is, byte);
@@ -210,31 +203,32 @@ TrainedModel load_model(std::istream& is) {
   read_lif(is, cfg.lif);
   read_stdp(is, cfg.stdp);
 
-  // Network(cfg) allocates and initialises two FP32 copies of every layer,
-  // so the shape must first fit the bytes actually stored. Every payload
-  // count below must then equal the count the stored shape implies.
+  // The layer payloads are read before the network is built, so the shape
+  // must first fit the bytes actually stored. Every payload count below
+  // must then equal the count the stored shape implies.
   require_payload_fits(cfg, bytes_left(is));
-  TrainedModel model{Network(cfg), {}, 0.0};
-  for (std::size_t l = 0; l < model.net.n_layers(); ++l) {
-    std::vector<float> weights, thetas;
+  std::vector<std::vector<float>> weights(cfg.n_layers());
+  std::vector<std::vector<float>> thetas(cfg.n_layers());
+  for (std::size_t l = 0; l < cfg.n_layers(); ++l) {
     const std::size_t n_w = cfg.layer_weight_count(l);
     const std::size_t n_th = cfg.layer_neurons(l);
-    read_vec(is, weights, n_w, n_w,
+    read_vec(is, weights[l], n_w, n_w,
              "weight payload does not match the stored shape");
-    read_vec(is, thetas, n_th, n_th,
+    read_vec(is, thetas[l], n_th, n_th,
              "theta payload does not match the stored shape");
-    require_finite(thetas, "model file holds a non-finite theta");
-    // set_weights checks the shape, finiteness and Q47.16 bound.
-    model.net.set_weights(l, std::move(weights));
-    model.net.thetas_mut(l) = std::move(thetas);
   }
+  // The constructor checks the config, finiteness and the Q47.16 bound.
+  TrainedModel model{Network(cfg, std::move(weights), std::move(thetas)),
+                     {}, 0.0};
 
   read_vec(is, model.labels.label, cfg.n_neurons, cfg.n_neurons,
            "label payload does not match the stored shape");
   read_vec(is, model.labels.bias, cfg.n_neurons, cfg.n_neurons,
            "label payload does not match the stored shape");
-  require_finite(model.labels.bias,
-                 "model file holds a non-finite label bias");
+  // Biases reach the vote (the network checked its own parameters).
+  for (const double b : model.labels.bias)
+    SPARKXD_REQUIRE(std::isfinite(b),
+                    "model file holds a non-finite label bias");
   std::uint64_t num_classes = 0;
   read_pod(is, num_classes);
   // Every served request votes into num_classes slots indexed by these

@@ -41,6 +41,52 @@ bool same_lif(const LifParams& a, const LifParams& b) noexcept {
          same_field(a6, b6) && same_field(a7, b7) && same_field(a8, b8) &&
          same_field(a9, b9);
 }
+
+/// The config checks of both Network constructors, run before the network
+/// allocates anything. Returns `cfg`.
+const NetworkConfig& require_valid(const NetworkConfig& cfg) {
+  SPARKXD_REQUIRE(cfg.n_inputs > 0 && cfg.n_neurons > 0,
+                  "network dimensions must be positive");
+  for (const std::size_t h : cfg.hidden_neurons)
+    SPARKXD_REQUIRE(h > 0, "hidden layer sizes must be positive");
+  // A model file's shape is untrusted until here: refuse a layer whose
+  // n_in x n_out overflows (so no shape product below wraps) or exceeds
+  // 2^32 synapses.
+  constexpr std::size_t kMaxLayerWeights = std::size_t{1} << 32;
+  for (std::size_t l = 0; l < cfg.n_layers(); ++l)
+    SPARKXD_REQUIRE(cfg.layer_inputs(l) <=
+                        kMaxLayerWeights / cfg.layer_neurons(l),
+                    "layer n_in x n_out exceeds 2^32 synapses");
+  SPARKXD_REQUIRE(cfg.timesteps > 0, "need at least one timestep per sample");
+  SPARKXD_REQUIRE(cfg.norm_target > 0.0f, "norm_target must be positive");
+  return cfg;
+}
+
+/// Checks `cfg`, then draws every layer's initial weights, uniform in
+/// [0, 0.3] (the constructor normalizes them) — the standard
+/// initialization for this architecture. Stream discipline: the OUTPUT
+/// layer draws from Rng(seed) — exactly the legacy single-layer stream, so
+/// an empty hidden stack reproduces the pre-stack weights bit for bit —
+/// while hidden layer l draws from the independent substream
+/// Rng(hash_combine(seed, l + 1)).
+std::vector<std::vector<float>> initial_weights(const NetworkConfig& cfg) {
+  const std::size_t n_layers = require_valid(cfg).n_layers();
+  std::vector<std::vector<float>> weights;
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    Rng rng(l + 1 == n_layers ? cfg.seed : hash_combine(cfg.seed, l + 1));
+    auto& w = weights.emplace_back(cfg.layer_weight_count(l));
+    for (float& x : w) x = static_cast<float>(rng.uniform(0.0, 0.3));
+  }
+  return weights;
+}
+
+/// Every layer's initial thresholds: zero.
+std::vector<std::vector<float>> zero_thetas(const NetworkConfig& cfg) {
+  std::vector<std::vector<float>> thetas;
+  for (std::size_t l = 0; l < cfg.n_layers(); ++l)
+    thetas.emplace_back(cfg.layer_neurons(l), 0.0f);
+  return thetas;
+}
 }  // namespace
 
 InferenceState::InferenceState(const Network& net)
@@ -54,50 +100,54 @@ InferenceState::InferenceState(const Network& net)
                        {}, std::vector<std::int64_t>(lay.n_out, 0)});
 }
 
-Network::Layer::Layer(std::size_t n_in_, std::size_t n_out_,
-                      const NetworkConfig& cfg)
+Network::Layer::Layer(std::size_t n_in_, std::vector<float> w_,
+                      std::vector<float> theta_, const NetworkConfig& cfg)
     : n_in(n_in_),
-      n_out(n_out_),
-      w(n_in_ * n_out_),
-      wt(n_in_ * n_out_),
-      theta(n_out_, 0.0f),
-      lif(n_out_, cfg.lif, cfg.dt_ms),
+      n_out(theta_.size()),
+      w(std::move(w_)),
+      wt(w.size()),
+      theta(std::move(theta_)),
+      lif(n_out, cfg.lif, cfg.dt_ms),
       traces(n_in_, cfg.stdp.tau_pre_ms, cfg.dt_ms),
-      current(n_out_, 0.0f) {}
+      current(n_out, 0.0f) {
+  transpose();
+}
 
+// Braces evaluate the arguments in order: initial_weights checks `cfg`
+// before anything is allocated.
 Network::Network(const NetworkConfig& cfg)
-    : cfg_(cfg), encoder_(cfg.max_rate) {
-  SPARKXD_REQUIRE(cfg.n_inputs > 0 && cfg.n_neurons > 0,
-                  "network dimensions must be positive");
-  for (const std::size_t h : cfg.hidden_neurons)
-    SPARKXD_REQUIRE(h > 0, "hidden layer sizes must be positive");
-  // A model file's shape is untrusted until here: refuse a layer whose
-  // n_in x n_out overflows or exceeds 2^32 synapses before allocating it.
-  constexpr std::size_t kMaxLayerWeights = std::size_t{1} << 32;
-  for (std::size_t l = 0; l < cfg.n_layers(); ++l)
-    SPARKXD_REQUIRE(cfg.layer_inputs(l) <=
-                        kMaxLayerWeights / cfg.layer_neurons(l),
-                    "layer n_in x n_out exceeds 2^32 synapses");
-  SPARKXD_REQUIRE(cfg.timesteps > 0, "need at least one timestep per sample");
-  SPARKXD_REQUIRE(cfg.norm_target > 0.0f, "norm_target must be positive");
-
-  const std::size_t n_layers = cfg.n_layers();
-  layers_.reserve(n_layers);
-  for (std::size_t l = 0; l < n_layers; ++l)
-    layers_.emplace_back(cfg.layer_inputs(l), cfg.layer_neurons(l), cfg);
-
-  // Uniform random initial weights in [0, 0.3], then normalized — the
-  // standard initialization for this architecture. Stream discipline: the
-  // OUTPUT layer draws from Rng(seed) — exactly the legacy single-layer
-  // stream, so an empty hidden stack reproduces the pre-stack weights bit
-  // for bit — while hidden layer l draws from the independent substream
-  // Rng(hash_combine(seed, l + 1)).
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    Rng rng(l + 1 == n_layers ? cfg.seed : hash_combine(cfg.seed, l + 1));
-    for (float& w : layers_[l].w) w = static_cast<float>(rng.uniform(0.0, 0.3));
-  }
-  sync_transpose();
+    : Network{cfg, initial_weights(cfg), zero_thetas(cfg)} {
   normalize_rows();
+}
+
+Network::Network(const NetworkConfig& cfg,
+                 std::vector<std::vector<float>> weights,
+                 std::vector<std::vector<float>> thetas)
+    : cfg_(require_valid(cfg)), encoder_(cfg.max_rate) {
+  const std::size_t n_layers = cfg.n_layers();
+  SPARKXD_REQUIRE(weights.size() == n_layers && thetas.size() == n_layers,
+                  "need one weight and one theta vector per layer");
+  layers_.reserve(n_layers);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const std::size_t n_in = cfg.layer_inputs(l);
+    const std::size_t n_out = cfg.layer_neurons(l);
+    SPARKXD_REQUIRE(weights[l].size() == n_in * n_out,
+                    "weights do not match the layer's n_out x n_in shape");
+    // The event-fx kernel sums each weight's Q47.16 image (|w| * 2^16) over
+    // the layer's fan-in in an int64: bound the sum below 2^62. The bound
+    // also rejects NaN and +-inf (the comparison is false for both).
+    const double fx_bound =
+        0x1p62 / (static_cast<double>(kFxScale) * static_cast<double>(n_in));
+    for (const float v : weights[l])
+      SPARKXD_REQUIRE(std::fabs(static_cast<double>(v)) < fx_bound,
+                      "weights must be finite and fit the Q47.16 accumulator");
+    SPARKXD_REQUIRE(thetas[l].size() == n_out,
+                    "thetas do not match the layer's neuron count");
+    for (const float v : thetas[l])
+      SPARKXD_REQUIRE(std::isfinite(v), "thetas must be finite");
+    layers_.emplace_back(n_in, std::move(weights[l]), std::move(thetas[l]),
+                         cfg);
+  }
 }
 
 void Network::Layer::transpose() {
@@ -105,23 +155,6 @@ void Network::Layer::transpose() {
     const float* row = w.data() + n * n_in;
     for (std::size_t i = 0; i < n_in; ++i) wt[i * n_out + n] = row[i];
   }
-}
-
-void Network::set_weights(std::size_t l, std::vector<float> w) {
-  Layer& lay = layer(l);
-  SPARKXD_REQUIRE(w.size() == lay.n_in * lay.n_out,
-                  "weights do not match the layer's n_out x n_in shape");
-  // The event-fx kernel sums each weight's Q47.16 image (|w| * 2^16) over
-  // the layer's fan-in in an int64: bound the sum below 2^62.
-  const double fx_bound =
-      0x1p62 / (static_cast<double>(kFxScale) * static_cast<double>(lay.n_in));
-  for (const float v : w) {
-    SPARKXD_REQUIRE(std::isfinite(v), "weights must be finite");
-    SPARKXD_REQUIRE(std::fabs(static_cast<double>(v)) < fx_bound,
-                    "a weight could overflow the Q47.16 accumulator");
-  }
-  lay.w = std::move(w);
-  lay.transpose();
 }
 
 void Network::sync_transpose() {

@@ -19,16 +19,17 @@
 //
 // Invariant: both layouts hold the same weights after every Network call;
 // the only exception is a word a weights_delta caller has written and not
-// yet mirrored. There are two ways to write them, and neither hands out a
-// resizable vector:
-//   * set_weights(l, w) replaces a whole layer (model loading,
-//     dequantized copies) and rebuilds its transpose;
+// yet mirrored. A network's parameters are written in three ways only, and
+// none hands out a resizable vector:
+//   * construction: from a config (random initial weights) or from stored
+//     parameters (model loading, dequantized copies), each transpose built
+//     once;
+//   * training: STDP writes every updated row through to its transposed
+//     column, and normalize_rows scales both;
 //   * weights_delta(l) is a span over the row-major array for in-place
 //     fault injection; the caller mirrors every word it changed through
 //     mirror_weight() (error::WeightFlip logs carry exactly those words),
 //     or closes the write with one sync_transpose().
-// Training keeps the layouts in step itself: STDP writes every updated row
-// through to its transposed column, and normalize_rows scales both.
 // Inference has exactly one entry point and one kernel, infer(); every API
 // addresses a layer by index (layer 0 = input side), also on a one-layer
 // network.
@@ -98,7 +99,20 @@ class InferenceState {
 /// A complete network instance (per-layer weights + neuron state + encoder).
 class Network {
  public:
+  /// Random initial weights (see the bit-exactness contract above), rows
+  /// normalized, zero thresholds. Throws ContractViolation for a
+  /// non-positive size, timestep count or norm_target, or a layer of over
+  /// 2^32 synapses, before allocating anything.
   explicit Network(const NetworkConfig& cfg);
+
+  /// Each layer's stored row-major weights and thresholds (layer 0 = input
+  /// side), kept as they are: draws no Rng, normalizes nothing. Throws
+  /// ContractViolation for a config Network(cfg) rejects, and unless each
+  /// layer has layer_neurons(l) x layer_inputs(l) finite weights small
+  /// enough for its Q47.16 accumulator (kEventFx) and layer_neurons(l)
+  /// finite thresholds.
+  Network(const NetworkConfig& cfg, std::vector<std::vector<float>> weights,
+          std::vector<std::vector<float>> thetas);
 
   [[nodiscard]] const NetworkConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::size_t n_layers() const noexcept {
@@ -112,13 +126,6 @@ class Network {
   [[nodiscard]] const std::vector<float>& weights(std::size_t l) const {
     return layer(l).w;
   }
-
-  /// Replaces layer `l`'s weights wholesale (model loading, dequantized
-  /// copies) and rebuilds its transpose. Throws ContractViolation unless
-  /// `w` holds layer_neurons(l) x layer_inputs(l) finite weights, each small
-  /// enough that the layer's Q47.16 accumulator (kEventFx) cannot overflow
-  /// over its fan-in.
-  void set_weights(std::size_t l, std::vector<float> w);
 
   /// In-place access for DELTA fault injection: a span over layer `l`'s
   /// row-major weights. The caller mirrors every word it changes via
@@ -148,14 +155,9 @@ class Network {
     return layer(l).wt;
   }
 
-  /// Layer `l`'s adaptive thresholds, one per neuron: trained by
-  /// train_step, frozen by infer. Mutable access exists for model loading
-  /// and snapshot/restore; the next train_step or infer reads the edit, and
-  /// both throw ContractViolation if the vector was resized.
+  /// Layer `l`'s adaptive thresholds, one per neuron: set at construction,
+  /// trained by train_step, frozen by infer.
   [[nodiscard]] const std::vector<float>& thetas(std::size_t l) const {
-    return layer(l).theta;
-  }
-  [[nodiscard]] std::vector<float>& thetas_mut(std::size_t l) {
     return layer(l).theta;
   }
 
@@ -173,8 +175,7 @@ class Network {
   /// re-normalizes all weight rows. Returns the OUTPUT layer's per-neuron
   /// spike counts. `rng` drives the Poisson spike trains (the only
   /// stochastic part — hidden layers are deterministic given their input
-  /// spikes). Throws ContractViolation when a layer's thresholds were
-  /// resized.
+  /// spikes).
   std::vector<std::uint32_t> train_step(const std::vector<float>& image,
                                         Rng& rng);
 
@@ -192,8 +193,7 @@ class Network {
   /// the row-major walk); kEventFx sums Q47.16 fixed point
   /// (order-independent, numerically different from float). Throws
   /// ContractViolation for a state built for a differently shaped network
-  /// or one with other LIF constants, dt_ms or max_rate, and for a resized
-  /// threshold vector.
+  /// or one with other LIF constants, dt_ms or max_rate.
   std::vector<std::uint32_t> infer(InferenceState& state,
                                    const std::vector<float>& image,
                                    Rng& rng) const;
@@ -219,7 +219,10 @@ class Network {
     std::vector<float> current;
     std::vector<std::uint32_t> out_spikes;
 
-    Layer(std::size_t n_in, std::size_t n_out, const NetworkConfig& cfg);
+    /// Takes checked n_out x n_in weights and n_out thresholds, and builds
+    /// the transpose.
+    Layer(std::size_t n_in, std::vector<float> w, std::vector<float> theta,
+          const NetworkConfig& cfg);
 
     /// current[n] = sum of wt[i][n] over `spikes`, added in list order:
     /// the float synaptic gather of both train_step and infer.

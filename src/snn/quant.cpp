@@ -9,7 +9,9 @@ namespace sparkxd::snn {
 
 QuantizedWeights quantize(const std::vector<float>& weights,
                           std::size_t n_neurons, std::size_t n_inputs) {
-  SPARKXD_REQUIRE(weights.size() == n_neurons * n_inputs,
+  // Checked by division, so no product wraps.
+  SPARKXD_REQUIRE(n_inputs > 0 && weights.size() % n_inputs == 0 &&
+                      weights.size() / n_inputs == n_neurons,
                   "weight matrix shape mismatch");
   QuantizedWeights q;
   q.n_neurons = n_neurons;
@@ -20,8 +22,8 @@ QuantizedWeights quantize(const std::vector<float>& weights,
     const float* row = weights.data() + n * n_inputs;
     float row_max = 0.0f;
     for (std::size_t i = 0; i < n_inputs; ++i) {
-      SPARKXD_REQUIRE(row[i] >= 0.0f,
-                      "quantize expects non-negative weights");
+      SPARKXD_REQUIRE(row[i] >= 0.0f && std::isfinite(row[i]),
+                      "quantize expects finite non-negative weights");
       row_max = std::max(row_max, row[i]);
     }
     const float scale = row_max > 0.0f ? row_max / 255.0f : 1.0f;
@@ -34,7 +36,9 @@ QuantizedWeights quantize(const std::vector<float>& weights,
 }
 
 std::vector<float> dequantize(const QuantizedWeights& q) {
-  SPARKXD_REQUIRE(q.codes.size() == q.n_neurons * q.n_inputs,
+  SPARKXD_REQUIRE(q.n_inputs > 0 && q.codes.size() % q.n_inputs == 0 &&
+                      q.codes.size() / q.n_inputs == q.n_neurons &&
+                      q.row_scale.size() == q.n_neurons,
                   "quantized matrix shape mismatch");
   std::vector<float> out(q.codes.size());
   for (std::size_t n = 0; n < q.n_neurons; ++n) {

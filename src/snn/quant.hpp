@@ -33,13 +33,16 @@ struct QuantizedWeights {
   }
 };
 
-/// Quantizes FP32 weights (all >= 0, as produced by the STDP rule) to
-/// per-row affine uint8 codes.
+/// Quantizes FP32 weights (all finite and >= 0, as produced by the STDP
+/// rule) to per-row affine uint8 codes. Throws ContractViolation unless
+/// `weights` holds n_neurons x n_inputs (n_inputs > 0) such weights.
 [[nodiscard]] QuantizedWeights quantize(const std::vector<float>& weights,
                                         std::size_t n_neurons,
                                         std::size_t n_inputs);
 
-/// Reconstructs FP32 weights from the codes.
+/// Reconstructs FP32 weights from the codes. Throws ContractViolation
+/// unless `q` holds n_neurons x n_inputs (n_inputs > 0) codes and one scale
+/// per row.
 [[nodiscard]] std::vector<float> dequantize(const QuantizedWeights& q);
 
 }  // namespace sparkxd::snn

@@ -126,8 +126,8 @@ TEST_F(FaultAwareFixture, HotPathMatchesLegacySnapshotLoopBitwise) {
   const error::SanitizeRange sanitize{
       state->baseline->net.config().stdp.w_min, kDefaultWeightClip};
   const std::uint64_t stream = ref_rng.next_u64();
-  snn::Network scratch = state->baseline->net;
-  const std::vector<float> snapshot = state->baseline->net.weights(0);
+  const snn::Network& clean = state->baseline->net;
+  const std::vector<float> snapshot = clean.weights(0);
   const auto entries = state->injector->freeze(ber).entries();
   double sum = 0.0;
   for (std::size_t t = 0; t < trials; ++t) {
@@ -141,8 +141,9 @@ TEST_F(FaultAwareFixture, HotPathMatchesLegacySnapshotLoopBitwise) {
       w[e.word] = flip_float_bit(w[e.word], e.bit);
       error::sanitize_weight(w[e.word], sanitize);
     }
-    scratch.set_weights(0, std::move(w));
-    sum += snn::evaluate(scratch, state->baseline->labels, state->test,
+    const snn::Network flipped(clean.config(), {std::move(w)},
+                               {clean.thetas(0)});
+    sum += snn::evaluate(flipped, state->baseline->labels, state->test,
                          eval_rng);
   }
   const double reference = sum / static_cast<double>(trials);
@@ -275,12 +276,14 @@ TEST(LayoutInvariant, BothLayoutsAgreeAfterEveryWrite) {
     (void)net.train_step(train.images[0], rng);
     expect_layouts_agree(net, "train_step");
     const std::size_t n_layers = net.n_layers();
+    std::vector<std::vector<float>> weights, thetas;
     for (std::size_t l = 0; l < n_layers; ++l) {
-      std::vector<float> w = net.weights(l);
+      std::vector<float>& w = weights.emplace_back(net.weights(l));
       for (std::size_t k = 0; k < w.size(); k += 7) w[k] *= 2.5f;
-      net.set_weights(l, std::move(w));
+      thetas.push_back(net.thetas(l));
     }
-    expect_layouts_agree(net, "set_weights");
+    net = snn::Network(cfg, std::move(weights), std::move(thetas));
+    expect_layouts_agree(net, "constructed from parameters");
     net.normalize_rows();
     expect_layouts_agree(net, "normalize_rows");
     for (std::size_t l = 0; l < n_layers; ++l) {

@@ -126,8 +126,8 @@ class ArtifactFileFuzz : public ::testing::Test {
 
 TEST_F(ArtifactFileFuzz, SmokeArtifactSurvivesTruncationAndMutation) {
   ASSERT_TRUE(artifact_loads(pristine_));
-  // A cut past the embedded model rebuilds the whole network before the
-  // short read (about 1 ms each), and the file is 150 KB: every length of
+  // A cut past the embedded model loads the whole model before the short
+  // read (about 0.5 ms each), and the file is 150 KB: every length of
   // the first and last KiB, which hold every header and count field of the
   // artifact and of the model, plus every 127th length in between.
   const std::size_t size = pristine_.size();

@@ -374,8 +374,8 @@ TEST_F(ModelIoTest, RejectsCorruptShape) {
 TEST_F(ModelIoTest, RejectsShapeLargerThanTheFileBeforeAllocating) {
   // n_neurons inflated from 25 to 1024: 784 x 1024 weights (about 3 MiB
   // per FP32 copy) declared by a file of about 80 KiB. The loader must
-  // refuse the shape against the bytes left in the stream, before
-  // Network(cfg) allocates and initialises it.
+  // refuse the shape against the bytes left in the stream, before it
+  // sizes a payload vector from it.
   save_model(*model_, path_);
   patch_file(path_, 16, std::uint64_t{1024});
   try {

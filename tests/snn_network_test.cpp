@@ -69,10 +69,10 @@ TEST(Network, WeightInitDeterministicInSeed) {
 
 TEST(Network, NormalizeRowsRestoresTarget) {
   const auto cfg = tiny_config();
-  Network net(cfg);
-  auto tripled = net.weights(0);
+  const Network init(cfg);
+  auto tripled = init.weights(0);
   for (auto& w : tripled) w *= 3.0f;
-  net.set_weights(0, std::move(tripled));
+  Network net(cfg, {std::move(tripled)}, {init.thetas(0)});
   net.normalize_rows();
   const auto& w = net.weights(0);
   float sum = 0.0f;
@@ -82,10 +82,10 @@ TEST(Network, NormalizeRowsRestoresTarget) {
 
 TEST(Network, NormalizeSkipsZeroRows) {
   const auto cfg = tiny_config();
-  Network net(cfg);
-  auto w = net.weights(0);
+  const Network init(cfg);
+  auto w = init.weights(0);
   std::fill_n(w.begin(), cfg.n_inputs, 0.0f);  // zero out neuron 0
-  net.set_weights(0, std::move(w));
+  Network net(cfg, {std::move(w)}, {init.thetas(0)});
   net.normalize_rows();
   for (std::size_t i = 0; i < cfg.n_inputs; ++i)
     EXPECT_EQ(net.weights(0)[i], 0.0f);
@@ -228,22 +228,24 @@ TEST(Network, ReusedStateMatchesFreshStateBitwise) {
 }
 
 TEST(Network, StateBuiltBeforeRetrainingInfersLikeAFreshOne) {
-  // The state holds no thresholds: one built before a training pass and a
-  // thetas_mut edit reads the network's current ones, exactly like a state
-  // built afterwards.
+  // The state holds no thresholds: one built before a training pass, run
+  // by the trained network rebuilt with one threshold edited, reads that
+  // network's current ones, exactly like a state built afterwards.
   const auto cfg = tiny_config();
   Network net(cfg);
   InferenceState early(net);
 
   Rng train_rng(2);
   (void)net.train_step(bright_image(cfg.n_inputs), train_rng);
-  net.thetas_mut(0)[3] += 0.25f;
+  auto thetas = net.thetas(0);
+  thetas[3] += 0.25f;
+  const Network edited(cfg, {net.weights(0)}, {std::move(thetas)});
 
-  InferenceState fresh(net);
+  InferenceState fresh(edited);
   const auto img = bright_image(cfg.n_inputs, 0.5f);
   Rng a(9), b(9);
-  const auto counts = net.infer(early, img, a);
-  EXPECT_EQ(counts, net.infer(fresh, img, b));
+  const auto counts = edited.infer(early, img, a);
+  EXPECT_EQ(counts, edited.infer(fresh, img, b));
   EXPECT_EQ(a.next_u64(), b.next_u64());
   EXPECT_GT(std::accumulate(counts.begin(), counts.end(), 0u), 0u);
 }
@@ -253,9 +255,11 @@ TEST(Network, StateFromOneNetworkInfersWithTheRunningNetworksThresholds) {
   // once (as by model loading). A state built from A and run by B must
   // infer with B's thresholds, not a copy of A's.
   const auto cfg = tiny_config();
-  Network a(cfg), b(cfg);
-  a.thetas_mut(0) = std::vector<float>(cfg.n_neurons, 0.0f);
-  b.thetas_mut(0) = std::vector<float>(cfg.n_neurons, 50.0f);
+  const Network init(cfg);
+  const Network a(cfg, {init.weights(0)},
+                  {std::vector<float>(cfg.n_neurons, 0.0f)});
+  const Network b(cfg, {init.weights(0)},
+                  {std::vector<float>(cfg.n_neurons, 50.0f)});
   const auto img = bright_image(cfg.n_inputs);
   Rng ra(4), rb(4);
   const auto a_counts = infer_once(a, img, ra);
@@ -297,27 +301,6 @@ TEST(Network, StateBuiltForOtherDynamicsIsRejected) {
   InferenceState same{Network(cfg)};
   Rng rng(1);
   EXPECT_NO_THROW((void)net.infer(same, bright_image(cfg.n_inputs), rng));
-}
-
-TEST(Network, ResizedThresholdsAreRejected) {
-  const auto cfg = tiny_config();
-  for (const std::size_t width : {cfg.n_neurons - 1, cfg.n_neurons + 1}) {
-    Network net(cfg);
-    net.thetas_mut(0).resize(width, 0.0f);
-    InferenceState state(net);
-    Rng rng(1);
-    EXPECT_THROW((void)net.infer(state, bright_image(cfg.n_inputs), rng),
-                 ContractViolation)
-        << width;
-    // The all-zero short-circuit must not bypass the check.
-    EXPECT_THROW((void)net.infer(state, bright_image(cfg.n_inputs, 0.0f),
-                                 rng),
-                 ContractViolation)
-        << width;
-    EXPECT_THROW((void)net.train_step(bright_image(cfg.n_inputs), rng),
-                 ContractViolation)
-        << width;
-  }
 }
 
 TEST(Network, InferLeavesNetworkUntouched) {
@@ -594,7 +577,6 @@ TEST(DeepNetwork, LayerIndexOutOfRangeIsRejected) {
   EXPECT_THROW((void)deep.weights(3), ContractViolation);
   EXPECT_THROW((void)deep.weights_T(3), ContractViolation);
   EXPECT_THROW((void)deep.weights_delta(3), ContractViolation);
-  EXPECT_THROW(deep.set_weights(3, {}), ContractViolation);
   EXPECT_THROW((void)deep.thetas(3), ContractViolation);
 }
 
@@ -659,7 +641,7 @@ TEST(DeepNetwork, RejectsZeroSizedHiddenLayers) {
   EXPECT_THROW(Network net(cfg), ContractViolation);
 }
 
-// ------------------------------------------- training against the oracle
+// ------------------------------------ construction from stored parameters
 
 bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   if (a.size() != b.size()) return false;
@@ -668,6 +650,113 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
       return false;
   return true;
 }
+
+using LayerVectors = std::vector<std::vector<float>>;
+
+TEST(Network, FromParametersMatchesSourceBitwise) {
+  // A network built from a trained network's weights and thresholds holds
+  // both layouts and the thresholds bit for bit, and infers like it: the
+  // same counts from the same Rng draws.
+  const auto ds = data::make_dataset(data::Task::kDigits, 4, 5);
+  for (const NetworkConfig& cfg : {tiny_config(), deep_config()}) {
+    SCOPED_TRACE(testing::Message() << "depth " << cfg.n_layers());
+    Network source(cfg);
+    Rng train_rng(6);
+    for (const auto& image : ds.images) (void)source.train_step(image, train_rng);
+    LayerVectors weights, thetas;
+    for (std::size_t l = 0; l < source.n_layers(); ++l) {
+      weights.push_back(source.weights(l));
+      thetas.push_back(source.thetas(l));
+    }
+    ASSERT_GT(*std::max_element(thetas.back().begin(), thetas.back().end()),
+              0.0f);
+    const Network built(cfg, std::move(weights), std::move(thetas));
+    ASSERT_EQ(built.n_layers(), source.n_layers());
+    for (std::size_t l = 0; l < source.n_layers(); ++l) {
+      EXPECT_TRUE(same_bits(built.weights(l), source.weights(l))) << l;
+      EXPECT_TRUE(same_bits(built.weights_T(l), source.weights_T(l))) << l;
+      EXPECT_TRUE(same_bits(built.thetas(l), source.thetas(l))) << l;
+    }
+    std::uint32_t spikes = 0;
+    for (const auto& image : ds.images) {
+      Rng a(8), b(8);
+      const auto counts = infer_once(built, image, a);
+      EXPECT_EQ(counts, infer_once(source, image, b));
+      EXPECT_EQ(a.next_u64(), b.next_u64());
+      spikes += std::accumulate(counts.begin(), counts.end(), 0u);
+    }
+    EXPECT_GT(spikes, 0u);
+  }
+}
+
+TEST(Network, FromParametersRejectsBadInput) {
+  const auto cfg = deep_config();
+  const Network source(cfg);
+  LayerVectors weights, thetas;
+  for (std::size_t l = 0; l < source.n_layers(); ++l) {
+    weights.push_back(source.weights(l));
+    thetas.push_back(source.thetas(l));
+  }
+  ASSERT_NO_THROW((void)Network(cfg, weights, thetas));
+  // Builds from the stored parameters with one edit applied.
+  const auto build = [&](auto edit) {
+    LayerVectors w = weights, th = thetas;
+    edit(w, th);
+    return Network(cfg, std::move(w), std::move(th));
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+
+  // Layer count, of either list.
+  EXPECT_THROW(build([](LayerVectors& w, LayerVectors&) { w.pop_back(); }),
+               ContractViolation);
+  EXPECT_THROW(build([](LayerVectors&, LayerVectors& th) { th.pop_back(); }),
+               ContractViolation);
+  EXPECT_THROW(build([](LayerVectors& w, LayerVectors& th) {
+                 w.emplace_back();
+                 th.emplace_back();
+               }),
+               ContractViolation);
+  // Weight count.
+  EXPECT_THROW(build([](LayerVectors& w, LayerVectors&) { w[1].pop_back(); }),
+               ContractViolation);
+  EXPECT_THROW(
+      build([](LayerVectors& w, LayerVectors&) { w[2].push_back(0.1f); }),
+      ContractViolation);
+  // Non-finite weights.
+  EXPECT_THROW(build([&](LayerVectors& w, LayerVectors&) { w[1][5] = nan; }),
+               ContractViolation);
+  EXPECT_THROW(build([&](LayerVectors& w, LayerVectors&) { w[2][0] = inf; }),
+               ContractViolation);
+  EXPECT_THROW(build([&](LayerVectors& w, LayerVectors&) { w[0][9] = -inf; }),
+               ContractViolation);
+  // The Q47.16 bound: |w| * 2^16 * 784 must stay below 2^62, so
+  // |w| < 2^46 / 784 ~ 8.98e10 on layer 0.
+  EXPECT_NO_THROW(
+      build([](LayerVectors& w, LayerVectors&) { w[0][3] = 8.9e10f; }));
+  EXPECT_THROW(build([](LayerVectors& w, LayerVectors&) { w[0][3] = 9e10f; }),
+               ContractViolation);
+  EXPECT_THROW(build([](LayerVectors& w, LayerVectors&) { w[0][3] = -9e10f; }),
+               ContractViolation);
+  // Theta count.
+  EXPECT_THROW(
+      build([](LayerVectors&, LayerVectors& th) { th[0].push_back(0.0f); }),
+      ContractViolation);
+  EXPECT_THROW(build([](LayerVectors&, LayerVectors& th) { th[2].pop_back(); }),
+               ContractViolation);
+  // Non-finite thetas.
+  EXPECT_THROW(build([&](LayerVectors&, LayerVectors& th) { th[2][1] = nan; }),
+               ContractViolation);
+  EXPECT_THROW(build([&](LayerVectors&, LayerVectors& th) { th[1][0] = inf; }),
+               ContractViolation);
+  // The config checks of Network(cfg) hold here too.
+  NetworkConfig degenerate = cfg;
+  degenerate.timesteps = 0;
+  EXPECT_THROW((void)Network(degenerate, weights, thetas),
+               ContractViolation);
+}
+
+// ------------------------------------------- training against the oracle
 
 /// The same `per_layer` weights of every layer of both networks, drawn
 /// from `rng`, set to w_min or w_max through weights_delta and mirrored —

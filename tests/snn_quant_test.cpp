@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -108,6 +109,22 @@ TEST(Quant, RejectsShapeMismatchAndNegativeWeights) {
   q.codes = {1, 2, 3};  // 3 != 4
   q.row_scale = {1.0f, 1.0f};
   EXPECT_THROW((void)dequantize(q), ContractViolation);
+  // One scale for two rows: the second row would read past row_scale.
+  q.codes = {1, 2, 3, 4};
+  q.row_scale = {1.0f};
+  EXPECT_THROW((void)dequantize(q), ContractViolation);
+  // 2 x 2^63 wraps to 0, which an empty matrix must not match.
+  EXPECT_THROW((void)quantize({}, 2, std::size_t{1} << 63),
+               ContractViolation);
+  q.codes.clear();
+  q.row_scale = {1.0f, 1.0f};
+  q.n_inputs = std::size_t{1} << 63;
+  EXPECT_THROW((void)dequantize(q), ContractViolation);
+  // An infinite weight makes its row's scale infinite and its own code
+  // lround(inf / inf), a NaN.
+  std::vector<float> inf_row(4, 0.5f);
+  inf_row[1] = std::numeric_limits<float>::infinity();
+  EXPECT_THROW((void)quantize(inf_row, 1, 4), ContractViolation);
 }
 
 }  // namespace

@@ -32,23 +32,27 @@ inline void oracle_stdp_post_update(float* w_row, std::size_t n_inputs,
   }
 }
 
-/// Rescales every row of every layer to sum to norm_target, one row at a
-/// time (rows summing to <= 0 are left alone), then rebuilds the
+/// Rescales every row of one layer's row-major weights (`ni` inputs per
+/// row) to sum to `target`, one row at a time; rows summing to <= 0 are
+/// left alone.
+inline void oracle_normalize_layer(std::span<float> w, std::size_t ni,
+                                   float target) {
+  for (std::size_t n = 0; n * ni < w.size(); ++n) {
+    float* row = w.data() + n * ni;
+    float sum = 0.0f;
+    for (std::size_t i = 0; i < ni; ++i) sum += row[i];
+    if (sum <= 0.0f) continue;
+    const float scale = target / sum;
+    for (std::size_t i = 0; i < ni; ++i) row[i] *= scale;
+  }
+}
+
+/// oracle_normalize_layer on every layer of `net`, then rebuilds the
 /// transposes from the row-major result.
 inline void oracle_normalize_rows(snn::Network& net) {
-  const float target = net.config().norm_target;
-  for (std::size_t l = 0; l < net.n_layers(); ++l) {
-    const std::span<float> w = net.weights_delta(l);
-    const std::size_t ni = net.config().layer_inputs(l);
-    for (std::size_t n = 0; n < net.config().layer_neurons(l); ++n) {
-      float* row = w.data() + n * ni;
-      float sum = 0.0f;
-      for (std::size_t i = 0; i < ni; ++i) sum += row[i];
-      if (sum <= 0.0f) continue;
-      const float scale = target / sum;
-      for (std::size_t i = 0; i < ni; ++i) row[i] *= scale;
-    }
-  }
+  for (std::size_t l = 0; l < net.n_layers(); ++l)
+    oracle_normalize_layer(net.weights_delta(l), net.config().layer_inputs(l),
+                           net.config().norm_target);
   net.sync_transpose();
 }
 
@@ -115,9 +119,9 @@ class OracleLif {
 
 /// One training sample on `net`, row-major: the reference for
 /// Network::train_step (same draws, same spikes, same per-weight update
-/// order). Edits the row-major weights in place through weights_delta;
-/// the closing normalisation rebuilds the transposes. Returns the output
-/// layer's spike counts.
+/// order). Trains copies of the weights and thresholds, normalises the
+/// weights, and replaces `net` with a network built from the result.
+/// Returns the output layer's spike counts.
 inline std::vector<std::uint32_t> oracle_train_step(
     snn::Network& net, const std::vector<float>& image, Rng& rng) {
   const snn::NetworkConfig& cfg = net.config();
@@ -131,6 +135,12 @@ inline std::vector<std::uint32_t> oracle_train_step(
   snn::PoissonEncoder encoder(cfg.max_rate);
   encoder.set_image(image);
 
+  std::vector<std::vector<float>> weights, thetas;
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    weights.push_back(net.weights(l));
+    thetas.push_back(net.thetas(l));
+  }
+
   std::vector<std::uint32_t> counts(cfg.layer_neurons(n_layers - 1), 0);
   std::vector<std::uint32_t> in_spikes;
   std::vector<std::vector<std::uint32_t>> out_spikes(n_layers);
@@ -141,7 +151,7 @@ inline std::vector<std::uint32_t> oracle_train_step(
     for (std::size_t l = 0; l < n_layers; ++l) {
       const std::size_t ni = cfg.layer_inputs(l);
       const std::size_t nn = cfg.layer_neurons(l);
-      const std::span<float> w = net.weights_delta(l);
+      std::vector<float>& w = weights[l];
       traces[l].step(*spikes);
       current.assign(nn, 0.0f);
       if (!spikes->empty()) {
@@ -152,7 +162,7 @@ inline std::vector<std::uint32_t> oracle_train_step(
           current[n] = acc;
         }
       }
-      lif[l].train_step(current, net.thetas_mut(l), out_spikes[l]);
+      lif[l].train_step(current, thetas[l], out_spikes[l]);
       for (const auto s : out_spikes[l]) {
         if (l + 1 == n_layers) ++counts[s];
         oracle_stdp_post_update(w.data() + std::size_t{s} * ni, ni,
@@ -161,7 +171,9 @@ inline std::vector<std::uint32_t> oracle_train_step(
       spikes = &out_spikes[l];
     }
   }
-  oracle_normalize_rows(net);
+  for (std::size_t l = 0; l < n_layers; ++l)
+    oracle_normalize_layer(weights[l], cfg.layer_inputs(l), cfg.norm_target);
+  net = snn::Network(cfg, std::move(weights), std::move(thetas));
   return counts;
 }
 
