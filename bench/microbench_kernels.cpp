@@ -3,6 +3,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "core/pipeline.hpp"
 #include "data/dataset.hpp"
 #include "dram/controller.hpp"
@@ -161,6 +163,48 @@ void BM_InjectorBuild(benchmark::State& state) {
                           static_cast<int64_t>(n_weights) * 32);
 }
 BENCHMARK(BM_InjectorBuild)->DenseRange(0, 4);
+
+// Six injectors over overlapping placements (windows of one baseline walk,
+// each shifted by a quarter window): Arg 0 builds each standalone, Arg 1
+// enumerates one weak-cell map over all six and selects each from it.
+void BM_InjectorFromMap(benchmark::State& state) {
+  const auto g = dram::Geometry::lpddr3_4gb();
+  const error::SubarrayProfile profile(g, 1);
+  const std::size_t n_weights = 784 * 100;
+  const std::size_t window = mapping::chunks_for_weights(g, n_weights);
+  const auto walk =
+      mapping::baseline_placement_layers(g, {n_weights * 9 / 4})[0];
+  std::vector<error::ChunkPlacement> places;
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto first =
+        walk.begin() + static_cast<std::ptrdiff_t>(i * window / 4);
+    places.emplace_back(first, first + static_cast<std::ptrdiff_t>(window));
+  }
+  const bool shared = state.range(0) == 1;
+  std::size_t distinct = 0;
+  for (auto _ : state) {
+    if (shared) {
+      error::WeakCellMap map(g, profile, {}, 1, 1e-3);
+      for (const auto& place : places) map.add(place);
+      distinct = map.size();
+      for (const auto& place : places) {
+        const error::ErrorInjector inj(map, place, n_weights * sizeof(float),
+                                       1e-3);
+        benchmark::DoNotOptimize(&inj);
+      }
+    } else {
+      for (const auto& place : places) {
+        auto inj = error::ErrorInjector::for_weights(g, profile, {}, place,
+                                                     n_weights, 1, 1e-3);
+        benchmark::DoNotOptimize(&inj);
+      }
+    }
+  }
+  state.SetLabel(shared ? "one map, " + std::to_string(distinct) + " of " +
+                               std::to_string(6 * window) + " chunks distinct"
+                         : "standalone");
+}
+BENCHMARK(BM_InjectorFromMap)->DenseRange(0, 1);
 
 void BM_InjectorInject(benchmark::State& state) {
   const auto g = dram::Geometry::lpddr3_4gb();

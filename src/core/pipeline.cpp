@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
@@ -104,10 +105,13 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
   const auto t_start = now();
 
   // --- Data + baseline model (accurate DRAM). -----------------------------
-  const auto all = data::make_dataset(
-      cfg.task, cfg.train_samples + cfg.test_samples, cfg.seed);
-  const auto train = all.take(cfg.train_samples);
-  const auto test = all.drop(cfg.train_samples);
+  // The full set is only split: it dies here, not at the end of the run.
+  const auto [train, test] = [&] {
+    const auto all = data::make_dataset(
+        cfg.task, cfg.train_samples + cfg.test_samples, cfg.seed);
+    return std::pair{all.take(cfg.train_samples),
+                     all.drop(cfg.train_samples)};
+  }();
 
   auto baseline = snn::train_and_label(cfg.network, train, test,
                                        cfg.baseline_epochs, rng);
@@ -134,12 +138,22 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
   const auto base_places =
       mapping::baseline_placement_layers(cfg.geometry, layer_weights);
   const double max_stage_ber = cfg.fault_training.ber_stages.back();
+  // One weak-cell map serves every injector of the run: a cell's score
+  // does not depend on the BER, so each distinct chunk is enumerated once,
+  // at the largest BER any injector below asks for.
+  double map_ber = max_stage_ber;
+  for (const double v : cfg.voltages)
+    map_ber = std::max(map_ber, std::max(ber_model.ber(v), 1e-12));
+  std::optional<error::WeakCellMap> weak_cells;
+  weak_cells.emplace(cfg.geometry, profile, cfg.error_model, cfg.seed,
+                     map_ber);
+  for (const auto& chunks : base_places) weak_cells->add(chunks);
   std::vector<error::ErrorInjector> train_injectors;
   train_injectors.reserve(n_layers);
   for (std::size_t l = 0; l < n_layers; ++l)
-    train_injectors.push_back(error::ErrorInjector::for_weights(
-        cfg.geometry, profile, cfg.error_model, base_places[l],
-        layer_weights[l], cfg.seed, max_stage_ber));
+    train_injectors.emplace_back(*weak_cells, base_places[l],
+                                 layer_weights[l] * sizeof(float),
+                                 max_stage_ber);
   LayerInjectors train_injector_ptrs;
   for (const auto& inj : train_injectors) train_injector_ptrs.push_back(&inj);
 
@@ -221,7 +235,58 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
     report.baseline_time_ns += base_te.stats.total_time_ns;
   }
 
-  // --- Per-voltage: Algorithm 2 mapping + accuracy + energy. ---------------
+  // --- Per-voltage plans: ECC rungs + Algorithm 2 mapping. -----------------
+  // Pure functions of the learned thresholds (no Rng), computed up front so
+  // every placement joins the weak-cell map before the sweep reads it.
+  struct VoltagePlan {
+    double module_ber = 0.0;
+    std::vector<std::size_t> scheme_idx;
+    std::vector<std::size_t> stored_weights;
+    std::vector<mapping::LayerPlacement> placement;
+  };
+  std::vector<VoltagePlan> plans(cfg.voltages.size());
+  parallel_for(cfg.voltages.size(), [&](std::size_t vi) {
+    VoltagePlan& plan = plans[vi];
+    plan.module_ber = ber_model.ber(cfg.voltages[vi]);
+    // Per-layer ECC scheme assignment: walk the escalation ladder to the
+    // weakest code whose tolerable raw BER (at this layer's learned
+    // post-correction tolerance) covers the operating BER — a layer whose
+    // BER_th is not met at this voltage escalates its code BEFORE the
+    // placement has to relax capacity. The code's absorption also raises
+    // the layer's effective placement threshold, and the check bits join
+    // the layer's stored footprint (placement + streamed traffic).
+    plan.scheme_idx.assign(n_layers, 0);
+    std::vector<double> place_th = report.layer_ber_th;
+    plan.stored_weights = layer_weights;
+    if (ecc_on) {
+      for (std::size_t l = 0; l < n_layers; ++l) {
+        std::size_t k = 0;
+        while (k + 1 < ecc_ladder.size() &&
+               ecc_ladder[k]->tolerable_raw_ber(report.layer_ber_th[l]) <
+                   plan.module_ber)
+          ++k;
+        plan.scheme_idx[l] = k;
+        place_th[l] = std::max(
+            report.layer_ber_th[l],
+            ecc_ladder[k]->tolerable_raw_ber(report.layer_ber_th[l]));
+        plan.stored_weights[l] =
+            layer_weights[l] +
+            error::ecc_check_float_equiv(*ecc_ladder[k], layer_weights[l]);
+      }
+    }
+    // Algorithm 2 per layer: each layer's weights go into its own region of
+    // safe subarrays at ITS tolerance threshold; if a layer's learned
+    // BER_th is too strict to fit at this operating BER, the placement
+    // relaxes it to the smallest feasible threshold and reports that
+    // honestly (LayerPlacement::capacity_relaxed).
+    plan.placement = mapping::sparkxd_placement_layers(
+        cfg.geometry, profile, plan.module_ber, place_th,
+        plan.stored_weights);
+  });
+  for (const VoltagePlan& plan : plans)
+    for (const auto& lp : plan.placement) weak_cells->add(lp.chunks);
+
+  // --- Per-voltage: accuracy + energy. --------------------------------------
   // Voltages are independent given the trained model, so the sweep runs
   // concurrently: each voltage forks its own Rng stream from the sweep index
   // and fills its own report slot, keeping the report bit-identical at every
@@ -230,45 +295,14 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
   const Rng sweep_rng = rng;
   parallel_for(cfg.voltages.size(), [&](std::size_t vi) {
     const double v = cfg.voltages[vi];
+    const VoltagePlan& plan = plans[vi];
+    const auto& scheme_idx = plan.scheme_idx;
+    const auto& stored_weights = plan.stored_weights;
+    const auto& placement = plan.placement;
     Rng vrng = sweep_rng.fork(vi);
     VoltageReport row;
     row.v_supply = v;
-    row.module_ber = ber_model.ber(v);
-
-    // Per-layer ECC scheme assignment: walk the escalation ladder to the
-    // weakest code whose tolerable raw BER (at this layer's learned
-    // post-correction tolerance) covers the operating BER — a layer whose
-    // BER_th is not met at this voltage escalates its code BEFORE the
-    // placement has to relax capacity. The code's absorption also raises
-    // the layer's effective placement threshold, and the check bits join
-    // the layer's stored footprint (placement + streamed traffic).
-    std::vector<std::size_t> scheme_idx(n_layers, 0);
-    std::vector<double> place_th = report.layer_ber_th;
-    std::vector<std::size_t> stored_weights = layer_weights;
-    if (ecc_on) {
-      for (std::size_t l = 0; l < n_layers; ++l) {
-        std::size_t k = 0;
-        while (k + 1 < ecc_ladder.size() &&
-               ecc_ladder[k]->tolerable_raw_ber(report.layer_ber_th[l]) <
-                   row.module_ber)
-          ++k;
-        scheme_idx[l] = k;
-        place_th[l] = std::max(
-            report.layer_ber_th[l],
-            ecc_ladder[k]->tolerable_raw_ber(report.layer_ber_th[l]));
-        stored_weights[l] =
-            layer_weights[l] +
-            error::ecc_check_float_equiv(*ecc_ladder[k], layer_weights[l]);
-      }
-    }
-
-    // Algorithm 2 per layer: each layer's weights go into its own region of
-    // safe subarrays at ITS tolerance threshold; if a layer's learned
-    // BER_th is too strict to fit at this operating BER, the placement
-    // relaxes it to the smallest feasible threshold and reports that
-    // honestly (LayerPlacement::capacity_relaxed).
-    const auto placement = mapping::sparkxd_placement_layers(
-        cfg.geometry, profile, row.module_ber, place_th, stored_weights);
+    row.module_ber = plan.module_ber;
     for (const auto& lp : placement) {
       row.capacity_relaxed |= lp.capacity_relaxed;
       row.safe_subarrays = std::max(row.safe_subarrays, lp.safe_subarrays);
@@ -279,9 +313,9 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
     std::vector<error::ErrorInjector> eval_injectors;
     eval_injectors.reserve(n_layers);
     for (std::size_t l = 0; l < n_layers; ++l)
-      eval_injectors.push_back(error::ErrorInjector::for_weights(
-          cfg.geometry, profile, cfg.error_model, placement[l].chunks,
-          layer_weights[l], cfg.seed, std::max(row.module_ber, 1e-12)));
+      eval_injectors.emplace_back(*weak_cells, placement[l].chunks,
+                                  layer_weights[l] * sizeof(float),
+                                  std::max(row.module_ber, 1e-12));
     LayerInjectors eval_ptrs;
     for (const auto& inj : eval_injectors) eval_ptrs.push_back(&inj);
     // With ECC on, the injectors above target the payload words only
@@ -369,6 +403,7 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
                                 : 0.0;
     report.per_voltage[vi] = row;
   });
+  weak_cells.reset();
 
   // --- Per-layer operating-point search (EnforceSNN/EDEN completion). ------
   // A pure function of state the pipeline already computed (per-layer

@@ -29,16 +29,20 @@
 // true-/anti-cell layouts — the same 0.5 flip probability the voltage weak
 // cells use, so both axes share one injection path.
 //
-// The module has two halves. ErrorInjector decides WHICH cells are weak:
-// it enumerates the candidates once per placement up to a maximum BER
-// (concurrently across chunks — the enumeration is stateless hashing, see
-// common/parallel; Model-1 draws each bitline multiplier once per distinct
-// bitline run of the placement, not once per bit) and freezes the prefix
-// weak at one BER into a FrozenInjection. FrozenInjection decides which
-// weak cells FLIP on one read: it is the only flip loop, one Bernoulli draw
-// per entry in table order. EDEN-style, an operating point is a fixed set
-// of weak cells, so every caller freezes once per BER and injects through
-// the table as often as it reads.
+// The module has three parts. WeakCellMap enumerates: it scores every cell
+// of each distinct burst chunk once, up to the largest BER a run will ask
+// for (concurrently across chunks — the enumeration is stateless hashing,
+// see common/parallel; Model-1 draws each bitline multiplier once per
+// distinct bitline run in the map, not once per bit). Because a cell's
+// score does not depend on the BER, one map serves every placement and
+// every operating point of a run. ErrorInjector selects: for one placement
+// and one maximum BER it gathers its chunks' candidates from the map and
+// freezes the prefix weak at one BER into a FrozenInjection.
+// FrozenInjection flips: it decides which weak cells FLIP on one read and
+// is the only flip loop, one Bernoulli draw per entry in table order.
+// EDEN-style, an operating point is a fixed set of weak cells, so every
+// caller freezes once per BER and injects through the table as often as
+// it reads.
 //
 // The flip loop is representation-agnostic: weak cells are enumerated at
 // byte granularity, so the same table corrupts FP32 weights (inject) and
@@ -52,6 +56,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -180,11 +185,78 @@ class FrozenInjection {
   std::size_t n_payload_bytes_ = 0;
 };
 
+/// The weak-cell candidates of every burst chunk added to it, enumerated
+/// once per distinct chunk at BERs up to `max_ber` (the map's cut-off). A
+/// chunk is keyed by the linear address of its first byte, so chunks that
+/// start off the burst grid or overlap another chunk are separate entries
+/// with exactly the cells their own start implies. Every bit of the burst
+/// is scored, so any payload that ends inside a chunk finds its cells.
+///
+/// The map refers to `profile` and must not outlive it. Build it once per
+/// run at the largest BER the run needs, add every placement the run will
+/// inject through, then share it const across the injectors built from it.
+class WeakCellMap {
+ public:
+  /// One weak-cell candidate of a chunk: bit `bit` of the burst (payload
+  /// byte bit/8 of the chunk, bit bit%8 within it). Weak at BER b iff
+  /// score < 2*b; retention failures carry a negative score.
+  struct Candidate {
+    double score;
+    std::uint32_t bit;
+  };
+
+  WeakCellMap(const dram::Geometry& geometry, const SubarrayProfile& profile,
+              const ErrorModelSpec& spec, std::uint64_t seed, double max_ber);
+
+  /// Enumerates the chunks of `placement` that the map does not hold yet;
+  /// chunks already present are not scored again.
+  void add(std::span<const dram::Address> placement);
+
+  /// Candidates of each chunk of `placement` (in placement order; each
+  /// list in bit order), valid until the next add(). Throws
+  /// ContractViolation when a chunk was never added.
+  [[nodiscard]] std::vector<std::span<const Candidate>> chunks(
+      std::span<const dram::Address> placement) const;
+
+  [[nodiscard]] const dram::Geometry& geometry() const noexcept {
+    return geometry_;
+  }
+  [[nodiscard]] const ErrorModelSpec& spec() const noexcept { return spec_; }
+  [[nodiscard]] double max_ber() const noexcept { return max_ber_; }
+  /// Number of distinct chunks enumerated.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return chunk_index_.size();
+  }
+
+ private:
+  /// (key, slot) pairs sorted by key; slot indexes a per-entry table.
+  using Index = std::vector<std::pair<std::uint64_t, std::size_t>>;
+
+  dram::Geometry geometry_;
+  const SubarrayProfile* profile_;
+  ErrorModelSpec spec_;
+  std::uint64_t seed_;
+  double max_ber_;
+
+  Index chunk_index_;  ///< linear start address -> chunk slot
+  /// CSR offsets: chunk slot s owns candidates_[offsets_[s], offsets_[s+1]).
+  std::vector<std::size_t> offsets_{0};
+  std::vector<Candidate> candidates_;  ///< per chunk, in bit order
+  Index run_index_;                    ///< Model-1 bitline run -> run slot
+  std::vector<double> run_mult_;  ///< burst_bytes*8 multipliers per run slot
+};
+
 class ErrorInjector {
  public:
-  /// Enumerates weak-cell candidates for `n_payload_bytes` bytes laid out
-  /// through `placement`, at BERs up to `max_ber`. The last chunk may be
-  /// partially used.
+  /// Selects the weak-cell candidates of `n_payload_bytes` bytes laid out
+  /// through `placement` at BERs up to `max_ber` (<= the map's cut-off)
+  /// from a map that holds every chunk the payload reaches. The last chunk
+  /// may be partially used.
+  ErrorInjector(const WeakCellMap& map, const ChunkPlacement& placement,
+                std::size_t n_payload_bytes, double max_ber);
+
+  /// Standalone build: enumerates a map over `placement` at `max_ber` and
+  /// selects from it.
   ErrorInjector(const dram::Geometry& geometry,
                 const SubarrayProfile& profile, const ErrorModelSpec& spec,
                 ChunkPlacement placement, std::size_t n_payload_bytes,
@@ -230,11 +302,6 @@ class ErrorInjector {
     std::uint8_t bit;          ///< 0 (LSB) .. 7 within the byte
     double score;              ///< weak at BER b iff score < 2*b
   };
-
-  /// Score assigned to retention-failure candidates: below every BER
-  /// threshold, so they are weak at any injection BER (they sort to the
-  /// front of the candidate list).
-  static constexpr double kRetentionScore = -1.0;
 
   std::vector<Candidate> candidates_;  ///< sorted ascending by score
   std::size_t retention_candidates_ = 0;

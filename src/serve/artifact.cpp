@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "snn/model_io.hpp"
@@ -23,6 +24,24 @@ template <typename T>
 void read_pod(std::istream& is, T& v) {
   is.read(reinterpret_cast<char*>(&v), sizeof(T));
   SPARKXD_REQUIRE(is.good(), "truncated artifact file");
+}
+
+/// Reads `n` fixed-size records in one block. The caller bounds `n` before
+/// calling, so the buffer is never sized from an unchecked count; a short
+/// read is a truncated file.
+std::vector<char> read_records(std::istream& is, std::size_t n,
+                               std::size_t record_bytes) {
+  std::vector<char> buf(n * record_bytes);
+  is.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+  SPARKXD_REQUIRE(is.good(), "truncated artifact file");
+  return buf;
+}
+
+/// Decodes one field from a record block and advances past it.
+template <typename T>
+const char* take(const char* p, T& v) {
+  std::memcpy(&v, p, sizeof(T));
+  return p + sizeof(T);
 }
 
 void write_string(std::ostream& os, const std::string& s) {
@@ -63,14 +82,16 @@ error::ChunkPlacement read_placement(std::istream& is, std::size_t n_weights) {
                   "artifact placement has more chunks than the layer has "
                   "weights");
   error::ChunkPlacement p(static_cast<std::size_t>(n));
+  const auto block = read_records(is, p.size(), 7 * sizeof(std::uint32_t));
+  const char* q = block.data();
   for (auto& a : p) {
-    read_pod(is, a.channel);
-    read_pod(is, a.rank);
-    read_pod(is, a.chip);
-    read_pod(is, a.bank);
-    read_pod(is, a.subarray);
-    read_pod(is, a.row);
-    read_pod(is, a.column);
+    q = take(q, a.channel);
+    q = take(q, a.rank);
+    q = take(q, a.chip);
+    q = take(q, a.bank);
+    q = take(q, a.subarray);
+    q = take(q, a.row);
+    q = take(q, a.column);
   }
   return p;
 }
@@ -108,9 +129,12 @@ error::FrozenInjection read_frozen(std::istream& is, std::size_t n_weights) {
                   "artifact frozen table has more entries than payload bits");
   std::vector<error::FrozenInjection::Entry> entries(
       static_cast<std::size_t>(n));
+  const auto block = read_records(
+      is, entries.size(), sizeof(std::uint32_t) + sizeof(std::uint8_t));
+  const char* q = block.data();
   for (auto& e : entries) {
-    read_pod(is, e.word);
-    read_pod(is, e.bit);
+    q = take(q, e.word);
+    q = take(q, e.bit);
   }
   // from_parts re-validates every entry against the payload size.
   return error::FrozenInjection::from_parts(std::move(entries), ber, p0, p1,

@@ -724,5 +724,131 @@ TEST(InjectorEnumeration, ChunkOverrunningItsRowThrows) {
   }
 }
 
+// ------------------------------------------------------------ weak-cell map
+
+/// A payload laid out through a placement, as an injector sees it.
+struct Layout {
+  ChunkPlacement place;
+  std::size_t n_payload_bytes;
+};
+
+/// Overlapping layouts: a baseline slice ending in a partly used chunk, a
+/// second slice starting inside the first, an Algorithm-2 placement and the
+/// unaligned starts of UnalignedStartColumnsArePinned (column 3 overlaps
+/// the baseline's first chunk).
+std::vector<Layout> overlapping_layouts(const dram::Geometry& g,
+                                        const SubarrayProfile& profile) {
+  const auto base = mapping::baseline_placement_layers(g, {3000})[0];
+  return {
+      {base, 1003 * sizeof(float)},
+      {ChunkPlacement(base.begin() + 100, base.end()), 2000 * sizeof(float)},
+      {mapping::sparkxd_placement_layers(g, profile, 1e-3, {1e-3}, {1500})[0]
+           .chunks,
+       1500 * sizeof(float)},
+      {{at(0, 0, 3), at(0, 1, 5), at(2, 7, 504), at(0, 2, 3)}, 3 * 32 + 13},
+  };
+}
+
+TEST(WeakCellMap, InjectorsMatchStandaloneBuilds) {
+  const auto g = geom();
+  const std::uint64_t seed = 7;
+  const SubarrayProfile profile(g, seed);
+  const auto layouts = overlapping_layouts(g, profile);
+  std::size_t placed_chunks = 0;
+  for (const auto& lay : layouts) placed_chunks += lay.place.size();
+  const double cutoff = 1e-2;
+  for (const bool retention : {false, true}) {
+    for (const auto kind :
+         {ErrorModelKind::kModel0Uniform, ErrorModelKind::kModel1Bitline,
+          ErrorModelKind::kModel2Wordline,
+          ErrorModelKind::kModel3DataDependent}) {
+      ErrorModelSpec spec = retention ? spec_with_retention(32.0)
+                                      : ErrorModelSpec{};
+      spec.kind = kind;
+      WeakCellMap map(g, profile, spec, seed, cutoff);
+      for (const auto& lay : layouts) map.add(lay.place);
+      std::size_t retention_cells = 0;
+      EXPECT_LT(map.size(), placed_chunks);  // overlaps enumerated once
+      for (const auto& lay : layouts) {
+        for (const double ber : {0.0, 1e-4, 1e-3, cutoff}) {
+          const ErrorInjector alone(g, profile, spec, lay.place,
+                                    lay.n_payload_bytes, seed, ber);
+          const ErrorInjector shared(map, lay.place, lay.n_payload_bytes,
+                                     ber);
+          EXPECT_EQ(shared.candidate_count(), alone.candidate_count());
+          EXPECT_EQ(shared.retention_candidate_count(),
+                    alone.retention_candidate_count());
+          EXPECT_EQ(shared.expected_flips(ber), alone.expected_flips(ber));
+          EXPECT_EQ(shared.freeze(ber).entries(), alone.freeze(ber).entries());
+          retention_cells += alone.retention_candidate_count();
+        }
+      }
+      EXPECT_EQ(retention, retention_cells > 0);
+    }
+  }
+}
+
+TEST(WeakCellMap, AddingAChunkTwiceEnumeratesItOnce) {
+  const auto g = geom();
+  const SubarrayProfile profile(g, 3);
+  WeakCellMap map(g, profile, {}, 3, 1e-2);
+  const ChunkPlacement place = {at(0, 0, 0), at(0, 0, 8), at(0, 0, 0)};
+  map.add(place);
+  EXPECT_EQ(map.size(), 2u);
+  const auto span = map.chunks(place)[0];
+  const std::vector<WeakCellMap::Candidate> first(span.begin(), span.end());
+  map.add(place);
+  map.add(ChunkPlacement{at(0, 0, 3)});  // overlaps chunk 0 from elsewhere
+  EXPECT_EQ(map.size(), 3u);
+  const auto again = map.chunks(place)[2];
+  ASSERT_EQ(again.size(), first.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(again[i].bit, first[i].bit);
+    EXPECT_EQ(again[i].score, first[i].score);
+  }
+}
+
+TEST(WeakCellMap, RejectsChunksItLacksAndBersAboveItsCutoff) {
+  const auto g = geom();
+  const SubarrayProfile profile(g, 5);
+  WeakCellMap map(g, profile, {}, 5, 1e-3);
+  const ChunkPlacement place = {at(0, 0, 0), at(0, 0, 8)};
+  map.add(place);
+  EXPECT_NO_THROW((void)ErrorInjector(map, place, 64, 1e-3));
+  // A chunk the map was never given.
+  EXPECT_THROW((void)ErrorInjector(map, {at(0, 0, 0), at(0, 0, 16)}, 64, 1e-3),
+               ContractViolation);
+  EXPECT_THROW((void)map.chunks(ChunkPlacement{at(1, 0, 0)}),
+               ContractViolation);
+  // A BER the map did not enumerate up to.
+  EXPECT_THROW((void)ErrorInjector(map, place, 64, 2e-3), ContractViolation);
+  EXPECT_THROW((void)ErrorInjector(map, place, 64, -1.0), ContractViolation);
+  // A cut-off outside the modelled range, and an address off the device.
+  EXPECT_THROW((void)WeakCellMap(g, profile, {}, 5, 0.6), ContractViolation);
+  EXPECT_THROW(map.add(ChunkPlacement{at(0, 0, g.columns_per_row)}),
+               ContractViolation);
+}
+
+TEST(WeakCellMap, PayloadOverrunningItsRowThrows) {
+  // The map scores the whole burst of a chunk that starts in a row's last
+  // column; the injector still rejects a payload that reaches past the row.
+  const auto g = geom();
+  const SubarrayProfile profile(g, 5);
+  const std::uint32_t last = g.columns_per_row - 1;
+  const ChunkPlacement place = {at(0, 0, 0), at(0, 1, last)};
+  for (const auto kind :
+       {ErrorModelKind::kModel0Uniform, ErrorModelKind::kModel1Bitline}) {
+    ErrorModelSpec spec;
+    spec.kind = kind;
+    WeakCellMap map(g, profile, spec, 5, 1e-3);
+    EXPECT_NO_THROW(map.add(place));
+    EXPECT_THROW((void)ErrorInjector(map, place, 2 * 32, 1e-3),
+                 ContractViolation);
+    EXPECT_THROW((void)ErrorInjector(map, place, 32 + 5, 1e-3),
+                 ContractViolation);
+    EXPECT_NO_THROW((void)ErrorInjector(map, place, 32 + 4, 1e-3));
+  }
+}
+
 }  // namespace
 }  // namespace sparkxd::error

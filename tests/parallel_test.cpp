@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -205,6 +207,37 @@ TEST(ParallelDeterminism, InjectorEnumerationIsThreadCountInvariant) {
   EXPECT_EQ(count_1, count_4);
   EXPECT_GT(count_1, 0u);
   EXPECT_EQ(bits_1, bits_4);
+}
+
+TEST(ParallelDeterminism, WeakCellMapIsThreadCountInvariant) {
+  // Model-1 also draws the bitline-run memo concurrently.
+  const auto g = dram::Geometry::lpddr3_4gb();
+  const error::SubarrayProfile profile(g, 42);
+  error::ErrorModelSpec spec;
+  spec.kind = error::ErrorModelKind::kModel1Bitline;
+  auto places = mapping::baseline_placement_layers(g, {60000, 40000});
+  places.push_back(mapping::sparkxd_placement_layers(g, profile, 1e-3, {1e-3},
+                                                     {50000})[0]
+                       .chunks);
+
+  const auto build_at = [&](const char* threads_value) {
+    ThreadsOverride threads(threads_value);
+    error::WeakCellMap map(g, profile, spec, 42, 1e-3);
+    for (const auto& place : places) map.add(place);
+    std::vector<std::pair<double, std::uint32_t>> cells;
+    for (const auto& place : places)
+      for (const auto& chunk : map.chunks(place))
+        for (const auto& c : chunk) cells.emplace_back(c.score, c.bit);
+    const error::ErrorInjector inj(map, places[2], 50000 * sizeof(float),
+                                   1e-3);
+    return std::tuple{map.size(), cells, inj.freeze(1e-3).entries()};
+  };
+
+  const auto at_1 = build_at("1");
+  const auto at_4 = build_at("4");
+  EXPECT_GT(std::get<0>(at_1), 0u);
+  EXPECT_GT(std::get<1>(at_1).size(), 0u);
+  EXPECT_EQ(at_1, at_4);
 }
 
 }  // namespace
