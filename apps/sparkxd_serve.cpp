@@ -2,7 +2,8 @@
 //
 // Loads a serving artifact (sparkxd_run --export-artifact) once, then
 // serves classify requests over the length-prefixed TCP protocol
-// (src/serve/protocol.hpp) with an admission queue and dynamic batching.
+// (src/serve/protocol.hpp) with an admission queue. A worker starts as
+// soon as a request is queued, taking whatever else is already waiting.
 // SIGTERM/SIGINT triggers a graceful drain: every admitted request is
 // answered, then the process exits 0 with final counters on stderr.
 // SIGHUP hot-reloads the artifact file: the new file is loaded and
@@ -12,8 +13,8 @@
 // generation serving.
 //
 //   sparkxd_serve --artifact model.sxda [--port N] [--port-file FILE]
-//                 [--workers N] [--max-batch N] [--max-wait-us N]
-//                 [--max-queue N] [--read-deadline-ms N]
+//                 [--workers N] [--max-batch N] [--max-queue N]
+//                 [--read-deadline-ms N]
 //                 [--request-deadline-us N] [--max-conns N]
 //                 [--watchdog-ms N]
 //
@@ -65,9 +66,8 @@ void print_usage(std::FILE* to) {
       "  --port-file FILE   write the resolved port to FILE once listening\n"
       "                     (temp file + atomic rename)\n"
       "  --workers N        worker threads, one engine each (default 1)\n"
-      "  --max-batch N      batch size ceiling (default 16)\n"
-      "  --max-wait-us N    batching linger after the first queued request\n"
-      "                     (default 200)\n"
+      "  --max-batch N      most queued requests one worker takes at once;\n"
+      "                     a worker never waits for more (default 16)\n"
       "  --max-queue N      admission-queue bound; overflowing classify\n"
       "                     requests get a kQueueFull reply instead of\n"
       "                     growing memory (default 4096)\n"
@@ -136,9 +136,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-batch") {
       config.max_batch = static_cast<std::size_t>(
           parse_count("--max-batch", next("--max-batch"), 1, 1 << 20));
-    } else if (arg == "--max-wait-us") {
-      config.max_wait_us = static_cast<std::uint64_t>(
-          parse_count("--max-wait-us", next("--max-wait-us"), 0, 60'000'000));
     } else if (arg == "--max-queue") {
       config.max_queue = static_cast<std::size_t>(
           parse_count("--max-queue", next("--max-queue"), 1, 1 << 24));
@@ -178,12 +175,9 @@ int main(int argc, char** argv) {
     server.start();
     std::fprintf(stderr,
                  "sparkxd_serve: serving scenario '%s' on 127.0.0.1:%u "
-                 "(%zu workers, batch<=%zu, wait<=%lluus, V=%.4f, "
-                 "BER=%.3e)\n",
+                 "(%zu workers, batch<=%zu, V=%.4f, BER=%.3e)\n",
                  artifact->scenario.c_str(), server.port(), config.workers,
-                 config.max_batch,
-                 static_cast<unsigned long long>(config.max_wait_us),
-                 artifact->v_supply, artifact->module_ber);
+                 config.max_batch, artifact->v_supply, artifact->module_ber);
     artifact.reset();  // the server owns its generations from here on
     if (!port_file.empty() && !write_port_file(port_file, server.port())) {
       std::fprintf(stderr, "sparkxd_serve: cannot write port file '%s'\n",

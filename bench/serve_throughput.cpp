@@ -5,7 +5,9 @@
 // up a loopback sparkxd serve::Server, replays a fixed deterministic
 // request stream against it, and reports throughput + latency percentiles
 // per configuration as sparkxd-bench-v1 phases ("serve_w1", "serve_w2",
-// ...). The reply digest MUST be identical across every worker count — the
+// ...). A first phase, "serve_w1_lone", sends one request at a time over
+// one connection to one worker: its latency is service time with no
+// queueing. The reply digest MUST be identical across every phase — the
 // serving determinism contract — and the exit code enforces it, so this
 // bench doubles as a concurrency regression check while CI archives the
 // numbers as a trend artifact (no thresholds).
@@ -13,11 +15,12 @@
 //   serve_throughput [--json serve_throughput.json]
 //
 // Honours SPARKXD_SCALE / SPARKXD_SEED for the artifact workload. Exit
-// codes: 0 ok, 1 digest divergence across worker counts, 2 bad usage.
+// codes: 0 ok, 1 digest divergence across phases, 2 bad usage.
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -65,20 +68,34 @@ int main(int argc, char** argv) {
   while (worker_counts.size() > 2 && worker_counts.back() > hw)
     worker_counts.pop_back();
 
+  // The lone phase sends one request at a time over one connection, so
+  // nothing ever queues behind another request: its latency is the
+  // server's own wait plus service time.
+  struct Phase {
+    std::string name;
+    std::size_t workers, connections, window;
+  };
+  std::vector<Phase> phases = {{"serve_w1_lone", 1, 1, 1}};
+  for (const std::size_t workers : worker_counts)
+    phases.push_back({"serve_w" + std::to_string(workers), workers,
+                      options.connections, options.window});
+
   bench::BenchReport report("serve_throughput");
-  Table tbl("serve_throughput", {"workers", "req/s", "p50 us", "p95 us",
+  Table tbl("serve_throughput", {"phase", "req/s", "p50 us", "p95 us",
                                  "p99 us", "batches", "digest"});
   bool diverged = false;
   std::uint64_t reference_digest = 0;
-  for (const std::size_t workers : worker_counts) {
+  for (const Phase& ph : phases) {
     serve::ServerConfig config;
-    config.workers = workers;
+    config.workers = ph.workers;
     config.max_batch = 8;
-    config.max_wait_us = 100;
     serve::Server server(artifact, config);
     server.start();
+    serve::ClientOptions phase_options = options;
+    phase_options.connections = ph.connections;
+    phase_options.window = ph.window;
     const auto stats = serve::replay("127.0.0.1", server.port(), pool,
-                                     options);
+                                     phase_options);
     const auto server_stats = server.stats();
     server.request_stop();
     server.wait();
@@ -90,7 +107,7 @@ int main(int argc, char** argv) {
     const double p95 = percentile(stats.latency_us, 95.0);
     const double p99 = percentile(stats.latency_us, 99.0);
 
-    if (workers == worker_counts.front()) {
+    if (&ph == &phases.front()) {
       reference_digest = stats.digest;
     } else if (stats.digest != reference_digest) {
       diverged = true;
@@ -99,12 +116,11 @@ int main(int argc, char** argv) {
     char digest_hex[32];
     std::snprintf(digest_hex, sizeof(digest_hex), "%016" PRIx64,
                   stats.digest);
-    tbl.add_row({std::to_string(workers), Table::num(rps, 0),
-                 Table::num(p50, 0), Table::num(p95, 0), Table::num(p99, 0),
+    tbl.add_row({ph.name, Table::num(rps, 0), Table::num(p50, 0),
+                 Table::num(p95, 0), Table::num(p99, 0),
                  std::to_string(server_stats.batches), digest_hex});
 
-    auto& phase = report.add_phase("serve_w" + std::to_string(workers),
-                                   stats.replies,
+    auto& phase = report.add_phase(ph.name, stats.replies,
                                    static_cast<double>(stats.wall_ns));
     phase.metrics.emplace_back("rps", rps);
     phase.metrics.emplace_back("p50_us", p50);
@@ -120,12 +136,12 @@ int main(int argc, char** argv) {
 
   if (diverged) {
     std::fprintf(stderr,
-                 "serve_throughput: reply digest DIVERGED across worker "
-                 "counts — the serving determinism contract is broken\n");
+                 "serve_throughput: reply digest DIVERGED across phases "
+                 "— the serving determinism contract is broken\n");
     return 1;
   }
-  std::printf("digest stable across %zu worker configurations\n",
-              worker_counts.size());
+  std::printf("digest stable across %zu serving configurations\n",
+              phases.size());
   if (json_path != nullptr && !report.write(json_path)) return 2;
   return 0;
 }

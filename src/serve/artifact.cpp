@@ -44,6 +44,13 @@ const char* take(const char* p, T& v) {
   return p + sizeof(T);
 }
 
+/// Encodes one field into a record block and advances past it.
+template <typename T>
+char* put(char* p, const T& v) {
+  std::memcpy(p, &v, sizeof(T));
+  return p + sizeof(T);
+}
+
 void write_string(std::ostream& os, const std::string& s) {
   write_pod(os, static_cast<std::uint64_t>(s.size()));
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
@@ -61,15 +68,18 @@ std::string read_string(std::istream& is) {
 
 void write_placement(std::ostream& os, const error::ChunkPlacement& p) {
   write_pod(os, static_cast<std::uint64_t>(p.size()));
+  std::vector<char> block(p.size() * 7 * sizeof(std::uint32_t));
+  char* q = block.data();
   for (const auto& a : p) {
-    write_pod(os, a.channel);
-    write_pod(os, a.rank);
-    write_pod(os, a.chip);
-    write_pod(os, a.bank);
-    write_pod(os, a.subarray);
-    write_pod(os, a.row);
-    write_pod(os, a.column);
+    q = put(q, a.channel);
+    q = put(q, a.rank);
+    q = put(q, a.chip);
+    q = put(q, a.bank);
+    q = put(q, a.subarray);
+    q = put(q, a.row);
+    q = put(q, a.column);
   }
+  os.write(block.data(), static_cast<std::streamsize>(block.size()));
 }
 
 /// Reads one layer's placement: a layer of `n_weights` weights occupies at
@@ -103,10 +113,14 @@ void write_frozen(std::ostream& os, const error::FrozenInjection& f) {
   write_pod(os, static_cast<std::uint8_t>(f.data_dependent() ? 1 : 0));
   write_pod(os, static_cast<std::uint64_t>(f.payload_bytes()));
   write_pod(os, static_cast<std::uint64_t>(f.entries().size()));
+  std::vector<char> block(f.entries().size() *
+                          (sizeof(std::uint32_t) + sizeof(std::uint8_t)));
+  char* q = block.data();
   for (const auto& e : f.entries()) {
-    write_pod(os, e.word);
-    write_pod(os, e.bit);
+    q = put(q, e.word);
+    q = put(q, e.bit);
   }
+  os.write(block.data(), static_cast<std::streamsize>(block.size()));
 }
 
 /// Reads one layer's frozen table. The payload must be the layer's FP32

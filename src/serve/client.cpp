@@ -10,6 +10,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,6 +33,10 @@ int connect_to(const std::string& host, std::uint16_t port) {
     ::close(fd);
     SPARKXD_REQUIRE(false, "cannot connect to the serving port");
   }
+  // Requests are small frames; Nagle would hold a pipelined one back
+  // until the server ACKs the previous one.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
 }
 

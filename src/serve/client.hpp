@@ -84,7 +84,8 @@ struct ReplayStats {
   std::vector<double> latency_us;
 };
 
-/// Blocking TCP connect to host:port; throws ContractViolation on failure.
+/// Blocking TCP connect to host:port with TCP_NODELAY set; throws
+/// ContractViolation on failure.
 [[nodiscard]] int connect_to(const std::string& host, std::uint16_t port);
 
 /// Drives `options.requests` classify requests from the image pool and

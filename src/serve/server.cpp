@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -163,6 +164,10 @@ void Server::accept_loop() {
       ::close(fd);
       continue;
     }
+    // Replies are small frames written as soon as they are ready; Nagle
+    // would hold one back until the peer ACKs the previous one.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     live_conns_.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_shared<Connection>(fd);
     {
@@ -288,17 +293,10 @@ void Server::worker_loop(std::size_t worker_index) {
                (stopping_.load() && accept_done_ && active_readers_ == 0);
       });
       if (queue_.empty()) return;  // fully drained, nothing can arrive
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      const auto deadline = Clock::now() +
-                            std::chrono::microseconds(config_.max_wait_us);
-      while (batch.size() < config_.max_batch) {
-        if (queue_.empty()) {
-          if (stopping_.load()) break;  // draining: don't linger for more
-          const bool arrived = queue_cv_.wait_until(
-              lock, deadline, [this] { return !queue_.empty(); });
-          if (!arrived) break;  // deadline hit: run what we have
-        }
+      // Work-conserving: take what is already queued and start at once.
+      // Engine::classify runs a batch's jobs one by one, so waiting for
+      // stragglers would only delay this batch's replies.
+      while (!queue_.empty() && batch.size() < config_.max_batch) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }

@@ -15,10 +15,11 @@
 //                        its connection evicted (slow-loris defense); a
 //                        CRC failure is answered kBadFrame and the
 //                        connection closed (stream sync is gone)
-//   worker threads       each owns a serve::Engine; pops a batch (up to
-//                        max_batch jobs, waiting at most max_wait_us for
-//                        stragglers after the first), classifies, writes
-//                        replies under the owning connection's write mutex.
+//   worker threads       each owns a serve::Engine; as soon as a job is
+//                        queued, pops whatever is already there (up to
+//                        max_batch jobs, never waiting for more),
+//                        classifies, writes replies under the owning
+//                        connection's write mutex.
 //                        A job that waited past request_deadline_us is
 //                        answered kDeadlineExceeded instead of classified
 //   watchdog thread      (when watchdog_stall_ms > 0) samples per-worker
@@ -27,9 +28,12 @@
 //                        and logged — the loud-failure signal for a wedged
 //                        engine
 //
-// Batching is a throughput lever only: replies are deterministic per
-// request (see engine.hpp), so batch boundaries and worker assignment are
-// unobservable in the payloads.
+// A batch only amortises the queue lock and the generation check: the
+// engine classifies its jobs one at a time, so lingering for stragglers
+// would buy no throughput. Replies are deterministic per request (see
+// engine.hpp), so batch boundaries and worker assignment are unobservable
+// in the payloads. Both ends set TCP_NODELAY: every frame is small and
+// written whole, so Nagle's delay would only hold it back.
 //
 // Hot reload: reload() validates and atomically installs a new refcounted
 // artifact generation. Workers notice before their next batch and rebuild
@@ -61,7 +65,6 @@ struct ServerConfig {
   std::uint16_t port = 0;       ///< 0 = ephemeral; read back via port()
   std::size_t workers = 1;      ///< engines (and threads) draining the queue
   std::size_t max_batch = 16;   ///< batch size ceiling
-  std::uint64_t max_wait_us = 200;  ///< linger for stragglers after job #1
   /// Admission-queue bound (backpressure): a classify frame arriving while
   /// the queue already holds this many jobs is answered with kQueueFull
   /// instead of being admitted — memory stays bounded under overload and

@@ -337,24 +337,49 @@ TEST_F(ServeChaosTest, EvictionWithPendingReplyStillAnswersAdmittedJob) {
   // corrupt) the pending reply path: the server writes the reply to the
   // (shut-down) socket and moves on. The observable contract: the server
   // neither crashes nor leaks the job, and a healthy client is unaffected.
+  constexpr std::size_t kBacklog = 2000;
   ServerConfig config;
   config.read_deadline_ms = 40;
-  config.max_wait_us = 200'000;  // hold the batch until the eviction lands
   Server server(*artifact_, config);
   server.start();
+
+  // A backlog queued from a second connection ahead of request 0 keeps the
+  // one worker busy, so request 0's reply is most likely still pending
+  // when the eviction lands. The stats request is answered inline by that
+  // connection's reader once every frame before it has been admitted.
+  const int backlog_fd = connect_to("127.0.0.1", server.port());
+  std::thread backlog_writer([&] {
+    for (std::size_t i = 0; i < kBacklog; ++i)
+      ASSERT_TRUE(write_frame(backlog_fd, encode_classify(request(i))));
+    ASSERT_TRUE(write_frame(backlog_fd, encode_stats_request()));
+  });
+  std::vector<std::uint8_t> payload;
+  std::size_t backlog_replies = 0;
+  bool admitted = false;
+  while (!admitted && read_frame(backlog_fd, payload)) {
+    admitted = frame_type(payload) == MsgType::kStatsReply;
+    if (!admitted) ++backlog_replies;
+  }
+  backlog_writer.join();
+  ASSERT_TRUE(admitted);
 
   const int fd = connect_to("127.0.0.1", server.port());
   ASSERT_TRUE(write_frame(fd, encode_classify(request(0))));
   const auto wire = frame_wire_bytes(encode_classify(request(1)), false);
   ASSERT_TRUE(send_bytes(fd, wire.data(), 5));  // start, never finish
-  std::vector<std::uint8_t> payload;
   // We may or may not see the reply before the eviction closes the stream;
-  // both are legal. What must not happen is a hang or a server crash.
+  // both are legal. What must not happen is a hang or a server crash. Read
+  // until the stream ends so the eviction has landed before we close.
   try {
-    (void)read_frame(fd, payload);
+    while (read_frame(fd, payload)) {
+    }
   } catch (const ContractViolation&) {
   }
   ::close(fd);
+
+  for (; backlog_replies < kBacklog; ++backlog_replies)
+    ASSERT_TRUE(read_frame(backlog_fd, payload));
+  ::close(backlog_fd);
 
   ClientOptions options;
   options.requests = 8;

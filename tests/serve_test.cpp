@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -240,7 +243,6 @@ TEST_F(ServeTest, ServerDigestMatchesSerialAcrossConfigs) {
     ServerConfig server_config;
     server_config.workers = c.workers;
     server_config.max_batch = c.max_batch;
-    server_config.max_wait_us = 100;
     Server server(*artifact_, server_config);
     server.start();
 
@@ -444,7 +446,6 @@ TEST_F(ServeTest, WatchdogCountsWorkersStuckPastStallBound) {
   ServerConfig server_config;
   server_config.workers = 1;
   server_config.max_batch = 128;
-  server_config.max_wait_us = 2000;
   server_config.watchdog_stall_ms = 1;
   Server server(*artifact_, server_config);
   server.start();
@@ -462,6 +463,49 @@ TEST_F(ServeTest, WatchdogCountsWorkersStuckPastStallBound) {
   EXPECT_EQ(server_stats.served, kRequests);
   EXPECT_GE(server_stats.wedged_events, 1u)
       << "no batch outlived a 1ms stall bound";
+}
+
+TEST_F(ServeTest, BatchesStillFormUnderLoad) {
+  // Workers never wait for stragglers, but a flood still queues behind a
+  // busy worker, and the next pop takes that backlog as one batch (capped
+  // at max_batch). Batching changes no reply.
+  constexpr std::size_t kRequests = 256;
+  auto expected = serial_replies(*artifact_, kRequests);
+  const std::uint64_t expected_digest = digest_replies(expected);
+  ServerConfig server_config;
+  server_config.workers = 1;
+  server_config.max_batch = 16;
+  Server server(*artifact_, server_config);
+  server.start();
+
+  ClientOptions options;
+  options.requests = kRequests;
+  options.window = kRequests;
+  options.base_seed = kBaseSeed;
+  const auto stats = replay("127.0.0.1", server.port(), *pool_, options);
+  EXPECT_EQ(stats.replies, kRequests);
+  EXPECT_EQ(stats.digest, expected_digest);
+
+  server.request_stop();
+  server.wait();
+  const auto server_stats = server.stats();
+  EXPECT_EQ(server_stats.served, kRequests);
+  EXPECT_LT(server_stats.batches, server_stats.served)
+      << "no batch held more than one job";
+  EXPECT_LE(server_stats.batch_hist.size(), 16u);
+}
+
+TEST_F(ServeTest, ConnectToDisablesNagle) {
+  Server server(*artifact_, ServerConfig{});
+  server.start();
+  const int fd = connect_to("127.0.0.1", server.port());
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_NE(nodelay, 0);
+  ::close(fd);
+  server.request_stop();
+  server.wait();
 }
 
 TEST_F(ServeTest, HotReloadSwapsGenerationWithoutDroppingConnections) {
