@@ -22,7 +22,7 @@ using namespace sparkxd;
 void BM_LifStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool infer = state.range(1) != 0;
-  snn::LifLayer layer(n, snn::LifParams{}, 1.0f);
+  snn::LifLayer layer(n);
   std::vector<float> current(n, 0.05f);
   std::vector<float> theta(n, 0.0f);
   std::vector<std::uint32_t> spikes;
@@ -44,9 +44,8 @@ void BM_StdpUpdate(benchmark::State& state) {
   const std::size_t ni = 784;
   std::vector<float> w(ni, 0.1f);
   std::vector<float> x(ni, 0.5f);
-  const snn::StdpParams p;
   for (auto _ : state) {
-    snn::stdp_post_update(w.data(), ni, x, p);
+    snn::stdp_post_update(w.data(), ni, x);
     benchmark::DoNotOptimize(w.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(ni));

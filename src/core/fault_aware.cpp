@@ -10,8 +10,9 @@
 
 namespace sparkxd::core {
 
-void require_weight_clip(float weight_clip, float w_min) {
-  SPARKXD_REQUIRE(std::isfinite(weight_clip) && weight_clip > w_min,
+void require_weight_clip(float weight_clip) {
+  SPARKXD_REQUIRE(std::isfinite(weight_clip) &&
+                      weight_clip > snn::StdpParams::w_min,
                   "weight clip must be finite and exceed the weight floor");
 }
 
@@ -90,7 +91,7 @@ double evaluate_frozen(const snn::Network& net,
   const std::size_t n_layers = net.n_layers();
   SPARKXD_REQUIRE(tables.size() == n_layers && ecc.size() == n_layers,
                   "need one injector and one ecc slot per network layer");
-  const error::SanitizeRange clip{net.config().stdp.w_min, weight_clip};
+  const error::SanitizeRange clip{snn::StdpParams::w_min, weight_clip};
   // One parent draw keys this call's trial substreams: every trial owns an
   // independent Rng pair and every worker a private corruptible weight
   // copy, so trials run concurrently and the mean is bit-identical at any
@@ -125,15 +126,9 @@ double evaluate_frozen(const snn::Network& net,
   for (const double a : accs) acc_sum += a;
   if (totals != nullptr) {
     totals->assign(n_layers, EccScrubTotals{});
-    for (std::size_t t = 0; t < trials; ++t) {
-      for (std::size_t l = 0; l < n_layers; ++l) {
-        const error::EccScrubStats& st = trial_stats[t * n_layers + l];
-        (*totals)[l].codewords += st.codewords;
-        (*totals)[l].corrected += st.corrected;
-        (*totals)[l].detected += st.detected;
-        (*totals)[l].bits_corrected += st.bits_corrected;
-      }
-    }
+    for (std::size_t t = 0; t < trials; ++t)
+      for (std::size_t l = 0; l < n_layers; ++l)
+        (*totals)[l] += trial_stats[t * n_layers + l];
   }
   return acc_sum / static_cast<double>(trials);
 }
@@ -161,7 +156,7 @@ double evaluate_corrupted_ecc(const snn::Network& net,
                               const data::Dataset& test, Rng& rng,
                               std::size_t trials, float weight_clip,
                               std::vector<EccScrubTotals>* totals) {
-  require_weight_clip(weight_clip, net.config().stdp.w_min);
+  require_weight_clip(weight_clip);
   // The flip candidates at this BER are the same for every trial: freeze
   // them once per corrupted layer and share the tables read-only across
   // the whole fan-out.
@@ -193,10 +188,9 @@ FaultAwareResult improve_error_tolerance(const snn::TrainedModel& baseline,
   const std::size_t n_layers = baseline.net.n_layers();
   SPARKXD_REQUIRE(injectors.size() == n_layers,
                   "need one injector slot per network layer");
-  require_weight_clip(cfg.weight_clip, baseline.net.config().stdp.w_min);
 
   const double target = baseline.clean_accuracy - cfg.accuracy_bound;
-  const error::SanitizeRange sanitize{baseline.net.config().stdp.w_min,
+  const error::SanitizeRange sanitize{snn::StdpParams::w_min,
                                       cfg.weight_clip};
   std::vector<error::FrozenInjection> frozen;
   LayerTables tables;

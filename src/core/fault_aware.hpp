@@ -40,17 +40,16 @@ struct FaultTrainingConfig {
                                     1e-5, 1e-4, 1e-3};
   /// Target accuracy bound: accuracy must stay within this of the error-free
   /// baseline (paper: 1%).
-  double accuracy_bound = 0.01;
+  static constexpr double accuracy_bound = 0.01;
   /// Injections of fresh error draws per accuracy evaluation (averaged).
   std::size_t eval_trials = 1;
-  /// Range-clipping bound applied when corrupted weights are loaded; must
-  /// be finite and above the STDP weight floor (see require_weight_clip).
-  float weight_clip = kDefaultWeightClip;
+  /// Range-clipping bound applied when corrupted weights are loaded.
+  static constexpr float weight_clip = kDefaultWeightClip;
 };
 
-/// Throws ContractViolation unless `weight_clip` is finite and exceeds
-/// `w_min`: the clip range [w_min, weight_clip] must be non-empty.
-void require_weight_clip(float weight_clip, float w_min);
+/// Throws ContractViolation unless `weight_clip` is finite and exceeds the
+/// STDP weight floor: the clip range [w_min, weight_clip] must be non-empty.
+void require_weight_clip(float weight_clip);
 
 /// One (BER, accuracy) point of an error-tolerance curve.
 struct TolerancePoint {
@@ -133,12 +132,7 @@ class CorruptionScratch {
 
 /// Scrub statistics accumulated over all Monte-Carlo trials of one
 /// evaluate_corrupted_ecc call, per layer.
-struct EccScrubTotals {
-  std::uint64_t codewords = 0;
-  std::uint64_t corrected = 0;
-  std::uint64_t detected = 0;
-  std::uint64_t bits_corrected = 0;
-};
+using EccScrubTotals = error::EccScrubStats;
 
 /// Evaluates a model whose weights are corrupted at `ber`: every non-null
 /// entry of `injectors` corrupts its layer's weights each trial, and

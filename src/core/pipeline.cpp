@@ -19,7 +19,6 @@ void PipelineConfig::validate() const {
                   "network must have inputs and neurons");
   for (const std::size_t h : network.hidden_neurons)
     SPARKXD_REQUIRE(h > 0, "hidden layer sizes must be positive");
-  require_weight_clip(fault_training.weight_clip, network.stdp.w_min);
   SPARKXD_REQUIRE(!fault_training.ber_stages.empty(),
                   "fault-training schedule needs at least one BER stage");
   for (std::size_t i = 0; i < fault_training.ber_stages.size(); ++i) {

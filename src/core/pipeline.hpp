@@ -69,7 +69,7 @@ struct PipelineConfig {
   LayerKnobsConfig layer_knobs;
   std::uint64_t seed = 42;
   /// Lognormal spread of per-subarray error rates.
-  double subarray_sigma = 0.8;
+  static constexpr double subarray_sigma = 0.8;
 
   /// Validates the configuration; throws ContractViolation with a specific
   /// message on the first problem found. Checks sample counts, the BER

@@ -184,10 +184,6 @@ void Canvas::affine(double radians, double scale, double dx_px, double dy_px) {
   px_ = std::move(out);
 }
 
-void Canvas::clamp01() {
-  for (float& p : px_) p = std::clamp(p, 0.0f, 1.0f);
-}
-
 std::vector<float> Canvas::take() {
   std::vector<float> out = std::move(px_);
   px_.assign(width_ * height_, 0.0f);

@@ -44,9 +44,6 @@ class Canvas {
   /// scale by `scale`, then translate by (dx, dy) pixels (bilinear resample).
   void affine(double radians, double scale, double dx_px, double dy_px);
 
-  /// Clamps all pixels into [0, 1].
-  void clamp01();
-
   /// Extracts the buffer (leaves the canvas cleared to black).
   [[nodiscard]] std::vector<float> take();
 

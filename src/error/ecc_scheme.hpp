@@ -192,6 +192,14 @@ struct EccScrubStats {
   std::size_t corrected = 0;       ///< codewords fully restored
   std::size_t detected = 0;        ///< codewords flagged uncorrectable
   std::size_t bits_corrected = 0;  ///< total bits flipped back
+
+  EccScrubStats& operator+=(const EccScrubStats& o) noexcept {
+    codewords += o.codewords;
+    corrected += o.corrected;
+    detected += o.detected;
+    bits_corrected += o.bits_corrected;
+    return *this;
+  }
 };
 
 /// Encodes a clean weight buffer: check_words() words per codeword,

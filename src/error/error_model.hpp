@@ -36,13 +36,13 @@ enum class ErrorModelKind : std::uint8_t {
 struct ErrorModelSpec {
   ErrorModelKind kind = ErrorModelKind::kModel0Uniform;
   /// Model-3 only: flip probability of a weak cell storing 1 (p1) or 0 (p0).
-  /// Kept averaging to the weak-cell failure probability 0.5 so all four
+  /// They average to the weak-cell failure probability 0.5, so all four
   /// models produce the same expected BER for random data.
-  double p1 = 0.75;
-  double p0 = 0.25;
+  static constexpr double p1 = 0.75;
+  static constexpr double p0 = 0.25;
   /// Lognormal spread of the per-bitline (Model-1) / per-wordline (Model-2)
   /// weakness multipliers.
-  double stripe_sigma = 1.0;
+  static constexpr double stripe_sigma = 1.0;
   /// Retention-failure component (error/retention.hpp): an independent
   /// refresh-axis error source that COMPOSES with all four voltage models —
   /// the injector adds the retention-weak cells of the active refresh

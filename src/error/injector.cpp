@@ -95,9 +95,6 @@ WeakCellMap::WeakCellMap(const dram::Geometry& geometry,
       max_ber_(max_ber) {
   SPARKXD_REQUIRE(max_ber >= 0.0 && max_ber <= 0.5,
                   "max BER outside the modelled range");
-  SPARKXD_REQUIRE(spec.p0 >= 0.0 && spec.p0 <= 1.0 && spec.p1 >= 0.0 &&
-                      spec.p1 <= 1.0,
-                  "Model-3 flip probabilities must be probabilities");
   spec.retention.validate();
 }
 

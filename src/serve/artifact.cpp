@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/contracts.hpp"
+#include "common/pod_io.hpp"
 #include "snn/model_io.hpp"
 
 namespace sparkxd::serve {
@@ -14,17 +15,7 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'X', 'D', 'A'};
 constexpr std::uint32_t kVersion = 1;
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-void read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  SPARKXD_REQUIRE(is.good(), "truncated artifact file");
-}
+constexpr const char* kTruncated = "truncated artifact file";
 
 /// Reads `n` fixed-size records in one block. The caller bounds `n` before
 /// calling, so the buffer is never sized from an unchecked count; a short
@@ -33,7 +24,7 @@ std::vector<char> read_records(std::istream& is, std::size_t n,
                                std::size_t record_bytes) {
   std::vector<char> buf(n * record_bytes);
   is.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-  SPARKXD_REQUIRE(is.good(), "truncated artifact file");
+  SPARKXD_REQUIRE(is.good(), kTruncated);
   return buf;
 }
 
@@ -58,11 +49,11 @@ void write_string(std::ostream& os, const std::string& s) {
 
 std::string read_string(std::istream& is) {
   std::uint64_t n = 0;
-  read_pod(is, n);
+  read_pod(is, n, kTruncated);
   SPARKXD_REQUIRE(n <= 4096, "artifact string length is absurd");
   std::string s(static_cast<std::size_t>(n), '\0');
   is.read(s.data(), static_cast<std::streamsize>(n));
-  SPARKXD_REQUIRE(is.good(), "truncated artifact file");
+  SPARKXD_REQUIRE(is.good(), kTruncated);
   return s;
 }
 
@@ -87,7 +78,7 @@ void write_placement(std::ostream& os, const error::ChunkPlacement& p) {
 /// vector is allocated.
 error::ChunkPlacement read_placement(std::istream& is, std::size_t n_weights) {
   std::uint64_t n = 0;
-  read_pod(is, n);
+  read_pod(is, n, kTruncated);
   SPARKXD_REQUIRE(n <= n_weights,
                   "artifact placement has more chunks than the layer has "
                   "weights");
@@ -128,17 +119,17 @@ void write_frozen(std::ostream& os, const error::FrozenInjection& f) {
 /// declared entry count before the vector is allocated.
 error::FrozenInjection read_frozen(std::istream& is, std::size_t n_weights) {
   double ber = 0.0, p0 = 0.0, p1 = 0.0;
-  read_pod(is, ber);
-  read_pod(is, p0);
-  read_pod(is, p1);
+  read_pod(is, ber, kTruncated);
+  read_pod(is, p0, kTruncated);
+  read_pod(is, p1, kTruncated);
   std::uint8_t dd = 0;
-  read_pod(is, dd);
+  read_pod(is, dd, kTruncated);
   SPARKXD_REQUIRE(dd <= 1, "artifact data-dependence flag is corrupt");
   std::uint64_t payload = 0, n = 0;
-  read_pod(is, payload);
+  read_pod(is, payload, kTruncated);
   SPARKXD_REQUIRE(payload == n_weights * sizeof(float),
                   "artifact frozen table does not cover the layer weights");
-  read_pod(is, n);
+  read_pod(is, n, kTruncated);
   SPARKXD_REQUIRE(n <= payload * 8,
                   "artifact frozen table has more entries than payload bits");
   std::vector<error::FrozenInjection::Entry> entries(
@@ -166,7 +157,7 @@ void ServingArtifact::validate() const {
                       module_ber < 1.0,
                   "artifact module BER must lie in [0, 1)");
   const auto& cfg = model.net.config();
-  core::require_weight_clip(weight_clip, cfg.stdp.w_min);
+  core::require_weight_clip(weight_clip);
   SPARKXD_REQUIRE(layers.size() == model.net.n_layers(),
                   "artifact needs one layer entry per network layer");
   for (std::size_t l = 0; l < layers.size(); ++l) {
@@ -233,28 +224,28 @@ ServingArtifact load_artifact(const std::string& path) {
   SPARKXD_REQUIRE(is.good() && std::memcmp(magic, kMagic, 4) == 0,
                   "not a SparkXD serving artifact");
   std::uint32_t version = 0;
-  read_pod(is, version);
+  read_pod(is, version, kTruncated);
   SPARKXD_REQUIRE(version == kVersion, "unsupported artifact version");
   const std::string scenario = read_string(is);
   double v_supply = 0.0, module_ber = 0.0;
   float weight_clip = 0.0f;
-  read_pod(is, v_supply);
-  read_pod(is, module_ber);
-  read_pod(is, weight_clip);
+  read_pod(is, v_supply, kTruncated);
+  read_pod(is, module_ber, kTruncated);
+  read_pod(is, weight_clip, kTruncated);
   ServingArtifact art(snn::load_model(static_cast<std::istream&>(is)));
   art.scenario = scenario;
   art.v_supply = v_supply;
   art.module_ber = module_ber;
   art.weight_clip = weight_clip;
   std::uint64_t n_layers = 0;
-  read_pod(is, n_layers);
+  read_pod(is, n_layers, kTruncated);
   SPARKXD_REQUIRE(n_layers == art.model.net.n_layers(),
                   "artifact layer count does not match the stored model");
   art.layers.reserve(static_cast<std::size_t>(n_layers));
   const auto& cfg = art.model.net.config();
   for (std::size_t l = 0; l < n_layers; ++l) {
     LayerArtifact layer;
-    read_pod(is, layer.ber_th);
+    read_pod(is, layer.ber_th, kTruncated);
     layer.placement = read_placement(is, cfg.layer_weight_count(l));
     layer.frozen = read_frozen(is, cfg.layer_weight_count(l));
     art.layers.push_back(std::move(layer));

@@ -8,22 +8,16 @@
 
 namespace sparkxd::snn {
 
-LifLayer::LifLayer(std::size_t n, const LifParams& p, float dt_ms)
-    : p_(p),
-      decay_m_(std::exp(-dt_ms / p.tau_m_ms)),
-      decay_theta_(std::exp(-dt_ms / p.tau_theta_ms)),
-      v_(n, p.v_rest),
+LifLayer::LifLayer(std::size_t n)
+    : decay_m_(std::exp(-NetworkConfig::dt_ms / LifParams::tau_m_ms)),
+      decay_theta_(std::exp(-NetworkConfig::dt_ms / LifParams::tau_theta_ms)),
+      v_(n, LifParams::v_rest),
       refractory_(n, 0) {
   SPARKXD_REQUIRE(n > 0, "LIF layer must have at least one neuron");
-  SPARKXD_REQUIRE(p.tau_m_ms > 0.0f && p.tau_theta_ms > 0.0f,
-                  "time constants must be positive");
-  SPARKXD_REQUIRE(dt_ms > 0.0f, "dt must be positive");
-  SPARKXD_REQUIRE(p.v_thresh > p.v_reset,
-                  "threshold must sit above the reset potential");
 }
 
 void LifLayer::reset_dynamics() {
-  std::fill(v_.begin(), v_.end(), p_.v_rest);
+  std::fill(v_.begin(), v_.end(), LifParams::v_rest);
   std::fill(refractory_.begin(), refractory_.end(), 0);
 }
 
@@ -31,7 +25,7 @@ bool LifLayer::silent_at_rest(const std::vector<float>& theta) const {
   SPARKXD_REQUIRE(theta.size() == v_.size(),
                   "theta width must match layer size");
   for (const float th : theta)
-    if (!(p_.v_rest < p_.v_thresh + th)) return false;
+    if (!(LifParams::v_rest < LifParams::v_thresh + th)) return false;
   return true;
 }
 
@@ -39,6 +33,10 @@ template <class Theta>
 void LifLayer::step(const std::vector<float>& input_current, Theta& theta,
                     std::vector<std::uint32_t>& spikes_out) {
   constexpr bool plastic = !std::is_const_v<Theta>;
+  constexpr float v_rest = LifParams::v_rest;
+  constexpr float v_reset = LifParams::v_reset;
+  constexpr float v_thresh = LifParams::v_thresh;
+  constexpr float inhibition = LifParams::inhibition;
   SPARKXD_REQUIRE(input_current.size() == v_.size(),
                   "input current width must match layer size");
   SPARKXD_REQUIRE(theta.size() == v_.size(),
@@ -47,10 +45,8 @@ void LifLayer::step(const std::vector<float>& input_current, Theta& theta,
   float* v = v_.data();
   std::int32_t* refr = refractory_.data();
   const float* cur = input_current.data();
-  // Constants in locals: a store through `v` or `theta` may alias the
+  // Decay factors in locals: a store through `v` or `theta` may alias the
   // members, which would force a reload per neuron.
-  const float v_rest = p_.v_rest;
-  const float v_reset = p_.v_reset;
   const float decay_m = decay_m_;
   const float decay_theta = decay_theta_;
   // Integrate: a refractory neuron is held at reset (its threshold does not
@@ -70,7 +66,6 @@ void LifLayer::step(const std::vector<float>& input_current, Theta& theta,
   // crossings of the others. A held neuron never crosses, even when a
   // negative threshold puts v_thresh + theta below v_reset.
   spikes_out.clear();
-  const float v_thresh = p_.v_thresh;
   for (std::size_t i = 0; i < n; ++i) {
     if (refr[i] > 0) {
       --refr[i];
@@ -79,14 +74,14 @@ void LifLayer::step(const std::vector<float>& input_current, Theta& theta,
     if (v[i] >= v_thresh + theta[i])
       spikes_out.push_back(static_cast<std::uint32_t>(i));
   }
-  const bool compete = plastic || p_.compete_at_inference;
+  if (spikes_out.empty()) return;
   // Hard WTA: of the simultaneous crossings keep only the neuron whose
   // potential exceeds its threshold by the largest margin.
-  if (compete && p_.winner_take_all && spikes_out.size() > 1) {
+  if (spikes_out.size() > 1) {
     std::uint32_t best = spikes_out.front();
-    float best_margin = v_[best] - theta[best];
+    float best_margin = v[best] - theta[best];
     for (const auto s : spikes_out) {
-      const float margin = v_[s] - theta[s];
+      const float margin = v[s] - theta[s];
       if (margin > best_margin) {
         best = s;
         best_margin = margin;
@@ -94,22 +89,16 @@ void LifLayer::step(const std::vector<float>& input_current, Theta& theta,
     }
     spikes_out.assign(1, best);
   }
-  for (const auto s : spikes_out) {
-    v_[s] = p_.v_reset;
-    refractory_[s] = p_.refractory_steps;
-    if constexpr (plastic) theta[s] += p_.theta_plus;
-  }
-  // Lateral inhibition: each spike pushes every *other* neuron down.
-  if (compete && !spikes_out.empty() && p_.inhibition > 0.0f) {
-    const float total =
-        p_.inhibition * static_cast<float>(spikes_out.size());
-    for (std::size_t i = 0; i < n; ++i) v_[i] -= total;
-    // Spiking neurons should not inhibit themselves: undo their own share.
-    for (const auto s : spikes_out) v_[s] += p_.inhibition;
-    // Do not let inhibition push potentials unphysically far below reset.
-    const float floor = p_.v_rest - 5.0f * p_.v_thresh;
-    for (std::size_t i = 0; i < n; ++i) v_[i] = v_[i] < floor ? floor : v_[i];
-  }
+  const std::uint32_t winner = spikes_out.front();
+  v[winner] = v_reset;
+  refr[winner] = LifParams::refractory_steps;
+  if constexpr (plastic) theta[winner] += LifParams::theta_plus;
+  // Lateral inhibition: the spike pushes every *other* neuron down, but
+  // not unphysically far below reset.
+  for (std::size_t i = 0; i < n; ++i) v[i] -= inhibition;
+  v[winner] += inhibition;
+  constexpr float floor = v_rest - 5.0f * v_thresh;
+  for (std::size_t i = 0; i < n; ++i) v[i] = v[i] < floor ? floor : v[i];
 }
 
 void LifLayer::train_step(const std::vector<float>& input_current,

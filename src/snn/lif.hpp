@@ -4,10 +4,10 @@
 // the excitatory layer of the paper's Fig. 4a architecture.
 //
 // The layer holds only per-sample dynamics (potentials, refractory
-// counters) plus its constants. The adaptive thresholds are trained
-// parameters and belong to the caller — snn::Network keeps one vector per
-// layer — so each step takes them as an argument: mutable while training,
-// const at inference.
+// counters); its constants are snn::LifParams. The adaptive thresholds are
+// trained parameters and belong to the caller — snn::Network keeps one
+// vector per layer — so each step takes them as an argument: mutable while
+// training, const at inference.
 
 #include <cstdint>
 #include <vector>
@@ -26,7 +26,8 @@ namespace sparkxd::snn {
 ///   grows by theta_plus per spike.
 class LifLayer {
  public:
-  LifLayer(std::size_t n, const LifParams& p, float dt_ms);
+  /// `n` neurons at rest. Throws ContractViolation when `n` is zero.
+  explicit LifLayer(std::size_t n);
 
   /// Clears membrane potentials and refractory counters.
   void reset_dynamics();
@@ -40,9 +41,8 @@ class LifLayer {
                   std::vector<std::uint32_t>& spikes_out);
 
   /// Inference step: `theta` is frozen (standard for this architecture, so
-  /// inference is deterministic given the weights) and the neurons compete
-  /// only when LifParams::compete_at_inference is set. Same contract as
-  /// train_step.
+  /// inference is deterministic given the weights); the neurons compete as
+  /// in training. Same contract as train_step.
   void infer_step(const std::vector<float>& input_current,
                   const std::vector<float>& theta,
                   std::vector<std::uint32_t>& spikes_out);
@@ -70,7 +70,6 @@ class LifLayer {
   void step(const std::vector<float>& input_current, Theta& theta,
             std::vector<std::uint32_t>& spikes_out);
 
-  LifParams p_;
   float decay_m_;      ///< exp(-dt/tau_m)
   float decay_theta_;  ///< exp(-dt/tau_theta)
   std::vector<float> v_;

@@ -8,6 +8,7 @@
 #include <ostream>
 
 #include "common/contracts.hpp"
+#include "common/pod_io.hpp"
 
 namespace sparkxd::snn {
 
@@ -17,21 +18,11 @@ constexpr char kMagic[4] = {'S', 'X', 'D', 'M'};
 // v2: layer-stack models — hidden layer sizes plus one weight/theta blob
 // per layer replace the single-layer blobs of v1.
 // v3: LifParams/StdpParams are serialized field by field instead of as raw
-// struct images. Raw images leak uninitialized alignment padding (LifParams
-// ends in two bools), so two saves of the same model differed on disk, and
-// the layout silently depended on the compiler's padding choices.
-constexpr std::uint32_t kVersion = 3;
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-void read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  SPARKXD_REQUIRE(is.good(), "truncated model file");
-}
+// struct images (raw images leaked uninitialized alignment padding).
+// v4: the LIF and STDP blocks, dt_ms, max_rate and norm_target are gone:
+// they are compile-time constants (snn/params.hpp), not model identity.
+constexpr std::uint32_t kVersion = 4;
+constexpr const char* kTruncated = "truncated model file";
 
 template <typename T>
 void write_vec(std::ostream& os, const std::vector<T>& v) {
@@ -47,12 +38,12 @@ template <typename T>
 void read_vec(std::istream& is, std::vector<T>& v, std::uint64_t min_elems,
               std::uint64_t max_elems, const char* msg) {
   std::uint64_t n = 0;
-  read_pod(is, n);
+  read_pod(is, n, kTruncated);
   SPARKXD_REQUIRE(n >= min_elems && n <= max_elems, msg);
   v.resize(static_cast<std::size_t>(n));
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(T)));
-  SPARKXD_REQUIRE(is.good(), "truncated model file");
+  SPARKXD_REQUIRE(is.good(), kTruncated);
 }
 
 /// Bytes between the stream's read position and its end.
@@ -84,60 +75,6 @@ void require_payload_fits(const NetworkConfig& cfg, std::uint64_t left) {
   }
 }
 
-void write_bool(std::ostream& os, bool b) {
-  write_pod(os, static_cast<std::uint8_t>(b ? 1 : 0));
-}
-
-void read_bool(std::istream& is, bool& b) {
-  std::uint8_t byte = 0;
-  read_pod(is, byte);
-  b = byte != 0;
-}
-
-void write_lif(std::ostream& os, const LifParams& p) {
-  write_pod(os, p.v_rest);
-  write_pod(os, p.v_reset);
-  write_pod(os, p.v_thresh);
-  write_pod(os, p.tau_m_ms);
-  write_pod(os, static_cast<std::int64_t>(p.refractory_steps));
-  write_pod(os, p.theta_plus);
-  write_pod(os, p.tau_theta_ms);
-  write_pod(os, p.inhibition);
-  write_bool(os, p.winner_take_all);
-  write_bool(os, p.compete_at_inference);
-}
-
-void read_lif(std::istream& is, LifParams& p) {
-  read_pod(is, p.v_rest);
-  read_pod(is, p.v_reset);
-  read_pod(is, p.v_thresh);
-  read_pod(is, p.tau_m_ms);
-  std::int64_t refractory = 0;
-  read_pod(is, refractory);
-  p.refractory_steps = static_cast<int>(refractory);
-  read_pod(is, p.theta_plus);
-  read_pod(is, p.tau_theta_ms);
-  read_pod(is, p.inhibition);
-  read_bool(is, p.winner_take_all);
-  read_bool(is, p.compete_at_inference);
-}
-
-void write_stdp(std::ostream& os, const StdpParams& p) {
-  write_pod(os, p.eta);
-  write_pod(os, p.x_target);
-  write_pod(os, p.tau_pre_ms);
-  write_pod(os, p.w_min);
-  write_pod(os, p.w_max);
-}
-
-void read_stdp(std::istream& is, StdpParams& p) {
-  read_pod(is, p.eta);
-  read_pod(is, p.x_target);
-  read_pod(is, p.tau_pre_ms);
-  read_pod(is, p.w_min);
-  read_pod(is, p.w_max);
-}
-
 }  // namespace
 
 void save_model(const TrainedModel& model, std::ostream& os) {
@@ -150,12 +87,7 @@ void save_model(const TrainedModel& model, std::ostream& os) {
   write_vec(os, std::vector<std::uint64_t>(cfg.hidden_neurons.begin(),
                                            cfg.hidden_neurons.end()));
   write_pod(os, static_cast<std::uint64_t>(cfg.timesteps));
-  write_pod(os, cfg.dt_ms);
-  write_pod(os, cfg.max_rate);
-  write_pod(os, cfg.norm_target);
   write_pod(os, cfg.seed);
-  write_lif(os, cfg.lif);
-  write_stdp(os, cfg.stdp);
 
   for (std::size_t l = 0; l < model.net.n_layers(); ++l) {
     write_vec(os, model.net.weights(l));
@@ -182,26 +114,21 @@ TrainedModel load_model(std::istream& is) {
   SPARKXD_REQUIRE(is.good() && std::memcmp(magic, kMagic, 4) == 0,
                   "not a SparkXD model file");
   std::uint32_t version = 0;
-  read_pod(is, version);
+  read_pod(is, version, kTruncated);
   SPARKXD_REQUIRE(version == kVersion, "unsupported model file version");
 
   NetworkConfig cfg;
   std::uint64_t n_inputs = 0, n_neurons = 0, timesteps = 0;
-  read_pod(is, n_inputs);
-  read_pod(is, n_neurons);
+  read_pod(is, n_inputs, kTruncated);
+  read_pod(is, n_neurons, kTruncated);
   std::vector<std::uint64_t> hidden;
   read_vec(is, hidden, 0, 1024, "model file declares an absurd layer count");
-  read_pod(is, timesteps);
+  read_pod(is, timesteps, kTruncated);
   cfg.n_inputs = static_cast<std::size_t>(n_inputs);
   cfg.n_neurons = static_cast<std::size_t>(n_neurons);
   cfg.hidden_neurons.assign(hidden.begin(), hidden.end());
   cfg.timesteps = static_cast<std::size_t>(timesteps);
-  read_pod(is, cfg.dt_ms);
-  read_pod(is, cfg.max_rate);
-  read_pod(is, cfg.norm_target);
-  read_pod(is, cfg.seed);
-  read_lif(is, cfg.lif);
-  read_stdp(is, cfg.stdp);
+  read_pod(is, cfg.seed, kTruncated);
 
   // The layer payloads are read before the network is built, so the shape
   // must first fit the bytes actually stored. Every payload count below
@@ -230,7 +157,7 @@ TrainedModel load_model(std::istream& is) {
     SPARKXD_REQUIRE(std::isfinite(b),
                     "model file holds a non-finite label bias");
   std::uint64_t num_classes = 0;
-  read_pod(is, num_classes);
+  read_pod(is, num_classes, kTruncated);
   // Every served request votes into num_classes slots indexed by these
   // labels: bound both before a crafted file can reach the readout.
   // Dataset labels are uint8, so labelling never yields more than 256.
@@ -241,7 +168,7 @@ TrainedModel load_model(std::istream& is) {
                     "model file holds a neuron label outside "
                     "[-1, num_classes)");
   model.labels.num_classes = static_cast<std::size_t>(num_classes);
-  read_pod(is, model.clean_accuracy);
+  read_pod(is, model.clean_accuracy, kTruncated);
   return model;
 }
 

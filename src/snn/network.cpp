@@ -1,9 +1,7 @@
 #include "snn/network.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <type_traits>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -16,31 +14,6 @@ namespace {
 /// 1e-5 of a unit threshold while 47 integer bits can absorb any realistic
 /// fan-in without overflow.
 constexpr float kFxScale = 65536.0f;
-
-/// Bitwise equality, so a NaN constant matches itself.
-bool same_bits(float a, float b) noexcept {
-  return std::bit_cast<std::uint32_t>(a) == std::bit_cast<std::uint32_t>(b);
-}
-
-/// Bitwise for floats, == otherwise.
-template <class T>
-bool same_field(T a, T b) noexcept {
-  if constexpr (std::is_same_v<T, float>)
-    return same_bits(a, b);
-  else
-    return a == b;
-}
-
-bool same_lif(const LifParams& a, const LifParams& b) noexcept {
-  // The bindings must name every LifParams field, so a new field breaks
-  // the build here until it is compared too.
-  const auto& [a0, a1, a2, a3, a4, a5, a6, a7, a8, a9] = a;
-  const auto& [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9] = b;
-  return same_field(a0, b0) && same_field(a1, b1) && same_field(a2, b2) &&
-         same_field(a3, b3) && same_field(a4, b4) && same_field(a5, b5) &&
-         same_field(a6, b6) && same_field(a7, b7) && same_field(a8, b8) &&
-         same_field(a9, b9);
-}
 
 /// The config checks of both Network constructors, run before the network
 /// allocates anything. Returns `cfg`.
@@ -58,7 +31,6 @@ const NetworkConfig& require_valid(const NetworkConfig& cfg) {
                         kMaxLayerWeights / cfg.layer_neurons(l),
                     "layer n_in x n_out exceeds 2^32 synapses");
   SPARKXD_REQUIRE(cfg.timesteps > 0, "need at least one timestep per sample");
-  SPARKXD_REQUIRE(cfg.norm_target > 0.0f, "norm_target must be positive");
   return cfg;
 }
 
@@ -90,10 +62,7 @@ std::vector<std::vector<float>> zero_thetas(const NetworkConfig& cfg) {
 }  // namespace
 
 InferenceState::InferenceState(const Network& net)
-    : encoder_(net.cfg_.max_rate),
-      lif_(net.cfg_.lif),
-      dt_ms_(net.cfg_.dt_ms),
-      max_rate_(net.cfg_.max_rate) {
+    : encoder_(NetworkConfig::max_rate) {
   layers_.reserve(net.layers_.size());
   for (const auto& lay : net.layers_)
     layers_.push_back({lay.lif, lay.n_in, std::vector<float>(lay.n_out, 0.0f),
@@ -101,14 +70,14 @@ InferenceState::InferenceState(const Network& net)
 }
 
 Network::Layer::Layer(std::size_t n_in_, std::vector<float> w_,
-                      std::vector<float> theta_, const NetworkConfig& cfg)
+                      std::vector<float> theta_)
     : n_in(n_in_),
       n_out(theta_.size()),
       w(std::move(w_)),
       wt(w.size()),
       theta(std::move(theta_)),
-      lif(n_out, cfg.lif, cfg.dt_ms),
-      traces(n_in_, cfg.stdp.tau_pre_ms, cfg.dt_ms),
+      lif(n_out),
+      traces(n_in_),
       current(n_out, 0.0f) {
   transpose();
 }
@@ -123,7 +92,7 @@ Network::Network(const NetworkConfig& cfg)
 Network::Network(const NetworkConfig& cfg,
                  std::vector<std::vector<float>> weights,
                  std::vector<std::vector<float>> thetas)
-    : cfg_(require_valid(cfg)), encoder_(cfg.max_rate) {
+    : cfg_(require_valid(cfg)), encoder_(NetworkConfig::max_rate) {
   const std::size_t n_layers = cfg.n_layers();
   SPARKXD_REQUIRE(weights.size() == n_layers && thetas.size() == n_layers,
                   "need one weight and one theta vector per layer");
@@ -145,8 +114,7 @@ Network::Network(const NetworkConfig& cfg,
                     "thetas do not match the layer's neuron count");
     for (const float v : thetas[l])
       SPARKXD_REQUIRE(std::isfinite(v), "thetas must be finite");
-    layers_.emplace_back(n_in, std::move(weights[l]), std::move(thetas[l]),
-                         cfg);
+    layers_.emplace_back(n_in, std::move(weights[l]), std::move(thetas[l]));
   }
 }
 
@@ -162,10 +130,10 @@ void Network::sync_transpose() {
 }
 
 void Network::normalize_rows() {
-  for (Layer& lay : layers_) lay.normalize(cfg_.norm_target);
+  for (Layer& lay : layers_) lay.normalize();
 }
 
-void Network::Layer::normalize(float norm_target) {
+void Network::Layer::normalize() {
   // Every neuron's row sum, accumulated over the transposed layout: input
   // i's column adds to all neurons at once (vectorised across neurons),
   // and each neuron still sums its inputs in ascending i — the row loop's
@@ -181,7 +149,7 @@ void Network::Layer::normalize(float norm_target) {
   // A row with sum <= 0 is left alone: its scale is 1, and x * 1 == x for
   // every value such a row can hold (a NaN would have made its sum NaN).
   for (std::size_t n = 0; n < n_out; ++n) {
-    const float q = norm_target / k[n];
+    const float q = NetworkConfig::norm_target / k[n];
     k[n] = k[n] <= 0.0f ? 1.0f : q;
   }
   for (std::size_t i = 0; i < n_in; ++i) {
@@ -236,7 +204,7 @@ std::vector<std::uint32_t> Network::train_step(const std::vector<float>& image,
       for (const auto s : lay.out_spikes) {
         if (l + 1 == n_layers) ++counts[s];
         float* row = lay.w.data() + std::size_t{s} * ni;
-        stdp_post_update(row, ni, lay.traces.values(), cfg_.stdp);
+        stdp_post_update(row, ni, lay.traces.values());
         float* col = lay.wt.data() + s;
         for (std::size_t i = 0; i < ni; ++i) col[i * nn] = row[i];
       }
@@ -256,11 +224,6 @@ std::vector<std::uint32_t> Network::infer(InferenceState& state,
   const std::size_t n_layers = layers_.size();
   SPARKXD_REQUIRE(state.layers_.size() == n_layers,
                   "InferenceState was built for a different network depth");
-  SPARKXD_REQUIRE(same_lif(state.lif_, cfg_.lif) &&
-                      same_bits(state.dt_ms_, cfg_.dt_ms) &&
-                      same_bits(state.max_rate_, cfg_.max_rate),
-                  "InferenceState was built for other LIF constants, dt_ms "
-                  "or max_rate");
   bool all_skip_ok = true;
   for (std::size_t l = 0; l < n_layers; ++l) {
     auto& slice = state.layers_[l];

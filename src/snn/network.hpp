@@ -62,8 +62,8 @@ class Network;
 /// layer, the LIF dynamics (potentials and refractory counters) and the
 /// scratch buffers, plus the Poisson encoder. It holds no parameters: the
 /// weights (transposed layouts) and the frozen adaptive thresholds are read
-/// from the network that runs infer(), which must match the builder's shape,
-/// LIF constants, dt_ms and max_rate. Constructing one is O(sum of layer
+/// from the network that runs infer(), which must have the shape of the
+/// one the state was built from. Constructing one is O(sum of layer
 /// neurons); a full Network copy is O(total weights). This is what lets
 /// evaluation workers fan out (and Monte-Carlo trials repeat) without
 /// copying the weight matrices.
@@ -89,11 +89,6 @@ class InferenceState {
   std::vector<LayerSlice> layers_;
   PoissonEncoder encoder_;
   std::vector<std::uint32_t> in_spikes_;
-  /// The constants the LIF slices and the encoder were built with; infer
-  /// rejects a network whose constants differ.
-  LifParams lif_;
-  float dt_ms_;
-  float max_rate_;
 };
 
 /// A complete network instance (per-layer weights + neuron state + encoder).
@@ -101,8 +96,8 @@ class Network {
  public:
   /// Random initial weights (see the bit-exactness contract above), rows
   /// normalized, zero thresholds. Throws ContractViolation for a
-  /// non-positive size, timestep count or norm_target, or a layer of over
-  /// 2^32 synapses, before allocating anything.
+  /// non-positive size or timestep count, or a layer of over 2^32 synapses,
+  /// before allocating anything.
   explicit Network(const NetworkConfig& cfg);
 
   /// Each layer's stored row-major weights and thresholds (layer 0 = input
@@ -192,8 +187,7 @@ class Network {
   /// accumulator: kEvent sums in float (the per-neuron addition order of
   /// the row-major walk); kEventFx sums Q47.16 fixed point
   /// (order-independent, numerically different from float). Throws
-  /// ContractViolation for a state built for a differently shaped network
-  /// or one with other LIF constants, dt_ms or max_rate.
+  /// ContractViolation for a state built for a differently shaped network.
   std::vector<std::uint32_t> infer(InferenceState& state,
                                    const std::vector<float>& image,
                                    Rng& rng) const;
@@ -221,8 +215,7 @@ class Network {
 
     /// Takes checked n_out x n_in weights and n_out thresholds, and builds
     /// the transpose.
-    Layer(std::size_t n_in, std::vector<float> w, std::vector<float> theta,
-          const NetworkConfig& cfg);
+    Layer(std::size_t n_in, std::vector<float> w, std::vector<float> theta);
 
     /// current[n] = sum of wt[i][n] over `spikes`, added in list order:
     /// the float synaptic gather of both train_step and infer.
@@ -231,7 +224,7 @@ class Network {
     /// normalize_rows for one layer: sums each neuron over `wt`
     /// (vectorised across neurons, ascending inputs) and scales both
     /// layouts. Clobbers `current`.
-    void normalize(float norm_target);
+    void normalize();
     /// Rebuilds `wt` from `w`.
     void transpose();
   };

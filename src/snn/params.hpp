@@ -7,7 +7,7 @@
 // (competition); synapses learn with STDP; inputs are rate-coded Poisson
 // spike trains.
 //
-// Defaults are tuned for 28x28 inputs with weights in [0, 1] and a unit
+// The constants are tuned for 28x28 inputs with weights in [0, 1] and a unit
 // firing threshold; they are deliberately stable across the network sizes the
 // paper sweeps (N400..N3600).
 
@@ -50,34 +50,29 @@ enum class EngineKind : std::uint8_t {
 }
 
 /// Leaky integrate-and-fire neuron constants (paper §II-A, Fig. 4b).
+///
+/// The neurons always compete, in training and at inference: per discrete
+/// step a hard winner-take-all keeps only the crossing neuron with the
+/// highest margin (the discrete-time limit of the paper's strong lateral
+/// inhibition — with coarse steps, simultaneous crossings are common and
+/// would otherwise defeat the competition unsupervised STDP relies on to
+/// differentiate receptive fields), and every spike subtracts `inhibition`
+/// from all other neurons.
 struct LifParams {
-  float v_rest = 0.0f;     ///< resting potential (leak target)
-  float v_reset = 0.0f;    ///< potential after a spike
-  float v_thresh = 1.0f;   ///< base firing threshold (before homeostasis)
-  float tau_m_ms = 25.0f;  ///< membrane leak time constant
-  int refractory_steps = 3;  ///< steps a neuron is silent after spiking
+  static constexpr float v_rest = 0.0f;    ///< resting potential (leak target)
+  static constexpr float v_reset = 0.0f;   ///< potential after a spike
+  /// Base firing threshold (before homeostasis).
+  static constexpr float v_thresh = 1.0f;
+  static constexpr float tau_m_ms = 25.0f;  ///< membrane leak time constant
+  static constexpr int refractory_steps = 3;  ///< silent steps after a spike
   /// Adaptive-threshold (homeostasis) increment added on every spike; makes
   /// neurons that fire often harder to fire, spreading receptive fields.
-  float theta_plus = 0.02f;
-  float tau_theta_ms = 6.0e4f;  ///< adaptive-threshold decay time constant
+  static constexpr float theta_plus = 0.02f;
+  /// Adaptive-threshold decay time constant.
+  static constexpr float tau_theta_ms = 6.0e4f;
   /// Lateral inhibition: potential subtracted from every *other* neuron for
-  /// each spike fired in a timestep (winner-take-all competition).
-  float inhibition = 5.0f;
-  /// Hard per-step winner-take-all: when several neurons cross threshold in
-  /// the same discrete step, only the one with the highest potential fires.
-  /// This is the discrete-time limit of the strong lateral inhibition in the
-  /// paper's Fig. 4a architecture — with coarse steps, simultaneous
-  /// crossings are common and would otherwise defeat the competition that
-  /// unsupervised STDP relies on to differentiate receptive fields.
-  bool winner_take_all = true;
-  /// Whether the competition (WTA + lateral inhibition) also runs at
-  /// inference. Training needs it to differentiate receptive fields. The
-  /// default keeps it on, so the neurons compete at inference too and every
-  /// golden digest runs that way. Off, every neuron integrates
-  /// independently: one corrupted neuron can then no longer suppress the
-  /// whole population, and the readout relies on the bias-corrected
-  /// population vote (see snn::vote_spike_counts) alone.
-  bool compete_at_inference = true;
+  /// each spike fired in a timestep.
+  static constexpr float inhibition = 5.0f;
 };
 
 /// STDP constants.
@@ -93,11 +88,13 @@ struct LifParams {
 /// touches a neuron's (contiguous) weight row when that neuron spikes, which
 /// matters on this single-core host.
 struct StdpParams {
-  float eta = 0.25f;     ///< learning rate applied at postsynaptic spikes
-  float x_target = 0.35f;  ///< presynaptic-trace offset (depression baseline)
-  float tau_pre_ms = 20.0f;  ///< presynaptic trace time constant
-  float w_min = 0.0f;
-  float w_max = 1.0f;
+  static constexpr float eta = 0.25f;  ///< learning rate at postsynaptic spikes
+  /// Presynaptic-trace offset (depression baseline).
+  static constexpr float x_target = 0.35f;
+  /// Presynaptic trace time constant.
+  static constexpr float tau_pre_ms = 20.0f;
+  static constexpr float w_min = 0.0f;
+  static constexpr float w_max = 1.0f;
 };
 
 /// Full network configuration.
@@ -119,21 +116,20 @@ struct NetworkConfig {
   /// legacy single-layer network.
   std::vector<std::size_t> hidden_neurons;
   std::size_t timesteps = 60;   ///< simulation steps per sample
-  float dt_ms = 1.0f;           ///< timestep width
+  static constexpr float dt_ms = 1.0f;  ///< timestep width
   /// Poisson rate coding: spike probability per step for a full-intensity
   /// pixel (pixel value scales linearly; paper §V "rate coding, Poisson").
-  float max_rate = 0.30f;
+  static constexpr float max_rate = 0.30f;
   /// After each training sample every neuron's incoming weights are rescaled
   /// to this L1 sum (Diehl & Cook weight normalization; keeps total drive
   /// constant while STDP redistributes weight mass).
-  float norm_target = 11.0f;
+  static constexpr float norm_target = 11.0f;
   std::uint64_t seed = 1;  ///< weight-init / spike-train seed
   /// Inference accumulator for Network::infer (see EngineKind). Not part of
   /// the serialized model (model_io writes config fields individually): the
   /// engine is a runtime execution choice, not model identity.
   EngineKind engine = EngineKind::kEvent;
-  LifParams lif;
-  StdpParams stdp;
+  static constexpr StdpParams stdp{};  ///< the STDP constants, as cfg.stdp
 
   // ---- Layer-stack geometry helpers (layer 0 = input side, layer
   // n_layers()-1 = the excitatory output layer). -------------------------

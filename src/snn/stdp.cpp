@@ -7,11 +7,9 @@
 
 namespace sparkxd::snn {
 
-PreTraces::PreTraces(std::size_t n_inputs, float tau_ms, float dt_ms)
-    : decay_(std::exp(-dt_ms / tau_ms)), x_(n_inputs, 0.0f) {
-  SPARKXD_REQUIRE(tau_ms > 0.0f && dt_ms > 0.0f,
-                  "trace time constants must be positive");
-}
+PreTraces::PreTraces(std::size_t n_inputs)
+    : decay_(std::exp(-NetworkConfig::dt_ms / StdpParams::tau_pre_ms)),
+      x_(n_inputs, 0.0f) {}
 
 void PreTraces::reset() { std::fill(x_.begin(), x_.end(), 0.0f); }
 
@@ -24,15 +22,13 @@ void PreTraces::step(const std::vector<std::uint32_t>& input_spikes) {
 }
 
 void stdp_post_update(float* w_row, std::size_t n_inputs,
-                      const std::vector<float>& x_pre, const StdpParams& p) {
+                      const std::vector<float>& x_pre) {
   SPARKXD_REQUIRE(x_pre.size() == n_inputs,
                   "trace width must match the weight row");
-  // Locals, not p.*: `p` may alias w_row, which would force a reload of
-  // every field after each store and keep the loop scalar.
-  const float eta = p.eta;
-  const float x_target = p.x_target;
-  const float w_min = p.w_min;
-  const float w_max = p.w_max;
+  constexpr float eta = StdpParams::eta;
+  constexpr float x_target = StdpParams::x_target;
+  constexpr float w_min = StdpParams::w_min;
+  constexpr float w_max = StdpParams::w_max;
   const float* x = x_pre.data();
   for (std::size_t i = 0; i < n_inputs; ++i) {
     const float w = w_row[i];

@@ -9,11 +9,11 @@
 
 namespace sparkxd::snn {
 
-/// Presynaptic spike traces: x_i <- x_i * exp(-dt/tau) each step, set to 1
-/// when input i spikes. Values stay in [0, 1].
+/// Presynaptic spike traces: x_i <- x_i * exp(-dt/tau_pre) each step, set
+/// to 1 when input i spikes. Values stay in [0, 1].
 class PreTraces {
  public:
-  PreTraces(std::size_t n_inputs, float tau_ms, float dt_ms);
+  explicit PreTraces(std::size_t n_inputs);
 
   void reset();
   /// Decays all traces by one step, then sets spiking inputs' traces to 1.
@@ -28,14 +28,14 @@ class PreTraces {
   std::vector<float> x_;
 };
 
-/// Applies the STDP update to one neuron's weight row at a postsynaptic
-/// spike: with drive = x_pre_i - x_target,
+/// Applies the STDP update (StdpParams) to one neuron's weight row at a
+/// postsynaptic spike: with drive = x_pre_i - x_target,
 ///   w_i += eta * drive * (w_max - w_i)   if drive > 0,
 ///   w_i += eta * drive * (w_i - w_min)   otherwise,
 /// clamped to [w_min, w_max] (std::clamp semantics: a NaN stays NaN).
 /// `w_row` points at n_inputs contiguous weights. The loop has no branch,
 /// so it vectorises.
 void stdp_post_update(float* w_row, std::size_t n_inputs,
-                      const std::vector<float>& x_pre, const StdpParams& p);
+                      const std::vector<float>& x_pre);
 
 }  // namespace sparkxd::snn

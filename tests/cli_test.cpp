@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -202,6 +205,87 @@ TEST(CliTest, BadLayersSpecsExitTwo) {
   EXPECT_EQ(ok.exit_code, 0) << ok.output;
   EXPECT_NE(ok.output.find("smoke-digits-m0-l64-32"), std::string::npos)
       << ok.output;
+}
+
+/// `s` with one to three seeded edits: insert, delete or replace a byte
+/// (printable or not), repeat a slice, append a 25-digit run, or splice in
+/// the tail of another seed string.
+std::string mutate(std::string s, const std::vector<std::string>& seeds,
+                   std::mt19937_64& gen) {
+  static const std::string alphabet =
+      "0123456789abcdefxXkKmM:,.-+ _=;/\\%'\"\t\x01\x7f\xc3\xff";
+  const auto pick = [&gen](std::size_t n) {
+    return n == 0 ? std::size_t{0} : static_cast<std::size_t>(gen() % n);
+  };
+  for (std::size_t k = 1 + pick(3); k > 0; --k) {
+    const std::size_t at = pick(s.size() + 1);
+    switch (pick(6)) {
+      case 0:
+        s.insert(at, 1, alphabet[pick(alphabet.size())]);
+        break;
+      case 1:
+        if (at < s.size()) s.erase(at, 1);
+        break;
+      case 2:
+        if (at < s.size()) s[at] = alphabet[pick(alphabet.size())];
+        break;
+      case 3:
+        s.insert(at, s.substr(at, 1 + pick(4)));
+        break;
+      case 4:
+        s.insert(at, std::string(25, '9'));
+        break;
+      default: {
+        const std::string& other = seeds[pick(seeds.size())];
+        s = s.substr(0, at) + other.substr(pick(other.size() + 1));
+      }
+    }
+  }
+  return s;
+}
+
+/// `s` as one single-quoted shell word.
+std::string shell_quote(const std::string& s) {
+  std::string out = "'";
+  for (const char c : s) {
+    if (c == '\'') {
+      out += "'\\''";
+    } else {
+      out += c;
+    }
+  }
+  return out + "'";
+}
+
+// Seeded fuzzing of the spec-string parsers: mutated --ecc, --refresh and
+// --layers values, each run through --list (which parses every flag but
+// runs no pipeline). A spec either parses (exit 0) or is refused as bad
+// usage (exit 2); a crash, an uncaught exception or any other code fails.
+TEST(CliTest, MutatedSpecStringsExitZeroOrTwo) {
+  const std::vector<std::pair<std::string, std::vector<std::string>>> flags{
+      {"--ecc",
+       {"off", "parity", "secded", "hsiao", "bch", "bch:512", "bch:4096"}},
+      {"--refresh", {"off", "nominal", "1x", "8x", "32x"}},
+      {"--layers", {"flat", "64", "64,32", "48,32,16"}},
+  };
+  std::mt19937_64 gen(20261019);
+  for (const auto& [flag, seeds] : flags) {
+    int parsed = 0;
+    for (int i = 0; i < 40; ++i) {
+      const std::string spec =
+          mutate(seeds[static_cast<std::size_t>(i) % seeds.size()], seeds, gen);
+      const auto r = run_cli("--list --scenario smoke-digits-m0 " + flag +
+                             " " + shell_quote(spec));
+      EXPECT_TRUE(r.exit_code == 0 || r.exit_code == 2)
+          << flag << " " << shell_quote(spec) << " exited " << r.exit_code
+          << ": " << r.output;
+      parsed += r.exit_code == 0;
+    }
+    // The mutations stay near valid specs: some must still parse, and
+    // most must not.
+    EXPECT_GT(parsed, 0) << flag;
+    EXPECT_LT(parsed, 40) << flag;
+  }
 }
 
 // Regression: serve::percentile used to return 0 on an empty sample, so a

@@ -412,20 +412,6 @@ TEST_F(FaultAwareFixture, EvaluateCorruptedRejectsInvalidWeightClip) {
   }
 }
 
-TEST_F(FaultAwareFixture, Algorithm1RejectsInvalidWeightClip) {
-  for (const float clip : bad_weight_clips()) {
-    FaultTrainingConfig cfg;
-    cfg.ber_stages = {1e-5};
-    cfg.weight_clip = clip;
-    Rng rng(34);
-    EXPECT_THROW((void)improve_error_tolerance(*state->baseline, cfg,
-                                               state->injectors, state->train,
-                                               state->test, rng),
-                 ContractViolation)
-        << "clip " << clip;
-  }
-}
-
 TEST_F(FaultAwareFixture, ToleranceCurveIsRecordedAscending) {
   Rng rng(9);
   auto model = *state->baseline;  // copy
@@ -549,20 +535,6 @@ TEST(Pipeline, RefusesArtifactCaptureWithEcc) {
   ArtifactState artifact;
   EXPECT_THROW((void)run_pipeline(cfg, &artifact), ContractViolation);
   EXPECT_FALSE(artifact.model.has_value());
-}
-
-TEST(Pipeline, RejectsInvalidWeightClip) {
-  for (const float clip : bad_weight_clips()) {
-    PipelineConfig cfg;
-    cfg.network.n_neurons = 25;
-    cfg.train_samples = 50;
-    cfg.test_samples = 20;
-    cfg.baseline_epochs = 1;
-    cfg.fault_training.ber_stages = {1e-3};
-    cfg.voltages = {1.025};
-    cfg.fault_training.weight_clip = clip;
-    EXPECT_THROW((void)run_pipeline(cfg), ContractViolation) << "clip " << clip;
-  }
 }
 
 TEST(PipelineConfig_, ValidateRejectsBadVoltageGrids) {

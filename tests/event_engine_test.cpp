@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -51,6 +52,18 @@ std::vector<float> random_image(std::size_t n, std::uint64_t seed,
   return img;
 }
 
+/// `net` rebuilt with every weight scaled by `k`: heavier rows, as a
+/// larger normalisation target would give.
+Network scaled(const Network& net, float k) {
+  std::vector<std::vector<float>> weights, thetas;
+  for (std::size_t l = 0; l < net.n_layers(); ++l) {
+    weights.push_back(net.weights(l));
+    for (float& w : weights.back()) w *= k;
+    thetas.push_back(net.thetas(l));
+  }
+  return Network(net.config(), std::move(weights), std::move(thetas));
+}
+
 /// Gives the network non-trivial thetas/weights so the differential is not
 /// running on virgin state.
 void warm_up(Network& net, std::uint64_t seed) {
@@ -69,7 +82,7 @@ std::vector<std::uint32_t> reference_infer(const Network& net,
   const NetworkConfig& cfg = net.config();
   std::vector<snn::LifLayer> lifs;
   for (std::size_t l = 0; l < net.n_layers(); ++l)
-    lifs.emplace_back(cfg.layer_neurons(l), cfg.lif, cfg.dt_ms);
+    lifs.emplace_back(cfg.layer_neurons(l));
   snn::PoissonEncoder encoder(cfg.max_rate);
   encoder.set_image(image);
   std::vector<std::uint32_t> counts(cfg.n_neurons, 0), in_spikes;
@@ -131,10 +144,9 @@ TEST(EventEngine, MatchesDenseOnAllZeroImage) {
 
 TEST(EventEngine, MatchesDenseOnSinglePixelImage) {
   // Heavier rows so one pixel's spike train can drive the output layer.
-  auto cfg = base_config();
-  cfg.norm_target = 100.0f;
-  Network net(cfg);
-  warm_up(net, 13);
+  Network warm(base_config());
+  warm_up(warm, 13);
+  const Network net = scaled(warm, 100.0f / NetworkConfig::norm_target);
   std::vector<float> img(784, 0.0f);
   img[391] = 1.0f;
   EXPECT_GT(expect_matches_reference(net, img, 6), 0u);
@@ -149,19 +161,20 @@ TEST(EventEngine, MatchesDenseOnMaxDensityImage) {
 
 TEST(EventEngine, MatchesDenseAtVeryLowSpikeDensity) {
   // Almost every timestep is an empty wave: the skip machinery does real
-  // work here and must stay invisible in the results. Heavier rows and a
-  // longer window let the sparse input still drive output spikes.
+  // work here and must stay invisible in the results. Dim pixels (a spike
+  // probability of at most 0.02 per step), heavier rows and a longer window
+  // let the sparse input still drive output spikes.
   auto cfg = base_config();
-  cfg.max_rate = 0.02f;
-  cfg.norm_target = 200.0f;
   cfg.timesteps = 100;
-  Network net(cfg);
-  warm_up(net, 15);
-  for (std::uint64_t s = 0; s < 8; ++s)
-    EXPECT_GT(expect_matches_reference(net, random_image(784, 300 + s, 0.03),
-                                       400 + s),
-              0u)
+  Network warm(cfg);
+  warm_up(warm, 15);
+  const Network net = scaled(warm, 200.0f / NetworkConfig::norm_target);
+  for (std::uint64_t s = 0; s < 8; ++s) {
+    auto img = random_image(784, 300 + s, 0.03);
+    for (float& px : img) px *= 0.02f / NetworkConfig::max_rate;
+    EXPECT_GT(expect_matches_reference(net, img, 400 + s), 0u)
         << "image " << s;
+  }
 }
 
 TEST(EventEngine, MatchesDenseOnDeepStacks) {
@@ -169,9 +182,9 @@ TEST(EventEngine, MatchesDenseOnDeepStacks) {
   // skip is exercised hardest in a stack.
   auto cfg = base_config();
   cfg.hidden_neurons = {20, 12};
-  cfg.norm_target = 100.0f;
-  Network net(cfg);
-  warm_up(net, 16);
+  Network warm(cfg);
+  warm_up(warm, 16);
+  const Network net = scaled(warm, 100.0f / NetworkConfig::norm_target);
   EXPECT_EQ(expect_matches_reference(net, std::vector<float>(784, 0.0f), 8),
             0u);
   EXPECT_GT(expect_matches_reference(net, random_image(784, 41, 0.02), 9), 0u);

@@ -80,8 +80,7 @@ TEST_F(ModelIoTest, RoundTripPreservesEverything) {
   EXPECT_EQ(a.n_inputs, b.n_inputs);
   EXPECT_EQ(a.n_neurons, b.n_neurons);
   EXPECT_EQ(a.timesteps, b.timesteps);
-  EXPECT_EQ(a.stdp.eta, b.stdp.eta);
-  EXPECT_EQ(a.lif.inhibition, b.lif.inhibition);
+  EXPECT_EQ(a.seed, b.seed);
 }
 
 TEST_F(ModelIoTest, LoadedModelPredictsIdentically) {
@@ -130,7 +129,8 @@ TEST_F(ModelIoTest, SaveLoadSaveIsByteIdentical) {
 // to identical bytes. This is the reproducible-artifact contract: v2 wrote
 // LifParams/StdpParams as raw struct images, so uninitialized alignment
 // padding leaked into the file and two exports of the same scenario
-// differed on disk. v3 serializes field by field.
+// differed on disk. v3 serialized them field by field; v4 stores neither
+// (they are compile-time constants).
 TEST_F(ModelIoTest, IndependentlyTrainedTwinsSerializeIdentically) {
   NetworkConfig cfg;
   cfg.n_neurons = 25;
@@ -154,6 +154,33 @@ TEST_F(ModelIoTest, RejectsBadVersion) {
   f.write(reinterpret_cast<const char*>(&bogus), sizeof(bogus));
   f.close();
   EXPECT_THROW((void)load_model(path_), ContractViolation);
+}
+
+TEST_F(ModelIoTest, RejectsAVersion3File) {
+  // A v3 file: the v4 layout plus dt_ms, max_rate and norm_target before
+  // the seed, and the LIF (38 bytes) and STDP (20 bytes) blocks after it.
+  save_model(*model_, path_);
+  std::vector<char> bytes = file_bytes(path_);
+  const std::uint32_t v3 = 3;
+  std::memcpy(bytes.data() + 4, &v3, sizeof(v3));
+  // magic, version, n_inputs, n_neurons, empty hidden list, timesteps.
+  const std::size_t seed_at = 4 + 4 + 8 + 8 + 8 + 8;
+  bytes.insert(bytes.begin() + seed_at + 8, 38 + 20, '\0');
+  const float dt_rate_norm[3] = {1.0f, 0.3f, 11.0f};
+  const char* raw = reinterpret_cast<const char*>(dt_rate_norm);
+  bytes.insert(bytes.begin() + seed_at, raw, raw + sizeof(dt_rate_norm));
+  {
+    std::ofstream os(path_, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    (void)load_model(path_);
+    ADD_FAILURE() << "a v3 model file loaded";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported model file version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // The deep-stack variants: the container must round-trip a multi-layer
@@ -242,8 +269,8 @@ TEST_F(ModelIoTest, RejectsAbsurdClassCount) {
   EXPECT_NO_THROW((void)load_model(path_));
 }
 
-// Payload offsets of a flat model: the header ends with the LIF and STDP
-// parameters; the weight blob (u64 count + f32 each) follows, then the
+// Payload offsets of a flat model: the header ends with the seed; the
+// weight blob (u64 count + f32 each) follows, then the
 // theta blob (u64 count + f32 each), then the readout above.
 TEST_F(ModelIoTest, RejectsNonFiniteWeightsThetasAndBiases) {
   save_model(*model_, path_);

@@ -1,7 +1,9 @@
 // Tests for the LIF neuron layer: integration, leak, threshold/reset,
 // refractoriness, adaptive threshold (homeostasis), lateral inhibition and
 // the per-step winner-take-all. The thresholds are caller-owned: each test
-// keeps its own `theta` vector, as snn::Network does per layer.
+// keeps its own `theta` vector, as snn::Network does per layer. The
+// constants are LifParams'; a one-neuron layer isolates integration from
+// the competition (a lone spiker's inhibition is refunded to itself).
 
 #include <gtest/gtest.h>
 
@@ -13,15 +15,8 @@
 namespace sparkxd::snn {
 namespace {
 
-LifParams quiet_params() {
-  LifParams p;
-  p.inhibition = 0.0f;
-  p.winner_take_all = false;
-  return p;
-}
-
 TEST(Lif, IntegratesInputUntilThreshold) {
-  LifLayer layer(1, quiet_params(), 1.0f);
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{0.3f};
   std::vector<std::uint32_t> spikes;
@@ -38,7 +33,7 @@ TEST(Lif, IntegratesInputUntilThreshold) {
 }
 
 TEST(Lif, NoInputNoSpikes) {
-  LifLayer layer(4, quiet_params(), 1.0f);
+  LifLayer layer(4);
   std::vector<float> theta(4, 0.0f);
   std::vector<float> current(4, 0.0f);
   std::vector<std::uint32_t> spikes;
@@ -50,9 +45,8 @@ TEST(Lif, NoInputNoSpikes) {
 
 TEST(Lif, SubthresholdInputNeverFires) {
   // With leak, v converges to I / (1 - decay); keep that below threshold.
-  auto p = quiet_params();
-  p.tau_m_ms = 25.0f;  // decay ~0.9608 -> v_inf = I / 0.0392
-  LifLayer layer(1, p, 1.0f);
+  // tau_m = 25 ms: decay ~0.9608 -> v_inf = I / 0.0392.
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{0.03f};  // v_inf ~ 0.77 < 1.0
   std::vector<std::uint32_t> spikes;
@@ -65,7 +59,7 @@ TEST(Lif, SubthresholdInputNeverFires) {
 }
 
 TEST(Lif, ResetAfterSpike) {
-  LifLayer layer(1, quiet_params(), 1.0f);
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{1.5f};
   std::vector<std::uint32_t> spikes;
@@ -75,9 +69,8 @@ TEST(Lif, ResetAfterSpike) {
 }
 
 TEST(Lif, RefractoryBlocksSpiking) {
-  auto p = quiet_params();
-  p.refractory_steps = 3;
-  LifLayer layer(1, p, 1.0f);
+  static_assert(LifParams::refractory_steps == 3);
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};  // would fire every step otherwise
   std::vector<std::uint32_t> spikes;
@@ -91,42 +84,42 @@ TEST(Lif, RefractoryBlocksSpiking) {
 }
 
 TEST(Lif, RefractoryNeuronKeepsItsThreshold) {
-  // A held neuron skips the whole step, threshold decay included.
-  auto p = quiet_params();
-  p.refractory_steps = 3;
-  p.theta_plus = 0.5f;
-  p.tau_theta_ms = 10.0f;  // decay 0.905 per step: any decay shows
-  LifLayer layer(1, p, 1.0f);
+  // A held neuron skips the whole step, threshold decay included. One
+  // step's decay of theta_plus (a factor 1 - 1.7e-5) is still ~140 float
+  // ulps, so any decay during the hold would show.
+  constexpr float plus = LifParams::theta_plus;
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};
   std::vector<std::uint32_t> spikes;
   layer.train_step(current, theta, spikes);
   ASSERT_EQ(spikes.size(), 1u);
-  ASSERT_EQ(theta[0], 0.5f);
-  for (int t = 0; t < 3; ++t) {
+  ASSERT_EQ(theta[0], plus);
+  for (int t = 0; t < LifParams::refractory_steps; ++t) {
     layer.train_step(current, theta, spikes);
     EXPECT_TRUE(spikes.empty()) << t;
-    EXPECT_EQ(theta[0], 0.5f) << t;
+    EXPECT_EQ(theta[0], plus) << t;
   }
   layer.train_step(current, theta, spikes);
   EXPECT_EQ(spikes.size(), 1u);
-  EXPECT_EQ(theta[0], 0.5f * std::exp(-1.0f / 10.0f) + 0.5f);
+  const float decay =
+      std::exp(-NetworkConfig::dt_ms / LifParams::tau_theta_ms);
+  EXPECT_EQ(theta[0], plus * decay + plus);
+  EXPECT_LT(theta[0], 2.0f * plus);
 }
 
 TEST(Lif, RefractoryNeuronNeverCrossesANegativeThreshold) {
   // theta = -2 puts v_thresh + theta = -1 below v_reset = 0, so a held
   // neuron sitting at v_reset would "cross" if the scan did not skip it.
-  auto p = quiet_params();
-  p.refractory_steps = 3;
-  LifLayer layer(2, p, 1.0f);
-  const std::vector<float> theta(2, -2.0f);
-  const std::vector<float> current(2, 0.0f);
+  LifLayer layer(1);
+  const std::vector<float> theta(1, -2.0f);
+  const std::vector<float> current(1, 0.0f);
   std::vector<std::uint32_t> spikes;
   std::vector<int> fired_at;
   for (int t = 0; t < 12; ++t) {
     layer.infer_step(current, theta, spikes);
     if (!spikes.empty()) {
-      EXPECT_EQ(spikes, (std::vector<std::uint32_t>{0, 1})) << t;
+      EXPECT_EQ(spikes, (std::vector<std::uint32_t>{0})) << t;
       fired_at.push_back(t);
     }
   }
@@ -134,7 +127,7 @@ TEST(Lif, RefractoryNeuronNeverCrossesANegativeThreshold) {
 }
 
 TEST(Lif, LeakDecaysPotential) {
-  LifLayer layer(1, quiet_params(), 1.0f);
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{0.5f};
   std::vector<std::uint32_t> spikes;
@@ -146,21 +139,22 @@ TEST(Lif, LeakDecaysPotential) {
 }
 
 TEST(Lif, TrainStepGrowsThetaPerSpike) {
-  auto p = quiet_params();
-  p.theta_plus = 0.1f;
-  p.refractory_steps = 0;
-  LifLayer layer(1, p, 1.0f);
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};
   std::vector<std::uint32_t> spikes;
-  for (int t = 0; t < 5; ++t) layer.train_step(current, theta, spikes);
-  EXPECT_NEAR(theta[0], 0.5f, 0.01f);
+  int fired = 0;
+  // Spikes at steps 0, 4, 8 and 12 (three refractory steps after each).
+  for (int t = 0; t < 13; ++t) {
+    layer.train_step(current, theta, spikes);
+    fired += static_cast<int>(spikes.size());
+  }
+  EXPECT_EQ(fired, 4);
+  EXPECT_NEAR(theta[0], 4.0f * LifParams::theta_plus, 1e-5f);
 }
 
 TEST(Lif, InferStepLeavesThetaFrozen) {
-  auto p = quiet_params();
-  p.theta_plus = 0.1f;
-  LifLayer layer(1, p, 1.0f);
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};
   std::vector<std::uint32_t> spikes;
@@ -174,16 +168,16 @@ TEST(Lif, InferStepLeavesThetaFrozen) {
 }
 
 TEST(Lif, ThetaRaisesEffectiveThreshold) {
-  auto p = quiet_params();
-  p.theta_plus = 100.0f;
-  LifLayer layer(1, p, 1.0f);
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{1.5f};
   std::vector<std::uint32_t> spikes;
   layer.train_step(current, theta, spikes);
-  ASSERT_EQ(spikes.size(), 1u);  // first spike
-  // Now theta = 100 -> needs v >= 101; current 1.5/step saturates at
-  // v_inf = 1.5 / (1 - exp(-1/25)) ~ 38, far below the raised threshold.
+  ASSERT_EQ(spikes.size(), 1u);  // fires at once under a zero theta
+  // theta = 100 -> needs v >= 101; current 1.5/step saturates at
+  // v_inf = 1.5 / (1 - exp(-1/25)) ~ 38, far below the raised threshold
+  // (which decays by under 0.4% over the run).
+  theta[0] = 100.0f;
   int fired = 0;
   for (int t = 0; t < 200; ++t) {
     layer.train_step(current, theta, spikes);
@@ -193,10 +187,7 @@ TEST(Lif, ThetaRaisesEffectiveThreshold) {
 }
 
 TEST(Lif, WinnerTakeAllSelectsLargestMargin) {
-  LifParams p;
-  p.winner_take_all = true;
-  p.inhibition = 0.0f;
-  LifLayer layer(3, p, 1.0f);
+  LifLayer layer(3);
   std::vector<float> theta(3, 0.0f);
   // All three cross threshold this step; neuron 1 by the largest margin.
   std::vector<float> current{1.2f, 1.8f, 1.5f};
@@ -206,36 +197,21 @@ TEST(Lif, WinnerTakeAllSelectsLargestMargin) {
   EXPECT_EQ(spikes[0], 1u);
 }
 
-TEST(Lif, WinnerTakeAllDisabledAtInferenceWithoutCompete) {
-  LifParams p;
-  p.winner_take_all = true;
-  p.compete_at_inference = false;
-  p.inhibition = 5.0f;
-  LifLayer layer(3, p, 1.0f);
+TEST(Lif, InferenceCompetesLikeTraining) {
+  LifLayer layer(3);
   std::vector<float> theta(3, 0.0f);
   std::vector<float> current{1.2f, 1.8f, 1.5f};
   std::vector<std::uint32_t> spikes;
   layer.infer_step(current, theta, spikes);
-  EXPECT_EQ(spikes.size(), 3u);  // everyone fires independently
-}
-
-TEST(Lif, CompeteAtInferenceFlagRestoresWta) {
-  LifParams p;
-  p.winner_take_all = true;
-  p.compete_at_inference = true;
-  LifLayer layer(3, p, 1.0f);
-  std::vector<float> theta(3, 0.0f);
-  std::vector<float> current{1.2f, 1.8f, 1.5f};
-  std::vector<std::uint32_t> spikes;
-  layer.infer_step(current, theta, spikes);
-  EXPECT_EQ(spikes.size(), 1u);
+  ASSERT_EQ(spikes.size(), 1u);
+  EXPECT_EQ(spikes[0], 1u);
+  // The losers are inhibited too.
+  EXPECT_LT(layer.potentials()[0], 0.0f);
+  EXPECT_LT(layer.potentials()[2], 0.0f);
 }
 
 TEST(Lif, LateralInhibitionSuppressesOthers) {
-  LifParams p;
-  p.winner_take_all = true;
-  p.inhibition = 5.0f;
-  LifLayer layer(2, p, 1.0f);
+  LifLayer layer(2);
   std::vector<float> theta(2, 0.0f);
   // Neuron 0 fires; neuron 1 was close to threshold.
   std::vector<float> current{1.5f, 0.9f};
@@ -247,22 +223,20 @@ TEST(Lif, LateralInhibitionSuppressesOthers) {
 }
 
 TEST(Lif, InhibitionFloorBoundsPotential) {
-  LifParams p;
-  p.winner_take_all = false;
-  p.inhibition = 100.0f;
-  LifLayer layer(2, p, 1.0f);
+  // Neuron 0 fires at steps 0 and 4. The second spike would push neuron 1
+  // (recovered to ~-4.3) to ~-9.3; the floor v_rest - 5 v_thresh holds it
+  // at -5.
+  LifLayer layer(2);
   std::vector<float> theta(2, 0.0f);
   std::vector<float> current{1.5f, 0.0f};
   std::vector<std::uint32_t> spikes;
-  for (int t = 0; t < 20; ++t) layer.train_step(current, theta, spikes);
-  EXPECT_GE(layer.potentials()[1], -5.0f - 1e-3f);
+  for (int t = 0; t < 5; ++t) layer.train_step(current, theta, spikes);
+  ASSERT_EQ(spikes, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(layer.potentials()[1], -5.0f);
 }
 
 TEST(Lif, SpikerDoesNotInhibitItself) {
-  LifParams p;
-  p.winner_take_all = true;
-  p.inhibition = 5.0f;
-  LifLayer layer(2, p, 1.0f);
+  LifLayer layer(2);
   std::vector<float> theta(2, 0.0f);
   std::vector<float> current{1.5f, 0.0f};
   std::vector<std::uint32_t> spikes;
@@ -274,10 +248,7 @@ TEST(Lif, SpikerDoesNotInhibitItself) {
 }
 
 TEST(Lif, ResetDynamicsClearsPotentialAndRefractory) {
-  auto p = quiet_params();
-  p.theta_plus = 0.5f;
-  p.refractory_steps = 5;
-  LifLayer layer(1, p, 1.0f);
+  LifLayer layer(1);
   std::vector<float> theta(1, 0.0f);
   std::vector<float> current{5.0f};
   std::vector<std::uint32_t> spikes;
@@ -292,34 +263,26 @@ TEST(Lif, ResetDynamicsClearsPotentialAndRefractory) {
   EXPECT_EQ(spikes.size(), 1u);
 }
 
-TEST(Lif, RejectsBadConstruction) {
-  EXPECT_THROW(LifLayer(0, LifParams{}, 1.0f), ContractViolation);
-  LifParams bad;
-  bad.tau_m_ms = 0.0f;
-  EXPECT_THROW(LifLayer(1, bad, 1.0f), ContractViolation);
-  LifParams inverted;
-  inverted.v_thresh = -1.0f;
-  inverted.v_reset = 0.0f;
-  EXPECT_THROW(LifLayer(1, inverted, 1.0f), ContractViolation);
+TEST(Lif, RejectsAnEmptyLayer) {
+  EXPECT_THROW(LifLayer(0), ContractViolation);
 }
 
 TEST(Lif, RestPredicatesGateEventSkipping) {
   // silent_at_rest: only when every threshold v_thresh + theta sits strictly
   // above rest is a zero-input inference step provably the identity.
-  LifLayer layer(2, quiet_params(), 1.0f);
+  LifLayer layer(2);
   std::vector<float> theta(2, 0.0f);
   EXPECT_TRUE(layer.silent_at_rest(theta));
-  theta[1] = -1.0f;  // this neuron's threshold drops to rest
+  theta[1] = -0.999f;  // just above rest: still silent
+  EXPECT_TRUE(layer.silent_at_rest(theta));
+  theta[1] = -1.0f;  // this neuron's threshold drops to rest: it can fire
   EXPECT_FALSE(layer.silent_at_rest(theta));
-  auto degenerate = quiet_params();
-  degenerate.v_thresh = 0.0f;  // threshold AT rest: a rest neuron can fire
-  degenerate.v_reset = -1.0f;
-  LifLayer hair_trigger(1, degenerate, 1.0f);
-  EXPECT_FALSE(hair_trigger.silent_at_rest(std::vector<float>(1, 0.0f)));
+  theta[1] = -3.0f;  // below rest
+  EXPECT_FALSE(layer.silent_at_rest(theta));
 }
 
 TEST(Lif, RejectsMismatchedCurrentWidth) {
-  LifLayer layer(3, quiet_params(), 1.0f);
+  LifLayer layer(3);
   std::vector<float> theta(3, 0.0f);
   std::vector<float> current(2, 0.0f);
   std::vector<std::uint32_t> spikes;
@@ -330,7 +293,7 @@ TEST(Lif, RejectsMismatchedCurrentWidth) {
 TEST(Lif, RejectsMismatchedThetaWidth) {
   // The thresholds are caller-owned: a vector of the wrong width must be
   // refused before any step indexes it.
-  LifLayer layer(3, quiet_params(), 1.0f);
+  LifLayer layer(3);
   const std::vector<float> current(3, 2.0f);
   std::vector<std::uint32_t> spikes;
   for (const std::size_t width : {std::size_t{0}, std::size_t{2},

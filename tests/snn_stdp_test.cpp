@@ -82,19 +82,20 @@ TEST(Encoding, SpikeTrainCountIsBinomial) {
 // -------------------------------------------------------------------- traces
 
 TEST(PreTracesTest, SetToOneOnSpikeAndDecay) {
-  PreTraces traces(3, 20.0f, 1.0f);
+  PreTraces traces(3);
   traces.step({1});
   EXPECT_EQ(traces.values()[1], 1.0f);
   EXPECT_EQ(traces.values()[0], 0.0f);
   traces.step({});
-  const float decay = std::exp(-1.0f / 20.0f);
+  const float decay =
+      std::exp(-NetworkConfig::dt_ms / StdpParams::tau_pre_ms);
   EXPECT_NEAR(traces.values()[1], decay, 1e-5);
   traces.step({});
   EXPECT_NEAR(traces.values()[1], decay * decay, 1e-5);
 }
 
 TEST(PreTracesTest, ResetClears) {
-  PreTraces traces(2, 20.0f, 1.0f);
+  PreTraces traces(2);
   traces.step({0, 1});
   traces.reset();
   EXPECT_EQ(traces.values()[0], 0.0f);
@@ -102,86 +103,72 @@ TEST(PreTracesTest, ResetClears) {
 }
 
 TEST(PreTracesTest, RepeatedSpikesSaturateAtOne) {
-  PreTraces traces(1, 20.0f, 1.0f);
+  PreTraces traces(1);
   for (int t = 0; t < 50; ++t) traces.step({0});
   EXPECT_EQ(traces.values()[0], 1.0f);
 }
 
 TEST(PreTracesTest, RejectsOutOfRangeSpike) {
-  PreTraces traces(2, 20.0f, 1.0f);
+  PreTraces traces(2);
   EXPECT_THROW(traces.step({5}), ContractViolation);
 }
 
 // ---------------------------------------------------------------------- STDP
 
-StdpParams params() {
-  StdpParams p;
-  p.eta = 0.1f;
-  p.x_target = 0.4f;
-  p.w_min = 0.0f;
-  p.w_max = 1.0f;
-  return p;
-}
+constexpr StdpParams p{};
 
 TEST(Stdp, PotentiatesRecentlyActiveInputs) {
-  const auto p = params();
   std::vector<float> w{0.5f};
   const std::vector<float> x{0.9f};  // above x_target
-  stdp_post_update(w.data(), 1, x, p);
+  stdp_post_update(w.data(), 1, x);
   EXPECT_GT(w[0], 0.5f);
 }
 
 TEST(Stdp, DepressesStaleInputs) {
-  const auto p = params();
   std::vector<float> w{0.5f};
   const std::vector<float> x{0.0f};  // below x_target
-  stdp_post_update(w.data(), 1, x, p);
+  stdp_post_update(w.data(), 1, x);
   EXPECT_LT(w[0], 0.5f);
 }
 
 TEST(Stdp, NoChangeAtTargetTrace) {
-  const auto p = params();
   std::vector<float> w{0.5f};
   const std::vector<float> x{p.x_target};
-  stdp_post_update(w.data(), 1, x, p);
+  stdp_post_update(w.data(), 1, x);
   EXPECT_FLOAT_EQ(w[0], 0.5f);
 }
 
 TEST(Stdp, PotentiationSaturatesAtWmax) {
-  const auto p = params();
   std::vector<float> w{1.0f};
   const std::vector<float> x{1.0f};
-  stdp_post_update(w.data(), 1, x, p);
+  stdp_post_update(w.data(), 1, x);
   EXPECT_FLOAT_EQ(w[0], 1.0f);
 }
 
 TEST(Stdp, DepressionWorksFromWmax) {
   // The fault-recovery property: a weight stuck at w_max (e.g. corrupted
   // upward by a bit flip) must still be depressible.
-  const auto p = params();
   std::vector<float> w{1.0f};
   const std::vector<float> x{0.0f};
-  stdp_post_update(w.data(), 1, x, p);
+  stdp_post_update(w.data(), 1, x);
   EXPECT_LT(w[0], 1.0f);
 }
 
 TEST(Stdp, DepressionStopsAtWmin) {
-  const auto p = params();
   std::vector<float> w{0.0f};
   const std::vector<float> x{0.0f};
-  stdp_post_update(w.data(), 1, x, p);
+  stdp_post_update(w.data(), 1, x);
   EXPECT_FLOAT_EQ(w[0], 0.0f);
 }
 
 TEST(Stdp, WeightsStayInBounds) {
-  const auto p = params();
   Rng rng(3);
   std::vector<float> w(100);
   std::vector<float> x(100);
   for (auto& v : w) v = static_cast<float>(rng.uniform());
   for (int iter = 0; iter < 200; ++iter) {
     for (auto& v : x) v = static_cast<float>(rng.uniform());
-    stdp_post_update(w.data(), w.size(), x, p);
+    stdp_post_update(w.data(), w.size(), x);
     for (const float v : w) {
       EXPECT_GE(v, p.w_min);
       EXPECT_LE(v, p.w_max);
@@ -189,30 +176,31 @@ TEST(Stdp, WeightsStayInBounds) {
   }
 }
 
-TEST(Stdp, UpdateMagnitudeScalesWithEta) {
-  auto p = params();
-  std::vector<float> w1{0.5f}, w2{0.5f};
-  const std::vector<float> x{1.0f};
-  p.eta = 0.1f;
-  stdp_post_update(w1.data(), 1, x, p);
-  p.eta = 0.2f;
-  stdp_post_update(w2.data(), 1, x, p);
-  EXPECT_NEAR((w2[0] - 0.5f), 2.0f * (w1[0] - 0.5f), 1e-5);
+TEST(Stdp, UpdateScalesWithDriveAndHeadroom) {
+  // dw = eta * drive * (w_max - w) up, eta * drive * (w - w_min) down.
+  std::vector<float> w{0.5f, 0.5f, 0.75f, 0.5f};
+  const float full = 1.0f;                        // drive 1 - x_target
+  const float half = 0.5f * (1.0f + p.x_target);  // half that drive
+  const std::vector<float> x{full, half, full, 0.0f};
+  stdp_post_update(w.data(), w.size(), x);
+  const float up = w[0] - 0.5f;
+  EXPECT_FLOAT_EQ(up, p.eta * (1.0f - p.x_target) * (p.w_max - 0.5f));
+  EXPECT_NEAR(w[1] - 0.5f, 0.5f * up, 1e-6f);
+  EXPECT_NEAR(w[2] - 0.75f, 0.5f * up, 1e-6f);  // half the headroom
+  EXPECT_FLOAT_EQ(w[3] - 0.5f, p.eta * -p.x_target * (0.5f - p.w_min));
 }
 
 TEST(Stdp, RepeatedPairingConvergesTowardWmax) {
-  const auto p = params();
   std::vector<float> w{0.1f};
   const std::vector<float> x{1.0f};
-  for (int i = 0; i < 500; ++i) stdp_post_update(w.data(), 1, x, p);
+  for (int i = 0; i < 500; ++i) stdp_post_update(w.data(), 1, x);
   EXPECT_GT(w[0], 0.95f);
 }
 
 TEST(Stdp, RejectsMismatchedTraceWidth) {
-  const auto p = params();
   std::vector<float> w(3, 0.5f);
   const std::vector<float> x(2, 0.5f);
-  EXPECT_THROW(stdp_post_update(w.data(), 3, x, p), ContractViolation);
+  EXPECT_THROW(stdp_post_update(w.data(), 3, x), ContractViolation);
 }
 
 TEST(Stdp, MatchesTheScalarOracleBitwiseOnEdgeInputs) {
@@ -221,40 +209,33 @@ TEST(Stdp, MatchesTheScalarOracleBitwiseOnEdgeInputs) {
   // branch-free kernel must reproduce the branchy one bit for bit.
   const float inf = std::numeric_limits<float>::infinity();
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  std::vector<StdpParams> cases(4);
-  cases[1].w_min = -0.5f;
-  cases[1].w_max = 2.0f;
-  cases[2].eta = 0.0f;
-  cases[3].eta = 0.1f;  // not a power of two
-  for (const StdpParams& p : cases) {
-    const std::vector<float> weights{p.w_min, p.w_max, -inf,   inf,
-                                     nan,     0.5f,    -0.0f,  1e-40f,
-                                     3.0f,    -1.0f,   0.3f,   0.07f};
-    const std::vector<float> traces{nan,  p.x_target, 0.0f,  1.0f,
-                                    0.5f, -inf,       inf,   0.123f,
-                                    0.77f};
-    std::vector<float> w, x;
-    for (const float wi : weights)
-      for (const float xi : traces) {
-        w.push_back(wi);
-        x.push_back(xi);
-      }
-    const std::vector<float> w_in = w;
-    std::vector<float> ref = w;
-    stdp_post_update(w.data(), w.size(), x, p);
-    testutil::oracle_stdp_post_update(ref.data(), ref.size(), x, p);
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      // A NaN weight plus a NaN update: x86 returns the first operand's
-      // NaN, and the compiler may commute the addition, so only NaN-ness
-      // is defined there.
-      if (std::isnan(w_in[i]) && std::isnan(ref[i])) {
-        EXPECT_TRUE(std::isnan(w[i]));
-        continue;
-      }
-      EXPECT_EQ(std::bit_cast<std::uint32_t>(w[i]),
-                std::bit_cast<std::uint32_t>(ref[i]))
-          << "w " << w_in[i] << " x " << x[i] << " eta " << p.eta;
+  const std::vector<float> weights{p.w_min, p.w_max, -inf,   inf,
+                                   nan,     0.5f,    -0.0f,  1e-40f,
+                                   3.0f,    -1.0f,   0.3f,   0.07f};
+  const std::vector<float> traces{nan,  p.x_target, 0.0f,  1.0f,
+                                  0.5f, -inf,       inf,   0.123f,
+                                  0.77f};
+  std::vector<float> w, x;
+  for (const float wi : weights)
+    for (const float xi : traces) {
+      w.push_back(wi);
+      x.push_back(xi);
     }
+  const std::vector<float> w_in = w;
+  std::vector<float> ref = w;
+  stdp_post_update(w.data(), w.size(), x);
+  testutil::oracle_stdp_post_update(ref.data(), ref.size(), x);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    // A NaN weight plus a NaN update: x86 returns the first operand's NaN,
+    // and the compiler may commute the addition, so only NaN-ness is
+    // defined there.
+    if (std::isnan(w_in[i]) && std::isnan(ref[i])) {
+      EXPECT_TRUE(std::isnan(w[i]));
+      continue;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(w[i]),
+              std::bit_cast<std::uint32_t>(ref[i]))
+        << "w " << w_in[i] << " x " << x[i];
   }
 }
 

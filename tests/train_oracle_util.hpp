@@ -22,8 +22,8 @@ namespace sparkxd::testutil {
 
 /// The STDP update at a postsynaptic spike, one branch per weight.
 inline void oracle_stdp_post_update(float* w_row, std::size_t n_inputs,
-                                    const std::vector<float>& x_pre,
-                                    const snn::StdpParams& p) {
+                                    const std::vector<float>& x_pre) {
+  constexpr snn::StdpParams p{};
   for (std::size_t i = 0; i < n_inputs; ++i) {
     const float drive = x_pre[i] - p.x_target;
     const float dw = drive > 0.0f ? p.eta * drive * (p.w_max - w_row[i])
@@ -60,11 +60,10 @@ inline void oracle_normalize_rows(snn::Network& net) {
 /// threshold and test the crossing in the same iteration.
 class OracleLif {
  public:
-  OracleLif(std::size_t n, const snn::LifParams& p, float dt_ms)
-      : p_(p),
-        decay_m_(std::exp(-dt_ms / p.tau_m_ms)),
-        decay_theta_(std::exp(-dt_ms / p.tau_theta_ms)),
-        v_(n, p.v_rest),
+  explicit OracleLif(std::size_t n)
+      : decay_m_(std::exp(-snn::NetworkConfig::dt_ms / p_.tau_m_ms)),
+        decay_theta_(std::exp(-snn::NetworkConfig::dt_ms / p_.tau_theta_ms)),
+        v_(n, p_.v_rest),
         refractory_(n, 0) {}
 
   void train_step(const std::vector<float>& current, std::vector<float>& theta,
@@ -82,7 +81,7 @@ class OracleLif {
       if (v_[i] >= p_.v_thresh + theta[i])
         spikes.push_back(static_cast<std::uint32_t>(i));
     }
-    if (p_.winner_take_all && spikes.size() > 1) {
+    if (spikes.size() > 1) {
       std::uint32_t best = spikes.front();
       float best_margin = v_[best] - theta[best];
       for (const auto s : spikes) {
@@ -110,7 +109,7 @@ class OracleLif {
   }
 
  private:
-  snn::LifParams p_;
+  static constexpr snn::LifParams p_{};
   float decay_m_;
   float decay_theta_;
   std::vector<float> v_;
@@ -129,8 +128,8 @@ inline std::vector<std::uint32_t> oracle_train_step(
   std::vector<OracleLif> lif;
   std::vector<snn::PreTraces> traces;
   for (std::size_t l = 0; l < n_layers; ++l) {
-    lif.emplace_back(cfg.layer_neurons(l), cfg.lif, cfg.dt_ms);
-    traces.emplace_back(cfg.layer_inputs(l), cfg.stdp.tau_pre_ms, cfg.dt_ms);
+    lif.emplace_back(cfg.layer_neurons(l));
+    traces.emplace_back(cfg.layer_inputs(l));
   }
   snn::PoissonEncoder encoder(cfg.max_rate);
   encoder.set_image(image);
@@ -166,7 +165,7 @@ inline std::vector<std::uint32_t> oracle_train_step(
       for (const auto s : out_spikes[l]) {
         if (l + 1 == n_layers) ++counts[s];
         oracle_stdp_post_update(w.data() + std::size_t{s} * ni, ni,
-                                traces[l].values(), cfg.stdp);
+                                traces[l].values());
       }
       spikes = &out_spikes[l];
     }
