@@ -20,12 +20,14 @@
 //
 // Exit codes: 0 success, 2 bad usage / unknown scenario.
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,7 +50,8 @@ void print_usage(std::FILE* to) {
       "  --filter SUBSTR    select scenarios whose name contains SUBSTR\n"
       "  --all              select every built-in scenario\n"
       "  --refresh SPEC     override the refresh policy of every selected\n"
-      "                     scenario: off, nominal, or a multiplier like 8x\n"
+      "                     scenario: off, nominal, or a multiplier in\n"
+      "                     [1, 1024] like 8x\n"
       "                     (renames them with a -ref* suffix)\n"
       "  --layers SPEC      override the layer stack of every selected\n"
       "                     scenario: 'flat' (single layer) or hidden sizes\n"
@@ -87,11 +90,12 @@ void print_usage(std::FILE* to) {
 /// Compact layer-stack label: "1" for the flat network, else
 /// "<depth>:<hidden sizes>", e.g. "3:64-48".
 std::string layers_label(const sparkxd::scenario::Scenario& s) {
-  if (s.hidden_neurons.empty()) return "1";
-  std::string out = std::to_string(s.hidden_neurons.size() + 1) + ":";
-  for (std::size_t i = 0; i < s.hidden_neurons.size(); ++i) {
+  const auto& hidden = s.network.hidden_neurons;
+  if (hidden.empty()) return "1";
+  std::string out = std::to_string(hidden.size() + 1) + ":";
+  for (std::size_t i = 0; i < hidden.size(); ++i) {
     if (i != 0) out += "-";
-    out += std::to_string(s.hidden_neurons[i]);
+    out += std::to_string(hidden[i]);
   }
   return out;
 }
@@ -102,8 +106,8 @@ void list_scenarios(const std::vector<sparkxd::scenario::Scenario>& all) {
               "refresh", "ecc", "description");
   for (const auto& s : all) {
     std::printf("%-36s %-13s %8zu %-8s %6zu %-10s %-6s %-7s %-9s %s\n",
-                s.name.c_str(), sparkxd::data::to_string(s.task), s.n_neurons,
-                layers_label(s).c_str(), s.voltages.size(),
+                s.name.c_str(), sparkxd::data::to_string(s.task),
+                s.network.n_neurons, layers_label(s).c_str(), s.voltages.size(),
                 s.salp ? "salp" : "commodity",
                 sparkxd::scenario::model_label(s.error_model.kind),
                 sparkxd::scenario::refresh_label(s.refresh).c_str(),
@@ -112,21 +116,27 @@ void list_scenarios(const std::vector<sparkxd::scenario::Scenario>& all) {
   }
 }
 
-/// Parses a --refresh SPEC: "off", "nominal", or "<multiplier>[x]" with a
-/// multiplier >= 1. Exits with usage code 2 on anything else.
+/// Parses a --refresh SPEC: "off", "nominal", or "<digits>[.<digits>][x]"
+/// with a multiplier in [1, 1024]. Exits with usage code 2 on anything else.
 sparkxd::dram::RefreshPolicy parse_refresh_spec(const std::string& spec) {
   using sparkxd::dram::RefreshPolicy;
   if (spec == "off" || spec == "disabled") return RefreshPolicy::disabled();
   if (spec == "nominal" || spec == "1x") return RefreshPolicy::nominal();
-  std::string digits = spec;
-  if (!digits.empty() && digits.back() == 'x') digits.pop_back();
-  char* end = nullptr;
-  const double mult = std::strtod(digits.c_str(), &end);
-  if (digits.empty() || end != digits.c_str() + digits.size() ||
-      !std::isfinite(mult) || mult < 1.0) {
+  std::string_view num = spec;
+  if (num.ends_with('x')) num.remove_suffix(1);
+  // Fixed-format from_chars reads no exponent, hex or space; a digit at
+  // each end rules out a sign, "inf", "nan" and a leading or trailing dot.
+  const auto digit = [](char c) { return c >= '0' && c <= '9'; };
+  double mult = 0.0;
+  const char* last = num.data() + num.size();
+  if (num.empty() || !digit(num.front()) || !digit(num.back()) ||
+      std::from_chars(num.data(), last, mult, std::chars_format::fixed).ptr !=
+          last)
+    mult = 0.0;
+  if (mult < 1.0 || mult > sparkxd::dram::kMaxRefreshMultiplier) {
     std::fprintf(stderr,
                  "sparkxd_run: --refresh wants off, nominal, or a "
-                 "multiplier >= 1 like 8x (got '%s')\n",
+                 "multiplier in [1, 1024] like 8x or 8.5x (got '%s')\n",
                  spec.c_str());
     std::exit(2);
   }
@@ -259,14 +269,10 @@ int main(int argc, char** argv) {
   std::string artifact_path;
   bool have_artifact_voltage = false;
   double artifact_voltage = 0.0;
-  bool override_refresh = false;
-  dram::RefreshPolicy refresh_override;
-  bool override_layers = false;
-  std::vector<std::size_t> layers_override;
-  bool override_ecc = false;
-  error::EccSpec ecc_override;
-  bool override_engine = false;
-  snn::EngineKind engine_override = snn::EngineKind::kEvent;
+  std::optional<dram::RefreshPolicy> refresh_override;
+  std::optional<std::vector<std::size_t>> layers_override;
+  std::optional<error::EccSpec> ecc_override;
+  std::optional<snn::EngineKind> engine_override;
   bool enable_layer_knobs = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -295,16 +301,12 @@ int main(int argc, char** argv) {
       filters.emplace_back(next("--filter"));
     } else if (arg == "--refresh") {
       refresh_override = parse_refresh_spec(next("--refresh"));
-      override_refresh = true;
     } else if (arg == "--layers") {
       layers_override = parse_layers_spec(next("--layers"));
-      override_layers = true;
     } else if (arg == "--ecc") {
       ecc_override = parse_ecc_spec(next("--ecc"));
-      override_ecc = true;
     } else if (arg == "--engine") {
       engine_override = parse_engine_spec(next("--engine"));
-      override_engine = true;
     } else if (arg == "--layer-knobs") {
       enable_layer_knobs = true;
     } else if (arg == "--out") {
@@ -380,37 +382,29 @@ int main(int argc, char** argv) {
   // downstream diff.
   const auto apply_overrides =
       [&](std::vector<scenario::Scenario>& scenarios) {
-        if (override_refresh) {
-          for (auto& s : scenarios) {
-            s.refresh = refresh_override;
-            s.name += refresh_suffix(refresh_override);
+        for (auto& s : scenarios) {
+          if (refresh_override) {
+            s.refresh = *refresh_override;
+            s.name += refresh_suffix(*refresh_override);
             s.description += " [refresh override]";
           }
-        }
-        if (override_layers) {
-          for (auto& s : scenarios) {
-            s.hidden_neurons = layers_override;
-            s.name += layers_suffix(layers_override);
+          if (layers_override) {
+            s.network.hidden_neurons = *layers_override;
+            s.name += layers_suffix(*layers_override);
             s.description += " [layers override]";
           }
-        }
-        if (override_ecc) {
-          for (auto& s : scenarios) {
-            s.ecc = ecc_override;
-            s.name += ecc_suffix(ecc_override);
+          if (ecc_override) {
+            s.ecc = *ecc_override;
+            s.name += ecc_suffix(*ecc_override);
             s.description += " [ecc override]";
           }
-        }
-        if (override_engine) {
-          for (auto& s : scenarios) {
-            s.engine = engine_override;
-            s.name += engine_suffix(engine_override);
+          if (engine_override) {
+            s.network.engine = *engine_override;
+            s.name += engine_suffix(*engine_override);
             s.description += " [engine override]";
           }
-        }
-        if (enable_layer_knobs) {
-          for (auto& s : scenarios) {
-            s.layer_knobs = true;
+          if (enable_layer_knobs) {
+            s.layer_knobs.enabled = true;
             s.name += "-knobs";
             s.description += " [layer-knobs override]";
           }

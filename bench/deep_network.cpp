@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     s.name = std::string("bench-") + d.name;
     s.description = "deep-network bench point";
     s.seed = experiment_seed();
-    s.hidden_neurons = d.hidden;
+    s.network.hidden_neurons = d.hidden;
     sweep.push_back(std::move(s));
   }
 

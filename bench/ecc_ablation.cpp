@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   scenario::ScenarioMatrix m;
   m.sizes = {{"tiny", 25, scaled(100, 50), scaled(50, 25), 1}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false}};
+  m.geometries = {{"commodity", false}};
   m.error_models = {{"m0", {}}};
   m.ecc_schemes = {
       {"ecc-off", {}},

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   SPARKXD_REQUIRE(base != nullptr, "smoke scenario disappeared");
   scenario::Scenario s = *base;
   s.name += "-knobs";
-  s.layer_knobs = true;
+  s.layer_knobs.enabled = true;
   s.ecc = {error::EccKind::kSecded, 64};  // give the search a real ladder
   s.seed = experiment_seed();
 

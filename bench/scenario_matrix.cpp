@@ -26,8 +26,7 @@ int main() {
   scenario::ScenarioMatrix m;
   m.tasks = {data::Task::kDigits, data::Task::kFashion};
   m.sizes = {{"tiny", 25, scaled(100, 50), scaled(50, 25), 1}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false},
-                  {"salp", dram::Geometry::lpddr3_4gb(), true}};
+  m.geometries = {{"commodity", false}, {"salp", true}};
   error::ErrorModelSpec m1;
   m1.kind = error::ErrorModelKind::kModel1Bitline;
   m.error_models = {{"m0", {}}, {"m1", m1}};

@@ -7,18 +7,30 @@
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
+#include "data/dataset.hpp"
 #include "dram/controller.hpp"
+#include "snn/network.hpp"
 #include "snn/trainer.hpp"
 
 namespace sparkxd::core {
 
 void PipelineConfig::validate() const {
-  SPARKXD_REQUIRE(train_samples > 0, "need at least one training sample");
-  SPARKXD_REQUIRE(test_samples > 0, "need at least one test sample");
-  SPARKXD_REQUIRE(network.n_inputs > 0 && network.n_neurons > 0,
-                  "network must have inputs and neurons");
-  for (const std::size_t h : network.hidden_neurons)
-    SPARKXD_REQUIRE(h > 0, "hidden layer sizes must be positive");
+  // Bounds far above any workload: a count past them is a wrapped or
+  // mistyped value, and would size the dataset or run the training and
+  // Monte-Carlo loops ~forever.
+  constexpr std::size_t kMaxSamples = std::size_t{1} << 20;
+  constexpr std::size_t kMaxPasses = std::size_t{1} << 16;
+  for (const std::size_t n : {train_samples, test_samples})
+    SPARKXD_REQUIRE(n > 0 && n <= kMaxSamples,
+                    "training and test samples must lie in [1, 2^20]");
+  SPARKXD_REQUIRE(baseline_epochs <= kMaxPasses,
+                  "baseline epochs must be at most 2^16");
+  const std::size_t trials = fault_training.eval_trials;
+  SPARKXD_REQUIRE(trials > 0 && trials <= kMaxPasses,
+                  "Monte-Carlo evaluation trials must lie in [1, 2^16]");
+  snn::require_valid(network);
+  SPARKXD_REQUIRE(network.n_inputs == data::kImageSide * data::kImageSide,
+                  "network inputs must equal the dataset's pixel count");
   SPARKXD_REQUIRE(!fault_training.ber_stages.empty(),
                   "fault-training schedule needs at least one BER stage");
   for (std::size_t i = 0; i < fault_training.ber_stages.size(); ++i) {
@@ -38,6 +50,7 @@ void PipelineConfig::validate() const {
                     "(paper order, 1.325 V down to 1.025 V)");
   }
   geometry.validate();
+  (void)mapping::weights_per_chunk(geometry);  // whole FP32 weights per burst
   refresh.validate(dram::TimingParams::lpddr3_1600());
   error_model.retention.validate();
   ecc.validate();

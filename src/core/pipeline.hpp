@@ -71,11 +71,14 @@ struct PipelineConfig {
   /// Lognormal spread of per-subarray error rates.
   static constexpr double subarray_sigma = 0.8;
 
-  /// Validates the configuration; throws ContractViolation with a specific
-  /// message on the first problem found. Checks sample counts, the BER
-  /// stage schedule (non-empty, positive, strictly ascending), the voltage
+  /// Validates the configuration before anything is built; throws
+  /// ContractViolation with a specific message on the first problem found.
+  /// Checks the sample, epoch and trial counts, the network (the checks of
+  /// the Network constructors, and one input per dataset pixel), the BER
+  /// stage schedule (non-empty, in (0, 1), strictly ascending), the voltage
   /// grid (non-empty, finite, positive, strictly descending — the paper's
-  /// 1.325 → 1.025 V presentation order), and the DRAM geometry.
+  /// 1.325 → 1.025 V presentation order), the DRAM geometry, the refresh
+  /// policy, the retention spec and the ECC spec.
   void validate() const;
 };
 

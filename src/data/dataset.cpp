@@ -10,8 +10,6 @@ namespace sparkxd::data {
 
 namespace {
 
-constexpr std::size_t kSide = 28;
-
 /// Per-sample geometric jitter parameters.
 struct Jitter {
   double rot;        // radians
@@ -156,7 +154,7 @@ void render_fashion(Canvas& c, int cls, double t) {
 }
 
 std::vector<float> render_sample(Task task, int cls, Rng& rng) {
-  Canvas c(kSide, kSide);
+  Canvas c(kImageSide, kImageSide);
   // Garments tolerate less rotation than digit strokes before becoming
   // ambiguous with neighbours; keep their jitter slightly tighter.
   const Jitter j = task == Task::kDigits ? draw_jitter(rng, 0.16, 1.8)
@@ -204,8 +202,8 @@ Dataset Dataset::drop(std::size_t n) const {
 
 Dataset make_dataset(Task task, std::size_t n, std::uint64_t seed) {
   Dataset ds;
-  ds.width = kSide;
-  ds.height = kSide;
+  ds.width = kImageSide;
+  ds.height = kImageSide;
   ds.num_classes = 10;
   ds.name = to_string(task);
   ds.images.reserve(n);

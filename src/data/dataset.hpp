@@ -14,6 +14,9 @@
 
 namespace sparkxd::data {
 
+/// Side length of every generated image (28x28 pixels, like MNIST).
+inline constexpr std::size_t kImageSide = 28;
+
 /// A labelled set of same-sized grayscale images, pixel values in [0, 1].
 struct Dataset {
   std::size_t width = 0;

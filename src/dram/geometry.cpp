@@ -7,6 +7,17 @@ void Geometry::validate() const {
                       banks_per_chip && subarrays_per_bank &&
                       rows_per_subarray && columns_per_row && column_bytes,
                   "every geometry level must have at least one element");
+  // A module far larger than any real one is a wrapped count. Bound the
+  // subarrays (one profile entry each), the rows (one placement flag each)
+  // and the row bytes; a double holds each product without wrapping.
+  const double subarrays = static_cast<double>(channels) * ranks_per_channel *
+                           chips_per_rank * banks_per_chip * subarrays_per_bank;
+  const double row_bytes = static_cast<double>(columns_per_row) * column_bytes;
+  SPARKXD_REQUIRE(subarrays <= 0x1p20 &&
+                      subarrays * rows_per_subarray <= 0x1p28 &&
+                      row_bytes <= 0x1p16,
+                  "a module holds at most 2^20 subarrays and 2^28 rows of at "
+                  "most 64 KiB");
   SPARKXD_REQUIRE(burst_columns >= 1 && burst_columns <= columns_per_row,
                   "burst length must fit in a row");
   SPARKXD_REQUIRE(columns_per_row % burst_columns == 0,

@@ -38,7 +38,9 @@ struct Geometry {
     return std::uint64_t{channels} * ranks_per_channel * chips_per_rank *
            banks_per_chip * subarrays_per_bank;
   }
-  /// Validates that every level has at least one element.
+  /// Validates that every level has at least one element, that the module
+  /// has at most 2^20 subarrays and 2^28 rows of at most 64 KiB, and that
+  /// a row holds a whole number of bursts.
   void validate() const;
 };
 

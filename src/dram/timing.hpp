@@ -57,6 +57,12 @@ enum class RefreshMode : std::uint8_t {
 
 [[nodiscard]] const char* to_string(RefreshMode m) noexcept;
 
+/// Largest refresh interval multiplier a policy or retention spec accepts.
+/// At 1024x about 28% of the cells of an average subarray are already
+/// retention-weak (error/retention.hpp); a larger value is a typo, not an
+/// operating point.
+inline constexpr double kMaxRefreshMultiplier = 1024.0;
+
 /// Refresh policy of a DRAM module: the second approximation axis next to
 /// supply-voltage scaling. A policy is pure data; the Controller turns it
 /// into REF windows and the power model into refresh energy.
@@ -90,13 +96,13 @@ struct RefreshPolicy {
     return mode == RefreshMode::kReduced ? interval_multiplier : 1.0;
   }
 
-  /// Checks the policy against a timing set: the multiplier must be a
-  /// finite value >= 1, and a REF must fit between two REFs (tRFC < the
-  /// effective tREFI) or the device would refresh back to back.
+  /// Checks the policy against a timing set: the multiplier must lie in
+  /// [1, kMaxRefreshMultiplier], and a REF must fit between two REFs (tRFC
+  /// < the effective tREFI) or the device would refresh back to back.
   void validate(const TimingParams& t) const {
-    SPARKXD_REQUIRE(std::isfinite(interval_multiplier) &&
-                        interval_multiplier >= 1.0,
-                    "refresh interval multiplier must be finite and >= 1");
+    SPARKXD_REQUIRE(interval_multiplier >= 1.0 &&
+                        interval_multiplier <= kMaxRefreshMultiplier,
+                    "refresh interval multiplier must lie in [1, 1024]");
     if (!simulated()) return;
     SPARKXD_REQUIRE(t.t_refi > 0.0 && t.t_rfc > 0.0,
                     "tREFI and tRFC must be positive to simulate refresh");

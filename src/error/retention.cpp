@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "dram/timing.hpp"
+
 namespace sparkxd::error {
 
 namespace {
@@ -16,9 +18,9 @@ constexpr double kSigmaDecades = 0.6;
 
 void RetentionSpec::validate() const {
   if (!enabled) return;
-  SPARKXD_REQUIRE(std::isfinite(interval_multiplier) &&
-                      interval_multiplier >= 1.0,
-                  "retention interval multiplier must be finite and >= 1");
+  SPARKXD_REQUIRE(interval_multiplier >= 1.0 &&
+                      interval_multiplier <= dram::kMaxRefreshMultiplier,
+                  "retention interval multiplier must lie in [1, 1024]");
 }
 
 double retention_fail_probability(const RetentionSpec& spec,

@@ -39,7 +39,8 @@ struct RetentionSpec {
   /// policy's interval multiplier; 1 = datasheet cadence).
   double interval_multiplier = 1.0;
 
-  /// Throws ContractViolation when enabled with an out-of-range multiplier.
+  /// Throws ContractViolation when enabled with a multiplier outside
+  /// [1, dram::kMaxRefreshMultiplier].
   void validate() const;
 };
 

@@ -19,12 +19,6 @@ void require_named(const std::string& name, const char* axis) {
 
 }  // namespace
 
-std::size_t ScenarioMatrix::size() const noexcept {
-  return tasks.size() * sizes.size() * geometries.size() *
-         error_models.size() * layer_stacks.size() * ecc_schemes.size() *
-         refresh_policies.size();
-}
-
 std::vector<Scenario> ScenarioMatrix::expand() const {
   SPARKXD_REQUIRE(!tasks.empty(), "matrix task axis is empty");
   SPARKXD_REQUIRE(!sizes.empty(), "matrix size axis is empty");
@@ -42,7 +36,6 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
   for (const auto& r : refresh_policies) require_named(r.name, "refresh");
 
   std::vector<Scenario> out;
-  out.reserve(size());
   // Name -> the axis tuple that produced it. Suffixes are appended only for
   // multi-valued axes, so two different tuples CAN lower to the same name;
   // that would silently shadow one of them in a registry — fail loudly with
@@ -79,12 +72,12 @@ std::vector<Scenario> ScenarioMatrix::expand() const {
                     ", ecc " + error::ecc_label(ecc.spec) +
                     ", refresh " + refresh_label(refresh.policy);
                 s.task = task;
-                s.n_neurons = size.n_neurons;
-                s.hidden_neurons = stack.hidden;
+                s.network.n_neurons = size.n_neurons;
+                s.network.hidden_neurons = stack.hidden;
                 s.train_samples = size.train_samples;
                 s.test_samples = size.test_samples;
                 s.baseline_epochs = size.baseline_epochs;
-                s.geometry = geom.geometry;
+                s.fault_training.ber_stages = {1e-5, 1e-3};
                 s.salp = geom.salp;
                 s.refresh = refresh.policy;
                 s.error_model = model.spec;

@@ -26,10 +26,9 @@ struct SizeSpec {
   std::size_t baseline_epochs = 1;
 };
 
-/// DRAM-organization axis value.
+/// DRAM-organization axis value on the paper's LPDDR3 module.
 struct GeometrySpec {
   std::string name;  ///< e.g. "commodity", "salp"
-  dram::Geometry geometry = dram::Geometry::lpddr3_4gb();
   bool salp = false;
 };
 
@@ -61,13 +60,16 @@ struct LayerStackSpec {
 };
 
 /// Axis lists plus the voltage grid and seed every expanded scenario
-/// inherits. expand() iterates tasks (outermost), sizes, geometries, error
-/// models, layer stacks, ecc schemes and refresh policies (innermost) and
-/// names each cell "<task>-<size>-<geometry>-<model>", appending
-/// "-<layers>" when the layer-stack axis has more than one value, "-<ecc>"
-/// when the ecc axis does, and "-<refresh>" when the refresh axis does, so
-/// single-valued axes keep names short and multi-valued axes keep them
-/// unique.
+/// inherits; every expanded scenario also trains on the two-stage
+/// fault-training schedule {1e-5, 1e-3}, written once, in expand(). The
+/// other fields stay at the core::PipelineConfig defaults (the paper's
+/// LPDDR3 module among them). expand() iterates tasks (outermost), sizes,
+/// geometries, error models, layer stacks, ecc schemes and refresh policies
+/// (innermost) and names each cell "<task>-<size>-<geometry>-<model>",
+/// appending "-<layers>" when the layer-stack axis has more than one value,
+/// "-<ecc>" when the ecc axis does, and "-<refresh>" when the refresh axis
+/// does, so single-valued axes keep names short and multi-valued axes keep
+/// them unique.
 struct ScenarioMatrix {
   std::vector<data::Task> tasks = {data::Task::kDigits};
   std::vector<SizeSpec> sizes;
@@ -81,9 +83,6 @@ struct ScenarioMatrix {
   /// Strictly descending supply-voltage grid (paper: 1.325 .. 1.025 V).
   std::vector<double> voltages = {1.325, 1.250, 1.175, 1.100, 1.025};
   std::uint64_t seed = 42;
-
-  /// Number of scenarios expand() will produce (product of axis sizes).
-  [[nodiscard]] std::size_t size() const noexcept;
 
   /// The cross product. Throws ContractViolation if any axis is empty or an
   /// axis value is unnamed; every produced scenario passes validate().

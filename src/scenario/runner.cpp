@@ -37,18 +37,18 @@ std::string sci(int precision, double v) {
 void write_config(json::Writer& w, const Scenario& s) {
   w.key("config").begin_object();
   w.field("task", data::to_string(s.task));
-  w.field("neurons", s.n_neurons);
+  w.field("neurons", s.network.n_neurons);
   w.key("hidden_layers").begin_array();
-  for (const std::size_t h : s.hidden_neurons)
+  for (const std::size_t h : s.network.hidden_neurons)
     w.value(static_cast<std::uint64_t>(h));
   w.end_array();
   w.field("train_samples", s.train_samples);
   w.field("test_samples", s.test_samples);
   w.field("baseline_epochs", s.baseline_epochs);
   w.key("ber_stages").begin_array();
-  for (const double b : s.ber_stages) w.value(b);
+  for (const double b : s.fault_training.ber_stages) w.value(b);
   w.end_array();
-  w.field("eval_trials", s.eval_trials);
+  w.field("eval_trials", s.fault_training.eval_trials);
   w.key("geometry").begin_object();
   w.field("banks_per_chip", s.geometry.banks_per_chip);
   w.field("subarrays_per_bank", s.geometry.subarrays_per_bank);
@@ -71,10 +71,10 @@ void write_config(json::Writer& w, const Scenario& s) {
   w.field("seed", s.seed);
   // Emitted only for non-default engines so every float-mode report keeps
   // its byte layout.
-  if (s.engine != snn::EngineKind::kEvent)
-    w.field("engine", snn::to_string(s.engine));
+  if (s.network.engine != snn::EngineKind::kEvent)
+    w.field("engine", snn::to_string(s.network.engine));
   // Same gating for the knob search: absent unless the scenario runs it.
-  if (s.layer_knobs) w.field("layer_knobs", true);
+  if (s.layer_knobs.enabled) w.field("layer_knobs", true);
   w.end_object();
 }
 
@@ -98,7 +98,7 @@ void write_report(json::Writer& w, const Scenario& s,
   // Per-layer report blocks are emitted only for deep stacks, and ECC
   // blocks only for ecc-enabled scenarios, so every pre-existing report
   // (and its byte layout) is unchanged.
-  const bool deep = !s.hidden_neurons.empty();
+  const bool deep = !s.network.hidden_neurons.empty();
   const bool ecc_on = s.ecc.enabled();
   w.key("report").begin_object();
   w.field("baseline_accuracy", r.baseline_accuracy);
@@ -193,7 +193,7 @@ void write_report(json::Writer& w, const Scenario& s,
   w.end_array();
   // Per-layer operating points (knob-search scenarios only, so every
   // knob-free report keeps its byte layout).
-  if (s.layer_knobs && r.layer_knobs.has_value()) {
+  if (s.layer_knobs.enabled && r.layer_knobs.has_value()) {
     const core::LayerKnobsReport& k = *r.layer_knobs;
     w.key("layer_knobs").begin_object();
     w.key("layers").begin_array();
@@ -249,24 +249,23 @@ std::string digest(const ScenarioResult& result) {
   // refresh, per-layer fields only for deep stacks, and ECC fields only
   // for ecc-enabled scenarios, so every pre-existing digest stays
   // byte-identical.
-  const bool refresh_on = result.scenario.refresh.simulated();
-  const bool deep = !result.scenario.hidden_neurons.empty();
-  const bool ecc_on = result.scenario.ecc.enabled();
+  const Scenario& s = result.scenario;
+  const bool refresh_on = s.refresh.simulated();
+  const bool deep = !s.network.hidden_neurons.empty();
+  const bool ecc_on = s.ecc.enabled();
   // The engine header line follows the same gating: absent for the default
   // float mode, so its digests stay byte-identical.
-  const bool engine_on = result.scenario.engine != snn::EngineKind::kEvent;
+  const bool engine_on = s.network.engine != snn::EngineKind::kEvent;
   // Knob-search lines (K<n>) only for scenarios that ran the search.
-  const bool knobs_on =
-      result.scenario.layer_knobs && r.layer_knobs.has_value();
+  const bool knobs_on = s.layer_knobs.enabled && r.layer_knobs.has_value();
   std::string d;
-  d += "scenario=" + result.scenario.name + "\n";
+  d += "scenario=" + s.name + "\n";
   if (engine_on)
-    d += std::string("engine=") + snn::to_string(result.scenario.engine) + "\n";
-  if (refresh_on)
-    d += "refresh=" + refresh_label(result.scenario.refresh) + "\n";
-  if (ecc_on) d += "ecc=" + error::ecc_label(result.scenario.ecc) + "\n";
+    d += std::string("engine=") + snn::to_string(s.network.engine) + "\n";
+  if (refresh_on) d += "refresh=" + refresh_label(s.refresh) + "\n";
+  if (ecc_on) d += "ecc=" + error::ecc_label(s.ecc) + "\n";
   if (deep) {
-    d += "layers=" + std::to_string(result.scenario.hidden_neurons.size() + 1);
+    d += "layers=" + std::to_string(s.network.n_layers());
     d += "\n";
   }
   d += "baseline_accuracy=" + fixed(6, r.baseline_accuracy) + "\n";

@@ -6,20 +6,8 @@
 namespace sparkxd::scenario {
 
 core::PipelineConfig Scenario::pipeline_config() const {
-  core::PipelineConfig cfg;
-  cfg.task = task;
-  cfg.network.n_neurons = n_neurons;
-  cfg.network.hidden_neurons = hidden_neurons;
+  core::PipelineConfig cfg = *this;
   cfg.network.seed = seed;
-  cfg.train_samples = train_samples;
-  cfg.test_samples = test_samples;
-  cfg.baseline_epochs = baseline_epochs;
-  cfg.fault_training.ber_stages = ber_stages;
-  cfg.fault_training.eval_trials = eval_trials;
-  cfg.geometry = geometry;
-  cfg.salp = salp;
-  cfg.refresh = refresh;
-  cfg.error_model = error_model;
   // A simulated refresh policy brings its retention-failure errors along:
   // the effective window stretches with the policy's interval multiplier.
   if (refresh.simulated()) {
@@ -27,11 +15,6 @@ core::PipelineConfig Scenario::pipeline_config() const {
     cfg.error_model.retention.interval_multiplier =
         refresh.effective_multiplier();
   }
-  cfg.ecc = ecc;
-  cfg.voltages = voltages;
-  cfg.seed = seed;
-  cfg.network.engine = engine;
-  cfg.layer_knobs.enabled = layer_knobs;
   return cfg;
 }
 
@@ -84,12 +67,12 @@ Scenario smoke_digits_m0() {
   s.name = "smoke-digits-m0";
   s.description =
       "tiny digits net, commodity DRAM, Model-0 — golden-locked smoke run";
-  s.n_neurons = 25;
+  s.network.n_neurons = 25;
   s.train_samples = 100;
   s.test_samples = 50;
   s.baseline_epochs = 1;
-  s.ber_stages = {1e-5, 1e-3};
-  s.eval_trials = 2;
+  s.fault_training.ber_stages = {1e-5, 1e-3};
+  s.fault_training.eval_trials = 2;
   s.voltages = {1.250, 1.100, 1.025};
   return s;
 }
@@ -100,12 +83,12 @@ Scenario smoke_fashion_salp_m1() {
   s.description =
       "tiny fashion net, SALP DRAM, Model-1 — golden-locked smoke run";
   s.task = data::Task::kFashion;
-  s.n_neurons = 25;
+  s.network.n_neurons = 25;
   s.train_samples = 100;
   s.test_samples = 50;
   s.baseline_epochs = 1;
-  s.ber_stages = {1e-5, 1e-3};
-  s.eval_trials = 2;
+  s.fault_training.ber_stages = {1e-5, 1e-3};
+  s.fault_training.eval_trials = 2;
   s.salp = true;
   s.error_model = model_spec(error::ErrorModelKind::kModel1Bitline);
   s.voltages = {1.250, 1.100, 1.025};
@@ -145,7 +128,7 @@ Scenario smoke_digits_deep() {
   s.description =
       "tiny 2-layer digits net (784-48-25), commodity DRAM, Model-0 — "
       "golden-locked deep-stack smoke run";
-  s.hidden_neurons = {48};
+  s.network.hidden_neurons = {48};
   return s;
 }
 
@@ -173,7 +156,7 @@ Scenario smoke_digits_event_fx() {
   s.description =
       "tiny digits net, commodity DRAM, Model-0, fixed-point event engine — "
       "golden-locked smoke run";
-  s.engine = snn::EngineKind::kEventFx;
+  s.network.engine = snn::EngineKind::kEventFx;
   return s;
 }
 
@@ -190,7 +173,7 @@ Scenario smoke_digits_knobs() {
       "knob search — golden-locked smoke run";
   s.ecc = {error::EccKind::kSecded, 64};
   s.refresh = dram::RefreshPolicy::reduced(8.0);
-  s.layer_knobs = true;
+  s.layer_knobs.enabled = true;
   return s;
 }
 
@@ -207,9 +190,8 @@ std::vector<Scenario> build_registry() {
 
   const SizeSpec small{"small", 64, 250, 100, 1};
   const SizeSpec medium{"medium", 100, 400, 150, 2};
-  const GeometrySpec commodity{"commodity", dram::Geometry::lpddr3_4gb(),
-                               false};
-  const GeometrySpec salp{"salp", dram::Geometry::lpddr3_4gb(), true};
+  const GeometrySpec commodity{"commodity", false};
+  const GeometrySpec salp{"salp", true};
 
   // Main grid: tasks × sizes × DRAM organizations under the paper's pick,
   // Model-0 (8 scenarios).
@@ -255,7 +237,7 @@ std::vector<Scenario> build_registry() {
   // Only the deep cell is new; the flat cell would duplicate the main
   // grid's digits-small-salp-m0, so keep just the deep expansion.
   for (auto& s : deep_salp.expand())
-    if (!s.hidden_neurons.empty()) all.push_back(std::move(s));
+    if (!s.network.hidden_neurons.empty()) all.push_back(std::move(s));
 
   // Refresh grid: the second approximation axis on the small nets across
   // both tasks and organizations — nominal cadence plus two relaxed-refresh

@@ -8,15 +8,6 @@
 
 namespace sparkxd::snn {
 
-namespace {
-/// Fixed-point scale for the kEventFx synaptic accumulator: Q47.16. Weights
-/// live in [0, ~norm_target], so 16 fractional bits keep quantization below
-/// 1e-5 of a unit threshold while 47 integer bits can absorb any realistic
-/// fan-in without overflow.
-constexpr float kFxScale = 65536.0f;
-
-/// The config checks of both Network constructors, run before the network
-/// allocates anything. Returns `cfg`.
 const NetworkConfig& require_valid(const NetworkConfig& cfg) {
   SPARKXD_REQUIRE(cfg.n_inputs > 0 && cfg.n_neurons > 0,
                   "network dimensions must be positive");
@@ -30,9 +21,20 @@ const NetworkConfig& require_valid(const NetworkConfig& cfg) {
     SPARKXD_REQUIRE(cfg.layer_inputs(l) <=
                         kMaxLayerWeights / cfg.layer_neurons(l),
                     "layer n_in x n_out exceeds 2^32 synapses");
-  SPARKXD_REQUIRE(cfg.timesteps > 0, "need at least one timestep per sample");
+  // 65 s of simulated time per sample at 1 ms steps: more is a wrapped
+  // count, and every sample would loop that long.
+  constexpr std::size_t kMaxTimesteps = std::size_t{1} << 16;
+  SPARKXD_REQUIRE(cfg.timesteps > 0 && cfg.timesteps <= kMaxTimesteps,
+                  "timesteps per sample must lie in [1, 2^16]");
   return cfg;
 }
+
+namespace {
+/// Fixed-point scale for the kEventFx synaptic accumulator: Q47.16. Weights
+/// live in [0, ~norm_target], so 16 fractional bits keep quantization below
+/// 1e-5 of a unit threshold while 47 integer bits can absorb any realistic
+/// fan-in without overflow.
+constexpr float kFxScale = 65536.0f;
 
 /// Checks `cfg`, then draws every layer's initial weights, uniform in
 /// [0, 0.3] (the constructor normalizes them) — the standard

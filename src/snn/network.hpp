@@ -58,6 +58,11 @@ namespace sparkxd::snn {
 
 class Network;
 
+/// The config checks of both Network constructors, run before the network
+/// allocates anything: positive dimensions, at most 2^32 synapses per
+/// layer, 1..2^16 timesteps. Throws ContractViolation; returns `cfg`.
+const NetworkConfig& require_valid(const NetworkConfig& cfg);
+
 /// Per-worker mutable inference state over a shared const Network: per
 /// layer, the LIF dynamics (potentials and refractory counters) and the
 /// scratch buffers, plus the Poisson encoder. It holds no parameters: the

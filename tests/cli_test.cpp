@@ -42,6 +42,19 @@ RunResult run_cli(const std::string& args) {
   return run_binary(SPARKXD_RUN_BIN, args);
 }
 
+/// `s` as one single-quoted shell word.
+std::string shell_quote(const std::string& s) {
+  std::string out = "'";
+  for (const char c : s) {
+    if (c == '\'') {
+      out += "'\\''";
+    } else {
+      out += c;
+    }
+  }
+  return out + "'";
+}
+
 /// A loopback port that was just bound and released — nothing listens on
 /// it, so connections are refused (modulo an unlucky reuse race).
 int dead_port() {
@@ -74,9 +87,22 @@ TEST(CliTest, NoSelectionExitsTwo) {
 }
 
 TEST(CliTest, BadRefreshSpecExitsTwo) {
-  const auto r = run_cli("--scenario smoke-digits-m0 --refresh bogus");
-  EXPECT_EQ(r.exit_code, 2);
-  EXPECT_NE(r.output.find("--refresh"), std::string::npos) << r.output;
+  // Only <digits>[.<digits>][x] in [1, 1024]: no hex, exponent, sign or
+  // whitespace, and no multiplier past the retention model's range.
+  for (const char* spec :
+       {"bogus", "0x10", " 8x", "1e1x", "-8x", "8.x", ".5x", "0.5x", "2000x",
+        "1024.5x", "19999999999999999999999999x"}) {
+    const auto r = run_cli("--scenario smoke-digits-m0 --refresh " +
+                           shell_quote(spec));
+    EXPECT_EQ(r.exit_code, 2) << spec;
+    EXPECT_NE(r.output.find("--refresh"), std::string::npos) << r.output;
+  }
+  // The edges of the range still parse.
+  for (const char* spec : {"1024x", "1.5", "8.25x"}) {
+    const auto r = run_cli(std::string("--list --scenario smoke-digits-m0 "
+                                       "--refresh ") + spec);
+    EXPECT_EQ(r.exit_code, 0) << spec << ": " << r.output;
+  }
 }
 
 TEST(CliTest, BadEccSpecExitsTwo) {
@@ -242,19 +268,6 @@ std::string mutate(std::string s, const std::vector<std::string>& seeds,
     }
   }
   return s;
-}
-
-/// `s` as one single-quoted shell word.
-std::string shell_quote(const std::string& s) {
-  std::string out = "'";
-  for (const char c : s) {
-    if (c == '\'') {
-      out += "'\\''";
-    } else {
-      out += c;
-    }
-  }
-  return out + "'";
 }
 
 // Seeded fuzzing of the spec-string parsers: mutated --ecc, --refresh and

@@ -572,6 +572,29 @@ TEST(PipelineConfig_, ValidateRejectsEmptyData) {
   EXPECT_THROW(no_test.validate(), ContractViolation);
 }
 
+TEST(PipelineConfig_, ValidateRejectsBeforeTrainingWhatTrainingWouldReject) {
+  // Each of these used to pass validate() and throw only after the dataset
+  // was synthesised and the baseline trained; run_pipeline validates first.
+  const auto rejects = [](const auto& mutate) {
+    PipelineConfig cfg;
+    mutate(cfg);
+    EXPECT_THROW(cfg.validate(), ContractViolation);
+    EXPECT_THROW((void)run_pipeline(cfg), ContractViolation);
+  };
+  rejects([](PipelineConfig& c) { c.network.timesteps = 0; });
+  rejects([](PipelineConfig& c) { c.fault_training.eval_trials = 0; });
+  // One input fewer than the 28x28 pixels.
+  rejects([](PipelineConfig& c) { c.network.n_inputs = 783; });
+  // A 2-byte burst holds no whole FP32 weight (a 4-byte one does).
+  rejects([](PipelineConfig& c) {
+    c.geometry.burst_columns = 1;
+    c.geometry.column_bytes = 2;
+  });
+  PipelineConfig four_byte_bursts;
+  four_byte_bursts.geometry.burst_columns = 1;
+  EXPECT_NO_THROW(four_byte_bursts.validate());
+}
+
 TEST_F(FaultAwareFixture, LayerInjectorsSizeMustMatchDepth) {
   Rng rng(32);
   EXPECT_THROW((void)evaluate_corrupted(

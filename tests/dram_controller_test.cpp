@@ -330,6 +330,14 @@ TEST(Refresh, PolicyValidation) {
   EXPECT_THROW(RefreshPolicy::reduced(
                    std::numeric_limits<double>::infinity()).validate(t),
                ContractViolation);
+  EXPECT_THROW(RefreshPolicy::reduced(
+                   std::numeric_limits<double>::quiet_NaN()).validate(t),
+               ContractViolation);
+  // The multiplier is bounded: 1024x already makes ~28% of an average
+  // subarray's cells retention-weak.
+  EXPECT_NO_THROW(RefreshPolicy::reduced(1024.0).validate(t));
+  EXPECT_THROW(RefreshPolicy::reduced(1024.5).validate(t), ContractViolation);
+  EXPECT_THROW(RefreshPolicy::reduced(2e25).validate(t), ContractViolation);
   auto broken = t;
   broken.t_rfc = broken.t_refi + 1.0;  // REF longer than the interval
   EXPECT_THROW(RefreshPolicy::nominal().validate(broken), ContractViolation);

@@ -488,6 +488,10 @@ TEST(Retention, SpecValidation) {
   EXPECT_NO_THROW(RetentionSpec{}.validate());  // disabled: anything goes
   EXPECT_NO_THROW(retention_at(64.0).validate());
   EXPECT_THROW(retention_at(0.5).validate(), ContractViolation);
+  EXPECT_NO_THROW(retention_at(1024.0).validate());
+  EXPECT_THROW(retention_at(1025.0).validate(), ContractViolation);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(retention_at(nan).validate(), ContractViolation);
 }
 
 TEST(Retention, InjectorEnumeratesRetentionCandidates) {

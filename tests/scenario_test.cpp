@@ -13,10 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 #include <string>
@@ -149,7 +152,7 @@ TEST(Registry, CoversTheEvaluationGrid) {
 
 TEST(Registry, FindAndMatch) {
   ASSERT_NE(find_scenario("smoke-digits-m0"), nullptr);
-  EXPECT_EQ(find_scenario("smoke-digits-m0")->n_neurons, 25u);
+  EXPECT_EQ(find_scenario("smoke-digits-m0")->network.n_neurons, 25u);
   EXPECT_EQ(find_scenario("no-such-scenario"), nullptr);
   const auto smoke = match_scenarios("smoke");
   EXPECT_EQ(smoke.size(), 8u);
@@ -161,7 +164,7 @@ TEST(Registry, CoversTheLayerStackAxis) {
   // SALP point and the golden-locked smoke; pre-existing cells stay flat.
   std::size_t flat = 0, deep2 = 0, deep3 = 0;
   for (const auto& s : builtin_scenarios()) {
-    switch (s.hidden_neurons.size()) {
+    switch (s.network.hidden_neurons.size()) {
       case 0: ++flat; break;
       case 1: ++deep2; break;
       default: ++deep3; break;
@@ -178,9 +181,9 @@ TEST(Registry, CoversTheLayerStackAxis) {
 TEST(Scenario, LoweringCarriesTheLayerStack) {
   const auto* deep = find_scenario("smoke-digits-deep");
   ASSERT_NE(deep, nullptr);
-  ASSERT_EQ(deep->hidden_neurons.size(), 1u);
+  ASSERT_EQ(deep->network.hidden_neurons.size(), 1u);
   const auto cfg = deep->pipeline_config();
-  EXPECT_EQ(cfg.network.hidden_neurons, deep->hidden_neurons);
+  EXPECT_EQ(cfg.network.hidden_neurons, deep->network.hidden_neurons);
   EXPECT_EQ(cfg.network.n_layers(), 2u);
 
   // Flat scenarios lower to the legacy single-layer network.
@@ -264,12 +267,29 @@ TEST(Scenario, RefreshLabels) {
   EXPECT_EQ(refresh_label(dram::RefreshPolicy::reduced(8.5)), "8.5x");
 }
 
+TEST(Registry, ConfigBlocksOfEveryBuiltinArePinned) {
+  // The config blocks of all 44 built-ins, serialized over empty reports
+  // and folded with FNV-1a 64. The value was recorded before Scenario
+  // became a named PipelineConfig, so any change to a registry entry or
+  // to what the JSON config block reads moves it.
+  std::vector<ScenarioResult> results;
+  for (const auto& s : builtin_scenarios())
+    results.push_back({s, core::PipelineReport{}});
+  ASSERT_EQ(results.size(), 44u);
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : to_json(results)) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(h, 0xc0481c1670c035e1ull) << std::hex << h;
+}
+
 TEST(Registry, GoldenScenariosExistAndAreFast) {
   for (const auto name : kGoldenScenarios) {
     const auto* s = find_scenario(name);
     ASSERT_NE(s, nullptr) << name;
     // Golden runs must stay cheap: tests and CI run them repeatedly.
-    EXPECT_LE(s->n_neurons, 32u) << name;
+    EXPECT_LE(s->network.n_neurons, 32u) << name;
     EXPECT_LE(s->train_samples, 120u) << name;
     EXPECT_LE(s->voltages.size(), 3u) << name;
   }
@@ -293,14 +313,185 @@ TEST(Scenario, ValidateRejectsBadVoltageGrid) {
   EXPECT_THROW(s.validate(), ContractViolation);
 }
 
+// A Scenario handed straight to run_pipeline would be sliced to its
+// PipelineConfig without the seed stamp and the refresh/retention coupling;
+// scenario.hpp deletes that overload.
+template <class S>
+concept RunsDirectly = requires(const S& s) { core::run_pipeline(s); };
+static_assert(!RunsDirectly<Scenario>);
+static_assert(RunsDirectly<core::PipelineConfig>);
+
+TEST(Scenario, LoweringStampsTheNetworkSeed) {
+  Scenario s = *find_scenario("smoke-digits-m0");
+  s.seed = 9001;
+  EXPECT_EQ(s.network.seed, snn::NetworkConfig{}.seed);
+  EXPECT_EQ(s.pipeline_config().network.seed, 9001u);
+  EXPECT_EQ(s.pipeline_config().seed, 9001u);
+}
+
+// ------------------------------------------------------------ field fuzzing
+
+/// One corrupted field of a scenario: what was corrupted, and how.
+struct Mutation {
+  std::string label;
+  std::function<void(Scenario&)> apply;
+};
+
+/// Invalid values for every settable field of `base` a program can set
+/// (enums and booleans excluded: every value of them is valid). `gen`
+/// picks the wrapped counts and the list positions that get corrupted.
+std::vector<Mutation> invalid_mutations(const Scenario& base,
+                                        std::mt19937_64& gen) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto wrapped = [&] {
+    return std::numeric_limits<std::size_t>::max() - gen() % 4096;
+  };
+  const auto huge = [&] { return std::size_t{1} << (40 + gen() % 23); };
+  std::vector<Mutation> out;
+  const auto add = [&](std::string label, std::function<void(Scenario&)> f) {
+    out.push_back({std::move(label), std::move(f)});
+  };
+
+  // Counts: zero, a wrapped negative and a huge value each.
+  const auto counts = [&](const std::string& field, auto member) {
+    for (const std::size_t v : {std::size_t{0}, wrapped(), huge()})
+      add(field + "=" + std::to_string(v), [=](Scenario& s) { member(s) = v; });
+  };
+  counts("n_neurons", [](Scenario& s) -> auto& { return s.network.n_neurons; });
+  counts("n_inputs", [](Scenario& s) -> auto& { return s.network.n_inputs; });
+  counts("timesteps", [](Scenario& s) -> auto& { return s.network.timesteps; });
+  counts("hidden", [](Scenario& s) -> auto& {
+    return s.network.hidden_neurons.emplace_back();
+  });
+  counts("train_samples", [](Scenario& s) -> auto& { return s.train_samples; });
+  counts("test_samples", [](Scenario& s) -> auto& { return s.test_samples; });
+  counts("eval_trials",
+         [](Scenario& s) -> auto& { return s.fault_training.eval_trials; });
+  for (const std::size_t v : {wrapped(), huge()})  // zero epochs is valid
+    add("baseline_epochs=" + std::to_string(v),
+        [=](Scenario& s) { s.baseline_epochs = v; });
+  add("n_inputs=783", [](Scenario& s) { s.network.n_inputs = 783; });
+
+  // Voltage grid and BER stages: a bad entry at a drawn position, a broken
+  // order, a duplicate, and the empty list.
+  const auto lists = [&](const std::string& field, std::size_t n, auto member,
+                         std::initializer_list<double> bad) {
+    for (const double v : bad) {
+      const std::size_t at = gen() % n;
+      add(field + "[" + std::to_string(at) + "]=" + std::to_string(v),
+          [=](Scenario& s) { member(s)[at] = v; });
+    }
+    add(field + " reversed", [=](Scenario& s) {
+      std::reverse(member(s).begin(), member(s).end());
+    });
+    add(field + " duplicate", [=](Scenario& s) {
+      member(s).insert(member(s).begin() + 1, member(s).front());
+    });
+    add(field + " empty", [=](Scenario& s) { member(s).clear(); });
+  };
+  lists("voltages", base.voltages.size(),
+        [](Scenario& s) -> auto& { return s.voltages; },
+        {kNan, kInf, -kInf, -1.1, 0.0});
+  lists("ber_stages", base.fault_training.ber_stages.size(),
+        [](Scenario& s) -> auto& { return s.fault_training.ber_stages; },
+        {kNan, kInf, -kInf, -1e-4, 0.0, 1.0, 1.5});
+
+  // Geometry: every level zero or a wrapped uint32, a row that holds no
+  // whole number of bursts, and a burst that holds no whole FP32 weight.
+  using Level = std::uint32_t dram::Geometry::*;
+  const std::pair<const char*, Level> levels[] = {
+      {"channels", &dram::Geometry::channels},
+      {"ranks_per_channel", &dram::Geometry::ranks_per_channel},
+      {"chips_per_rank", &dram::Geometry::chips_per_rank},
+      {"banks_per_chip", &dram::Geometry::banks_per_chip},
+      {"subarrays_per_bank", &dram::Geometry::subarrays_per_bank},
+      {"rows_per_subarray", &dram::Geometry::rows_per_subarray},
+      {"columns_per_row", &dram::Geometry::columns_per_row},
+      {"column_bytes", &dram::Geometry::column_bytes},
+      {"burst_columns", &dram::Geometry::burst_columns}};
+  for (const auto& [field, level] : levels) {
+    const std::uint32_t big =
+        std::numeric_limits<std::uint32_t>::max() -
+        static_cast<std::uint32_t>(gen() % 16);
+    for (const std::uint32_t v : {std::uint32_t{0}, big})
+      add(std::string(field) + "=" + std::to_string(v),
+          [=](Scenario& s) { s.geometry.*level = v; });
+  }
+  add("columns_per_row=12",
+      [](Scenario& s) { s.geometry.columns_per_row = 12; });
+  add("2-byte bursts", [](Scenario& s) {
+    s.geometry.burst_columns = 1;
+    s.geometry.column_bytes = 2;
+  });
+
+  // ECC sizes: off the 32-bit grid, outside [32, 32768], and shapes a
+  // scheme cannot build.
+  for (const std::size_t v :
+       {std::size_t{0}, std::size_t{31}, std::size_t{33}, std::size_t{65536},
+        wrapped()})
+    add("ecc.data_bits=" + std::to_string(v),
+        [=](Scenario& s) { s.ecc.data_bits = v; });
+  add("secded:128",
+      [](Scenario& s) { s.ecc = {error::EccKind::kSecded, 128}; });
+  add("hsiao:8192",
+      [](Scenario& s) { s.ecc = {error::EccKind::kHsiao, 8192}; });
+
+  // Refresh multipliers, and the retention spec where no simulated policy
+  // overrides it in pipeline_config().
+  for (const double m : {0.5, 0.0, -8.0, kNan, kInf, 1025.0, 2e25}) {
+    add("refresh=" + std::to_string(m),
+        [=](Scenario& s) { s.refresh = dram::RefreshPolicy::reduced(m); });
+    if (!base.refresh.simulated())
+      add("retention=" + std::to_string(m), [=](Scenario& s) {
+        s.error_model.retention = {true, m};
+      });
+  }
+
+  for (const char* name : {"", "Smoke", "a b", "a_b", "a/b"})
+    add(std::string("name='") + name + "'",
+        [=](Scenario& s) { s.name = name; });
+  return out;
+}
+
+TEST(ScenarioFuzz, CorruptedFieldsAreRejectedBeforeAnyDataIsBuilt) {
+  // Every mutant must fail validate(), and run_scenarios must fail with the
+  // same message: it validates the whole batch before it builds a dataset.
+  const auto failure = [](const std::function<void()>& f) -> std::string {
+    try {
+      f();
+    } catch (const ContractViolation& e) {
+      return e.what();
+    }
+    return {};
+  };
+  std::mt19937_64 gen(20261019);
+  std::size_t mutants = 0;
+  for (const auto name : kGoldenScenarios) {
+    const Scenario& base = *find_scenario(name);
+    for (const auto& m : invalid_mutations(base, gen)) {
+      Scenario s = base;
+      m.apply(s);
+      const std::string why = failure([&] { s.validate(); });
+      if (why.empty()) {
+        ADD_FAILURE() << name << ": " << m.label << " passed validate()";
+        continue;
+      }
+      EXPECT_EQ(failure([&] { (void)run_scenarios({s}); }), why)
+          << name << ": " << m.label;
+      ++mutants;
+    }
+  }
+  EXPECT_GE(mutants, 8u * 80u);
+}
+
 // ------------------------------------------------------------------ matrix
 
 ScenarioMatrix small_matrix() {
   ScenarioMatrix m;
   m.tasks = {data::Task::kDigits, data::Task::kFashion};
   m.sizes = {{"tiny", 25, 100, 50, 1}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false},
-                  {"salp", dram::Geometry::lpddr3_4gb(), true}};
+  m.geometries = {{"commodity", false}, {"salp", true}};
   error::ErrorModelSpec m1;
   m1.kind = error::ErrorModelKind::kModel1Bitline;
   m.error_models = {{"m0", {}}, {"m1", m1}};
@@ -308,10 +499,8 @@ ScenarioMatrix small_matrix() {
 }
 
 TEST(Matrix, ExpandsTheFullCrossProduct) {
-  const auto m = small_matrix();
-  EXPECT_EQ(m.size(), 2u * 1u * 2u * 2u);
-  const auto scenarios = m.expand();
-  ASSERT_EQ(scenarios.size(), m.size());
+  const auto scenarios = small_matrix().expand();
+  ASSERT_EQ(scenarios.size(), 2u * 1u * 2u * 2u);
   std::set<std::string> names;
   for (const auto& s : scenarios) names.insert(s.name);
   EXPECT_EQ(names.size(), scenarios.size());
@@ -333,7 +522,7 @@ TEST(Matrix, RefreshAxisSuffixesNamesOnlyWhenMultiValued) {
   auto m = small_matrix();
   m.tasks = {data::Task::kDigits};
   m.error_models = {{"m0", {}}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false}};
+  m.geometries = {{"commodity", false}};
   m.refresh_policies = {{"nominal-refresh", dram::RefreshPolicy::nominal()},
                         {"relaxed-refresh-8x", dram::RefreshPolicy::reduced(8.0)}};
   const auto scenarios = m.expand();
@@ -352,7 +541,7 @@ TEST(Matrix, EccAxisSuffixesNamesOnlyWhenMultiValued) {
   auto m = small_matrix();
   m.tasks = {data::Task::kDigits};
   m.error_models = {{"m0", {}}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false}};
+  m.geometries = {{"commodity", false}};
   m.ecc_schemes = {{"ecc-off", {}},
                    {"ecc-secded", {error::EccKind::kSecded, 64}},
                    {"ecc-bch512b", {error::EccKind::kBch, 4096}}};
@@ -377,7 +566,7 @@ TEST(Matrix, DuplicateAxisValueNamesCollideLoudly) {
   auto m = small_matrix();
   m.tasks = {data::Task::kDigits};
   m.error_models = {{"m0", {}}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false}};
+  m.geometries = {{"commodity", false}};
   m.refresh_policies = {{"relaxed", dram::RefreshPolicy::reduced(4.0)},
                         {"relaxed", dram::RefreshPolicy::reduced(8.0)}};
   try {
@@ -399,7 +588,7 @@ TEST(Matrix, CrossAxisSuffixCollisionsAreDetected) {
   auto m = small_matrix();
   m.tasks = {data::Task::kDigits};
   m.error_models = {{"m0", {}}};
-  m.geometries = {{"commodity", dram::Geometry::lpddr3_4gb(), false}};
+  m.geometries = {{"commodity", false}};
   m.ecc_schemes = {{"a", {}}, {"a-b", {}}};
   m.refresh_policies = {{"b-c", dram::RefreshPolicy::nominal()},
                         {"c", dram::RefreshPolicy::nominal()}};

@@ -166,6 +166,13 @@ TEST(Network, RejectsDegenerateConfig) {
   cfg = tiny_config();
   cfg.timesteps = 0;
   EXPECT_THROW(Network{cfg}, ContractViolation);
+  // A wrapped timestep count would loop every sample ~forever.
+  cfg.timesteps = std::size_t{1} << 16;
+  EXPECT_NO_THROW(require_valid(cfg));
+  cfg.timesteps = (std::size_t{1} << 16) + 1;
+  EXPECT_THROW(Network{cfg}, ContractViolation);
+  cfg.timesteps = static_cast<std::size_t>(-1);
+  EXPECT_THROW(Network{cfg}, ContractViolation);
 }
 
 // --------------------------------------------- transposed inference layout
