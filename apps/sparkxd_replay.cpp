@@ -4,7 +4,7 @@
 // pipelined connections, and reports throughput + latency percentiles plus
 // the server's own counters. The id-sorted reply digest is a pure function
 // of (artifact, task, samples, seed, requests) — independent of
-// connections, windowing, server workers, batching, AND of any injected
+// connections, windowing, server workers, arrival order, AND of any injected
 // network faults (--chaos): the retry policy re-sends until every request
 // is answered exactly once, so CI pins the digest as a golden value to
 // prove a deployment answers byte-for-byte even under chaos.
@@ -298,10 +298,6 @@ int main(int argc, char** argv) {
               static_cast<double>(server_stats.rejected_conns));
       w.field("wedged_events",
               static_cast<double>(server_stats.wedged_events));
-      for (std::size_t b = 0; b < server_stats.batch_hist.size(); ++b)
-        if (server_stats.batch_hist[b] != 0)
-          w.field("batch_" + std::to_string(b + 1),
-                  static_cast<double>(server_stats.batch_hist[b]));
       w.end_object();
       w.end_object();
       w.end_array();

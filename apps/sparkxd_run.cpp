@@ -14,7 +14,7 @@
 //   sparkxd_run --scenario NAME --export-artifact model.sxda
 //
 // --export-artifact additionally captures the serving artifact (trained
-// model + operating point + frozen per-layer injection tables + placement)
+// model + operating point + frozen per-layer injection tables)
 // for sparkxd_serve; it requires exactly one selected scenario, with ECC
 // off (an artifact carries no check words).
 //

@@ -1,9 +1,9 @@
-// sparkxd_serve — long-lived batched-inference daemon.
+// sparkxd_serve — long-lived inference daemon.
 //
 // Loads a serving artifact (sparkxd_run --export-artifact) once, then
 // serves classify requests over the length-prefixed TCP protocol
-// (src/serve/protocol.hpp) with an admission queue. A worker starts as
-// soon as a request is queued, taking whatever else is already waiting.
+// (src/serve/protocol.hpp) with an admission queue. Each worker takes one
+// request at a time, as soon as one is queued.
 // SIGTERM/SIGINT triggers a graceful drain: every admitted request is
 // answered, then the process exits 0 with final counters on stderr.
 // SIGHUP hot-reloads the artifact file: the new file is loaded and
@@ -13,7 +13,7 @@
 // generation serving.
 //
 //   sparkxd_serve --artifact model.sxda [--port N] [--port-file FILE]
-//                 [--workers N] [--max-batch N] [--max-queue N]
+//                 [--workers N] [--max-queue N]
 //                 [--read-deadline-ms N]
 //                 [--request-deadline-us N] [--max-conns N]
 //                 [--watchdog-ms N]
@@ -66,8 +66,6 @@ void print_usage(std::FILE* to) {
       "  --port-file FILE   write the resolved port to FILE once listening\n"
       "                     (temp file + atomic rename)\n"
       "  --workers N        worker threads, one engine each (default 1)\n"
-      "  --max-batch N      most queued requests one worker takes at once;\n"
-      "                     a worker never waits for more (default 16)\n"
       "  --max-queue N      admission-queue bound; overflowing classify\n"
       "                     requests get a kQueueFull reply instead of\n"
       "                     growing memory (default 4096)\n"
@@ -79,7 +77,7 @@ void print_usage(std::FILE* to) {
       "                     N us (default 0 = disabled)\n"
       "  --max-conns N      close accepts beyond N live connections\n"
       "                     (default 0 = unlimited)\n"
-      "  --watchdog-ms N    log + count a worker stuck on one batch past\n"
+      "  --watchdog-ms N    log + count a worker stuck on one request past\n"
       "                     N ms (default 10000, 0 disables)\n"
       "  --help             this message\n"
       "\nSIGTERM/SIGINT drains admitted requests, answers them, and exits "
@@ -133,9 +131,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--workers") {
       config.workers = static_cast<std::size_t>(
           parse_count("--workers", next("--workers"), 1, 4096));
-    } else if (arg == "--max-batch") {
-      config.max_batch = static_cast<std::size_t>(
-          parse_count("--max-batch", next("--max-batch"), 1, 1 << 20));
     } else if (arg == "--max-queue") {
       config.max_queue = static_cast<std::size_t>(
           parse_count("--max-queue", next("--max-queue"), 1, 1 << 24));
@@ -175,9 +170,9 @@ int main(int argc, char** argv) {
     server.start();
     std::fprintf(stderr,
                  "sparkxd_serve: serving scenario '%s' on 127.0.0.1:%u "
-                 "(%zu workers, batch<=%zu, V=%.4f, BER=%.3e)\n",
+                 "(%zu workers, V=%.4f, BER=%.3e)\n",
                  artifact->scenario.c_str(), server.port(), config.workers,
-                 config.max_batch, artifact->v_supply, artifact->module_ber);
+                 artifact->v_supply, artifact->module_ber);
     artifact.reset();  // the server owns its generations from here on
     if (!port_file.empty() && !write_port_file(port_file, server.port())) {
       std::fprintf(stderr, "sparkxd_serve: cannot write port file '%s'\n",
@@ -188,7 +183,7 @@ int main(int argc, char** argv) {
     while (g_signal.load() == 0) {
       if (g_reload.exchange(false)) {
         // Load + validate off to the side; only a good artifact is swapped
-        // in. In-flight batches finish on the old generation either way.
+        // in. In-flight requests finish on the old generation either way.
         try {
           server.reload(serve::load_artifact_shared(artifact_path));
           std::fprintf(

@@ -45,7 +45,8 @@ void run_dataset(data::Task task, Table& table, Table& summary) {
     auto improved = core::improve_error_tolerance(baseline, ft, {&injector},
                                                   train, test, rng);
 
-    const std::string name = "N" + std::to_string(neurons);
+    std::string name = "N";  // not "N" + ...: gcc 12 -Wrestrict false positive
+    name += std::to_string(neurons);
     // The full SparkXD deployment maps the improved model's weights into
     // safe subarrays (Algorithm 2) at the learned tolerance BER_th; the
     // baseline keeps the error-oblivious sequential placement.

@@ -29,7 +29,8 @@ int main() {
     const double e_base =
         core::weight_stream_energy(g, base_place, n_weights, 1.350)
             .energy.total_nj();
-    const std::string name = "N" + std::to_string(neurons);
+    std::string name = "N";  // not "N" + ...: gcc 12 -Wrestrict false positive
+    name += std::to_string(neurons);
     t.add_row({name, "1.350", "baseline", Table::num(e_base / 1000.0, 1),
                "-"});
     int vi = 0;

@@ -35,7 +35,9 @@ int main() {
         core::kBurstArrivalNs);
     const double speedup = s_base.total_time_ns / s_prop.total_time_ns;
     avg += speedup / static_cast<double>(bench::kPaperSizes.size());
-    t.add_row({"N" + std::to_string(neurons),
+    std::string name = "N";  // not "N" + ...: gcc 12 -Wrestrict false positive
+    name += std::to_string(neurons);
+    t.add_row({name,
                Table::num(s_base.total_time_ns / 1000.0, 1),
                Table::num(s_prop.total_time_ns / 1000.0, 1),
                Table::num(speedup, 3), Table::num(s_base.hit_rate(), 4),

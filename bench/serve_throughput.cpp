@@ -43,7 +43,7 @@ using namespace sparkxd;
 int main(int argc, char** argv) {
   const char* json_path = bench::json_out_path(argc, argv);
   bench::banner("serving throughput vs worker count",
-                "batched serving scales with workers at a bit-stable digest");
+                "serving scales with workers at a bit-stable digest");
 
   // One artifact for every configuration, captured at the lowest voltage —
   // the operating point the paper's pipeline actually selects for.
@@ -85,13 +85,12 @@ int main(int argc, char** argv) {
 
   bench::BenchReport report("serve_throughput");
   Table tbl("serve_throughput", {"phase", "requests", "req/s", "p50 us",
-                                 "p95 us", "p99 us", "batches", "digest"});
+                                 "p95 us", "p99 us", "max queue", "digest"});
   bool diverged = false;
   std::uint64_t reference_digest = 0;
   for (const Phase& ph : phases) {
     serve::ServerConfig config;
     config.workers = ph.workers;
-    config.max_batch = 8;
     serve::Server server(artifact, config);
     server.start();
     serve::ClientOptions phase_options = options;
@@ -122,7 +121,7 @@ int main(int argc, char** argv) {
     tbl.add_row({ph.name, std::to_string(stats.replies), Table::num(rps, 0),
                  Table::num(p50, 0),
                  Table::num(p95, 0), Table::num(p99, 0),
-                 std::to_string(server_stats.batches), digest_hex});
+                 std::to_string(server_stats.max_queue_depth), digest_hex});
 
     auto& phase = report.add_phase(ph.name, stats.replies,
                                    static_cast<double>(stats.wall_ns));
@@ -132,8 +131,6 @@ int main(int argc, char** argv) {
     phase.metrics.emplace_back("p50_us", p50);
     phase.metrics.emplace_back("p95_us", p95);
     phase.metrics.emplace_back("p99_us", p99);
-    phase.metrics.emplace_back("batches",
-                               static_cast<double>(server_stats.batches));
     phase.metrics.emplace_back(
         "max_queue_depth",
         static_cast<double>(server_stats.max_queue_depth));

@@ -352,7 +352,6 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
     if (artifact != nullptr && vi == capture_vi) {
       artifact->v_supply = v;
       artifact->module_ber = row.module_ber;
-      artifact->placement = placement;
       artifact->frozen.clear();
       for (const auto& inj : eval_injectors)
         artifact->frozen.push_back(inj.freeze(row.module_ber));

@@ -178,10 +178,11 @@ struct PipelineReport {
 /// Offline half of the artifact/serve split: everything a long-lived server
 /// needs to run classification at ONE deployed operating point, captured
 /// while the pipeline computes it anyway. The capture is purely additive —
-/// it copies state the sweep already built (the improved model, one
-/// voltage's Algorithm-2 placement, and that voltage's frozen injection
-/// tables) and consumes no Rng, so a run with capture is bit-identical to a
-/// run without (the golden digests lock this down).
+/// it copies state the sweep already built (the improved model and one
+/// voltage's frozen injection tables, which carry the effect of that
+/// voltage's Algorithm-2 placement) and consumes no Rng, so a run with
+/// capture is bit-identical to a run without (the golden digests lock this
+/// down).
 struct ArtifactState {
   /// Input: index into cfg.voltages of the operating point to capture;
   /// npos (the default) captures the LAST grid entry — the lowest, most
@@ -196,7 +197,8 @@ struct ArtifactState {
   /// The improved (fault-aware) model; clean_accuracy holds the error-free
   /// test accuracy (the report's improved_accuracy).
   std::optional<snn::TrainedModel> model;
-  /// Per-layer Algorithm-2 placement at the captured voltage.
+  /// Not filled by run_pipeline and read by no loader or server; kept
+  /// because perfbench/'s traced pipeline assigns it.
   std::vector<mapping::LayerPlacement> placement;
   /// Per-layer frozen injection tables at module_ber — the exact tables the
   /// sweep's Monte-Carlo evaluation shares across trials, now shareable

@@ -14,7 +14,7 @@ namespace sparkxd::serve {
 namespace {
 
 constexpr char kMagic[4] = {'S', 'X', 'D', 'A'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr const char* kTruncated = "truncated artifact file";
 
 /// Reads `n` fixed-size records in one block. The caller bounds `n` before
@@ -55,46 +55,6 @@ std::string read_string(std::istream& is) {
   is.read(s.data(), static_cast<std::streamsize>(n));
   SPARKXD_REQUIRE(is.good(), kTruncated);
   return s;
-}
-
-void write_placement(std::ostream& os, const error::ChunkPlacement& p) {
-  write_pod(os, static_cast<std::uint64_t>(p.size()));
-  std::vector<char> block(p.size() * 7 * sizeof(std::uint32_t));
-  char* q = block.data();
-  for (const auto& a : p) {
-    q = put(q, a.channel);
-    q = put(q, a.rank);
-    q = put(q, a.chip);
-    q = put(q, a.bank);
-    q = put(q, a.subarray);
-    q = put(q, a.row);
-    q = put(q, a.column);
-  }
-  os.write(block.data(), static_cast<std::streamsize>(block.size()));
-}
-
-/// Reads one layer's placement: a layer of `n_weights` weights occupies at
-/// most that many chunks, which bounds the declared count before the
-/// vector is allocated.
-error::ChunkPlacement read_placement(std::istream& is, std::size_t n_weights) {
-  std::uint64_t n = 0;
-  read_pod(is, n, kTruncated);
-  SPARKXD_REQUIRE(n <= n_weights,
-                  "artifact placement has more chunks than the layer has "
-                  "weights");
-  error::ChunkPlacement p(static_cast<std::size_t>(n));
-  const auto block = read_records(is, p.size(), 7 * sizeof(std::uint32_t));
-  const char* q = block.data();
-  for (auto& a : p) {
-    q = take(q, a.channel);
-    q = take(q, a.rank);
-    q = take(q, a.chip);
-    q = take(q, a.bank);
-    q = take(q, a.subarray);
-    q = take(q, a.row);
-    q = take(q, a.column);
-  }
-  return p;
 }
 
 void write_frozen(std::ostream& os, const error::FrozenInjection& f) {
@@ -160,13 +120,10 @@ void ServingArtifact::validate() const {
   core::require_weight_clip(weight_clip);
   SPARKXD_REQUIRE(layers.size() == model.net.n_layers(),
                   "artifact needs one layer entry per network layer");
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    SPARKXD_REQUIRE(!layers[l].placement.empty(),
-                    "artifact layer placement is empty");
+  for (std::size_t l = 0; l < layers.size(); ++l)
     SPARKXD_REQUIRE(layers[l].frozen.payload_bytes() ==
                         cfg.layer_weight_count(l) * sizeof(float),
                     "artifact frozen table does not cover the layer weights");
-  }
 }
 
 ServingArtifact make_artifact(std::string scenario_name,
@@ -179,15 +136,12 @@ ServingArtifact make_artifact(std::string scenario_name,
   art.v_supply = captured.v_supply;
   art.module_ber = captured.module_ber;
   art.weight_clip = captured.weight_clip;
-  SPARKXD_REQUIRE(captured.placement.size() == captured.frozen.size() &&
-                      captured.placement.size() == art.model.net.n_layers(),
-                  "artifact capture is incomplete — placement/frozen tables "
-                  "missing for some layers");
-  art.layers.reserve(captured.placement.size());
-  for (std::size_t l = 0; l < captured.placement.size(); ++l)
-    art.layers.push_back({std::move(captured.placement[l].chunks),
-                          std::move(captured.frozen[l]),
-                          captured.placement[l].ber_th});
+  SPARKXD_REQUIRE(captured.frozen.size() == art.model.net.n_layers(),
+                  "artifact capture is incomplete — frozen tables missing "
+                  "for some layers");
+  art.layers.reserve(captured.frozen.size());
+  for (auto& frozen : captured.frozen)
+    art.layers.push_back({std::move(frozen)});
   art.validate();
   return art;
 }
@@ -207,11 +161,7 @@ void save_artifact(const ServingArtifact& artifact, const std::string& path) {
   // format and one loader.
   snn::save_model(artifact.model, static_cast<std::ostream&>(os));
   write_pod(os, static_cast<std::uint64_t>(artifact.layers.size()));
-  for (const auto& layer : artifact.layers) {
-    write_pod(os, layer.ber_th);
-    write_placement(os, layer.placement);
-    write_frozen(os, layer.frozen);
-  }
+  for (const auto& layer : artifact.layers) write_frozen(os, layer.frozen);
   os.close();
   SPARKXD_ENSURE(os.good(), "artifact write failed");
 }
@@ -243,13 +193,8 @@ ServingArtifact load_artifact(const std::string& path) {
                   "artifact layer count does not match the stored model");
   art.layers.reserve(static_cast<std::size_t>(n_layers));
   const auto& cfg = art.model.net.config();
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    LayerArtifact layer;
-    read_pod(is, layer.ber_th, kTruncated);
-    layer.placement = read_placement(is, cfg.layer_weight_count(l));
-    layer.frozen = read_frozen(is, cfg.layer_weight_count(l));
-    art.layers.push_back(std::move(layer));
-  }
+  for (std::size_t l = 0; l < n_layers; ++l)
+    art.layers.push_back({read_frozen(is, cfg.layer_weight_count(l))});
   art.validate();
   return art;
 }

@@ -3,14 +3,16 @@
 //
 // SparkXD's offline pipeline (train -> fault-aware training -> tolerance
 // analysis -> error-aware mapping -> voltage sweep) chooses an OPERATING
-// POINT: a supply voltage, its module BER, a per-layer Algorithm-2
-// placement, and the frozen weak-cell injection tables at that BER. EDEN
-// and EnforceSNN both deploy approximate DRAM exactly this way — a fixed
-// configuration chosen offline, then run continuously. A ServingArtifact
-// serializes all of it (model_io v3 model + operating point + per-layer
-// FrozenInjection + placement) into ONE file ("SXDA") that a long-lived
-// server loads once and shares read-only across every worker; see
-// serve::Engine for the per-request determinism contract built on top.
+// POINT: a supply voltage, its module BER, and a per-layer Algorithm-2
+// placement whose weak cells at that BER are frozen into injection
+// tables. EDEN and EnforceSNN both deploy approximate DRAM exactly this
+// way — a fixed configuration chosen offline, then run continuously. A
+// ServingArtifact serializes what a server reads of it (the model_io
+// model, the operating point and one FrozenInjection per layer; the
+// placement itself is not stored, its effect is the frozen table) into ONE
+// file ("SXDA", version 2) that a long-lived server loads once and shares
+// read-only across every worker; see serve::Engine for the per-request
+// determinism contract built on top.
 //
 // Export: `sparkxd_run --scenario NAME --export-artifact FILE`.
 // Serve:  `sparkxd_serve --artifact FILE`.
@@ -25,16 +27,11 @@
 
 namespace sparkxd::serve {
 
-/// One layer's share of the deployed operating point.
+/// One layer's share of the deployed operating point (a struct because
+/// perfbench/ reads `layers[l].frozen`).
 struct LayerArtifact {
-  /// Algorithm-2 chunk placement of this layer's weights (diagnostic at
-  /// serve time — the weak cells it implies are baked into `frozen` — but
-  /// kept in the artifact so tooling can audit the deployed mapping).
-  error::ChunkPlacement placement;
   /// Read-only injection plan at the operating BER, shared by all workers.
   error::FrozenInjection frozen;
-  /// BER threshold the layer was placed under (post capacity relax).
-  double ber_th = 0.0;
 };
 
 /// Everything the serving daemon needs, loaded once and then immutable.

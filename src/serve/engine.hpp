@@ -15,9 +15,9 @@
 //
 // Nothing else is stochastic, and CorruptionScratch::restore returns the
 // scratch weights bit for bit to the artifact's after every request, so
-// replies are replayable regardless of batching, worker assignment, or the
-// order requests reach a worker. That is what lets the server batch freely
-// and lets a replay client verify a deployment byte for byte.
+// replies are replayable regardless of worker assignment or the order
+// requests reach a worker. That is what lets any number of workers share
+// one queue and lets a replay client verify a deployment byte for byte.
 //
 // An Engine is the per-worker mutable half: one core::CorruptionScratch
 // (a corruptible weight copy, O(total weights), plus an

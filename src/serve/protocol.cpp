@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -150,6 +151,7 @@ std::vector<std::uint8_t> encode_stats_request() {
 
 std::vector<std::uint8_t> encode_stats_reply(const ServerStats& stats) {
   std::vector<std::uint8_t> out;
+  out.reserve(1 + 9 * 8);
   out.push_back(static_cast<std::uint8_t>(MsgType::kStatsReply));
   put(out, stats.served);
   put(out, stats.batches);
@@ -160,8 +162,6 @@ std::vector<std::uint8_t> encode_stats_reply(const ServerStats& stats) {
   put(out, stats.bad_frames);
   put(out, stats.evicted_slow);
   put(out, stats.rejected_conns);
-  put(out, static_cast<std::uint32_t>(stats.batch_hist.size()));
-  for (const std::uint64_t h : stats.batch_hist) put(out, h);
   return out;
 }
 
@@ -215,12 +215,7 @@ ServerStats decode_stats_reply(const std::vector<std::uint8_t>& payload) {
   stats.bad_frames = get<std::uint64_t>(payload, pos);
   stats.evicted_slow = get<std::uint64_t>(payload, pos);
   stats.rejected_conns = get<std::uint64_t>(payload, pos);
-  const auto n = get<std::uint32_t>(payload, pos);
-  SPARKXD_REQUIRE(pos + static_cast<std::size_t>(n) * sizeof(std::uint64_t) ==
-                      payload.size(),
-                  "stats payload length does not match its histogram size");
-  stats.batch_hist.resize(n);
-  for (auto& h : stats.batch_hist) h = get<std::uint64_t>(payload, pos);
+  SPARKXD_REQUIRE(pos == payload.size(), "oversized stats payload");
   return stats;
 }
 
@@ -280,7 +275,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Waits until `fd` is readable (or has an error/hangup to report). A null
-/// deadline waits forever. Returns false on deadline expiry.
+/// deadline waits forever. Returns false on deadline expiry. A passed
+/// deadline still polls once without waiting: bytes that landed while this
+/// thread was descheduled are not a stalled peer.
 bool wait_readable(int fd, const Clock::time_point* deadline) {
   for (;;) {
     int timeout_ms = -1;
@@ -288,8 +285,7 @@ bool wait_readable(int fd, const Clock::time_point* deadline) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
                             *deadline - Clock::now())
                             .count();
-      if (left <= 0) return false;
-      timeout_ms = static_cast<int>(left);
+      timeout_ms = static_cast<int>(std::max<long long>(left, 0));
     }
     ::pollfd pfd{fd, POLLIN, 0};
     const int r = ::poll(&pfd, 1, timeout_ms);

@@ -11,11 +11,10 @@
 //   kClassify   u64 id, u64 seed, u32 n_pixels, f32 pixels[n_pixels]
 //   kReply      u64 id, i32 label, u32 spikes, u32 flips
 //   kStats      (empty) — server answers with kStatsReply on the same
-//               connection, bypassing the batch queue
+//               connection, bypassing the admission queue
 //   kStatsReply u64 served, u64 batches, u64 max_queue_depth,
 //               u64 generation, u64 wedged_events, u64 deadline_exceeded,
-//               u64 bad_frames, u64 evicted_slow, u64 rejected_conns,
-//               u32 n_hist, u64 hist[n_hist]  (hist[i] = batches of size i+1)
+//               u64 bad_frames, u64 evicted_slow, u64 rejected_conns
 //   kQueueFull  u64 id — overload backpressure: the admission queue was at
 //               its bound when this classify request arrived; the request
 //               was NOT processed (and never will be), the connection stays
@@ -66,10 +65,12 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 24;
 /// Server-side counters reported through kStatsReply.
 struct ServerStats {
   std::uint64_t served = 0;   ///< replies written
-  std::uint64_t batches = 0;  ///< batches processed
+  /// Jobs taken off the admission queue, one per pop (kept under its old
+  /// name because perfbench/ reads `.batches`).
+  std::uint64_t batches = 0;
   std::uint64_t max_queue_depth = 0;  ///< high-water admission-queue depth
   std::uint64_t generation = 1;       ///< artifact generation (bumped by reload)
-  /// Times the watchdog observed a worker stuck on one batch past the
+  /// Times the watchdog observed a worker stuck on one request past the
   /// stall bound. A nonzero value is the "fail loudly" signal — the server
   /// keeps running, but something is wedging the engines.
   std::uint64_t wedged_events = 0;
@@ -77,8 +78,6 @@ struct ServerStats {
   std::uint64_t bad_frames = 0;         ///< CRC failures answered kBadFrame
   std::uint64_t evicted_slow = 0;       ///< connections evicted mid-frame (slow-loris)
   std::uint64_t rejected_conns = 0;     ///< accepts closed at the --max-conns cap
-  /// batch_hist[i] = number of batches of size i+1.
-  std::vector<std::uint64_t> batch_hist;
 
   friend bool operator==(const ServerStats&, const ServerStats&) = default;
 };

@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -32,7 +33,6 @@ Server::Server(std::shared_ptr<const ServingArtifact> artifact,
     : config_(config), artifact_(std::move(artifact)) {
   SPARKXD_REQUIRE(artifact_ != nullptr, "server needs an artifact");
   SPARKXD_REQUIRE(config_.workers >= 1, "server needs at least one worker");
-  SPARKXD_REQUIRE(config_.max_batch >= 1, "server batch ceiling must be >= 1");
   SPARKXD_REQUIRE(config_.max_queue >= 1,
                   "server admission-queue bound must be >= 1");
   artifact_->validate();
@@ -137,10 +137,9 @@ ServerStats Server::stats() const {
   out.bad_frames = bad_frames_.load(std::memory_order_relaxed);
   out.evicted_slow = evicted_slow_.load(std::memory_order_relaxed);
   out.rejected_conns = rejected_conns_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  out.batches = batches_;
+  out.batches = batches_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(queue_mu_);
   out.max_queue_depth = max_queue_depth_;
-  out.batch_hist = batch_hist_;
   return out;
 }
 
@@ -227,21 +226,17 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       type = frame_type(payload);
       if (type == MsgType::kClassify) {
         Job job{conn, decode_classify(payload), Clock::now()};
-        std::size_t depth = 0;
         bool admitted = false;
         {
           std::lock_guard<std::mutex> lock(queue_mu_);
           if (queue_.size() < config_.max_queue) {
             queue_.push_back(std::move(job));
-            depth = queue_.size();
+            max_queue_depth_ = std::max<std::uint64_t>(max_queue_depth_,
+                                                       queue_.size());
             admitted = true;
           }
         }
         if (admitted) {
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            if (depth > max_queue_depth_) max_queue_depth_ = depth;
-          }
           queue_cv_.notify_one();
         } else {
           // Backpressure: answer kQueueFull instead of growing the queue
@@ -283,9 +278,8 @@ void Server::worker_loop(std::size_t worker_index) {
   auto [artifact, local_gen] = artifact_snapshot();
   auto engine = std::make_unique<Engine>(*artifact);
   WorkerBeat& beat = *beats_[worker_index];
-  std::vector<Job> batch;
   for (;;) {
-    batch.clear();
+    Job job;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] {
@@ -293,43 +287,34 @@ void Server::worker_loop(std::size_t worker_index) {
                (stopping_.load() && accept_done_ && active_readers_ == 0);
       });
       if (queue_.empty()) return;  // fully drained, nothing can arrive
-      // Work-conserving: take what is already queued and start at once.
-      // Engine::classify runs a batch's jobs one by one, so waiting for
-      // stragglers would only delay this batch's replies.
-      while (!queue_.empty() && batch.size() < config_.max_batch) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
+      job = std::move(queue_.front());
+      queue_.pop_front();
     }
-    // Hot reload: pick up the newest generation before the batch starts.
-    // The whole batch runs on ONE generation; the old artifact stays alive
-    // (shared_ptr) until the last worker drops it.
+    // Hot reload: pick up the newest generation before the job starts. The
+    // old artifact stays alive (shared_ptr) until the last worker drops it.
     if (generation_.load(std::memory_order_acquire) != local_gen) {
       std::tie(artifact, local_gen) = artifact_snapshot();
       engine = std::make_unique<Engine>(*artifact);
     }
-    record_batch(batch.size());
-    beat.batch_seq.fetch_add(1, std::memory_order_relaxed);
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    beat.job_seq.fetch_add(1, std::memory_order_relaxed);
     beat.busy_since_ns.store(now_ns(), std::memory_order_release);
-    for (const auto& job : batch) {
-      if (config_.request_deadline_us > 0 &&
-          Clock::now() - job.admitted >
-              std::chrono::microseconds(config_.request_deadline_us)) {
-        // Too stale to be worth classifying — the client has likely given
-        // up or retried already. Answer instead of silently dropping so
-        // the id is still accounted for exactly once.
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        write_to_conn(*job.conn, encode_deadline_exceeded(job.request.id));
-        continue;
-      }
-      ClassifyReply reply;
+    if (config_.request_deadline_us > 0 &&
+        Clock::now() - job.admitted >
+            std::chrono::microseconds(config_.request_deadline_us)) {
+      // Too stale to be worth classifying — the client has likely given
+      // up or retried already. Answer instead of silently dropping so the
+      // id is still accounted for exactly once.
+      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+      write_to_conn(*job.conn, encode_deadline_exceeded(job.request.id));
+    } else {
       try {
-        reply = engine->classify(job.request);
+        const ClassifyReply reply = engine->classify(job.request);
+        served_.fetch_add(1, std::memory_order_relaxed);
+        write_to_conn(*job.conn, encode_reply(reply));
       } catch (const ContractViolation&) {
-        continue;  // bad request (e.g. wrong image size): no reply, no crash
+        // Bad request (e.g. wrong image size): no reply, no crash.
       }
-      served_.fetch_add(1, std::memory_order_relaxed);
-      write_to_conn(*job.conn, encode_reply(reply));
     }
     beat.busy_since_ns.store(0, std::memory_order_release);
   }
@@ -347,7 +332,8 @@ void Server::watchdog_loop() {
     std::this_thread::sleep_for(period);
     const std::int64_t now = now_ns();
     for (std::size_t w = 0; w < beats_.size(); ++w) {
-      const std::uint64_t seq = beats_[w]->batch_seq.load(std::memory_order_relaxed);
+      const std::uint64_t seq =
+          beats_[w]->job_seq.load(std::memory_order_relaxed);
       const std::int64_t busy =
           beats_[w]->busy_since_ns.load(std::memory_order_acquire);
       if (busy != 0 && now - busy > stall_ns && flagged[w] != seq) {
@@ -356,7 +342,7 @@ void Server::watchdog_loop() {
         flagged[w] = seq;
         wedged_events_.fetch_add(1, std::memory_order_relaxed);
         std::fprintf(stderr,
-                     "sparkxd_serve: watchdog: worker %zu stuck on batch "
+                     "sparkxd_serve: watchdog: worker %zu stuck on request "
                      "%llu for %lldms (bound %llums)\n",
                      w, static_cast<unsigned long long>(seq),
                      static_cast<long long>((now - busy) / 1'000'000),
@@ -364,13 +350,6 @@ void Server::watchdog_loop() {
       }
     }
   }
-}
-
-void Server::record_batch(std::size_t batch_size) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++batches_;
-  if (batch_hist_.size() < batch_size) batch_hist_.resize(batch_size, 0);
-  ++batch_hist_[batch_size - 1];
 }
 
 }  // namespace sparkxd::serve

@@ -1,6 +1,6 @@
 #pragma once
 // The long-lived serving daemon core: a localhost TCP listener feeding an
-// admission queue that worker threads drain in dynamic batches.
+// admission queue that worker threads drain one job at a time.
 //
 // Thread layout:
 //   accept thread        blocks in accept(), spawns one reader per client
@@ -15,29 +15,27 @@
 //                        its connection evicted (slow-loris defense); a
 //                        CRC failure is answered kBadFrame and the
 //                        connection closed (stream sync is gone)
-//   worker threads       each owns a serve::Engine; as soon as a job is
-//                        queued, pops whatever is already there (up to
-//                        max_batch jobs, never waiting for more),
-//                        classifies, writes replies under the owning
-//                        connection's write mutex.
+//   worker threads       each owns a serve::Engine; pops ONE job as soon
+//                        as one is queued, classifies it, writes the reply
+//                        under the owning connection's write mutex, and
+//                        pops again — so no queued job waits behind a busy
+//                        worker while another sits idle.
 //                        A job that waited past request_deadline_us is
 //                        answered kDeadlineExceeded instead of classified
 //   watchdog thread      (when watchdog_stall_ms > 0) samples per-worker
-//                        heartbeats; a worker stuck on one batch past the
-//                        stall bound is counted in stats().wedged_events
-//                        and logged — the loud-failure signal for a wedged
-//                        engine
+//                        heartbeats; a worker stuck on one request past
+//                        the stall bound is counted in
+//                        stats().wedged_events and logged — the
+//                        loud-failure signal for a wedged engine
 //
-// A batch only amortises the queue lock and the generation check: the
-// engine classifies its jobs one at a time, so lingering for stragglers
-// would buy no throughput. Replies are deterministic per request (see
-// engine.hpp), so batch boundaries and worker assignment are unobservable
-// in the payloads. Both ends set TCP_NODELAY: every frame is small and
-// written whole, so Nagle's delay would only hold it back.
+// Replies are deterministic per request (see engine.hpp), so worker
+// assignment and arrival order are unobservable in the payloads. Both ends
+// set TCP_NODELAY: every frame is small and written whole, so Nagle's
+// delay would only hold it back.
 //
 // Hot reload: reload() validates and atomically installs a new refcounted
-// artifact generation. Workers notice before their next batch and rebuild
-// their engine; in-flight batches finish on the generation they started
+// artifact generation. Workers notice before their next job and rebuild
+// their engine; an in-flight job finishes on the generation it started
 // with, no connection is touched, and the old artifact is freed when the
 // last engine lets go. stats().generation exposes the installed one.
 //
@@ -64,7 +62,6 @@ namespace sparkxd::serve {
 struct ServerConfig {
   std::uint16_t port = 0;       ///< 0 = ephemeral; read back via port()
   std::size_t workers = 1;      ///< engines (and threads) draining the queue
-  std::size_t max_batch = 16;   ///< batch size ceiling
   /// Admission-queue bound (backpressure): a classify frame arriving while
   /// the queue already holds this many jobs is answered with kQueueFull
   /// instead of being admitted — memory stays bounded under overload and
@@ -82,10 +79,10 @@ struct ServerConfig {
   /// Accept cap: connections accepted while this many are already live are
   /// closed immediately (counted in stats().rejected_conns). 0 = unlimited.
   std::size_t max_conns = 0;
-  /// Watchdog stall bound: a worker processing ONE batch for longer than
-  /// this is counted in stats().wedged_events and logged to stderr (once
-  /// per batch). The server keeps running — the watchdog detects, it does
-  /// not kill. 0 disables the watchdog thread.
+  /// Watchdog stall bound: a worker processing ONE request for longer
+  /// than this is counted in stats().wedged_events and logged to stderr
+  /// (once per request). The server keeps running — the watchdog detects,
+  /// it does not kill. 0 disables the watchdog thread.
   std::uint64_t watchdog_stall_ms = 0;
 };
 
@@ -110,8 +107,8 @@ class Server {
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
   /// Validates `artifact` and atomically swaps it in as the next
-  /// generation. In-flight batches finish on their old generation; every
-  /// batch popped afterwards runs on the new one. No connection is
+  /// generation. In-flight requests finish on their old generation; every
+  /// job popped afterwards runs on the new one. No connection is
   /// dropped. Thread-safe; callable while serving.
   void reload(std::shared_ptr<const ServingArtifact> artifact);
 
@@ -152,14 +149,13 @@ class Server {
   /// Per-worker heartbeat the watchdog samples.
   struct WorkerBeat {
     std::atomic<std::int64_t> busy_since_ns{0};  ///< 0 = idle
-    std::atomic<std::uint64_t> batch_seq{0};
+    std::atomic<std::uint64_t> job_seq{0};
   };
 
   void accept_loop();
   void reader_loop(const std::shared_ptr<Connection>& conn);
   void worker_loop(std::size_t worker_index);
   void watchdog_loop();
-  void record_batch(std::size_t batch_size);
   void write_to_conn(Connection& conn, const std::vector<std::uint8_t>& frame);
   [[nodiscard]] std::pair<std::shared_ptr<const ServingArtifact>,
                           std::uint64_t>
@@ -188,22 +184,20 @@ class Server {
 
   // Admission queue. Workers may exit only when the queue is empty AND no
   // producer can refill it (accept loop done, all readers done).
-  std::mutex queue_mu_;
+  mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
-  std::deque<Job> queue_;           // guarded by queue_mu_
-  std::size_t active_readers_ = 0;  // guarded by queue_mu_
-  bool accept_done_ = false;        // guarded by queue_mu_
+  std::deque<Job> queue_;              // guarded by queue_mu_
+  std::size_t active_readers_ = 0;     // guarded by queue_mu_
+  bool accept_done_ = false;           // guarded by queue_mu_
+  std::uint64_t max_queue_depth_ = 0;  // guarded by queue_mu_
 
   std::atomic<std::uint64_t> served_{0};
+  std::atomic<std::uint64_t> batches_{0};  ///< jobs taken off the queue
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> bad_frames_{0};
   std::atomic<std::uint64_t> evicted_slow_{0};
   std::atomic<std::uint64_t> rejected_conns_{0};
   std::atomic<std::uint64_t> wedged_events_{0};
-  mutable std::mutex stats_mu_;
-  std::uint64_t batches_ = 0;                // guarded by stats_mu_
-  std::uint64_t max_queue_depth_ = 0;        // guarded by stats_mu_
-  std::vector<std::uint64_t> batch_hist_;    // guarded by stats_mu_
 };
 
 }  // namespace sparkxd::serve

@@ -11,6 +11,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <exception>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -159,10 +161,53 @@ class ServeChaosTest : public ::testing::Test {
   static ServerConfig hardened_config() {
     ServerConfig config;
     config.workers = 2;
-    config.max_batch = 8;
     config.read_deadline_ms = 250;
     config.watchdog_stall_ms = 10'000;
     return config;
+  }
+
+  /// One chaotic replay of `requests` against its own fresh hardened
+  /// server. Safe to run from several threads at once: each call owns its
+  /// server and client, and the suite artifact is read-only.
+  static ReplayStats chaos_replay(std::size_t requests, const char* spec,
+                                  bool crc, std::uint64_t chaos_seed) {
+    Server server(*artifact_, hardened_config());
+    server.start();
+    ClientOptions options;
+    options.requests = requests;
+    options.connections = 2;
+    options.window = 8;
+    options.base_seed = kBaseSeed;
+    options.crc = crc;
+    options.chaos = ChaosSpec::parse(spec);
+    options.chaos_seed = chaos_seed;
+    const auto stats = replay("127.0.0.1", server.port(), *pool_, options);
+    server.request_stop();
+    server.wait();
+    return stats;
+  }
+
+  /// Runs `fn(i)` for i in [0, n) on n threads, joins them, then rethrows
+  /// the first exception a call raised (so it fails the test instead of
+  /// terminating the binary). The chaos replays spend nearly all their
+  /// time in the injector's sleeps, so the cases overlap instead of adding
+  /// up.
+  template <typename Fn>
+  static void run_concurrently(std::size_t n, Fn fn) {
+    std::vector<std::exception_ptr> errors(n);
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+      threads.emplace_back([&, i] {
+        try {
+          fn(i);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      });
+    for (auto& t : threads) t.join();
+    for (const auto& e : errors)
+      if (e) std::rethrow_exception(e);
   }
 
   static ServingArtifact* artifact_;
@@ -176,7 +221,8 @@ TEST_F(ServeChaosTest, DigestSurvivesEveryFaultMode) {
   // THE robustness claim of this layer: for every fault mode — and for all
   // of them at once, with CRC on and off where legal — the replay digest is
   // byte-identical to the clean serial digest. Failures cost retries and
-  // reconnects, never data.
+  // reconnects, never data. The cases run concurrently, each against its
+  // own server; the assertions run here after the join.
   constexpr std::size_t kRequests = 96;
   const std::uint64_t expected = serial_digest(kRequests);
 
@@ -191,58 +237,40 @@ TEST_F(ServeChaosTest, DigestSurvivesEveryFaultMode) {
       {"corrupt:0.15", true}, {"all:0.04", true},
       {"torn:0.08,rst:0.08", false},
   };
-  for (const auto& c : cases) {
-    Server server(*artifact_, hardened_config());
-    server.start();
+  constexpr std::size_t kCases = std::size(cases);
+  std::vector<ReplayStats> results(kCases);
+  run_concurrently(kCases, [&](std::size_t k) {
+    results[k] = chaos_replay(kRequests, cases[k].spec, cases[k].crc, 99);
+  });
 
-    ClientOptions options;
-    options.requests = kRequests;
-    options.connections = 2;
-    options.window = 8;
-    options.base_seed = kBaseSeed;
-    options.crc = c.crc;
-    options.chaos = ChaosSpec::parse(c.spec);
-    options.chaos_seed = 99;
-    const auto stats = replay("127.0.0.1", server.port(), *pool_, options);
-
+  for (std::size_t k = 0; k < kCases; ++k) {
+    const Case& c = cases[k];
+    const ReplayStats& stats = results[k];
     EXPECT_EQ(stats.replies, kRequests) << c.spec;
     EXPECT_EQ(stats.digest, expected)
         << c.spec << " (crc " << c.crc << "): " << stats.chaos.total()
         << " faults, " << stats.reconnects << " reconnects";
-    if (options.chaos.any()) {
+    if (ChaosSpec::parse(c.spec).any()) {
       EXPECT_GT(stats.chaos.total(), 0u)
           << c.spec << " injected nothing — raise the probability";
     }
-
-    server.request_stop();
-    server.wait();
   }
 }
 
 TEST_F(ServeChaosTest, ChaosReplayIsDeterministic) {
-  // Same (chaos spec, chaos seed) twice against a fresh server: the digest
-  // is identical and faults fired both times. (Frame k's FATE is a pure
-  // function of (spec, seed, k) — pinned by ChaosScheduleTest above — but
-  // how many frames a slot ends up sending depends on retry timing, so
+  // Same (chaos spec, chaos seed) twice against a fresh server each: the
+  // digest is identical and faults fired both times. (Frame k's FATE is a
+  // pure function of (spec, seed, k) — pinned by ChaosScheduleTest above —
+  // but how many frames a slot ends up sending depends on retry timing, so
   // run-level counter totals may differ by a few; the payloads never do.)
+  // The two runs are independent and run concurrently.
   constexpr std::size_t kRequests = 64;
-  const auto run = [this] {
-    Server server(*artifact_, hardened_config());
-    server.start();
-    ClientOptions options;
-    options.requests = kRequests;
-    options.connections = 2;
-    options.window = 8;
-    options.base_seed = kBaseSeed;
-    options.crc = true;
-    options.chaos = ChaosSpec::parse("all:0.06");
-    options.chaos_seed = 7;
-    const auto stats = replay("127.0.0.1", server.port(), *pool_, options);
-    server.request_stop();
-    server.wait();
-    return stats;
-  };
-  const auto a = run(), b = run();
+  ReplayStats runs[2];
+  run_concurrently(2, [&](std::size_t k) {
+    runs[k] = chaos_replay(kRequests, "all:0.06", true, 7);
+  });
+  const auto& a = runs[0];
+  const auto& b = runs[1];
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.digest, serial_digest(kRequests));
   EXPECT_EQ(a.replies, kRequests);

@@ -39,7 +39,6 @@ ServerStats sample_stats() {
   stats.bad_frames = 4;
   stats.evicted_slow = 2;
   stats.rejected_conns = 9;
-  stats.batch_hist = {10, 0, 5, 116};
   return stats;
 }
 
@@ -68,6 +67,7 @@ TEST(ServeProtocolTest, StatsRoundTrip) {
   const auto stats = sample_stats();
   const auto payload = encode_stats_reply(stats);
   EXPECT_EQ(frame_type(payload), MsgType::kStatsReply);
+  EXPECT_EQ(payload.size(), 1u + 9 * 8);  // type byte + nine u64 counters
   EXPECT_EQ(decode_stats_reply(payload), stats);
   EXPECT_EQ(frame_type(encode_stats_request()), MsgType::kStats);
 }
@@ -160,7 +160,9 @@ TEST(ServeProtocolTest, RejectsMalformedPayloads) {
   EXPECT_THROW((void)decode_reply(reply), ContractViolation);
 
   auto stats = encode_stats_reply(sample_stats());
-  stats.resize(stats.size() - 3);  // cut inside the histogram
+  stats.push_back(0);  // trailing garbage
+  EXPECT_THROW((void)decode_stats_reply(stats), ContractViolation);
+  stats.resize(stats.size() - 4);  // cut inside the last counter
   EXPECT_THROW((void)decode_stats_reply(stats), ContractViolation);
 }
 
@@ -364,6 +366,19 @@ TEST_F(ServeFrameIoTest, DrippedFrameCompletesWithinDeadline) {
             ReadStatus::kFrame);
   EXPECT_EQ(frame_type(payload), MsgType::kStats);
   writer.join();
+}
+
+TEST_F(ServeFrameIoTest, BufferedFrameIsReadPastItsDeadline) {
+  // The whole frame is buffered before the read starts, so no peer is
+  // stalling. A 1 ms deadline has under one whole millisecond left at the
+  // first check after the first byte, which truncates to zero — the same
+  // state as a reader descheduled past its deadline. Neither may evict a
+  // frame whose bytes have already landed.
+  ASSERT_TRUE(write_frame(fds_[0], encode_classify(sample_request())));
+  std::vector<std::uint8_t> payload;
+  EXPECT_EQ(read_frame_ex(fds_[1], payload, FrameOptions{false, 1}),
+            ReadStatus::kFrame);
+  EXPECT_EQ(decode_classify(payload).image, sample_request().image);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the serving layer: artifact container round trips, engine
 // determinism, cross-thread artifact sharing, and the server end to end
-// (digest parity with a serial engine across batching configurations,
+// (digest parity with a serial engine across worker and connection counts,
 // graceful drain accounting).
 
 #include <gtest/gtest.h>
@@ -92,6 +92,15 @@ class ServeTest : public ::testing::Test {
     return replies;
   }
 
+  /// Byte offset of layer 0's frozen table in a saved artifact: magic 4 +
+  /// version 4 + scenario (u64 length + chars) + v_supply 8 + module_ber 8
+  /// + clip 4, the embedded model, then the u64 layer count.
+  static std::size_t frozen_offset() {
+    std::ostringstream model_bytes;
+    snn::save_model(artifact_->model, static_cast<std::ostream&>(model_bytes));
+    return 36 + artifact_->scenario.size() + model_bytes.str().size() + 8;
+  }
+
   static ServingArtifact* artifact_;
   static data::Dataset* pool_;
 };
@@ -132,16 +141,11 @@ TEST_F(ServeTest, ArtifactLoadRejectsGarbage) {
 
   // Crafted length fields of layer 0. Offsets: magic 4 + version 4 +
   // scenario (u64 length + chars) + v_supply 8 + module_ber 8 + clip 4, the
-  // embedded model, the u64 layer count, then ber_th 8 and the placement
-  // (u64 count + 28 B per chunk); the frozen table follows with ber/p0/p1
-  // 24 + flag 1, then the u64 payload bytes and the u64 entry count.
+  // embedded model and the u64 layer count; the frozen table follows with
+  // ber/p0/p1 24 + flag 1, then the u64 payload bytes and the u64 entry
+  // count.
   const auto& layer = artifact_->layers[0];
-  std::ostringstream model_bytes;
-  snn::save_model(artifact_->model, static_cast<std::ostream&>(model_bytes));
-  const std::size_t placement_at = 36 + artifact_->scenario.size() +
-                                   model_bytes.str().size() + 8 + 8;
-  const std::size_t payload_at = placement_at + 8 +
-                                 28 * layer.placement.size() + 25;
+  const std::size_t payload_at = frozen_offset() + 25;
   const std::size_t entries_at = payload_at + 8;
   const auto u64_at = [&](std::size_t off) {
     std::uint64_t v = 0;
@@ -149,7 +153,6 @@ TEST_F(ServeTest, ArtifactLoadRejectsGarbage) {
     return v;
   };
   // The offsets land on the stored counts.
-  ASSERT_EQ(u64_at(placement_at), layer.placement.size());
   ASSERT_EQ(u64_at(payload_at), layer.frozen.payload_bytes());
   ASSERT_EQ(u64_at(entries_at), layer.frozen.entries().size());
   const std::uint64_t n_weights =
@@ -165,14 +168,42 @@ TEST_F(ServeTest, ArtifactLoadRejectsGarbage) {
         << "offset " << off << " value " << value;
   };
   // Each count is bounded by the layer's weight count before the loader
-  // allocates: a 2^31-entry placement or frozen table would otherwise
-  // request tens of GiB.
-  expect_rejected(placement_at, std::uint64_t{1} << 31);
-  expect_rejected(placement_at, n_weights + 1);
+  // allocates: a 2^31-entry frozen table would otherwise request tens of
+  // GiB.
   expect_rejected(payload_at, n_weights * 4 + 4);
   expect_rejected(payload_at, std::uint64_t{1} << 40);
   expect_rejected(entries_at, std::uint64_t{1} << 31);
   expect_rejected(entries_at, n_weights * 4 * 8 + 1);
+  std::remove(path.c_str());
+}
+
+TEST_F(ServeTest, RejectsAVersion1Artifact) {
+  // A v1 file: the v2 layout plus, before each layer's frozen table, the
+  // f64 BER threshold and the chunk placement (u64 count + 28 B per chunk;
+  // one all-zero chunk here). The suite artifact has one layer.
+  ASSERT_EQ(artifact_->layers.size(), 1u);
+  const std::string path = ::testing::TempDir() + "serve_test_v1.sxda";
+  save_artifact(*artifact_, path);
+  auto bytes = file_bytes(path);
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 4, &v1, sizeof(v1));
+  std::vector<char> v1_layer(8 + 8 + 28, '\0');
+  const std::uint64_t one_chunk = 1;
+  std::memcpy(v1_layer.data() + 8, &one_chunk, sizeof(one_chunk));
+  bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(frozen_offset()),
+               v1_layer.begin(), v1_layer.end());
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    (void)load_artifact(path);
+    ADD_FAILURE() << "a v1 artifact loaded";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported artifact version"),
+              std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 
@@ -237,12 +268,11 @@ TEST_F(ServeTest, ServerDigestMatchesSerialAcrossConfigs) {
   const std::uint64_t expected_digest = digest_replies(expected);
 
   struct Config {
-    std::size_t workers, max_batch, connections;
+    std::size_t workers, connections;
   };
-  for (const auto& c : {Config{1, 1, 1}, Config{4, 8, 3}}) {
+  for (const auto& c : {Config{1, 1}, Config{4, 3}}) {
     ServerConfig server_config;
     server_config.workers = c.workers;
-    server_config.max_batch = c.max_batch;
     Server server(*artifact_, server_config);
     server.start();
 
@@ -255,32 +285,27 @@ TEST_F(ServeTest, ServerDigestMatchesSerialAcrossConfigs) {
         replay("127.0.0.1", server.port(), *pool_, options);
     EXPECT_EQ(stats.replies, kRequests);
     EXPECT_EQ(stats.digest, expected_digest)
-        << "workers=" << c.workers << " batch=" << c.max_batch;
+        << "workers=" << c.workers << " connections=" << c.connections;
 
     server.request_stop();
     server.wait();
-    // Drain accounting: every admitted request was answered, batch sizes
-    // stayed within the ceiling, and the histogram adds up.
+    // Drain accounting: every admitted request was answered, each by its
+    // own pop.
     const auto server_stats = server.stats();
     EXPECT_EQ(server_stats.served, kRequests);
-    EXPECT_LE(server_stats.batch_hist.size(), c.max_batch);
-    std::uint64_t hist_jobs = 0;
-    for (std::size_t b = 0; b < server_stats.batch_hist.size(); ++b)
-      hist_jobs += server_stats.batch_hist[b] * (b + 1);
-    EXPECT_EQ(hist_jobs, kRequests);
+    EXPECT_EQ(server_stats.batches, kRequests);
     EXPECT_GE(server_stats.max_queue_depth, 1u);
   }
 }
 
 TEST_F(ServeTest, BoundedQueueAnswersOverflowWithQueueFull) {
-  // One slow worker, batch size 1, a queue bound of 2 — then a flood of
-  // classify frames. Every frame must be answered exactly once: either a
-  // kReply that is bit-equal to the serial engine's, or a kQueueFull
-  // carrying the rejected id. The connection must survive the rejections.
+  // One slow worker, a queue bound of 2 — then a flood of classify frames.
+  // Every frame must be answered exactly once: either a kReply that is
+  // bit-equal to the serial engine's, or a kQueueFull carrying the
+  // rejected id. The connection must survive the rejections.
   constexpr std::size_t kRequests = 300;
   ServerConfig server_config;
   server_config.workers = 1;
-  server_config.max_batch = 1;
   server_config.max_queue = 2;
   Server server(*artifact_, server_config);
   server.start();
@@ -337,7 +362,6 @@ TEST_F(ServeTest, ReplayClientRetriesQueueFullUntilAnswered) {
 
   ServerConfig server_config;
   server_config.workers = 1;
-  server_config.max_batch = 1;
   server_config.max_queue = 2;
   Server server(*artifact_, server_config);
   server.start();
@@ -358,14 +382,13 @@ TEST_F(ServeTest, ReplayClientRetriesQueueFullUntilAnswered) {
 }
 
 TEST_F(ServeTest, RequestDeadlineAnswersStaleJobsExactlyOnce) {
-  // One slow worker, batch size 1, and a 1us request deadline: almost every
-  // admitted request goes stale in the queue. Each one must still be
-  // answered exactly once — kDeadlineExceeded for the stale ones, a reply
-  // bit-equal to the serial engine's for the fresh ones.
+  // One slow worker and a 1us request deadline: almost every admitted
+  // request goes stale in the queue. Each one must still be answered
+  // exactly once — kDeadlineExceeded for the stale ones, a reply bit-equal
+  // to the serial engine's for the fresh ones.
   constexpr std::size_t kRequests = 60;
   ServerConfig server_config;
   server_config.workers = 1;
-  server_config.max_batch = 1;
   server_config.request_deadline_us = 1;
   Server server(*artifact_, server_config);
   server.start();
@@ -401,8 +424,11 @@ TEST_F(ServeTest, RequestDeadlineAnswersStaleJobsExactlyOnce) {
 
   server.request_stop();
   server.wait();
-  EXPECT_EQ(server.stats().deadline_exceeded, expired);
-  EXPECT_EQ(server.stats().served, replies);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.deadline_exceeded, expired);
+  EXPECT_EQ(stats.served, replies);
+  EXPECT_EQ(stats.batches, stats.served + stats.deadline_exceeded)
+      << "a pop took other than one job";
 }
 
 TEST_F(ServeTest, MaxConnsShedsExcessAcceptsImmediately) {
@@ -438,43 +464,51 @@ TEST_F(ServeTest, MaxConnsShedsExcessAcceptsImmediately) {
 }
 
 TEST_F(ServeTest, WatchdogCountsWorkersStuckPastStallBound) {
-  // A 1ms stall bound against deliberately long batches (one worker, batch
-  // ceiling 128, a 256-request flood): the watchdog must observe at least
-  // one batch outliving the bound and count it, while the server keeps
-  // serving correctly.
-  constexpr std::size_t kRequests = 256;
+  // A 1ms stall bound against one deliberately slow request: the suite
+  // artifact rebuilt with 100x the timesteps, so one classify integrates
+  // 100x as many steps. The watchdog must observe the request outliving
+  // the bound and count it, while the reply stays correct.
+  snn::NetworkConfig slow_cfg = artifact_->model.net.config();
+  slow_cfg.timesteps *= 100;
+  std::vector<std::vector<float>> weights, thetas;
+  for (std::size_t l = 0; l < artifact_->model.net.n_layers(); ++l) {
+    weights.push_back(artifact_->model.net.weights(l));
+    thetas.push_back(artifact_->model.net.thetas(l));
+  }
+  ServingArtifact slow = *artifact_;
+  slow.model.net =
+      snn::Network(slow_cfg, std::move(weights), std::move(thetas));
+
   ServerConfig server_config;
   server_config.workers = 1;
-  server_config.max_batch = 128;
   server_config.watchdog_stall_ms = 1;
-  Server server(*artifact_, server_config);
+  Server server(slow, server_config);
   server.start();
 
-  ClientOptions options;
-  options.requests = kRequests;
-  options.window = 256;
-  options.base_seed = kBaseSeed;
-  const auto stats = replay("127.0.0.1", server.port(), *pool_, options);
-  EXPECT_EQ(stats.replies, kRequests);
+  const int fd = connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(write_frame(fd, encode_classify(request(0))));
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(fd, payload));
+  EXPECT_EQ(decode_reply(payload), Engine(slow).classify(request(0)));
+  ::close(fd);
 
   server.request_stop();
   server.wait();
   const auto server_stats = server.stats();
-  EXPECT_EQ(server_stats.served, kRequests);
+  EXPECT_EQ(server_stats.served, 1u);
   EXPECT_GE(server_stats.wedged_events, 1u)
-      << "no batch outlived a 1ms stall bound";
+      << "the slow request did not outlive a 1ms stall bound";
 }
 
-TEST_F(ServeTest, BatchesStillFormUnderLoad) {
-  // Workers never wait for stragglers, but a flood still queues behind a
-  // busy worker, and the next pop takes that backlog as one batch (capped
-  // at max_batch). Batching changes no reply.
+TEST_F(ServeTest, EachPopTakesOneJobUnderAFlood) {
+  // A flood queues behind two busy workers; each pop still takes exactly
+  // one job, so every job taken off the queue is either served or
+  // answered kDeadlineExceeded, and the replies equal the serial engine's.
   constexpr std::size_t kRequests = 256;
   auto expected = serial_replies(*artifact_, kRequests);
   const std::uint64_t expected_digest = digest_replies(expected);
   ServerConfig server_config;
-  server_config.workers = 1;
-  server_config.max_batch = 16;
+  server_config.workers = 2;
   Server server(*artifact_, server_config);
   server.start();
 
@@ -490,9 +524,9 @@ TEST_F(ServeTest, BatchesStillFormUnderLoad) {
   server.wait();
   const auto server_stats = server.stats();
   EXPECT_EQ(server_stats.served, kRequests);
-  EXPECT_LT(server_stats.batches, server_stats.served)
-      << "no batch held more than one job";
-  EXPECT_LE(server_stats.batch_hist.size(), 16u);
+  EXPECT_EQ(server_stats.batches,
+            server_stats.served + server_stats.deadline_exceeded);
+  EXPECT_GT(server_stats.max_queue_depth, 1u) << "the flood never queued";
 }
 
 TEST_F(ServeTest, ConnectToDisablesNagle) {
@@ -510,7 +544,7 @@ TEST_F(ServeTest, ConnectToDisablesNagle) {
 
 TEST_F(ServeTest, HotReloadSwapsGenerationWithoutDroppingConnections) {
   // Reload mid-replay: the generation bumps, in-flight requests finish on
-  // whichever generation their batch started with, and — because both
+  // whichever generation they started with, and — because both
   // generations here hold the same frozen state — the digest is the serial
   // one. reconnects==0 proves no connection was dropped by the swap.
   constexpr std::size_t kRequests = 200;
