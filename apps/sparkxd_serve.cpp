@@ -2,8 +2,9 @@
 //
 // Loads a serving artifact (sparkxd_run --export-artifact) once, then
 // serves classify requests over the length-prefixed TCP protocol
-// (src/serve/protocol.hpp) with an admission queue. Each worker takes one
-// request at a time, as soon as one is queued.
+// (src/serve/protocol.hpp) on --workers engine slots. A lone request is
+// classified on the thread that read it; the rest go through an admission
+// queue that worker threads drain one request at a time.
 // SIGTERM/SIGINT triggers a graceful drain: every admitted request is
 // answered, then the process exits 0 with final counters on stderr.
 // SIGHUP hot-reloads the artifact file: the new file is loaded and
@@ -65,7 +66,9 @@ void print_usage(std::FILE* to) {
       "  --port N           TCP port on 127.0.0.1 (default 0 = ephemeral)\n"
       "  --port-file FILE   write the resolved port to FILE once listening\n"
       "                     (temp file + atomic rename)\n"
-      "  --workers N        worker threads, one engine each (default 1)\n"
+      "  --workers N        engine slots, and worker threads draining the\n"
+      "                     queue; a lone request runs on its connection's\n"
+      "                     reader (default 1)\n"
       "  --max-queue N      admission-queue bound; overflowing classify\n"
       "                     requests get a kQueueFull reply instead of\n"
       "                     growing memory (default 4096)\n"
@@ -77,7 +80,7 @@ void print_usage(std::FILE* to) {
       "                     N us (default 0 = disabled)\n"
       "  --max-conns N      close accepts beyond N live connections\n"
       "                     (default 0 = unlimited)\n"
-      "  --watchdog-ms N    log + count a worker stuck on one request past\n"
+      "  --watchdog-ms N    log + count a slot stuck on one request past\n"
       "                     N ms (default 10000, 0 disables)\n"
       "  --help             this message\n"
       "\nSIGTERM/SIGINT drains admitted requests, answers them, and exits "

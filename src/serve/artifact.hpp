@@ -11,7 +11,7 @@
 // model, the operating point and one FrozenInjection per layer; the
 // placement itself is not stored, its effect is the frozen table) into ONE
 // file ("SXDA", version 2) that a long-lived server loads once and shares
-// read-only across every worker; see serve::Engine for the per-request
+// read-only across every engine; see serve::Engine for the per-request
 // determinism contract built on top.
 //
 // Export: `sparkxd_run --scenario NAME --export-artifact FILE`.
@@ -30,7 +30,7 @@ namespace sparkxd::serve {
 /// One layer's share of the deployed operating point (a struct because
 /// perfbench/ reads `layers[l].frozen`).
 struct LayerArtifact {
-  /// Read-only injection plan at the operating BER, shared by all workers.
+  /// Read-only injection plan at the operating BER, shared by all engines.
   error::FrozenInjection frozen;
 };
 
@@ -63,7 +63,7 @@ void save_artifact(const ServingArtifact& artifact, const std::string& path);
 [[nodiscard]] ServingArtifact load_artifact(const std::string& path);
 
 /// load_artifact into a refcounted handle — the form Server::reload() takes
-/// for hot reload, where a draining worker may keep the old generation alive
+/// for hot reload, where a busy slot may keep the old generation alive
 /// after the swap.
 [[nodiscard]] std::shared_ptr<const ServingArtifact> load_artifact_shared(
     const std::string& path);

@@ -48,7 +48,7 @@ ClassifyReply Engine::classify(const ClassifyRequest& request) {
   for (const std::uint32_t c : counts) reply.spikes += c;
 
   // Restore the scratch weights bit for bit — the next request (on this
-  // worker) starts from the pristine artifact weights again.
+  // engine) starts from the pristine artifact weights again.
   scratch_.restore();
   return reply;
 }

@@ -1,5 +1,5 @@
 #pragma once
-// Per-worker classification engine over a shared, frozen ServingArtifact.
+// Per-slot classification engine over a shared, frozen ServingArtifact.
 //
 // Determinism contract (the serving layer's core guarantee): a request's
 // `seed` FULLY determines its reply. The engine derives two streams from
@@ -15,13 +15,14 @@
 //
 // Nothing else is stochastic, and CorruptionScratch::restore returns the
 // scratch weights bit for bit to the artifact's after every request, so
-// replies are replayable regardless of worker assignment or the order
-// requests reach a worker. That is what lets any number of workers share
-// one queue and lets a replay client verify a deployment byte for byte.
+// replies are replayable regardless of which slot or thread serves a
+// request or the order requests reach it. That is what lets any number of
+// slots share one server and lets a replay client verify a deployment byte
+// for byte.
 //
-// An Engine is the per-worker mutable half: one core::CorruptionScratch
+// An Engine is the per-slot mutable half: one core::CorruptionScratch
 // (a corruptible weight copy, O(total weights), plus an
-// snn::InferenceState, both paid once per worker; a request allocates
+// snn::InferenceState, both paid once per slot; a request allocates
 // nothing once the flip logs have grown). The artifact itself is shared
 // read-only across any number of engines on any number of threads.
 
@@ -53,13 +54,13 @@ struct ClassifyReply {
 
 class Engine {
  public:
-  /// Copies the artifact's network once (the per-worker corruptible copy)
+  /// Copies the artifact's network once (the per-slot corruptible copy)
   /// and keeps pointers into the artifact, which must outlive the engine.
   explicit Engine(const ServingArtifact& artifact);
 
   /// Classifies one request; deterministic in (artifact, request), no
-  /// observable state carried between calls. NOT thread-safe — one engine
-  /// per worker thread.
+  /// observable state carried between calls. NOT thread-safe — one thread
+  /// at a time (the server's slots hand each engine to one thread).
   [[nodiscard]] ClassifyReply classify(const ClassifyRequest& request);
 
   [[nodiscard]] const ServingArtifact& artifact() const noexcept {

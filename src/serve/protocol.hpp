@@ -65,12 +65,12 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 24;
 /// Server-side counters reported through kStatsReply.
 struct ServerStats {
   std::uint64_t served = 0;   ///< replies written
-  /// Jobs taken off the admission queue, one per pop (kept under its old
-  /// name because perfbench/ reads `.batches`).
+  /// Jobs run, queued or served inline by a connection's reader (kept
+  /// under its old name because perfbench/ reads `.batches`).
   std::uint64_t batches = 0;
   std::uint64_t max_queue_depth = 0;  ///< high-water admission-queue depth
   std::uint64_t generation = 1;       ///< artifact generation (bumped by reload)
-  /// Times the watchdog observed a worker stuck on one request past the
+  /// Times the watchdog observed a slot stuck on one request past the
   /// stall bound. A nonzero value is the "fail loudly" signal — the server
   /// keeps running, but something is wedging the engines.
   std::uint64_t wedged_events = 0;

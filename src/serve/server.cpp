@@ -7,6 +7,7 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -20,6 +21,12 @@ std::int64_t now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// True when no byte past the frame just read waits on `fd`.
+bool nothing_buffered(int fd) {
+  int n = 0;
+  return ::ioctl(fd, FIONREAD, &n) == 0 && n == 0;
 }
 
 }  // namespace
@@ -36,9 +43,12 @@ Server::Server(std::shared_ptr<const ServingArtifact> artifact,
   SPARKXD_REQUIRE(config_.max_queue >= 1,
                   "server admission-queue bound must be >= 1");
   artifact_->validate();
-  beats_.reserve(config_.workers);
-  for (std::size_t w = 0; w < config_.workers; ++w)
-    beats_.push_back(std::make_unique<WorkerBeat>());
+  slots_.reserve(config_.workers);
+  free_slots_.reserve(config_.workers);
+  for (std::size_t w = 0; w < config_.workers; ++w) {
+    slots_.push_back(std::make_unique<Slot>(artifact_));
+    free_slots_.push_back(slots_.back().get());
+  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   SPARKXD_REQUIRE(listen_fd_ >= 0, "cannot create the listening socket");
@@ -81,7 +91,7 @@ void Server::start() {
   SPARKXD_REQUIRE(!accept_thread_.joinable(), "server already started");
   worker_threads_.reserve(config_.workers);
   for (std::size_t w = 0; w < config_.workers; ++w)
-    worker_threads_.emplace_back([this, w] { worker_loop(w); });
+    worker_threads_.emplace_back([this] { worker_loop(); });
   if (config_.watchdog_stall_ms > 0)
     watchdog_thread_ = std::thread([this] { watchdog_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
@@ -226,17 +236,27 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       type = frame_type(payload);
       if (type == MsgType::kClassify) {
         Job job{conn, decode_classify(payload), Clock::now()};
+        // A lone request runs here: handing it to a sleeping worker costs a
+        // cross-CPU wake-up. One with more frames behind it is queued so the
+        // reader moves on and the workers take them in parallel.
+        const bool lone = nothing_buffered(conn->fd);
+        Slot* slot = nullptr;
         bool admitted = false;
         {
           std::lock_guard<std::mutex> lock(queue_mu_);
-          if (queue_.size() < config_.max_queue) {
+          if (lone && queue_.empty() && !free_slots_.empty()) {
+            slot = free_slots_.back();
+            free_slots_.pop_back();
+          } else if (queue_.size() < config_.max_queue) {
             queue_.push_back(std::move(job));
             max_queue_depth_ = std::max<std::uint64_t>(max_queue_depth_,
                                                        queue_.size());
             admitted = true;
           }
         }
-        if (admitted) {
+        if (slot != nullptr) {
+          serve_job(*slot, job);
+        } else if (admitted) {
           queue_cv_.notify_one();
         } else {
           // Backpressure: answer kQueueFull instead of growing the queue
@@ -254,7 +274,7 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
         const Hello hello = decode_hello(payload);
         // The ack travels in the OLD framing; everything after it (both
         // directions) in the negotiated one. conn->crc flips under
-        // write_mu so a worker reply can never straddle the switch.
+        // write_mu so a reply can never straddle the switch.
         std::lock_guard<std::mutex> lock(conn->write_mu);
         if (!write_frame(conn->fd, encode_hello_ack(hello), conn->crc)) break;
         conn->crc = hello.crc;
@@ -274,50 +294,65 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
   queue_cv_.notify_all();
 }
 
-void Server::worker_loop(std::size_t worker_index) {
-  auto [artifact, local_gen] = artifact_snapshot();
-  auto engine = std::make_unique<Engine>(*artifact);
-  WorkerBeat& beat = *beats_[worker_index];
+void Server::worker_loop() {
   for (;;) {
     Job job;
+    Slot* slot;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] {
-        return !queue_.empty() ||
-               (stopping_.load() && accept_done_ && active_readers_ == 0);
+        return queue_.empty()
+                   ? stopping_.load() && accept_done_ && active_readers_ == 0
+                   : !free_slots_.empty();
       });
       if (queue_.empty()) return;  // fully drained, nothing can arrive
       job = std::move(queue_.front());
       queue_.pop_front();
+      slot = free_slots_.back();
+      free_slots_.pop_back();
     }
-    // Hot reload: pick up the newest generation before the job starts. The
-    // old artifact stays alive (shared_ptr) until the last worker drops it.
-    if (generation_.load(std::memory_order_acquire) != local_gen) {
-      std::tie(artifact, local_gen) = artifact_snapshot();
-      engine = std::make_unique<Engine>(*artifact);
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    beat.job_seq.fetch_add(1, std::memory_order_relaxed);
-    beat.busy_since_ns.store(now_ns(), std::memory_order_release);
-    if (config_.request_deadline_us > 0 &&
-        Clock::now() - job.admitted >
-            std::chrono::microseconds(config_.request_deadline_us)) {
-      // Too stale to be worth classifying — the client has likely given
-      // up or retried already. Answer instead of silently dropping so the
-      // id is still accounted for exactly once.
-      deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-      write_to_conn(*job.conn, encode_deadline_exceeded(job.request.id));
-    } else {
-      try {
-        const ClassifyReply reply = engine->classify(job.request);
-        served_.fetch_add(1, std::memory_order_relaxed);
-        write_to_conn(*job.conn, encode_reply(reply));
-      } catch (const ContractViolation&) {
-        // Bad request (e.g. wrong image size): no reply, no crash.
-      }
-    }
-    beat.busy_since_ns.store(0, std::memory_order_release);
+    serve_job(*slot, job);
   }
+}
+
+void Server::serve_job(Slot& slot, const Job& job) {
+  // Hot reload: pick up the newest generation before the job starts. The
+  // old artifact stays alive (shared_ptr) until the last slot drops it.
+  if (generation_.load(std::memory_order_acquire) != slot.generation) {
+    auto [artifact, generation] = artifact_snapshot();
+    slot.engine = std::make_unique<Engine>(*artifact);
+    slot.artifact = std::move(artifact);
+    slot.generation = generation;
+  }
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  slot.job_seq.fetch_add(1, std::memory_order_relaxed);
+  slot.busy_since_ns.store(now_ns(), std::memory_order_release);
+  if (config_.request_deadline_us > 0 &&
+      Clock::now() - job.admitted >
+          std::chrono::microseconds(config_.request_deadline_us)) {
+    // Too stale to be worth classifying — the client has likely given
+    // up or retried already. Answer instead of silently dropping so the
+    // id is still accounted for exactly once.
+    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+    write_to_conn(*job.conn, encode_deadline_exceeded(job.request.id));
+  } else {
+    try {
+      const ClassifyReply reply = slot.engine->classify(job.request);
+      served_.fetch_add(1, std::memory_order_relaxed);
+      write_to_conn(*job.conn, encode_reply(reply));
+    } catch (const ContractViolation&) {
+      // Bad request (e.g. wrong image size): no reply, no crash.
+    }
+  }
+  slot.busy_since_ns.store(0, std::memory_order_release);
+  bool queued;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    free_slots_.push_back(&slot);
+    queued = !queue_.empty();
+  }
+  // A worker may be waiting for this slot.
+  if (queued) queue_cv_.notify_one();
 }
 
 void Server::watchdog_loop() {
@@ -327,22 +362,22 @@ void Server::watchdog_loop() {
   // fraction of the bound itself.
   const auto period =
       std::chrono::milliseconds(config_.watchdog_stall_ms / 4 + 1);
-  std::vector<std::uint64_t> flagged(config_.workers, ~0ull);
+  std::vector<std::uint64_t> flagged(slots_.size(), ~0ull);
   while (!watchdog_stop_.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(period);
     const std::int64_t now = now_ns();
-    for (std::size_t w = 0; w < beats_.size(); ++w) {
+    for (std::size_t w = 0; w < slots_.size(); ++w) {
       const std::uint64_t seq =
-          beats_[w]->job_seq.load(std::memory_order_relaxed);
+          slots_[w]->job_seq.load(std::memory_order_relaxed);
       const std::int64_t busy =
-          beats_[w]->busy_since_ns.load(std::memory_order_acquire);
+          slots_[w]->busy_since_ns.load(std::memory_order_acquire);
       if (busy != 0 && now - busy > stall_ns && flagged[w] != seq) {
         // Fail loudly (stderr + stats counter) but keep serving: the
-        // watchdog detects a wedged worker, it does not shoot it.
+        // watchdog detects a wedged slot, it does not shoot it.
         flagged[w] = seq;
         wedged_events_.fetch_add(1, std::memory_order_relaxed);
         std::fprintf(stderr,
-                     "sparkxd_serve: watchdog: worker %zu stuck on request "
+                     "sparkxd_serve: watchdog: slot %zu stuck on request "
                      "%llu for %lldms (bound %llums)\n",
                      w, static_cast<unsigned long long>(seq),
                      static_cast<long long>((now - busy) / 1'000'000),

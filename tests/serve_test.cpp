@@ -92,6 +92,29 @@ class ServeTest : public ::testing::Test {
     return replies;
   }
 
+  /// The suite artifact with `factor` times the timesteps: a classify
+  /// integrates that many more steps, and the replies differ.
+  static ServingArtifact with_timesteps(std::size_t factor) {
+    snn::NetworkConfig cfg = artifact_->model.net.config();
+    cfg.timesteps *= factor;
+    std::vector<std::vector<float>> weights, thetas;
+    for (std::size_t l = 0; l < artifact_->model.net.n_layers(); ++l) {
+      weights.push_back(artifact_->model.net.weights(l));
+      thetas.push_back(artifact_->model.net.thetas(l));
+    }
+    ServingArtifact out = *artifact_;
+    out.model.net = snn::Network(cfg, std::move(weights), std::move(thetas));
+    return out;
+  }
+
+  /// Sends request(i) on `fd` and returns its reply.
+  static ClassifyReply round_trip(int fd, std::size_t i) {
+    EXPECT_TRUE(write_frame(fd, encode_classify(request(i))));
+    std::vector<std::uint8_t> payload;
+    EXPECT_TRUE(read_frame(fd, payload));
+    return decode_reply(payload);
+  }
+
   /// Byte offset of layer 0's frozen table in a saved artifact: magic 4 +
   /// version 4 + scenario (u64 length + chars) + v_supply 8 + module_ber 8
   /// + clip 4, the embedded model, then the u64 layer count.
@@ -468,16 +491,7 @@ TEST_F(ServeTest, WatchdogCountsWorkersStuckPastStallBound) {
   // artifact rebuilt with 100x the timesteps, so one classify integrates
   // 100x as many steps. The watchdog must observe the request outliving
   // the bound and count it, while the reply stays correct.
-  snn::NetworkConfig slow_cfg = artifact_->model.net.config();
-  slow_cfg.timesteps *= 100;
-  std::vector<std::vector<float>> weights, thetas;
-  for (std::size_t l = 0; l < artifact_->model.net.n_layers(); ++l) {
-    weights.push_back(artifact_->model.net.weights(l));
-    thetas.push_back(artifact_->model.net.thetas(l));
-  }
-  ServingArtifact slow = *artifact_;
-  slow.model.net =
-      snn::Network(slow_cfg, std::move(weights), std::move(thetas));
+  const ServingArtifact slow = with_timesteps(100);
 
   ServerConfig server_config;
   server_config.workers = 1;
@@ -498,6 +512,99 @@ TEST_F(ServeTest, WatchdogCountsWorkersStuckPastStallBound) {
   EXPECT_EQ(server_stats.served, 1u);
   EXPECT_GE(server_stats.wedged_events, 1u)
       << "the slow request did not outlive a 1ms stall bound";
+}
+
+TEST_F(ServeTest, PacedLoneRequestsAreServedInline) {
+  // One request at a time on one connection, on an idle server: each one
+  // finds the queue empty, a slot free and nothing behind it, so its
+  // reader serves it and nothing is ever queued.
+  constexpr std::size_t kRequests = 24;
+  const auto expected = serial_replies(*artifact_, kRequests);
+  for (const std::size_t workers : {1u, 4u}) {
+    ServerConfig server_config;
+    server_config.workers = workers;
+    Server server(*artifact_, server_config);
+    server.start();
+    const int fd = connect_to("127.0.0.1", server.port());
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      EXPECT_EQ(round_trip(fd, i), expected[i])
+          << "workers=" << workers << " request " << i;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::close(fd);
+    server.request_stop();
+    server.wait();
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.served, kRequests) << "workers=" << workers;
+    EXPECT_EQ(stats.batches, stats.served) << "workers=" << workers;
+    EXPECT_EQ(stats.max_queue_depth, 0u) << "workers=" << workers;
+  }
+}
+
+TEST_F(ServeTest, LoneRequestBehindABusySlotIsQueuedAndAnsweredOnce) {
+  // The only slot is busy with a slow request from one connection when a
+  // lone request arrives on another: it must queue (an inline serve would
+  // be a second concurrent classify), then be answered exactly once when
+  // the slot frees. The watchdog's count shows the slow request started;
+  // 2000x the timesteps (a few hundred ms in Release) keeps it running
+  // well past the second connection's send, even under a sanitizer.
+  const ServingArtifact slow = with_timesteps(2000);
+  ServerConfig server_config;
+  server_config.workers = 1;
+  server_config.watchdog_stall_ms = 1;
+  Server server(slow, server_config);
+  server.start();
+
+  const int busy = connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(write_frame(busy, encode_classify(request(0))));
+  while (fetch_stats("127.0.0.1", server.port()).wedged_events == 0)
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  const int lone = connect_to("127.0.0.1", server.port());
+  ASSERT_TRUE(write_frame(lone, encode_classify(request(1))));
+
+  Engine engine(slow);
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(read_frame(lone, payload));
+  EXPECT_EQ(decode_reply(payload), engine.classify(request(1)));
+  ASSERT_TRUE(read_frame(busy, payload));
+  EXPECT_EQ(decode_reply(payload), engine.classify(request(0)));
+
+  server.request_stop();
+  server.wait();
+  // Drained: each connection is closed with nothing more to read.
+  EXPECT_FALSE(read_frame(lone, payload)) << "the lone request answered twice";
+  EXPECT_FALSE(read_frame(busy, payload));
+  ::close(lone);
+  ::close(busy);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.served, 2u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_queue_depth, 1u) << "the lone request was not queued";
+}
+
+TEST_F(ServeTest, LoneRequestAfterReloadRunsOnTheNewGeneration) {
+  // The reader serves a lone request on a slot whose engine it must first
+  // rebuild: the reply comes from the reloaded artifact, whose replies
+  // differ from the first one's.
+  const auto next = std::make_shared<const ServingArtifact>(with_timesteps(2));
+  ServerConfig server_config;
+  server_config.workers = 1;
+  Server server(*artifact_, server_config);
+  server.start();
+  const int fd = connect_to("127.0.0.1", server.port());
+  const auto before = serial_replies(*artifact_, 2);
+  EXPECT_EQ(round_trip(fd, 0), before[0]);
+
+  server.reload(next);
+  const ClassifyReply after = round_trip(fd, 1);
+  EXPECT_EQ(after, Engine(*next).classify(request(1)));
+  EXPECT_NE(after, before[1]) << "the two generations reply alike";
+  ::close(fd);
+  server.request_stop();
+  server.wait();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.generation, 2u);
+  EXPECT_EQ(stats.max_queue_depth, 0u);
 }
 
 TEST_F(ServeTest, EachPopTakesOneJobUnderAFlood) {
