@@ -240,23 +240,17 @@ int main(int argc, char** argv) {
                  "sparkxd_replay: %" PRIu64 " replies in %.3fs — %.0f req/s, "
                  "latency p50=%.0fus p95=%.0fus p99=%.0fus, "
                  "retries=%" PRIu64 " reconnects=%" PRIu64 " dup=%" PRIu64
-                 "; server "
-                 "served=%" PRIu64 " batches=%" PRIu64 " max_queue=%" PRIu64
-                 "\n",
+                 "; server %s\n",
                  stats.replies, wall_s, rps, p50, p95, p99, stats.retries,
-                 stats.reconnects, stats.duplicates, server_stats.served,
-                 server_stats.batches, server_stats.max_queue_depth);
+                 stats.reconnects, stats.duplicates,
+                 serve::format_stats(server_stats).c_str());
     if (options.chaos.any())
       std::fprintf(stderr,
                    "sparkxd_replay: chaos fired %" PRIu64
                    " (torn=%" PRIu64 " drip=%" PRIu64 " stall=%" PRIu64
-                   " rst=%" PRIu64 " corrupt=%" PRIu64 "); server "
-                   "bad_frames=%" PRIu64 " evicted_slow=%" PRIu64
-                   " deadline_exceeded=%" PRIu64 " generation=%" PRIu64 "\n",
+                   " rst=%" PRIu64 " corrupt=%" PRIu64 ")\n",
                    stats.chaos.total(), stats.chaos.torn, stats.chaos.drip,
-                   stats.chaos.stall, stats.chaos.rst, stats.chaos.corrupt,
-                   server_stats.bad_frames, server_stats.evicted_slow,
-                   server_stats.deadline_exceeded, server_stats.generation);
+                   stats.chaos.stall, stats.chaos.rst, stats.chaos.corrupt);
 
     if (!json_path.empty()) {
       // Same layout as bench_common's BenchReport (schema
@@ -285,19 +279,8 @@ int main(int argc, char** argv) {
       w.field("reconnects", static_cast<double>(stats.reconnects));
       w.field("duplicates", static_cast<double>(stats.duplicates));
       w.field("chaos_faults", static_cast<double>(stats.chaos.total()));
-      w.field("served", static_cast<double>(server_stats.served));
-      w.field("batches", static_cast<double>(server_stats.batches));
-      w.field("max_queue_depth",
-              static_cast<double>(server_stats.max_queue_depth));
-      w.field("generation", static_cast<double>(server_stats.generation));
-      w.field("bad_frames", static_cast<double>(server_stats.bad_frames));
-      w.field("evicted_slow", static_cast<double>(server_stats.evicted_slow));
-      w.field("deadline_exceeded",
-              static_cast<double>(server_stats.deadline_exceeded));
-      w.field("rejected_conns",
-              static_cast<double>(server_stats.rejected_conns));
-      w.field("wedged_events",
-              static_cast<double>(server_stats.wedged_events));
+      for (const auto& [name, field] : serve::kServerStatsFields)
+        w.field(name, static_cast<double>(server_stats.*field));
       w.end_object();
       w.end_object();
       w.end_array();

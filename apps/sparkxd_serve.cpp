@@ -209,22 +209,8 @@ int main(int argc, char** argv) {
     server.request_stop();
     server.wait();
 
-    const auto stats = server.stats();
-    std::fprintf(
-        stderr,
-        "sparkxd_serve: drained — served=%llu batches=%llu "
-        "max_queue_depth=%llu generation=%llu deadline_exceeded=%llu "
-        "bad_frames=%llu evicted_slow=%llu rejected_conns=%llu "
-        "wedged_events=%llu\n",
-        static_cast<unsigned long long>(stats.served),
-        static_cast<unsigned long long>(stats.batches),
-        static_cast<unsigned long long>(stats.max_queue_depth),
-        static_cast<unsigned long long>(stats.generation),
-        static_cast<unsigned long long>(stats.deadline_exceeded),
-        static_cast<unsigned long long>(stats.bad_frames),
-        static_cast<unsigned long long>(stats.evicted_slow),
-        static_cast<unsigned long long>(stats.rejected_conns),
-        static_cast<unsigned long long>(stats.wedged_events));
+    std::fprintf(stderr, "sparkxd_serve: drained — %s\n",
+                 serve::format_stats(server.stats()).c_str());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sparkxd_serve: %s\n", e.what());

@@ -15,8 +15,6 @@ namespace {
 thread_local bool tl_in_parallel = false;
 }  // namespace
 
-bool in_parallel_region() noexcept { return tl_in_parallel; }
-
 void parallel_for(std::size_t n,
                   const std::function<void(std::size_t)>& body) {
   if (n == 0) return;

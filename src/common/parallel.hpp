@@ -22,9 +22,6 @@
 
 namespace sparkxd {
 
-/// True while the calling thread is executing a parallel_for work item.
-[[nodiscard]] bool in_parallel_region() noexcept;
-
 /// Runs body(0) .. body(n-1) across up to thread_count() workers (dynamic
 /// scheduling). Items must be independent and must not share mutable state
 /// (fork Rng streams per item, write per-item slots). The first exception

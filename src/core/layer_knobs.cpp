@@ -10,7 +10,6 @@
 #include "core/pipeline.hpp"
 #include "energy/ber_model.hpp"
 #include "energy/power_model.hpp"
-#include "energy/voltage_model.hpp"
 #include "error/injector.hpp"
 #include "error/retention.hpp"
 #include "mapping/mapping.hpp"
@@ -63,7 +62,6 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& /*cfg*/,
                   "per-layer tolerance vectors must match the layer count");
 
   const energy::BerModel ber_model;
-  const energy::VoltageModel voltage_model;
   const energy::PowerModel power_model;
 
   // --- ECC ladder + per-rung placements. -----------------------------------
@@ -147,8 +145,8 @@ LayerKnobsReport assign_layer_knobs(const LayerKnobsConfig& /*cfg*/,
         scheme.decode_latency_ns(), scheme.decode_energy_nj()};
     const bool ecc = ladder_specs[ki].enabled();
     auto [stats, energy] = weight_stream_energy(
-        in.geometry, places[ki][l], stored[ki][l], v, voltage_model,
-        power_model, in.salp, candidate_policy(m), ecc ? &overhead : nullptr);
+        in.geometry, places[ki][l], stored[ki][l], v, in.salp,
+        candidate_policy(m), ecc ? &overhead : nullptr);
     energy.refresh_nj = power_model.region_refresh_energy_nj(
         stats.refreshes, row_fraction[ki][l], v);
     eval.energy_nj = energy.total_nj();

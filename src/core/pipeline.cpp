@@ -59,11 +59,10 @@ void PipelineConfig::validate() const {
 TraceEnergy weight_stream_energy(const dram::Geometry& geometry,
                                  const error::ChunkPlacement& placement,
                                  std::size_t n_weights, double v_supply,
-                                 const energy::VoltageModel& vm,
-                                 const energy::PowerModel& pm, bool salp,
+                                 bool salp,
                                  const dram::RefreshPolicy& refresh,
                                  const EccStreamOverhead* ecc) {
-  const auto timing = vm.derive_timings(v_supply);
+  const auto timing = energy::VoltageModel{}.derive_timings(v_supply);
   dram::Controller controller(geometry, timing, salp, refresh);
   const auto trace =
       mapping::streaming_read_trace(geometry, placement, n_weights);
@@ -77,7 +76,7 @@ TraceEnergy weight_stream_energy(const dram::Geometry& geometry,
     te.stats.total_time_ns += static_cast<double>(ecc->codewords) *
                               ecc->decode_ns_per_codeword;
   }
-  te.energy = pm.trace_energy(te.stats, v_supply, refresh);
+  te.energy = energy::PowerModel{}.trace_energy(te.stats, v_supply, refresh);
   if (ecc != nullptr)
     te.energy.ecc_nj = static_cast<double>(ecc->codewords) *
                        ecc->decode_nj_per_codeword;
@@ -132,9 +131,7 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
   report.timings.train_ns = since(t_start, t_trained);
 
   // --- Substrate models. ---------------------------------------------------
-  const energy::VoltageModel voltage_model;
   const energy::BerModel ber_model;
-  const energy::PowerModel power_model;
   const error::SubarrayProfile profile(cfg.geometry, cfg.seed,
                                        cfg.subarray_sigma);
   const std::size_t n_layers = cfg.network.n_layers();
@@ -242,7 +239,7 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
   for (std::size_t l = 0; l < n_layers; ++l) {
     const auto base_te = weight_stream_energy(
         cfg.geometry, base_places[l], layer_weights[l], energy::kNominalVdd,
-        voltage_model, power_model, /*salp=*/false, baseline_refresh);
+        /*salp=*/false, baseline_refresh);
     report.baseline_energy_nj += base_te.energy.total_nj();
     report.baseline_time_ns += base_te.stats.total_time_ns;
   }
@@ -372,9 +369,8 @@ PipelineReport run_pipeline(const PipelineConfig& cfg,
         ecc_oh.decode_nj_per_codeword = scheme.decode_energy_nj();
       }
       const auto te = weight_stream_energy(
-          cfg.geometry, placement[l].chunks, stored_weights[l], v,
-          voltage_model, power_model, cfg.salp, cfg.refresh,
-          ecc_on ? &ecc_oh : nullptr);
+          cfg.geometry, placement[l].chunks, stored_weights[l], v, cfg.salp,
+          cfg.refresh, ecc_on ? &ecc_oh : nullptr);
       LayerVoltageStats& ls = row.layers[l];
       ls.ber_th = placement[l].ber_th;
       ls.capacity_relaxed = placement[l].capacity_relaxed;

@@ -240,9 +240,7 @@ struct EccStreamOverhead {
 
 [[nodiscard]] TraceEnergy weight_stream_energy(
     const dram::Geometry& geometry, const error::ChunkPlacement& placement,
-    std::size_t n_weights, double v_supply,
-    const energy::VoltageModel& vm = energy::VoltageModel{},
-    const energy::PowerModel& pm = energy::PowerModel{}, bool salp = false,
+    std::size_t n_weights, double v_supply, bool salp = false,
     const dram::RefreshPolicy& refresh = dram::RefreshPolicy::disabled(),
     const EccStreamOverhead* ecc = nullptr);
 

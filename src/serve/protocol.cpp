@@ -151,17 +151,20 @@ std::vector<std::uint8_t> encode_stats_request() {
 
 std::vector<std::uint8_t> encode_stats_reply(const ServerStats& stats) {
   std::vector<std::uint8_t> out;
-  out.reserve(1 + 9 * 8);
+  out.reserve(1 + std::size(kServerStatsFields) * sizeof(std::uint64_t));
   out.push_back(static_cast<std::uint8_t>(MsgType::kStatsReply));
-  put(out, stats.served);
-  put(out, stats.batches);
-  put(out, stats.max_queue_depth);
-  put(out, stats.generation);
-  put(out, stats.wedged_events);
-  put(out, stats.deadline_exceeded);
-  put(out, stats.bad_frames);
-  put(out, stats.evicted_slow);
-  put(out, stats.rejected_conns);
+  for (const auto& [name, field] : kServerStatsFields) put(out, stats.*field);
+  return out;
+}
+
+std::string format_stats(const ServerStats& stats) {
+  std::string out;
+  for (const auto& [name, field] : kServerStatsFields) {
+    if (!out.empty()) out += ' ';
+    out += name;
+    out += '=';
+    out += std::to_string(stats.*field);
+  }
   return out;
 }
 
@@ -206,15 +209,8 @@ ServerStats decode_stats_reply(const std::vector<std::uint8_t>& payload) {
   require_type(payload, MsgType::kStatsReply);
   std::size_t pos = 1;
   ServerStats stats;
-  stats.served = get<std::uint64_t>(payload, pos);
-  stats.batches = get<std::uint64_t>(payload, pos);
-  stats.max_queue_depth = get<std::uint64_t>(payload, pos);
-  stats.generation = get<std::uint64_t>(payload, pos);
-  stats.wedged_events = get<std::uint64_t>(payload, pos);
-  stats.deadline_exceeded = get<std::uint64_t>(payload, pos);
-  stats.bad_frames = get<std::uint64_t>(payload, pos);
-  stats.evicted_slow = get<std::uint64_t>(payload, pos);
-  stats.rejected_conns = get<std::uint64_t>(payload, pos);
+  for (const auto& [name, field] : kServerStatsFields)
+    stats.*field = get<std::uint64_t>(payload, pos);
   SPARKXD_REQUIRE(pos == payload.size(), "oversized stats payload");
   return stats;
 }

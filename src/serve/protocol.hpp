@@ -12,9 +12,7 @@
 //   kReply      u64 id, i32 label, u32 spikes, u32 flips
 //   kStats      (empty) — server answers with kStatsReply on the same
 //               connection, bypassing the admission queue
-//   kStatsReply u64 served, u64 batches, u64 max_queue_depth,
-//               u64 generation, u64 wedged_events, u64 deadline_exceeded,
-//               u64 bad_frames, u64 evicted_slow, u64 rejected_conns
+//   kStatsReply one u64 per ServerStats counter, kServerStatsFields order
 //   kQueueFull  u64 id — overload backpressure: the admission queue was at
 //               its bound when this classify request arrived; the request
 //               was NOT processed (and never will be), the connection stays
@@ -36,6 +34,9 @@
 // read_frame/write_frame do the blocking fd I/O with full-length loops.
 
 #include <cstdint>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/engine.hpp"
@@ -81,6 +82,27 @@ struct ServerStats {
 
   friend bool operator==(const ServerStats&, const ServerStats&) = default;
 };
+
+/// Every ServerStats counter by name, in kStatsReply wire order. The codec,
+/// the daemon's drain line and sparkxd_replay's summary and JSON walk it.
+inline constexpr std::pair<const char*, std::uint64_t ServerStats::*>
+    kServerStatsFields[] = {
+        {"served", &ServerStats::served},
+        {"batches", &ServerStats::batches},
+        {"max_queue_depth", &ServerStats::max_queue_depth},
+        {"generation", &ServerStats::generation},
+        {"wedged_events", &ServerStats::wedged_events},
+        {"deadline_exceeded", &ServerStats::deadline_exceeded},
+        {"bad_frames", &ServerStats::bad_frames},
+        {"evicted_slow", &ServerStats::evicted_slow},
+        {"rejected_conns", &ServerStats::rejected_conns},
+};
+static_assert(sizeof(ServerStats) ==
+                  std::size(kServerStatsFields) * sizeof(std::uint64_t),
+              "every ServerStats counter must be listed in kServerStatsFields");
+
+/// "served=N batches=N ..." over kServerStatsFields.
+[[nodiscard]] std::string format_stats(const ServerStats& stats);
 
 /// kHello / kHelloAck payload.
 struct Hello {

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -115,25 +116,22 @@ void Server::request_stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  // Kick every reader out of its blocking read; replies still flow (the
-  // write half stays open until the connection object dies).
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (const auto& weak : conns_)
-    if (const auto conn = weak.lock()) ::shutdown(conn->fd, SHUT_RD);
+  {
+    // Kick every reader out of its blocking read; replies still flow (the
+    // write half stays open until the connection object dies).
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    for (const Reader& reader : readers_) ::shutdown(reader.conn->fd, SHUT_RD);
+  }
   queue_cv_.notify_all();
 }
 
 void Server::wait() {
   if (accept_thread_.joinable()) accept_thread_.join();
-  // The accept loop is done, so reader_threads_ can no longer grow.
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    readers.swap(reader_threads_);
-  }
-  for (auto& t : readers) t.join();
+  // The workers return only once no reader is live, so every reader has
+  // ended by then and sits in finished_.
   for (auto& t : worker_threads_) t.join();
   worker_threads_.clear();
+  join_finished();
   watchdog_stop_.store(true);
   if (watchdog_thread_.joinable()) watchdog_thread_.join();
 }
@@ -160,38 +158,42 @@ void Server::accept_loop() {
       if (errno == EINTR) continue;
       break;  // listener shut down (or hard error): stop accepting
     }
-    if (stopping_.load()) {
-      ::close(fd);
-      continue;  // raced with request_stop(); the listener dies next round
-    }
-    if (config_.max_conns > 0 &&
-        live_conns_.load(std::memory_order_relaxed) >= config_.max_conns) {
-      // Overload safety: shed the connection at accept time instead of
-      // spawning an unbounded reader fan-out. The peer sees an immediate
-      // close and is expected to back off and reconnect.
-      rejected_conns_.fetch_add(1, std::memory_order_relaxed);
-      ::close(fd);
-      continue;
-    }
+    join_finished();
+    // Closes fd on leaving this iteration unless a reader took it.
+    const auto conn = std::make_shared<Connection>(fd);
     // Replies are small frames written as soon as they are ready; Nagle
     // would hold one back until the peer ACKs the previous one.
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    live_conns_.fetch_add(1, std::memory_order_relaxed);
-    auto conn = std::make_shared<Connection>(fd);
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      ++active_readers_;
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    if (stopping_.load()) continue;  // raced with request_stop(): refuse
+    if (config_.max_conns > 0 && readers_.size() >= config_.max_conns) {
+      // Overload safety: shed the connection at accept time instead of
+      // spawning an unbounded reader fan-out. The peer sees an immediate
+      // close and is expected to back off and reconnect.
+      rejected_conns_.fetch_add(1, std::memory_order_relaxed);
+      continue;
     }
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    conns_.push_back(conn);
-    reader_threads_.emplace_back([this, conn] { reader_loop(conn); });
+    // Started under the lock, so the entry holds its thread before the
+    // reader can retire it.
+    Reader& reader = readers_.emplace_back(Reader{conn, {}});
+    try {
+      reader.thread = std::thread(
+          [this, self = std::prev(readers_.end())] { reader_loop(self); });
+    } catch (const std::system_error&) {  // no thread to spare: shed it
+      readers_.pop_back();
+      rejected_conns_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
+}
+
+void Server::join_finished() {
+  Readers ended;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    accept_done_ = true;
+    ended.swap(finished_);
   }
-  queue_cv_.notify_all();
+  for (Reader& reader : ended) reader.thread.join();
 }
 
 void Server::write_to_conn(Connection& conn,
@@ -200,7 +202,8 @@ void Server::write_to_conn(Connection& conn,
   write_frame(conn.fd, frame, conn.crc);  // peer-gone is not our problem
 }
 
-void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
+void Server::reader_loop(Readers::iterator self) {
+  const std::shared_ptr<Connection> conn = self->conn;
   std::vector<std::uint8_t> payload;
   bool crc = false;  // reader's own view; mirrored into conn->crc
   for (;;) {
@@ -286,10 +289,12 @@ void Server::reader_loop(const std::shared_ptr<Connection>& conn) {
       break;  // malformed payload: drop the connection
     }
   }
-  live_conns_.fetch_sub(1, std::memory_order_relaxed);
   {
+    // The list lets go of the connection here; `conn` and any queued job
+    // still hold it, so the fd closes once they are done.
     std::lock_guard<std::mutex> lock(queue_mu_);
-    --active_readers_;
+    self->conn.reset();
+    finished_.splice(finished_.end(), readers_, self);
   }
   queue_cv_.notify_all();
 }
@@ -301,9 +306,8 @@ void Server::worker_loop() {
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
       queue_cv_.wait(lock, [this] {
-        return queue_.empty()
-                   ? stopping_.load() && accept_done_ && active_readers_ == 0
-                   : !free_slots_.empty();
+        return queue_.empty() ? stopping_.load() && readers_.empty()
+                              : !free_slots_.empty();
       });
       if (queue_.empty()) return;  // fully drained, nothing can arrive
       job = std::move(queue_.front());

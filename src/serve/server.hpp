@@ -3,8 +3,9 @@
 // `workers` engine slots, either directly or through an admission queue.
 //
 // Thread layout:
-//   accept thread        blocks in accept(), spawns one reader per client
-//                        (closing immediately at the --max-conns cap)
+//   accept thread        blocks in accept(), joins the readers that ended
+//                        since the last accept, then spawns one reader per
+//                        client (closing at once at the --max-conns cap)
 //   reader threads       decode frames. A kClassify job is served on the
 //                        reader itself when it is lone: the queue is
 //                        empty, a slot is free and nothing more is
@@ -53,15 +54,17 @@
 // engine lets go. stats().generation exposes the installed one.
 //
 // Shutdown contract: request_stop() stops accepting, wakes the readers
-// (SHUT_RD on every live connection), and lets the workers drain whatever
-// was already admitted; wait() joins everything. Every admitted request is
-// answered before its connection closes.
+// (SHUT_RD on every live connection; the accept loop checks for the stop
+// under the lock it registers connections under), and lets the workers
+// drain whatever was already admitted; wait() joins everything. Every
+// admitted request is answered before its connection closes.
 
 #include <atomic>
 #include <condition_variable>
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -175,8 +178,13 @@ class Server {
     std::atomic<std::uint64_t> job_seq{0};
   };
 
+  /// A connection and the thread reading it.
+  struct Reader { std::shared_ptr<Connection> conn; std::thread thread; };
+  using Readers = std::list<Reader>;
+
   void accept_loop();
-  void reader_loop(const std::shared_ptr<Connection>& conn);
+  void reader_loop(Readers::iterator self);
+  void join_finished();  ///< joins the readers that have ended so far
   void worker_loop();
   /// Serves `job` on `slot`, which the caller claimed, then frees the slot.
   void serve_job(Slot& slot, const Job& job);
@@ -202,20 +210,18 @@ class Server {
   std::atomic<bool> watchdog_stop_{false};
   std::vector<std::unique_ptr<Slot>> slots_;  // one per worker, fixed
 
-  std::mutex conns_mu_;
-  std::vector<std::thread> reader_threads_;        // guarded by conns_mu_
-  std::vector<std::weak_ptr<Connection>> conns_;   // guarded by conns_mu_
-  std::atomic<std::size_t> live_conns_{0};
-
-  // Admission queue and free slots. Workers may exit only when the queue
-  // is empty AND no producer can refill it (accept loop done, all readers
-  // done).
+  // Admission queue, free slots and readers. Workers may exit only when
+  // the queue is empty AND no producer can refill it (stopping, no reader).
   mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<Job> queue_;              // guarded by queue_mu_
   std::vector<Slot*> free_slots_;      // guarded by queue_mu_
-  std::size_t active_readers_ = 0;     // guarded by queue_mu_
-  bool accept_done_ = false;           // guarded by queue_mu_
+  // Live connections (the --max-conns count, what request_stop() shuts
+  // down). An ended reader lets go of its connection, which closes once no
+  // queued job holds it, and moves to finished_ for the next accept or
+  // wait() to join.
+  Readers readers_;                    // guarded by queue_mu_
+  Readers finished_;                   // guarded by queue_mu_
   std::uint64_t max_queue_depth_ = 0;  // guarded by queue_mu_
 
   std::atomic<std::uint64_t> served_{0};

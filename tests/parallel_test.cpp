@@ -75,15 +75,19 @@ TEST(ParallelFor, PropagatesTheFirstException) {
 }
 
 TEST(ParallelFor, NestedCallsRunInlineOnTheWorker) {
+  // Nesting is visible through parallel_chunk_count: one range inside a
+  // work item (the nested call runs inline), more than one outside.
   ThreadsOverride threads("4");
-  EXPECT_FALSE(in_parallel_region());
   const std::size_t outer = 8, inner = 8;
+  EXPECT_GT(parallel_chunk_count(inner), 1u);
   std::vector<int> hits(outer * inner, 0);
+  std::vector<std::size_t> nested_chunks(outer, 0);
   parallel_for(outer, [&](std::size_t i) {
-    EXPECT_TRUE(in_parallel_region());
+    nested_chunks[i] = parallel_chunk_count(inner);
     parallel_for(inner, [&](std::size_t j) { ++hits[i * inner + j]; });
   });
-  EXPECT_FALSE(in_parallel_region());
+  EXPECT_GT(parallel_chunk_count(inner), 1u) << "the caller left the region";
+  for (const std::size_t c : nested_chunks) EXPECT_EQ(c, 1u);
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 

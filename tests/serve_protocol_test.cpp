@@ -69,6 +69,19 @@ TEST(ServeProtocolTest, StatsRoundTrip) {
   EXPECT_EQ(frame_type(payload), MsgType::kStatsReply);
   EXPECT_EQ(payload.size(), 1u + 9 * 8);  // type byte + nine u64 counters
   EXPECT_EQ(decode_stats_reply(payload), stats);
+  // The documented wire order: served, batches, max_queue_depth,
+  // generation, wedged_events, deadline_exceeded, bad_frames,
+  // evicted_slow, rejected_conns.
+  const std::uint64_t wire[] = {1000, 131, 77, 3, 1, 12, 4, 2, 9};
+  for (std::size_t k = 0; k < 9; ++k) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, payload.data() + 1 + 8 * k, sizeof(v));
+    EXPECT_EQ(v, wire[k]) << "counter " << k;
+  }
+  EXPECT_EQ(format_stats(stats),
+            "served=1000 batches=131 max_queue_depth=77 generation=3 "
+            "wedged_events=1 deadline_exceeded=12 bad_frames=4 "
+            "evicted_slow=2 rejected_conns=9");
   EXPECT_EQ(frame_type(encode_stats_request()), MsgType::kStats);
 }
 

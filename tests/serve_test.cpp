@@ -10,12 +10,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,6 +44,15 @@ std::vector<char> file_bytes(const std::string& path) {
   is.seekg(0);
   is.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   return bytes;
+}
+
+/// Lines in /proc/self/maps: one per memory mapping of this process (a
+/// thread's stack and its guard page are two).
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
 }
 
 /// One artifact for the whole suite: a real (tiny) pipeline run takes a few
@@ -484,6 +496,90 @@ TEST_F(ServeTest, MaxConnsShedsExcessAcceptsImmediately) {
   server.request_stop();
   server.wait();
   EXPECT_GE(server.stats().rejected_conns, 1u);
+}
+
+TEST_F(ServeTest, ClosedConnectionsReleaseTheirReaders) {
+  // Each reader thread maps a stack. A reader whose connection has closed
+  // is joined at the next accept, so connect/close cycles leave the
+  // process's mappings flat instead of growing two per connection.
+  constexpr std::size_t kCycles = 256;
+  constexpr std::size_t kSlack = 32;
+  const auto expected = serial_replies(*artifact_, 8);
+  ServerConfig server_config;
+  server_config.workers = 2;
+  Server server(*artifact_, server_config);
+  server.start();
+  {
+    // The first reader's own mappings (a malloc arena) join the baseline.
+    const int fd = connect_to("127.0.0.1", server.port());
+    EXPECT_EQ(round_trip(fd, 0), expected[0]);
+    ::close(fd);
+  }
+  (void)fetch_stats("127.0.0.1", server.port());
+  const std::size_t before = mapping_count();
+
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    const int fd = connect_to("127.0.0.1", server.port());
+    if (i % 4 == 0) {
+      EXPECT_EQ(round_trip(fd, i % 8), expected[i % 8]);
+    }
+    ::close(fd);
+  }
+  // One more connection makes the accept loop join the ended readers; its
+  // stats reply shows it was accepted. A reader may still be on its way
+  // out at that accept, so a few more rounds are allowed.
+  std::size_t after = 0;
+  for (int round = 0; round < 50; ++round) {
+    (void)fetch_stats("127.0.0.1", server.port());
+    after = mapping_count();
+    if (after <= before + kSlack) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_LE(after, before + kSlack)
+      << kCycles << " closed connections still hold their readers";
+
+  server.request_stop();
+  server.wait();
+  EXPECT_EQ(server.stats().served, 1 + kCycles / 4);
+}
+
+TEST_F(ServeTest, StopUnderConnectionChurnReturnsPromptly) {
+  // A client keeps opening connections and holds them open without a
+  // frame while request_stop() runs. Every connection the server accepted
+  // is either refused or shut down by the stop, so wait() never waits on
+  // a peer to hang up.
+  constexpr int kRounds = 20;
+  // Below the listen backlog (128): a connect to a full backlog waits out
+  // a SYN retransmit instead of failing fast.
+  constexpr std::size_t kMaxHeld = 64;
+  for (int round = 0; round < kRounds; ++round) {
+    Server server(*artifact_, ServerConfig{});
+    server.start();
+    std::atomic<bool> churn_done{false};
+    std::atomic<std::size_t> opened{0};
+    std::vector<int> held;
+    std::thread churn([&] {
+      while (!churn_done.load() && held.size() < kMaxHeld) {
+        try {
+          held.push_back(connect_to("127.0.0.1", server.port()));
+          opened.fetch_add(1);
+        } catch (const ContractViolation&) {
+          std::this_thread::yield();  // the listener is gone
+        }
+      }
+    });
+    while (opened.load() < 4) std::this_thread::yield();
+    server.request_stop();
+    auto waited = std::async(std::launch::async, [&] { server.wait(); });
+    const bool prompt =
+        waited.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    churn_done.store(true);
+    churn.join();
+    for (const int fd : held) ::close(fd);  // frees a wait() that hung
+    waited.get();
+    EXPECT_TRUE(prompt) << "round " << round
+                        << ": wait() blocked on a connection held open";
+  }
 }
 
 TEST_F(ServeTest, WatchdogCountsWorkersStuckPastStallBound) {
